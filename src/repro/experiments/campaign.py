@@ -279,7 +279,8 @@ def make_workload(
     if workload == "exponential":
         return StochasticWorkload(config, load, sides="exponential")
     if workload == "real":
-        jobs = list(trace) if trace is not None else sdsc_trace(scale.trace_max_jobs)
+        # TraceWorkload copies its prefix, so the shared trace is safe
+        jobs = trace if trace is not None else sdsc_trace(scale.trace_max_jobs)
         return TraceWorkload(config, jobs, load, max_jobs=scale.trace_max_jobs)
     if is_pipeline_spec(workload):
         return build_pipeline(

@@ -37,7 +37,9 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from scipy import stats as _scipy_stats
+from scipy import special as _special
+
+from repro.stats import ci as _ci
 
 #: verdicts, worst first (the precedence order used to summarise a point)
 REGRESSED = "regressed"
@@ -80,16 +82,10 @@ class MetricSummary:
 
     @classmethod
     def from_values(cls, values: Sequence[float]) -> "MetricSummary":
-        """Two-pass mean/variance, float-identical to
-        :func:`repro.stats.ci.mean_confidence_interval`'s estimates."""
-        n = len(values)
-        if n == 0:
-            raise ValueError("no observations")
-        mean = sum(values) / n
-        var = (
-            sum((v - mean) ** 2 for v in values) / (n - 1) if n > 1 else 0.0
-        )
-        return cls(mean=mean, variance=var, n=n)
+        """Two-pass mean/variance, the same estimates
+        :func:`repro.stats.ci.mean_confidence_interval` uses."""
+        mean, var = _ci.mean_variance(values)
+        return cls(mean=mean, variance=var, n=len(values))
 
     @classmethod
     def from_welford(cls, acc) -> "MetricSummary":
@@ -112,14 +108,7 @@ class MetricSummary:
     # ------------------------------------------------------------ intervals
     def half_width(self, confidence: float = 0.95) -> float:
         """Student-t CI half-width of the mean (``inf`` for n < 2)."""
-        if not 0 < confidence < 1:
-            raise ValueError(f"confidence must be in (0, 1), got {confidence}")
-        if self.n < 2:
-            return math.inf
-        if self.variance == 0.0:
-            return 0.0
-        t = float(_scipy_stats.t.ppf(0.5 + confidence / 2.0, self.n - 1))
-        return t * math.sqrt(self.variance / self.n)
+        return _ci.half_width(self.variance, self.n, confidence)
 
     def interval(self, confidence: float = 0.95) -> tuple[float, float]:
         """The Student-t confidence interval of the mean."""
@@ -167,7 +156,8 @@ def welch_t_test(a: MetricSummary, b: MetricSummary) -> WelchResult:
         df = float(min(a.n, b.n) - 1)
     else:
         df = se2 * se2 / denom
-    p = 2.0 * float(_scipy_stats.t.sf(abs(t), df))
+    # stdtr(df, -|t|) is what scipy's Student-t distribution ``sf`` computes
+    p = 2.0 * float(_special.stdtr(df, -abs(t)))
     return WelchResult(t=t, df=df, p_value=min(p, 1.0))
 
 

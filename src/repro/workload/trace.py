@@ -48,6 +48,14 @@ _COLUMN_MEMO: dict[tuple, JobBlock] = {}
 #: pool derives each fingerprint once (columns are immutable afterwards)
 _COLUMN_LOCK = threading.Lock()
 
+#: load-independent derivations -- ``(TraceStats, demands)`` -- keyed by
+#: the trace content digest plus the demand parameters; only the arrival
+#: factor differs between the loads of one campaign
+_DERIVED_MEMO: dict[tuple, tuple[TraceStats, tuple[int, ...]]] = {}
+
+#: serialises derivation under concurrent first use, like _COLUMN_LOCK
+_DERIVED_LOCK = threading.Lock()
+
 
 @dataclass(frozen=True, slots=True)
 class TraceJob:
@@ -118,7 +126,17 @@ class TraceWorkload(Workload):
         if len(self.trace) < 2:
             raise ValueError("trace replay needs at least two jobs")
         self.load = load
-        self.stats = trace_stats(self.trace)
+        #: mean per-processor message count (DESIGN.md section 2.3)
+        self.mean_messages = config.num_mes * config.trace_demand_multiplier
+        self._arrivals = np.array([tj.arrival for tj in self.trace])
+        self._sizes = np.array([tj.size for tj in self.trace], dtype=np.int64)
+        self._runtimes = np.array([tj.runtime for tj in self.trace])
+        h = hashlib.sha256()
+        h.update(self._arrivals.tobytes())
+        h.update(self._sizes.tobytes())
+        h.update(self._runtimes.tobytes())
+        self._digest = h.hexdigest()[:24]
+        self.stats, self._messages = self._derived()
         #: the paper's arrival-time multiplier f.  A burst trace (all
         #: arrivals simultaneous) has no inter-arrival scale to stretch,
         #: so it replays unscaled.
@@ -126,14 +144,28 @@ class TraceWorkload(Workload):
             self.factor = 1.0 / (self.stats.mean_interarrival * load)
         else:
             self.factor = 1.0
-        #: mean per-processor message count (DESIGN.md section 2.3)
-        self.mean_messages = config.num_mes * config.trace_demand_multiplier
         self.name = "real-trace"
-        self._arrivals = np.array([tj.arrival for tj in self.trace])
-        self._sizes = np.array([tj.size for tj in self.trace], dtype=np.int64)
-        self._runtimes = np.array([tj.runtime for tj in self.trace])
-        self._messages = self._quantile_matched_demands()
-        self._digest: str | None = None
+
+    def _derived(self) -> tuple[TraceStats, tuple[int, ...]]:
+        """Trace statistics and demands, derived once per process for a
+        given trace content and demand parameters (thread-safe)."""
+        cfg = self.config
+        key = (
+            self._digest, len(self.trace),
+            cfg.num_mes, cfg.trace_demand_multiplier, cfg.max_messages,
+        )
+        hit = _DERIVED_MEMO.get(key)
+        if hit is not None:
+            return hit
+        with _DERIVED_LOCK:
+            hit = _DERIVED_MEMO.get(key)
+            if hit is None:
+                hit = (
+                    trace_stats(self.trace),
+                    tuple(self._quantile_matched_demands()),
+                )
+                _DERIVED_MEMO[key] = hit
+            return hit
 
     def _quantile_matched_demands(self) -> list[int]:
         """Per-job message counts: exponential marginal with the paper's
@@ -175,12 +207,6 @@ class TraceWorkload(Workload):
 
     def block_fingerprint(self) -> tuple:
         """Stream identity: trace content digest + every shaping knob."""
-        if self._digest is None:
-            h = hashlib.sha256()
-            h.update(self._arrivals.tobytes())
-            h.update(self._sizes.tobytes())
-            h.update(self._runtimes.tobytes())
-            self._digest = h.hexdigest()[:24]
         cfg = self.config
         return (
             "trace", self._digest, len(self.trace), self.factor,

@@ -29,7 +29,7 @@ class TestMetricSummary:
         mean, hw = mean_confidence_interval(values, 0.95)
         assert s.mean == mean  # identical float expressions, not approx
         assert s.n == 4
-        assert s.half_width(0.95) == pytest.approx(hw, rel=1e-12)
+        assert s.half_width(0.95) == hw  # one shared formula
 
     def test_from_values_single_observation(self):
         s = MetricSummary.from_values([7.0])
