@@ -13,7 +13,7 @@ Acceptance gates:
 
 * ISSUE-6: SoA serial >= 5x over the reference engine (needs the
   compiled lane driver; skipped under ``REPRO_NATIVE=0`` or without a
-  C compiler, where SoA degrades to interleaved reference runs at ~1x).
+  C compiler, where SoA degrades to per-seed reference runs at ~1x).
 * ISSUE-8: at ``-j 8``, thread >= 2x over the process pool and >= 10x
   over the serial reference baseline.  Parallel speedup cannot
   physically manifest without cores, so these gates additionally need

@@ -3,13 +3,13 @@
 Times the figure-2 real-workload cell (GABL + FCFS on the 16x22 mesh at
 the sweep's high load) under the ``fast`` reference, the ``batch``
 backend, and ``batch`` with its compiled kernel disabled (the portable
-NumPy/Python engines), verifies that every batch variant reproduces
-``fast`` metric-for-metric (exact equality -- the backends share one
-reservation discipline), and records the wall-clock speedup.  The
-acceptance bar for the vectorised backend is >= 3x over ``fast`` on
-this cell; the assertion is gated on the compiled reservation kernel
-being available, since the portable fallbacks only have to be
-*correct*, not fast.
+fallback, which is the ``fast`` reference loop itself), verifies that
+every batch variant reproduces ``fast`` metric-for-metric (exact
+equality -- the backends share one reservation discipline), and records
+the wall-clock speedup.  The acceptance bar for the batch backend is
+>= 3x over ``fast`` on this cell; the assertion is gated on the
+compiled reservation kernel being available, since the portable
+fallback only has to be *correct*, not fast.
 
 Results land in ``results/network_backends.txt``.
 """
@@ -104,14 +104,14 @@ def test_network_backends(benchmark, scale):
             if getattr(fast, f.name) != getattr(variant, f.name)
         ]
         assert not mismatched, f"{tag} diverged from fast on: {mismatched}"
-    # (b) the vectorised backend clears the speedup bar (with the
-    # compiled kernel; the portable fallbacks are correctness-only)
+    # (b) the batch backend clears the speedup bar (with the compiled
+    # kernel; the portable fallback is correctness-only)
     if native:
         assert speedup >= SPEEDUP_TARGET, (
             f"batch speedup {speedup:.2f}x below {SPEEDUP_TARGET}x"
         )
-    # without a compiler the portable engines only promise correctness,
-    # so no wall-clock floor is asserted
+    # without a compiler the portable fallback only promises
+    # correctness, so no wall-clock floor is asserted
 
     benchmark.pedantic(
         _run_cell, args=("batch", 60, 300), rounds=1, iterations=1

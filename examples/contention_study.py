@@ -13,9 +13,9 @@ from repro import make_allocator
 from repro.core.config import PAPER_CONFIG
 from repro.core.engine import Engine
 from repro.core.job import Job
+from repro.network.backend import make_backend
 from repro.network.topology import MeshTopology
 from repro.network.traffic import AllToAllTraffic
-from repro.network.wormhole import WormholeNetwork
 
 #: jobs placed (width, length): realistic non-power-of-two mix
 JOBS = [(5, 7), (3, 4), (6, 3), (4, 4), (7, 2), (2, 9)]
@@ -32,8 +32,8 @@ def run_strategy(spec: str) -> dict[str, float]:
         assert allocator.allocate(100 + i, w, l) is not None
 
     engine = Engine()
-    network = WormholeNetwork(
-        MeshTopology(cfg.width, cfg.length), engine,
+    network = make_backend(
+        "fast", MeshTopology(cfg.width, cfg.length), engine,
         t_s=cfg.t_s, p_len=cfg.p_len,
     )
     traffic = AllToAllTraffic(network, engine,

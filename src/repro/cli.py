@@ -172,9 +172,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--network-mode",
         choices=NETWORK_MODES,
         default=None,
-        help="network transport backend: batch (vectorised, the default), "
-        "fast (bit-identical reference), causal (exact per-hop "
-        "arbitration) or sfb (single-flit-buffer wormhole)",
+        help="network transport backend: batch (compiled whole-launch "
+        "kernel, the default), fast (bit-identical reference), causal "
+        "(exact per-hop arbitration) or sfb (single-flit-buffer wormhole)",
     )
     p.add_argument(
         "--topology",
@@ -190,7 +190,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="execution engine: reference (one event loop per "
         "replication, the default) or soa (lockstep replication batches "
         "through the compiled structure-of-arrays driver; bit-identical "
-        "results, REPRO_NATIVE=0 falls back to interleaved reference "
+        "results, REPRO_NATIVE=0 falls back to per-seed reference "
         "runs)",
     )
     p.add_argument(

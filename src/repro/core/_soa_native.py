@@ -18,9 +18,10 @@ making the lane driver bit-identical to the reference engine
 (``tests/test_engine_equivalence.py``).
 
 Like the network kernel, this module is strictly optional:
-:mod:`repro.core.soa` falls back to lockstepped reference simulators
-(same results) when compilation is impossible.  Set ``REPRO_NATIVE=0``
-to disable compilation and dispatch entirely.
+:mod:`repro.core.soa` falls back to one reference ``Simulator.run()``
+per seed (same results) when compilation is impossible.  Building,
+caching and the ``REPRO_NATIVE=0`` switch live in
+:mod:`repro._toolchain`.
 
 **GIL-release contract.**  ``soa_advance`` is loaded through
 :class:`ctypes.CDLL`, so the GIL is dropped for the entire duration of
@@ -33,19 +34,15 @@ concurrently from a thread pool with no shared state at all, which is
 what makes the campaign's ``--executor thread`` mode scale
 (:mod:`repro.experiments.campaign`).  The only cross-thread step, the
 lazy first-use compile, serialises on
-:data:`repro.network._native.KERNEL_LOCK` so N threads build once.
+:data:`repro._toolchain.KERNEL_LOCK` so N threads build once.
 """
 
 from __future__ import annotations
 
 import ctypes
-import hashlib
-import os
-import subprocess
-import tempfile
 
+from repro._toolchain import KernelMemo, build
 from repro.network._native import _SOURCE as _NETWORK_SOURCE
-from repro.network._native import KERNEL_LOCK, _cache_dir, _compiler
 
 #: pointer-table slots of ``soa_advance``'s first argument; must match
 #: the ``P_*`` enum in the C source below, slot for slot.
@@ -1062,41 +1059,12 @@ int64_t soa_advance(void **P, const int64_t *CI, const double *CF)
 #: driver calls its ``solve_rounds`` directly), then the lane driver
 _SOURCE = _NETWORK_SOURCE + _DRIVER_SOURCE
 
-_UNSET = object()
-_kernel = _UNSET
+_memo = KernelMemo()
 
 
 def _build() -> ctypes.CDLL | None:
-    """Compile and load the lane driver (same recipe as the network kernel)."""
-    cc = _compiler()
-    if cc is None:
-        return None
-    cache_dir = _cache_dir()
-    if cache_dir is None:
-        return None
-    digest = hashlib.sha256(_SOURCE.encode()).hexdigest()[:16]
-    lib_path = cache_dir / f"soa_{digest}.so"
-    if lib_path.is_file() and os.stat(lib_path).st_uid != os.getuid():
-        return None  # never load code we did not write
-    if not lib_path.is_file():
-        src = cache_dir / f"soa_{digest}.c"
-        src.write_text(_SOURCE)
-        fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache_dir)
-        os.close(fd)
-        cmd = [cc, "-O2", "-fPIC", "-shared", "-ffp-contract=off",
-               str(src), "-o", tmp]
-        try:
-            subprocess.run(cmd, check=True, capture_output=True, timeout=60)
-            os.replace(tmp, lib_path)
-        except (OSError, subprocess.SubprocessError):
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            return None
-    try:
-        lib = ctypes.CDLL(str(lib_path))
-    except OSError:
+    lib = build("soa", _SOURCE)
+    if lib is None:
         return None
     lib.soa_advance.restype = ctypes.c_int64
     lib.soa_advance.argtypes = [
@@ -1106,24 +1074,11 @@ def _build() -> ctypes.CDLL | None:
 
 
 def load_kernel() -> ctypes.CDLL | None:
-    """The compiled lane driver, or ``None`` when unavailable (memoised).
-
-    Thread-safe: concurrent first calls serialise on the shared
-    :data:`~repro.network._native.KERNEL_LOCK` (double-checked), so the
-    compile runs once and every caller gets the same handle.
-    """
-    global _kernel
-    if _kernel is _UNSET:
-        with KERNEL_LOCK:
-            if _kernel is _UNSET:
-                if os.environ.get("REPRO_NATIVE", "1") == "0":
-                    _kernel = None
-                else:
-                    _kernel = _build()
-    return _kernel
+    """The compiled lane driver, or ``None`` when unavailable (memoised,
+    thread-safe: built once per process, see :mod:`repro._toolchain`)."""
+    return _memo.get(_build)
 
 
 def reset_kernel_cache() -> None:
     """Forget the memoised kernel (tests toggling ``REPRO_NATIVE``)."""
-    global _kernel
-    _kernel = _UNSET
+    _memo.reset()

@@ -48,7 +48,7 @@ class SimConfig:
     p_len: int = 8  #: packet size in flits; links move one flit/time unit
 
     # --- network transport backend (see repro.network.backend)
-    #: timing engine: "batch" (vectorised, the default), "fast" (the
+    #: timing engine: "batch" (compiled kernel, the default), "fast" (the
     #: bit-identical reference loop), "causal" (exact per-hop
     #: arbitration) or "sfb" (single-flit-buffer wormhole)
     network_mode: str = "batch"

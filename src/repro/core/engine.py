@@ -76,7 +76,6 @@ class Engine:
         self,
         until: float | None = None,
         stop: Callable[[], bool] | None = None,
-        max_events: int | None = None,
     ) -> None:
         """Drain the event heap.
 
@@ -86,24 +85,18 @@ class Engine:
         * ``stop()`` returns True -- before the next event executes;
         * the next event is later than ``until`` -- the clock advances
           (clamps) to ``until`` and the event stays queued;
-        * ``max_events`` events have been executed *by this call* -- the
-          budget is checked before popping, so ``run(max_events=0)``
-          executes nothing and repeated calls each get a fresh budget;
         * the heap is empty -- the clock advances to ``until`` if given.
 
-        An early stop via ``stop`` or ``max_events`` leaves the clock at
-        the last executed event: events earlier than ``until`` are still
-        pending, and clamping past them would make a resumed ``run()``
-        move time backwards.
+        An early stop via ``stop`` leaves the clock at the last executed
+        event: events earlier than ``until`` are still pending, and
+        clamping past them would make a resumed ``run()`` move time
+        backwards.
         """
         heap = self._heap
-        executed = 0
         self.running = True
         try:
             while heap:
                 if stop is not None and stop():
-                    break
-                if max_events is not None and executed >= max_events:
                     break
                 ev = heap[0]
                 if ev.cancelled:
@@ -115,7 +108,6 @@ class Engine:
                 heapq.heappop(heap)
                 self._now = ev.time
                 self._processed += 1
-                executed += 1
                 ev.callback(*ev.args)
             else:
                 if until is not None:

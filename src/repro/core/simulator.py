@@ -112,49 +112,19 @@ class Simulator:
 
     # ------------------------------------------------------------------ run
     def run(self) -> RunResult:
-        """Execute the run and return the aggregated metrics."""
-        self.start()
-        self.advance()
-        return self.finalize()
+        """Execute the run and return the aggregated metrics.
 
-    # ------------------------------------------------- incremental execution
-    # The split API lets a driver interleave several independent runs
-    # (repro.core.soa advances a replication batch in lockstep rounds).
-    # ``start(); advance(); finalize()`` is exactly ``run()``.
-    def start(self) -> None:
-        """Prime the run: open the job stream, schedule the first arrival.
-
-        The stream comes through the block-buffered adapter
+        The job stream comes through the block-buffered adapter
         (:func:`repro.workload.columnar.job_stream`): workloads with a
         native columnar form materialise jobs from (process-cached)
         column blocks, others keep the plain sequential iterator.
         Either way the jobs are identical to ``workload.jobs(seed)``.
+        The run ends when the completion target is reached, the event
+        heap drains, or ``config.max_time`` is hit.
         """
         self._jobs = job_stream(self.workload, self.seed)
         self._schedule_next_arrival()
-
-    def advance(self, max_events: int | None = None) -> bool:
-        """Process up to ``max_events`` events; return True once finished.
-
-        With ``max_events=None`` the run executes to completion in one
-        call.  A run is finished when the completion target is reached,
-        the event heap drains, or ``config.max_time`` is hit -- in all
-        three cases further calls are no-ops.
-        """
-        before = self.engine.processed
-        self.engine.run(
-            until=self.config.max_time,
-            stop=lambda: self._done,
-            max_events=max_events,
-        )
-        if self._done or max_events is None:
-            return True
-        # budget not exhausted => the engine stopped for a terminal reason
-        # (empty heap or the max_time horizon), not the event budget
-        return self.engine.processed - before < max_events
-
-    def finalize(self) -> RunResult:
-        """Close out the run and return the aggregated metrics."""
+        self.engine.run(until=self.config.max_time, stop=lambda: self._done)
         now = self.engine.now
         for obs in self.observers:
             obs.on_end(now)

@@ -1,19 +1,17 @@
-"""Lockstep structure-of-arrays execution of replication batches.
+"""Structure-of-arrays execution of replication batches.
 
 One grid point's replication batch -- same strategy combination,
-different seeds -- advances as a set of *lanes* that step in rounds.
-When the compiled lane driver (:mod:`repro.core._soa_native`) is
-available and the point uses strategies it implements, each round is one
-C call per live lane (``soa_advance``) that executes the discrete-event
-loop, schedulers, allocators and wormhole timing over flat arrays
-(:class:`repro.alloc.soa_state.LaneState`), surfacing to Python only to
-refill arrivals.  Otherwise the lanes are ordinary
-:class:`~repro.core.simulator.Simulator` runs interleaved through the
-``start``/``advance``/``finalize`` split API -- same lockstep shape,
-reference implementation.
+different seeds -- advances as a set of *lanes* that step in lockstep
+rounds.  When the compiled lane driver (:mod:`repro.core._soa_native`)
+is available and the point uses strategies it implements, each round is
+one C call per live lane (``soa_advance``) that executes the
+discrete-event loop, schedulers, allocators and wormhole timing over
+flat arrays (:class:`repro.alloc.soa_state.LaneState`), surfacing to
+Python only to refill arrivals.  Otherwise each seed is one ordinary
+reference :meth:`~repro.core.simulator.Simulator.run`.
 
-Both paths, and the per-run reference engine, are bit-identical on the
-dyadic time grid; ``tests/test_engine_equivalence.py`` enforces it.
+Both paths are bit-identical to the per-run reference engine;
+``tests/test_engine_equivalence.py`` enforces it.
 
 Thread parallelism: each ``soa_advance`` call releases the GIL (ctypes
 foreign call) and touches only its own batch's flat arrays -- the
@@ -26,22 +24,12 @@ sequentially within its round loop.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 from repro.alloc.soa_state import ALLOC_KINDS, SCHED_KINDS, LaneState
 from repro.core import _soa_native as native
-from repro.core.hooks import SimObserver
 from repro.core.metrics import RunResult
 from repro.core.simulator import Simulator
-
-#: event budget per lane per round on the fallback path
-ADVANCE_EVENTS = 4096
-
-#: builds one lane's simulator: ``build(seed, observers) -> Simulator``
-SimBuilder = Callable[[int, Sequence[SimObserver]], Simulator]
-
-#: builds one lane's extra observers: ``factory(seed) -> observers``
-ObserverFactory = Callable[[int], Sequence[SimObserver]]
 
 
 def native_supported(sim: Simulator) -> bool:
@@ -51,7 +39,7 @@ def native_supported(sim: Simulator) -> bool:
     Paging(0) / MBS under FCFS / SSD with the batch network backend --
     with default strategy options.  Anything else (other allocators,
     rotation disabled, non-row-major paging, extra observers, per-job
-    records) falls back to the lockstep reference path.  An active lossy
+    records) falls back to per-seed reference runs.  An active lossy
     channel (``config.channel``) always falls back: ARQ retransmissions
     run only through the reference per-packet path.
     """
@@ -74,23 +62,20 @@ def native_supported(sim: Simulator) -> bool:
 
 
 def run_point_batch(
-    build: SimBuilder,
-    seeds: Iterable[int],
-    observer_factory: ObserverFactory | None = None,
+    build: Callable[[int], Simulator], seeds: Iterable[int]
 ) -> list[RunResult]:
-    """Run one replication batch in lockstep; one result per seed.
+    """Run one replication batch; one result per seed, in seed order.
 
-    ``build`` constructs a fresh simulator for a seed (the caller binds
-    the point's strategies and workload); ``observer_factory`` attaches
-    per-lane observers on the fallback path and forces it when given.
+    ``build(seed)`` constructs a fresh simulator for a seed (the caller
+    binds the point's strategies and workload).
     """
     seeds = list(seeds)
     if not seeds:
         return []
-    probe = build(seeds[0], ())
-    if observer_factory is None and native_supported(probe):
+    probe = build(seeds[0])
+    if native_supported(probe):
         return _run_native(probe, seeds)
-    return _run_lockstep(build, seeds, observer_factory, probe)
+    return [probe.run()] + [build(seed).run() for seed in seeds[1:]]
 
 
 # ---------------------------------------------------------------- native
@@ -125,24 +110,3 @@ def _run_native(probe: Simulator, seeds: list[int]) -> list[RunResult]:
         live = nxt
     return [lane.result() for lane in lanes]
 
-
-# -------------------------------------------------------------- fallback
-def _run_lockstep(
-    build: SimBuilder,
-    seeds: list[int],
-    observer_factory: ObserverFactory | None,
-    probe: Simulator,
-) -> list[RunResult]:
-    sims: list[Simulator] = []
-    for idx, seed in enumerate(seeds):
-        extra = tuple(observer_factory(seed)) if observer_factory else ()
-        if idx == 0 and not extra:
-            sims.append(probe)  # reuse: built with no extra observers
-        else:
-            sims.append(build(seed, extra))
-    for sim in sims:
-        sim.start()
-    live = list(range(len(sims)))
-    while live:
-        live = [i for i in live if not sims[i].advance(ADVANCE_EVENTS)]
-    return [sim.finalize() for sim in sims]

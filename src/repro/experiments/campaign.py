@@ -468,21 +468,18 @@ def run_spec_batch_results(
     seeds: Sequence[int],
     trace: Sequence[TraceJob] | None = None,
 ) -> list:
-    """Execute a whole replication batch of a point in lockstep.
+    """Execute a whole replication batch of a point.
 
     The ``engine="soa"`` work unit: the batch advances through
-    :func:`repro.core.soa.run_point_batch` (compiled lanes when the
-    point's strategies are covered, interleaved reference runs
+    :func:`repro.core.soa.run_point_batch` (compiled lanes in lockstep
+    when the point's strategies are covered, per-seed reference runs
     otherwise).  Returns the engine's ``RunResult`` objects in seed
     order -- for native lanes those are built straight from
     ``LaneState.result()`` arrays, and in-process executors hand them
     back to the drain loop without any payload-dict round trip.
     """
     return run_point_batch(
-        lambda seed, observers=(): build_simulator(
-            spec, seed, trace=trace, observers=observers
-        ),
-        seeds,
+        lambda seed: build_simulator(spec, seed, trace=trace), seeds
     )
 
 

@@ -7,13 +7,13 @@ job traffic (section 5).
 
 The timing engines live behind the pluggable transport-backend layer in
 :mod:`repro.network.backend`: ``fast`` (reference whole-path
-reservation), ``batch`` (vectorised, bit-identical to ``fast``, the
-default), ``causal`` (exact per-hop arbitration) and ``sfb``
-(single-flit-buffer wormhole).
+reservation), ``batch`` (whole launches through a compiled kernel,
+bit-identical to ``fast``, the default), ``causal`` (exact per-hop
+arbitration) and ``sfb`` (single-flit-buffer wormhole).
 """
 
 from repro.network.topology import MeshTopology, Direction
-from repro.network.routing import xy_route, xy_route_arrays, xy_route_nodes
+from repro.network.routing import xy_route, xy_route_nodes
 from repro.network.backend import (
     NetworkBackend,
     PathTiming,
@@ -22,13 +22,7 @@ from repro.network.backend import (
     make_backend,
     register_backend,
 )
-from repro.network.wormhole import (
-    MODES,
-    CausalBackend,
-    FastBackend,
-    SFBBackend,
-    WormholeNetwork,
-)
+from repro.network.wormhole import CausalBackend, FastBackend, SFBBackend
 from repro.network.batch import BatchBackend
 from repro.network.arq import ARQ_PROTOCOLS, FlowArq
 from repro.network.channel import (
@@ -47,7 +41,6 @@ __all__ = [
     "MeshTopology",
     "Direction",
     "xy_route",
-    "xy_route_arrays",
     "xy_route_nodes",
     "NetworkBackend",
     "PathTiming",
@@ -55,12 +48,10 @@ __all__ = [
     "backend_modes",
     "make_backend",
     "register_backend",
-    "MODES",
     "FastBackend",
     "BatchBackend",
     "CausalBackend",
     "SFBBackend",
-    "WormholeNetwork",
     "AllToAllTraffic",
     "destination_offsets",
     "destination_schedule",

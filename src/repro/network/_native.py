@@ -2,14 +2,14 @@
 
 The channel-reservation recurrence is a strict sequential dependency
 chain (every packet's reservation depends on the channel state left by
-the previous one), which caps how much a vectorised implementation can
-win at typical job sizes.  When a C compiler is available, this module
-builds a ~30-line kernel that runs the exact same float64 recurrence as
-:meth:`repro.network.wormhole.FastBackend.transmit` over the flat route
-arrays prepared by :func:`repro.network.routing.xy_route_arrays`.
+the previous one).  When a C compiler is available, this module builds
+a small kernel that walks each packet's XY route and runs the exact
+same float64 recurrence as
+:meth:`repro.network.wormhole.FastBackend.transmit`, one whole launch
+(every round of a job's all-to-all exchange) per call.
 
 The kernel is strictly optional: :mod:`repro.network.batch` falls back
-to its NumPy/pure-Python solvers (same results) when compilation is
+to the ``fast`` reference loop (same results) when compilation is
 impossible.  Because the C code performs the identical IEEE-754
 operations in the identical order -- compiled with ``-ffp-contract=off``
 so no multiply-adds are fused -- its outputs are bit-identical to the
@@ -22,28 +22,17 @@ arguments -- no Python state, no globals, no allocation.  Calls made
 from different threads on *disjoint* arrays therefore run genuinely in
 parallel; the thread-based campaign executor
 (:mod:`repro.experiments.campaign`) relies on this.  The one shared
-mutable step -- the lazy first-use compile and the ``_kernel`` memo --
-is serialised by :data:`KERNEL_LOCK`, so N threads racing through
-:func:`load_kernel` build and load exactly once.
-
-Set ``REPRO_NATIVE=0`` to disable compilation and dispatch entirely.
+mutable step -- the lazy first-use compile -- is serialised by
+:data:`repro._toolchain.KERNEL_LOCK`, so N threads racing through
+:func:`load_kernel` build and load exactly once.  Building, caching and
+the ``REPRO_NATIVE=0`` switch live in :mod:`repro._toolchain`.
 """
 
 from __future__ import annotations
 
 import ctypes
-import hashlib
-import os
-import shutil
-import subprocess
-import tempfile
-import threading
-from pathlib import Path
 
-#: serialises lazy kernel builds (shared with the SoA lane driver and
-#: the workload draw helper, so concurrent first use from a thread pool
-#: compiles one translation unit at a time, each exactly once)
-KERNEL_LOCK = threading.Lock()
+from repro._toolchain import KernelMemo, build
 
 _SOURCE = r"""
 #include <stdint.h>
@@ -165,80 +154,12 @@ void solve_rounds(const int64_t *ids, int64_t n, const int64_t *offsets,
 }
 """
 
-_UNSET = object()
-_kernel = _UNSET
-
-
-def _compiler() -> str | None:
-    for cand in (os.environ.get("CC"), "cc", "gcc", "clang"):
-        if cand and shutil.which(cand):
-            return cand
-    return None
-
-
-def _cache_dir() -> Path | None:
-    """Private, owner-verified directory for the compiled kernel.
-
-    Prefers the XDG cache; falls back to a per-uid tmp directory.  The
-    directory is created mode 0700 and rejected unless it is owned by
-    the current user and group/world-unwritable -- a world-writable tmp
-    path that someone else pre-created must never be trusted as a
-    source of loadable code.
-    """
-    xdg = os.environ.get("XDG_CACHE_HOME")
-    candidates = []
-    if xdg:
-        candidates.append(Path(xdg) / "repro-mesh")
-    home = Path.home()
-    if home != Path("/"):
-        candidates.append(home / ".cache" / "repro-mesh")
-    candidates.append(
-        Path(tempfile.gettempdir()) / f"repro-mesh-{os.getuid()}"
-    )
-    for cache_dir in candidates:
-        try:
-            cache_dir.mkdir(parents=True, exist_ok=True, mode=0o700)
-            info = os.stat(cache_dir)
-        except OSError:
-            continue
-        if info.st_uid == os.getuid() and not (info.st_mode & 0o022):
-            return cache_dir
-    return None
+_memo = KernelMemo()
 
 
 def _build() -> ctypes.CDLL | None:
-    cc = _compiler()
-    if cc is None:
-        return None
-    cache_dir = _cache_dir()
-    if cache_dir is None:
-        return None
-    digest = hashlib.sha256(_SOURCE.encode()).hexdigest()[:16]
-    lib_path = cache_dir / f"reserve_{digest}.so"
-    if lib_path.is_file() and os.stat(lib_path).st_uid != os.getuid():
-        return None  # never load code we did not write
-    if not lib_path.is_file():
-        src = cache_dir / f"reserve_{digest}.c"
-        src.write_text(_SOURCE)
-        # unique temp output + atomic rename: concurrent workers may race
-        fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache_dir)
-        os.close(fd)
-        cmd = [cc, "-O2", "-fPIC", "-shared", "-ffp-contract=off",
-               str(src), "-o", tmp]
-        try:
-            subprocess.run(
-                cmd, check=True, capture_output=True, timeout=60
-            )
-            os.replace(tmp, lib_path)
-        except (OSError, subprocess.SubprocessError):
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            return None
-    try:
-        lib = ctypes.CDLL(str(lib_path))
-    except OSError:
+    lib = build("reserve", _SOURCE)
+    if lib is None:
         return None
     lib.solve_rounds.restype = None
     lib.solve_rounds.argtypes = [
@@ -251,24 +172,11 @@ def _build() -> ctypes.CDLL | None:
 
 
 def load_kernel() -> ctypes.CDLL | None:
-    """The compiled kernel, or ``None`` when unavailable (memoised).
-
-    Thread-safe: concurrent first calls serialise on
-    :data:`KERNEL_LOCK` (double-checked), so the gcc invocation runs
-    once and every caller gets the same handle.
-    """
-    global _kernel
-    if _kernel is _UNSET:
-        with KERNEL_LOCK:
-            if _kernel is _UNSET:
-                if os.environ.get("REPRO_NATIVE", "1") == "0":
-                    _kernel = None
-                else:
-                    _kernel = _build()
-    return _kernel
+    """The compiled kernel, or ``None`` when unavailable (memoised,
+    thread-safe: built once per process, see :mod:`repro._toolchain`)."""
+    return _memo.get(_build)
 
 
 def reset_kernel_cache() -> None:
     """Forget the memoised kernel (tests toggling ``REPRO_NATIVE``)."""
-    global _kernel
-    _kernel = _UNSET
+    _memo.reset()

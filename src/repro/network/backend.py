@@ -7,8 +7,9 @@ but differ in how they execute it:
 
 * ``fast``    -- whole-path reservation, one Python loop per packet
   (the reference engine; see :mod:`repro.network.wormhole`);
-* ``batch``   -- round-level vectorised reservation, metric-identical to
-  ``fast`` (see :mod:`repro.network.batch`);
+* ``batch``   -- whole launches through a compiled kernel, else the
+  ``fast`` loop; metric-identical to ``fast`` (see
+  :mod:`repro.network.batch`);
 * ``causal``  -- one event per hop, exact FIFO-by-arrival arbitration;
 * ``sfb``     -- single-flit-buffer wormhole with chained channel holding.
 
@@ -22,8 +23,7 @@ packet through the engine via :meth:`NetworkBackend.send` callbacks.
 traffic generator.
 
 Register implementations with :func:`register_backend`; construct them
-with :func:`make_backend` (the ``WormholeNetwork`` factory in
-:mod:`repro.network.wormhole` is a thin alias kept for compatibility).
+with :func:`make_backend`.
 """
 
 from __future__ import annotations

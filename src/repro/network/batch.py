@@ -1,39 +1,20 @@
-"""Vectorised batch transport backend (bit-identical to ``fast``).
+"""Launch-level transport backend (bit-identical to ``fast``).
 
 The ``fast`` engine resolves each packet with one Python loop over its
 route; at high load a single job injects thousands of packets, making
 that loop the simulation's hot path.  This backend keeps the *same*
 reservation discipline -- whole-path reservation in deterministic packet
 order, FIFO channel grants, identical ``PathTiming`` arithmetic -- but
-resolves an entire launch (every round of a job's all-to-all exchange)
-at once:
+hands an entire launch (every round of a job's all-to-all exchange) to
+the compiled kernel in :mod:`repro.network._native`, which walks the XY
+routes and runs the reference recurrence at C speed in one call.
 
-1. all XY routes of the launch are generated as flat index arrays by
-   :func:`repro.network.routing.xy_route_arrays` (no per-packet Python);
-2. the channel-reservation recurrence is solved over those arrays by the
-   fastest available engine:
-
-   * a tiny compiled kernel (:mod:`repro.network._native`) running the
-     reference loop at C speed -- the default when a C compiler exists;
-   * a NumPy fixed-point solver that alternates segmented prefix scans
-     over per-packet hop chains and per-channel reservation chains
-     (grouped with one ``argsort`` per launch) until the unique fixed
-     point of the reservation recurrence is reached;
-   * the plain Python reference loop for launches too small to amortise
-     vectorisation overhead.
-
-Every engine computes the exact same IEEE-754 values, so results are
-bit-identical to ``fast`` mode -- enforced by the equivalence suite in
-``tests/test_network_backend_equivalence.py``.  The compiled kernel and
-the Python loop perform literally the same operations in the same
-order, so their identity holds for *any* float configuration.  The
-NumPy solver reassociates some additions into closed forms such as
-``k * hop_cost`` and ``blocking = t_eject - t_inject - hops * hop``;
-that is exact only when every event time is exactly representable,
-which holds when the timing constants sit on the dyadic ``2**-10``
-grid that workload arrival times are quantised to -- so the solver is
-only dispatched to when :func:`_grid_exact` verifies its constants, and
-the reference loop takes over otherwise.
+When no kernel is available (no C compiler, ``REPRO_NATIVE=0``) the
+backend *is* the ``fast`` reference loop: the inherited list
+``free_at`` and ``inject_rounds``.  The kernel performs literally the
+same float64 operations in the same order, so both paths are
+bit-identical to ``fast`` for any float configuration -- enforced by
+``tests/test_network_backend_equivalence.py``.
 """
 
 from __future__ import annotations
@@ -47,38 +28,22 @@ from repro.core.engine import Engine
 from repro.mesh.geometry import Coord
 from repro.network import _native
 from repro.network.backend import RoundStats, register_backend
-from repro.network.routing import xy_route_arrays
 from repro.network.topology import MeshTopology
-from repro.core.config import TIME_GRID
 from repro.network.wormhole import FastBackend
-
-_NEG = -1.0e300  # acts as -inf in the segmented scans
-
-
-def _grid_exact(*values: float) -> bool:
-    """Whether every value sits on the dyadic arrival-time grid (the
-    precondition for the NumPy solver's reassociated arithmetic to be
-    exact; see the module docstring)."""
-    return all((v * TIME_GRID).is_integer() for v in values)
 
 
 @register_backend
 class BatchBackend(FastBackend):
-    """Round-level vectorised whole-path reservation.
+    """Whole launches through the compiled reservation kernel.
 
     Subclasses :class:`~repro.network.wormhole.FastBackend` so the
-    single-packet ``transmit`` path *is* the reference loop (one shared
-    implementation, no drift), while launches go through the vectorised
-    ``inject_rounds`` below.
+    single-packet ``transmit`` path -- and, without a kernel, the whole
+    ``inject_rounds`` loop -- *is* the reference implementation (one
+    shared recurrence, no drift).
     """
 
     mode = "batch"
     synchronous = True
-
-    #: launches below this packet count use the reference Python loop
-    #: when no compiled kernel is available (vectorisation overhead
-    #: dominates for tiny jobs)
-    NUMPY_MIN_PACKETS = 192
 
     def __init__(
         self,
@@ -88,14 +53,15 @@ class BatchBackend(FastBackend):
         p_len: int = 8,
     ) -> None:
         super().__init__(topology, engine, t_s=t_s, p_len=p_len)
-        self.free_at: np.ndarray = np.zeros(topology.channel_count)
         self._kernel = _native.load_kernel()
+        if self._kernel is not None:
+            self.free_at = np.zeros(topology.channel_count)
 
     def reset(self) -> None:
-        self.free_at = np.zeros(self.topology.channel_count)
-        self.packets_sent = 0
+        super().reset()
+        if self._kernel is not None:
+            self.free_at = np.zeros(self.topology.channel_count)
 
-    # -------------------------------------------------------- round launch
     def inject_rounds(
         self,
         coords: Sequence[Coord],
@@ -103,58 +69,22 @@ class BatchBackend(FastBackend):
         now: float,
         round_gap: float,
     ) -> RoundStats:
+        if self._kernel is None:
+            return super().inject_rounds(coords, offsets, now, round_gap)
         n = len(coords)
-        rounds = len(offsets)
-        packets = n * rounds
         width = self.topology.width
         ids = np.fromiter(
             (y * width + x for x, y in coords), dtype=np.int64, count=n
         )
+        packets = n * len(offsets)
         self.packets_sent += packets
-
-        if self._kernel is not None:
-            # the kernel walks routes and aggregates stats itself
-            return self._solve_native(ids, offsets, now, round_gap, packets)
-
-        src = np.tile(ids, rounds)
-        dst_index = (
-            np.arange(n) + np.asarray(offsets, dtype=np.int64)[:, None]
-        ) % n
-        dst = ids[dst_index].ravel()
-        t0 = np.repeat(now + np.arange(rounds) * round_gap, n)
-        chan, off = xy_route_arrays(self.topology, src, dst)
-        if (packets >= self.NUMPY_MIN_PACKETS
-                and _grid_exact(self.hop_cost, round_gap)):
-            t_inj, t_ej = self._solve_numpy(chan, off, t0)
-            hops = np.diff(off) - 1  # links + ejection channel
-            t_deliver = t_ej + self.hop_cost + self.drain
-            return RoundStats(
-                packets=packets,
-                latency_sum=float(np.sum(t_deliver - t_inj)),
-                blocking_sum=float(
-                    np.sum(t_ej - t_inj - hops * self.hop_cost)
-                ),
-                last_delivery=max(float(t_deliver.max()), now),
-            )
-        return self._solve_python(chan, off, t0, now)
-
-    # ------------------------------------------------------ solver engines
-    def _solve_native(
-        self,
-        ids: np.ndarray,
-        offsets: Sequence[int],
-        now: float,
-        round_gap: float,
-        packets: int,
-    ) -> RoundStats:
-        """Reference recurrence at C speed (see :mod:`._native`)."""
         offs = np.asarray(offsets, dtype=np.int64)
         out = np.zeros(3)
         out[2] = now  # last-delivery accumulator starts at launch time
         topo = self.topology
         as_ptr = ctypes.c_void_p
         self._kernel.solve_rounds(
-            as_ptr(ids.ctypes.data), ctypes.c_int64(len(ids)),
+            as_ptr(ids.ctypes.data), ctypes.c_int64(n),
             as_ptr(offs.ctypes.data), ctypes.c_int64(len(offs)),
             ctypes.c_double(now), ctypes.c_double(round_gap),
             as_ptr(self.free_at.ctypes.data),
@@ -169,156 +99,3 @@ class BatchBackend(FastBackend):
             blocking_sum=float(out[1]),
             last_delivery=float(out[2]),
         )
-
-    def _solve_python(
-        self, chan: np.ndarray, off: np.ndarray, t0: np.ndarray, now: float
-    ) -> RoundStats:
-        """Reference recurrence over the flat route arrays.
-
-        Accumulates latency and blocking stall-by-stall in packet order,
-        exactly like the reference engine, so the result is bit-identical
-        for any float configuration (not only grid-exact ones).
-        """
-        packets = len(t0)
-        free_at = self.free_at
-        hop = self.hop_cost
-        occ = self.occupancy
-        drain = self.drain
-        chan_list = chan.tolist()
-        off_list = off.tolist()
-        t0_list = t0.tolist()
-        latency_sum = 0.0
-        blocking_sum = 0.0
-        last_delivery = now
-        for p in range(packets):
-            lo = off_list[p]
-            hi = off_list[p + 1]
-            c = chan_list[lo]
-            f = free_at[c]
-            floor = t0_list[p]
-            t = floor if floor >= f else f
-            free_at[c] = t + occ
-            t_inject = t
-            t += hop
-            blocking = 0.0
-            for e in range(lo + 1, hi):
-                c = chan_list[e]
-                f = free_at[c]
-                if f > t:
-                    blocking += f - t
-                    t = f
-                free_at[c] = t + occ
-                t += hop
-            t_deliver = t + drain
-            latency_sum += t_deliver - t_inject
-            blocking_sum += blocking
-            if t_deliver > last_delivery:
-                last_delivery = t_deliver
-        return RoundStats(
-            packets=packets,
-            latency_sum=latency_sum,
-            blocking_sum=blocking_sum,
-            last_delivery=float(last_delivery),
-        )
-
-    def _solve_numpy(
-        self, chan: np.ndarray, off: np.ndarray, t0: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """NumPy fixed-point solver with per-channel grouping.
-
-        The reservation start of hop ``e`` is the least solution of
-
-        * ``start[e] >= arrival`` -- ``t0`` at the injection hop, else
-          ``start[e - 1] + hop`` (the header advancing along the path);
-        * ``start[e] >= start[prev use of the channel] + occupancy``
-          (FIFO grants in deterministic packet order), or the channel's
-          initial ``free_at`` for its first use in the launch.
-
-        Packet order is a topological order of that dependency graph, so
-        the least fixed point is exactly what the sequential reference
-        loop computes.  Each sweep resolves the per-packet chains and
-        the per-channel chains completely (two segmented prefix scans in
-        doubling form); sweeps repeat until the estimate stops changing,
-        which it must, monotonically from below.
-        """
-        total = len(chan)
-        hop = self.hop_cost
-        occ = self.occupancy
-        free_at = self.free_at
-        firsts = off[:-1]
-        lasts = off[1:] - 1
-        pkt = np.repeat(np.arange(len(t0)), np.diff(off))
-        idx = np.arange(total)
-        k = idx - firsts[pkt]
-        khop = k * hop
-
-        # channel grouping: stable sort keeps packet order within groups
-        order = np.argsort(chan, kind="stable")
-        sorted_chan = chan[order]
-        newseg = np.empty(total, dtype=bool)
-        newseg[0] = True
-        np.not_equal(sorted_chan[1:], sorted_chan[:-1], out=newseg[1:])
-        seg_start = np.maximum.accumulate(np.where(newseg, idx, 0))
-        rank = idx - seg_start  # position within the channel's chain
-        rank_occ = rank * occ
-        # flat-order mapping to each hop's channel predecessor
-        prev_sorted = np.empty(total, dtype=np.int64)
-        prev_sorted[0] = 0
-        prev_sorted[1:] = order[:-1]
-        prev_flat = np.empty(total, dtype=np.int64)
-        prev_flat[order] = prev_sorted
-        head_flat = np.zeros(total, dtype=bool)
-        head_flat[order[newseg]] = True
-        head_pos = np.nonzero(head_flat)[0]
-        head_free = free_at[chan[head_pos]]
-
-        packet_shifts = _doubling_masks(k)
-        channel_shifts = _doubling_masks(rank)
-
-        start = t0[pkt] + khop  # contention-free lower bound
-        start_new = np.empty(total)
-        w = np.empty(total)
-        for _ in range(total + 1):
-            # packet half: channel floors, then prefix scan along paths
-            np.take(start, prev_flat, out=w)
-            w += occ
-            w[head_pos] = head_free
-            w[firsts] = np.maximum(w[firsts], t0)
-            w -= khop
-            for shift, valid in packet_shifts:
-                cand = np.where(valid, w[:-shift], _NEG)
-                np.maximum(w[shift:], cand, out=w[shift:])
-            w += khop
-            # channel half: FIFO chain scan in packet order per channel
-            v = w[order]
-            v -= rank_occ
-            for shift, valid in channel_shifts:
-                cand = np.where(valid, v[:-shift], _NEG)
-                np.maximum(v[shift:], cand, out=v[shift:])
-            v += rank_occ
-            start_new[order] = v
-            if np.array_equal(start_new, start):
-                break
-            start, start_new = start_new, start
-        else:  # pragma: no cover - the recurrence always converges
-            raise RuntimeError("batch reservation solve did not converge")
-
-        tail_pos = order[np.append(newseg[1:], True)]
-        free_at[chan[tail_pos]] = start[tail_pos] + occ
-        return start[firsts], start[lasts]
-
-
-def _doubling_masks(position: np.ndarray) -> list[tuple[int, np.ndarray]]:
-    """Shift/validity pairs for a segmented cummax in doubling form.
-
-    ``position`` is each element's rank within its segment; an element
-    may take the max with its ``shift``-distant left neighbour exactly
-    when that neighbour is in the same segment (``position >= shift``).
-    """
-    masks = []
-    shift = 1
-    top = int(position.max(initial=0))
-    while shift <= top:
-        masks.append((shift, position[shift:] >= shift))
-        shift *= 2
-    return masks

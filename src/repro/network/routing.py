@@ -16,8 +16,6 @@ topologies (see :mod:`repro.network.wormhole`).
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.mesh.geometry import Coord
 from repro.network.topology import Direction, MeshTopology
 
@@ -81,67 +79,3 @@ def route_hops(src: Coord, dst: Coord) -> int:
     """Link-hop count of the mesh XY route (the Manhattan distance)."""
     return abs(src.x - dst.x) + abs(src.y - dst.y)
 
-
-def _dimension_steps_array(
-    src: np.ndarray, dst: np.ndarray, size: int, wrap: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorised :func:`_dimension_steps`: (hop counts, signed directions)."""
-    if not wrap:
-        delta = dst - src
-        return np.abs(delta), np.where(delta >= 0, 1, -1)
-    forward = (dst - src) % size
-    backward = (src - dst) % size
-    go_forward = forward <= backward
-    return (
-        np.where(go_forward, forward, backward),
-        np.where(go_forward, 1, -1),
-    )
-
-
-def xy_route_arrays(
-    topology: MeshTopology, src_ids: np.ndarray, dst_ids: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """XY channel paths of many packets as flat index arrays.
-
-    For packets ``p`` with node ids ``src_ids[p] -> dst_ids[p]`` (no
-    self-sends), returns ``(chan, off)`` where packet ``p``'s path --
-    injection channel, link channels in XY order, ejection channel --
-    occupies ``chan[off[p]:off[p + 1]]``.  Pure array arithmetic: no
-    per-packet Python work, so whole traffic rounds are routed at once.
-    The hop sequence is identical to :func:`xy_route` (asserted by the
-    unit tests), including the torus shorter-way rule.
-    """
-    w_dim, l_dim, wrap = topology.width, topology.length, topology.wrap
-    src_ids = np.asarray(src_ids, dtype=np.int64)
-    dst_ids = np.asarray(dst_ids, dtype=np.int64)
-    sx = src_ids % w_dim
-    sy = src_ids // w_dim
-    tx = dst_ids % w_dim
-    ty = dst_ids // w_dim
-    cnt_x, step_x = _dimension_steps_array(sx, tx, w_dim, wrap)
-    cnt_y, step_y = _dimension_steps_array(sy, ty, l_dim, wrap)
-
-    m = cnt_x + cnt_y + 2  # +2: injection and ejection channels
-    off = np.zeros(len(src_ids) + 1, dtype=np.int64)
-    np.cumsum(m, out=off[1:])
-    total = int(off[-1])
-    pkt = np.repeat(np.arange(len(src_ids)), m)
-    firsts = off[:-1]
-    k = np.arange(total) - firsts[pkt]  # hop index within the path
-
-    # node under hop k: walk x first (hops 1..cnt_x), then y
-    cx = cnt_x[pkt]
-    xs = sx[pkt] + step_x[pkt] * np.clip(k - 1, 0, cx)
-    ys = sy[pkt] + step_y[pkt] * np.clip(k - 1 - cx, 0, cnt_y[pkt])
-    if wrap:
-        xs %= w_dim
-        ys %= l_dim
-    direction = np.where(
-        k <= cx,
-        np.where(step_x > 0, Direction.EAST, Direction.WEST)[pkt],
-        np.where(step_y > 0, Direction.NORTH, Direction.SOUTH)[pkt],
-    )
-    direction[firsts] = Direction.INJ
-    direction[off[1:] - 1] = Direction.EJ
-    chan = (ys * w_dim + xs) * 6 + direction
-    return chan.astype(np.int32, copy=False), off

@@ -30,8 +30,8 @@ Four backends share this arithmetic (see :mod:`repro.network.backend`):
   fast mode is conservative (over-reports contention) while preserving
   strategy rankings (validated by ``bench_abl_network_mode``).
 * ``batch`` (:mod:`repro.network.batch`, the default) -- the same
-  reservation discipline resolved a traffic round at a time with
-  vectorised routes and per-channel grouping; bit-identical to ``fast``.
+  reservation discipline resolved a whole launch at a time by a compiled
+  kernel (else by the ``fast`` loop itself); bit-identical to ``fast``.
 * ``causal`` -- one event per hop; channels are reserved exactly when the
   header reaches them, giving exact FIFO-by-arrival arbitration.  Both
   of the above correspond to wormhole switching with buffers deep enough
@@ -54,7 +54,6 @@ from repro.core.engine import Engine
 from repro.core.events import Priority
 from repro.mesh.geometry import Coord
 from repro.network.backend import (
-    BACKENDS,
     NetworkBackend,
     PathTiming,
     RoundStats,
@@ -62,8 +61,7 @@ from repro.network.backend import (
 )
 from repro.network.topology import MeshTopology
 
-__all__ = ["PathTiming", "WormholeNetwork", "FastBackend", "CausalBackend",
-           "SFBBackend", "MODES"]
+__all__ = ["PathTiming", "FastBackend", "CausalBackend", "SFBBackend"]
 
 
 @register_backend
@@ -313,32 +311,6 @@ class SFBBackend(NetworkBackend):
         super().reset()
         self._holder = [None] * self.topology.channel_count
         self._waiters = [None] * self.topology.channel_count
-
-
-#: registered engine names (batch registers on package import)
-MODES = ("fast", "batch", "causal", "sfb")
-
-
-def WormholeNetwork(
-    topology: MeshTopology,
-    engine: Engine,
-    t_s: float = 3.0,
-    p_len: int = 8,
-    mode: str = "fast",
-) -> NetworkBackend:
-    """Build the wormhole engine registered under ``mode``.
-
-    Kept as a factory with the historical constructor signature; the
-    returned object is a :class:`~repro.network.backend.NetworkBackend`.
-    """
-    from repro.network import batch  # noqa: F401  (registers "batch")
-
-    cls = BACKENDS.get(mode)
-    if cls is None:
-        raise ValueError(
-            f"unknown network mode {mode!r}; choose from {MODES}"
-        )
-    return cls(topology, engine, t_s=t_s, p_len=p_len)
 
 
 class _Packet:

@@ -23,8 +23,8 @@ enforce it).
 
 Like the other kernels the helper is strictly optional (missing
 compiler, missing static library, ``REPRO_NATIVE=0`` all fall back to
-the Python loop, same results) and its lazy build serialises on the
-shared :data:`repro.network._native.KERNEL_LOCK`.  Calls go through
+the Python loop, same results) and it is built and loaded through the
+shared :mod:`repro._toolchain`.  Calls go through
 :class:`ctypes.CDLL`, so the GIL is released while a block's draws run;
 the caller owns the Generator, and block generation for one stream is
 already serialised by the block-cache lock, so no two threads ever
@@ -34,15 +34,11 @@ advance the same bit generator concurrently.
 from __future__ import annotations
 
 import ctypes
-import hashlib
-import os
-import subprocess
-import tempfile
 from pathlib import Path
 
 import numpy as np
 
-from repro.network._native import KERNEL_LOCK, _cache_dir, _compiler
+from repro._toolchain import KernelMemo, build
 
 _SOURCE = r"""
 #include <stdint.h>
@@ -98,8 +94,7 @@ void uniform_draw_loop(bitgen_t *bg, intptr_t n, double mean_ia,
 }
 """
 
-_UNSET = object()
-_kernel = _UNSET
+_memo = KernelMemo()
 
 
 def _npyrandom_lib() -> Path | None:
@@ -109,43 +104,12 @@ def _npyrandom_lib() -> Path | None:
 
 
 def _build() -> ctypes.CDLL | None:
-    """Compile and load the draw helper (same recipe as the other kernels,
-    plus the numpy static library on the link line)."""
-    cc = _compiler()
-    if cc is None:
-        return None
     npy_lib = _npyrandom_lib()
     if npy_lib is None:
         return None
-    cache_dir = _cache_dir()
-    if cache_dir is None:
-        return None
     # the numpy build the helper linked against is part of its identity
-    digest = hashlib.sha256(
-        (_SOURCE + np.__version__).encode()
-    ).hexdigest()[:16]
-    lib_path = cache_dir / f"draws_{digest}.so"
-    if lib_path.is_file() and os.stat(lib_path).st_uid != os.getuid():
-        return None  # never load code we did not write
-    if not lib_path.is_file():
-        src = cache_dir / f"draws_{digest}.c"
-        src.write_text(_SOURCE)
-        fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache_dir)
-        os.close(fd)
-        cmd = [cc, "-O2", "-fPIC", "-shared", "-ffp-contract=off",
-               str(src), str(npy_lib), "-o", tmp]
-        try:
-            subprocess.run(cmd, check=True, capture_output=True, timeout=60)
-            os.replace(tmp, lib_path)
-        except (OSError, subprocess.SubprocessError):
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            return None
-    try:
-        lib = ctypes.CDLL(str(lib_path))
-    except OSError:
+    lib = build("draws", _SOURCE, identity=np.__version__, link=(npy_lib,))
+    if lib is None:
         return None
     lib.uniform_draw_loop.restype = None
     lib.uniform_draw_loop.argtypes = [
@@ -157,26 +121,14 @@ def _build() -> ctypes.CDLL | None:
 
 
 def load_kernel() -> ctypes.CDLL | None:
-    """The compiled draw helper, or ``None`` when unavailable (memoised).
-
-    Thread-safe: concurrent first calls serialise on the shared
-    :data:`~repro.network._native.KERNEL_LOCK` (double-checked).
-    """
-    global _kernel
-    if _kernel is _UNSET:
-        with KERNEL_LOCK:
-            if _kernel is _UNSET:
-                if os.environ.get("REPRO_NATIVE", "1") == "0":
-                    _kernel = None
-                else:
-                    _kernel = _build()
-    return _kernel
+    """The compiled draw helper, or ``None`` when unavailable (memoised,
+    thread-safe: built once per process, see :mod:`repro._toolchain`)."""
+    return _memo.get(_build)
 
 
 def reset_kernel_cache() -> None:
     """Forget the memoised kernel (tests toggling ``REPRO_NATIVE``)."""
-    global _kernel
-    _kernel = _UNSET
+    _memo.reset()
 
 
 def fill_uniform_draws(

@@ -6,7 +6,7 @@ Two tiers, per the channel layer's contract
 * **Same seed -> bit-exact.**  Channel fates come from a dedicated RNG
   stream that is a pure function of the replication seed, so the same
   lossy point must produce *identical* metrics whether it runs under the
-  reference engine or the SoA lockstep engine's fallback path, and
+  reference engine or the SoA engine's per-seed fallback path, and
   whether the campaign dispatches it serially, on a thread pool or on a
   process pool.
 * **Disjoint seeds -> statistically identical.**  Across seed sets the
@@ -53,7 +53,7 @@ class TestSameSeedBitExact:
         "arq", ["stop-and-wait", "go-back-n", "selective-repeat"]
     )
     def test_reference_vs_soa_fallback(self, arq):
-        """The SoA engine falls back to interleaved reference runs when a
+        """The SoA engine falls back to per-seed reference runs when a
         channel is active; the fallback must be bit-identical, per seed,
         to the plain reference engine under every ARQ protocol."""
         seeds = (3, 4, 5)

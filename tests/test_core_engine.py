@@ -85,39 +85,6 @@ class TestRunControl:
         e.run(stop=lambda: len(seen) >= 4)
         assert len(seen) == 4
 
-    def test_max_events(self):
-        e = Engine()
-        for i in range(10):
-            e.schedule(float(i), lambda: None)
-        e.run(max_events=3)
-        assert e.processed == 3
-
-    def test_max_events_zero_executes_nothing(self):
-        e = Engine()
-        e.schedule(1.0, lambda: None)
-        e.run(max_events=0)
-        assert e.processed == 0
-        assert e.pending == 1
-        assert e.now == 0.0
-
-    def test_max_events_budget_is_per_call(self):
-        e = Engine()
-        for i in range(10):
-            e.schedule(float(i), lambda: None)
-        e.run(max_events=3)
-        e.run(max_events=3)  # a fresh budget, not the cumulative count
-        assert e.processed == 6
-
-    def test_max_events_stop_does_not_clamp_to_until(self):
-        # events at t=1..4 remain pending, so jumping the clock to
-        # until=10 would let a resumed run move time backwards
-        e = Engine()
-        for i in range(5):
-            e.schedule(float(i), lambda: None)
-        e.run(until=10.0, max_events=2)
-        assert e.now == 1.0
-        assert e.pending == 3
-
     def test_stop_predicate_does_not_clamp_to_until(self):
         e = Engine()
         seen = []
@@ -129,10 +96,11 @@ class TestRunControl:
         assert len(seen) == 5
         assert e.now == 10.0
 
-    def test_until_clamps_when_budget_not_exhausted(self):
+    def test_until_clamps_when_heap_drains(self):
         e = Engine()
         e.schedule(1.0, lambda: None)
-        e.run(until=5.0, max_events=10)
+        e.run(until=5.0)
+        assert e.processed == 1
         assert e.now == 5.0
 
     def test_step(self):

@@ -1,12 +1,12 @@
 """SoA engine equivalence: lockstep batches == per-run reference, bit-for-bit.
 
-The contract under test (ISSUE 6): ``repro.core.soa.run_point_batch``
--- through the compiled lane driver when available, and through the
-interleaved-reference fallback otherwise -- produces ``RunResult``
-metrics *exactly* equal to running each replication through
-``Simulator.run()``, across allocators x schedulers x workloads x seeds
-x topologies, including lockstep-specific shapes (uneven lane
-termination, trajectory observers, replication-controller batches).
+The contract under test: ``repro.core.soa.run_point_batch`` -- through
+the compiled lane driver when available, and through per-seed reference
+runs otherwise -- produces ``RunResult`` metrics *exactly* equal to
+running each replication through ``Simulator.run()``, across allocators
+x schedulers x workloads x seeds x topologies, including
+lockstep-specific shapes (uneven lane termination,
+replication-controller batches).
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import pytest
 from repro.core import soa
 from repro.core import _soa_native as native
 from repro.core.config import PAPER_CONFIG, SimConfig
-from repro.core.hooks import TrajectoryObserver
 from repro.core.soa import run_point_batch
 from repro.experiments.campaign import (
     Campaign,
@@ -56,13 +55,8 @@ def _reference(spec, seeds):
     return [build_simulator(spec, s).run() for s in seeds]
 
 
-def _batch(spec, seeds, observer_factory=None):
-    return run_point_batch(
-        lambda seed, observers=(): build_simulator(spec, seed,
-                                                   observers=observers),
-        seeds,
-        observer_factory=observer_factory,
-    )
+def _batch(spec, seeds):
+    return run_point_batch(lambda seed: build_simulator(spec, seed), seeds)
 
 
 def assert_equal_results(ref, got):
@@ -128,32 +122,6 @@ class TestLockstepShapes:
 
     def test_empty_batch(self):
         assert _batch(_spec(), []) == []
-
-    def test_trajectory_observers(self):
-        # extra observers force the interleaved-reference path; both the
-        # metrics and the recorded series must match solo runs exactly
-        spec = _spec("GABL", "FCFS")
-        seeds = [1, 2]
-        solo_obs = {}
-        ref = []
-        for s in seeds:
-            obs = TrajectoryObserver(50.0, spec.run_config.processors)
-            ref.append(build_simulator(spec, s, observers=(obs,)).run())
-            solo_obs[s] = obs
-        batch_obs = {}
-
-        def factory(seed):
-            obs = TrajectoryObserver(50.0, spec.run_config.processors)
-            batch_obs[seed] = obs
-            return (obs,)
-
-        got = _batch(spec, seeds, observer_factory=factory)
-        assert_equal_results(ref, got)
-        for s in seeds:
-            assert solo_obs[s].times == batch_obs[s].times
-            assert solo_obs[s].queue_length == batch_obs[s].queue_length
-            assert solo_obs[s].busy == batch_obs[s].busy
-            assert solo_obs[s].completed == batch_obs[s].completed
 
     def test_unsupported_allocator_falls_back(self):
         spec = _spec(alloc="FF")

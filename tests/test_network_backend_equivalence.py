@@ -3,8 +3,8 @@
 The acceptance bar for the vectorised transport backend: identical
 ``RunResult`` metrics -- exact float equality, not approximate -- across
 stochastic and trace workloads, multiple seeds, multiple allocators,
-mesh and torus, through every solver engine the backend can dispatch to
-(compiled kernel, NumPy fixed-point solver, plain Python loop).
+mesh and torus, through both paths the backend can take (the compiled
+kernel, and the inherited reference loop under ``REPRO_NATIVE=0``).
 """
 
 import dataclasses
@@ -85,8 +85,7 @@ class TestRunLevelEquivalence:
     def test_non_dyadic_timing_constants(self, native, monkeypatch):
         """A t_s off the dyadic grid (0.3 is not exactly representable)
         must not break bit-identity: the kernel and the reference loop
-        share the exact operation order, and the NumPy solver -- whose
-        reassociated arithmetic would drift -- refuses to dispatch."""
+        share the exact operation order."""
         if not native:
             monkeypatch.setenv("REPRO_NATIVE", "0")
             _native.reset_kernel_cache()
@@ -101,19 +100,26 @@ class TestRunLevelEquivalence:
                 _native.reset_kernel_cache()
 
 
-def launch_pair(n: int, messages: int, seeds: int, solver: str):
+def launch_pair(n: int, messages: int, seeds: int, solver: str,
+                monkeypatch):
     """Drive fast and batch backends through identical launches and
     compare timings channel-for-channel via the reservation table."""
     topo = MeshTopology(8, 8)
     fast = make_backend("fast", topo, Engine())
-    batch = make_backend("batch", topo, Engine())
     if solver == "native":
+        batch = make_backend("batch", topo, Engine())
         if batch._kernel is None:
             pytest.skip("no C compiler available")
     else:
-        batch._kernel = None
-        # force the requested fallback engine
-        batch.NUMPY_MIN_PACKETS = 0 if solver == "numpy" else 10 ** 9
+        # the real fallback: a backend built with the kernel disabled
+        monkeypatch.setenv("REPRO_NATIVE", "0")
+        _native.reset_kernel_cache()
+        try:
+            batch = make_backend("batch", topo, Engine())
+        finally:
+            monkeypatch.undo()
+            _native.reset_kernel_cache()
+        assert batch._kernel is None
     rng = np.random.default_rng(seeds)
     now = 0.0
     for _ in range(seeds % 3 + 2):
@@ -129,17 +135,13 @@ def launch_pair(n: int, messages: int, seeds: int, solver: str):
 
 
 class TestLaunchLevelEquivalence:
-    """Every solver engine agrees with the reference, channel-for-channel."""
+    """Both batch paths agree with the reference, channel-for-channel."""
 
-    @pytest.mark.parametrize("solver", ["native", "numpy", "python"])
+    @pytest.mark.parametrize("solver", ["native", "python"])
     @pytest.mark.parametrize("n,messages", [(2, 1), (5, 3), (24, 7), (40, 12)])
-    def test_engines_match_reference(self, solver, n, messages):
-        launch_pair(n, messages, seeds=n + messages, solver=solver)
-
-    def test_numpy_solver_handles_contended_launch(self):
-        """Dense all-to-all with overlapping rounds exercises multi-sweep
-        convergence of the fixed-point solver."""
-        launch_pair(48, 9, seeds=1, solver="numpy")
+    def test_engines_match_reference(self, solver, n, messages, monkeypatch):
+        launch_pair(n, messages, seeds=n + messages, solver=solver,
+                    monkeypatch=monkeypatch)
 
 
 class TestTrivialChannelEquivalence:

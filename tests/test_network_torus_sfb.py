@@ -8,8 +8,8 @@ from repro.core.config import SimConfig
 from repro.core.engine import Engine
 from repro.mesh.geometry import Coord
 from repro.network.routing import xy_route, xy_route_nodes
+from repro.network.backend import make_backend
 from repro.network.topology import Direction, MeshTopology
-from repro.network.wormhole import WormholeNetwork
 
 
 class TestTorusTopology:
@@ -82,8 +82,8 @@ class TestTorusRouting:
 
 def make_sfb(w=8, l=8, t_s=3.0, p_len=8):
     engine = Engine()
-    net = WormholeNetwork(
-        MeshTopology(w, l), engine, t_s=t_s, p_len=p_len, mode="sfb"
+    net = make_backend(
+        "sfb", MeshTopology(w, l), engine, t_s=t_s, p_len=p_len
     )
     return net, engine
 
@@ -133,9 +133,7 @@ class TestSFBMode:
     def test_torus_rejected(self):
         engine = Engine()
         with pytest.raises(ValueError, match="torus"):
-            WormholeNetwork(
-                MeshTopology(4, 4, wrap=True), engine, mode="sfb"
-            )
+            make_backend("sfb", MeshTopology(4, 4, wrap=True), engine)
 
     def test_reset_clears_holders(self):
         net, engine = make_sfb()

@@ -6,9 +6,9 @@ from repro.alloc.base import Allocation
 from repro.core.engine import Engine
 from repro.core.job import Job
 from repro.mesh.geometry import Coord, SubMesh
+from repro.network.backend import make_backend
 from repro.network.topology import MeshTopology
 from repro.network.traffic import AllToAllTraffic, destination_schedule
-from repro.network.wormhole import WormholeNetwork
 
 
 class TestDestinationSchedule:
@@ -49,7 +49,7 @@ def _run_job(coords, messages, mode, round_gap=None):
     """Launch one job's traffic on an 8x8 mesh and run to completion."""
     engine = Engine()
     topo = MeshTopology(8, 8)
-    net = WormholeNetwork(topo, engine, mode=mode)
+    net = make_backend(mode, topo, engine)
     traffic = AllToAllTraffic(net, engine, round_gap=round_gap)
     submeshes = tuple(SubMesh(c.x, c.y, c.x, c.y) for c in coords)
     job = Job(job_id=1, arrival_time=0.0, width=1, length=len(coords),
@@ -95,7 +95,7 @@ class TestLaunch:
     def test_single_processor_job_local_work(self):
         engine = Engine()
         topo = MeshTopology(8, 8)
-        net = WormholeNetwork(topo, engine)
+        net = make_backend("fast", topo, engine)
         traffic = AllToAllTraffic(net, engine, round_gap=16.0)
         job = Job(job_id=1, arrival_time=0.0, width=1, length=1, messages=6)
         c = Coord(2, 2)
@@ -108,7 +108,7 @@ class TestLaunch:
 
     def test_round_gap_validation(self):
         engine = Engine()
-        net = WormholeNetwork(MeshTopology(4, 4), engine, p_len=8)
+        net = make_backend("fast", MeshTopology(4, 4), engine, p_len=8)
         with pytest.raises(ValueError):
             AllToAllTraffic(net, engine, round_gap=4.0)
 
@@ -116,7 +116,7 @@ class TestLaunch:
         """Traffic must only use the first w*l coords of an allocation."""
         engine = Engine()
         topo = MeshTopology(8, 8)
-        net = WormholeNetwork(topo, engine)
+        net = make_backend("fast", topo, engine)
         traffic = AllToAllTraffic(net, engine)
         # job requested 1x2=2 procs but was granted 4 (a 2x2 page)
         s = SubMesh(0, 0, 1, 1)

@@ -5,14 +5,15 @@ import pytest
 
 from repro.core.engine import Engine
 from repro.mesh.geometry import Coord
+from repro.network.backend import make_backend
 from repro.network.topology import MeshTopology
-from repro.network.wormhole import PathTiming, WormholeNetwork
+from repro.network.wormhole import PathTiming
 
 
 def make_net(mode="fast", t_s=3.0, p_len=8, w=8, l=8):
     engine = Engine()
     topo = MeshTopology(w, l)
-    return WormholeNetwork(topo, engine, t_s=t_s, p_len=p_len, mode=mode), engine
+    return make_backend(mode, topo, engine, t_s=t_s, p_len=p_len), engine
 
 
 class TestUncontendedLatency:
@@ -171,7 +172,7 @@ class TestStateManagement:
     def test_invalid_mode(self):
         engine = Engine()
         with pytest.raises(ValueError):
-            WormholeNetwork(MeshTopology(4, 4), engine, mode="warp")
+            make_backend("warp", MeshTopology(4, 4), engine)
 
     def test_route_cache_reused(self):
         net, _ = make_net()

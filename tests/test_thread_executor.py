@@ -103,7 +103,7 @@ class TestThreadEquivalence:
 
     def test_thread_matches_serial_without_native(self, tmp_path, monkeypatch):
         # REPRO_NATIVE=0: the thread executor must still be exact over
-        # the interleaved-reference fallback (GIL-bound, but correct)
+        # the per-seed reference fallback (GIL-bound, but correct)
         monkeypatch.setenv("REPRO_NATIVE", "0")
         _soa_native.reset_kernel_cache()
         network_native.reset_kernel_cache()

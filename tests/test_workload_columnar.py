@@ -260,9 +260,7 @@ class TestFeedExhaustionMidChunk:
                          sched="FCFS", scale=scale, config=cfg)
         seeds = [1, 2]
         ref = [build_simulator(spec, s).run() for s in seeds]
-        soa = run_point_batch(lambda seed, observers=():
-                              build_simulator(spec, seed, observers=observers),
-                              seeds)
+        soa = run_point_batch(lambda seed: build_simulator(spec, seed), seeds)
         for r, g in zip(ref, soa):
             assert dataclasses.asdict(r) == dataclasses.asdict(g)
         assert all(r.completed_jobs == 12 for r in ref)
