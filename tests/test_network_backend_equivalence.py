@@ -21,6 +21,7 @@ from repro.mesh.geometry import Coord
 from repro.network import _native
 from repro.network.backend import make_backend
 from repro.network.batch import BatchBackend
+from repro.network.routing import xy_route
 from repro.network.topology import MeshTopology
 from repro.network.traffic import destination_offsets
 from repro.sched import make_scheduler
@@ -142,6 +143,37 @@ class TestLaunchLevelEquivalence:
     def test_engines_match_reference(self, solver, n, messages, monkeypatch):
         launch_pair(n, messages, seeds=n + messages, solver=solver,
                     monkeypatch=monkeypatch)
+
+
+class TestKernelRouteWalk:
+    """The compiled kernel walks its own XY routes; on every node pair
+    it must reserve exactly the channels of :func:`xy_route`, with the
+    reference timings."""
+
+    @pytest.mark.parametrize("wrap", [False, True])
+    @pytest.mark.parametrize("dims", [(8, 8), (6, 5), (1, 9), (5, 1)])
+    def test_all_pairs_follow_xy_route(self, wrap, dims):
+        topo = MeshTopology(*dims, wrap=wrap)
+        fast = make_backend("fast", topo, Engine())
+        batch = make_backend("batch", topo, Engine())
+        if batch._kernel is None:
+            pytest.skip("compiled kernel unavailable")
+        coords = [topo.coord_of(n) for n in range(topo.node_count)]
+        now = 0.0
+        for i, src in enumerate(coords):
+            for dst in coords[i + 1:]:
+                # one launch per pair (src -> dst and dst -> src), far
+                # enough after the last that every channel is free again
+                now += 1000.0
+                pair = [src, dst]
+                a = fast.inject_rounds(pair, [1], now, 16.0)
+                b = batch.inject_rounds(pair, [1], now, 16.0)
+                assert a == b, (src, dst)
+                touched = set(np.flatnonzero(batch.free_at >= now).tolist())
+                expected = set(xy_route(topo, src, dst))
+                expected |= set(xy_route(topo, dst, src))
+                assert touched == expected, (src, dst, wrap, dims)
+        assert np.array_equal(np.asarray(fast.free_at), batch.free_at)
 
 
 class TestTrivialChannelEquivalence:

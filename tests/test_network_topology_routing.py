@@ -124,3 +124,36 @@ class TestRouteNodes:
 
     def test_hops(self):
         assert route_hops(Coord(0, 0), Coord(3, 4)) == 7
+
+
+class TestRouteAllPairs:
+    """Every XY route is a minimal, link-by-link walk over the topology."""
+
+    @pytest.mark.parametrize("wrap", [False, True])
+    # (6, 5): an even torus ring, where both ways round tie, next to an
+    # odd one; (1, 9) and (5, 1): degenerate single-row/column meshes
+    @pytest.mark.parametrize("dims", [(8, 8), (6, 5), (1, 9), (5, 1)])
+    def test_channels_walk_the_node_path(self, wrap, dims):
+        topo = MeshTopology(*dims, wrap=wrap)
+        x_dirs = {Direction.EAST, Direction.WEST}
+        for s in range(topo.node_count):
+            src = topo.coord_of(s)
+            for d in range(topo.node_count):
+                if s == d:
+                    continue
+                dst = topo.coord_of(d)
+                path = xy_route(topo, src, dst)
+                assert path[0] == topo.channel(s, Direction.INJ)
+                assert path[-1] == topo.channel(d, Direction.EJ)
+                assert len(path) == topo.distance(src, dst) + 2
+                node, walk, dirs = s, [src], []
+                for ch in path[1:-1]:
+                    owner, direction = topo.channel_owner(ch)
+                    assert owner == node and topo.link_exists(node, direction)
+                    node = topo.neighbour(node, direction)
+                    walk.append(topo.coord_of(node))
+                    dirs.append(direction in x_dirs)
+                assert node == d, (src, dst, wrap, dims)
+                # dimension order: every x hop precedes every y hop
+                assert dirs == sorted(dirs, reverse=True)
+                assert walk == xy_route_nodes(topo, src, dst)

@@ -16,6 +16,7 @@ import subprocess
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro import _toolchain
@@ -140,6 +141,34 @@ class TestBuild:
             assert lib.answer() == 42
         # only the finished library remains, under its digest name
         assert [p.name for p in cache.iterdir()] == [_so_name("t", SOURCE)]
+
+
+class TestCacheNames:
+    """Kernel library names keep their digest recipe, so caches built by
+    earlier versions stay valid."""
+
+    @pytest.mark.parametrize(
+        "module,stem,identity",
+        [
+            # the draw helper links numpy's libnpyrandom.a, so the numpy
+            # version is part of its identity
+            (network_native, "reserve", ""),
+            (_soa_native, "soa", ""),
+            (workload_native, "draws", np.__version__),
+        ],
+        ids=("reserve", "soa", "draws"),
+    )
+    def test_library_named_by_stem_and_source_digest(
+        self, cache, module, stem, identity
+    ):
+        module.reset_kernel_cache()
+        try:
+            if module.load_kernel() is None:
+                pytest.skip("compiled kernel unavailable")
+        finally:
+            module.reset_kernel_cache()
+        expected = _so_name(stem, module._SOURCE + identity)
+        assert [p.name for p in cache.iterdir()] == [expected]
 
 
 class TestNativeGate:
