@@ -1,8 +1,8 @@
 """Capstone bench: verify every paper claim against regenerated figures.
 
 Runs the full claim suite (C1-C6, DESIGN.md section 3) at the session
-scale.  Simulation points are shared with the per-figure benches through
-the result cache, so when run after them this is nearly free; standalone
+scale.  This is the one hard gate on the paper's rankings.  Simulation
+points are shared with ``bench_figures.py`` through the result cache, so when run after them this is nearly free; standalone
 it regenerates everything.  The claim report is written to
 ``results/claims.txt`` -- the one-page answer to "does the reproduction
 hold?".

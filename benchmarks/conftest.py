@@ -1,9 +1,11 @@
 """Shared configuration for the benchmark harness.
 
 Scale selection: set ``REPRO_SCALE`` to ``smoke`` (default), ``quick`` or
-``paper``.  Figure tables are printed and also written to
-``results/<fig>.txt`` so a full paper-scale regeneration leaves a
-reviewable artifact.
+``paper``.  ``bench_figures.py`` prints each figure table and writes it
+to ``results/<fig>.txt`` (git-ignored), so a full paper-scale
+regeneration leaves a reviewable artifact; ``bench_claims.py`` gates
+the paper's claims on the same cached points.  No bench writes a
+tracked file.
 """
 
 from __future__ import annotations

@@ -106,7 +106,8 @@ targets and their contracts (report schemas: 1 legacy, 2 keys+stats,
                      accepts submitted scenario/sweep JSON, streams
                      finished points to the sharded store, resumes
                      unfinished jobs on restart.
-                     exit 0 on clean shutdown; 2 bad arguments.
+                     exit 0 on clean shutdown; 2 bad arguments or a
+                     --store path that is not a directory.
   submit FILE...     queue scenario/sweep JSON files on the service.
                      --wait polls until done (--out then writes each
                      job's schema-3 report).
@@ -356,8 +357,8 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="DIR",
         help="serve: result-store shard directory (default: "
-        "REPRO_CACHE_DIR or ./.repro-cache); job manifests live in "
-        "DIR/jobs",
+        "$REPRO_CACHE_DIR/results.shards or ./.repro-cache/results.shards); "
+        "job manifests live in DIR/jobs",
     )
     p.add_argument(
         "--wait",
@@ -571,14 +572,18 @@ def _run_serve(args) -> int:
     """The ``serve`` target: run the campaign service until interrupted."""
     from repro.experiments.serve import DEFAULT_PORT, serve
 
-    serve(
-        store=args.store,
-        host=args.host,
-        port=args.port if args.port is not None else DEFAULT_PORT,
-        jobs=args.jobs,
-        executor=args.executor,
-        progress=_progress,
-    )
+    try:
+        serve(
+            store=args.store,
+            host=args.host,
+            port=args.port if args.port is not None else DEFAULT_PORT,
+            jobs=args.jobs,
+            executor=args.executor,
+            progress=_progress,
+        )
+    except ValueError as exc:
+        print(f"serve error: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -92,9 +92,9 @@ METRICS = (
     "contiguity_rate",
 )
 
-#: version of the stored / reported point-result payload (schema 1 was a
-#: bare ``{metric: mean}`` dict, still readable; schema 2 adds the
-#: replication summaries the diff subsystem needs)
+#: version of the stored point-result payload (schema 2 added the
+#: replication summaries the diff subsystem needs; a stored value of any
+#: other schema is a cache miss)
 RESULT_SCHEMA = 2
 
 
@@ -166,24 +166,29 @@ class PointResult(_MappingABC):
         )
 
     @classmethod
-    def from_payload(cls, payload: Mapping) -> "PointResult":
-        """Adopt a store/report payload, current or legacy.
+    def from_payload(cls, payload: Mapping | None) -> "PointResult | None":
+        """Adopt a stored payload; ``None`` means a cache miss.
 
-        Legacy (schema-1) payloads are bare mean dicts: they load with
-        empty ``stats`` and ``replications=0`` ("unknown"), and the diff
-        subsystem falls back to mean-only classification for them.
+        Only a current-schema payload is adopted.  Anything else -- no
+        entry, an older schema's bare ``{metric: mean}`` dict, a
+        malformed value -- is a miss: the point re-simulates and its
+        shard is overwritten.
         """
-        if "means" not in payload:
-            return cls(means={k: float(v) for k, v in payload.items()})
-        return cls(
-            means={k: float(v) for k, v in payload["means"].items()},
-            stats={
-                k: MetricSummary.from_dict(v)
-                for k, v in payload.get("stats", {}).items()
-            },
-            replications=int(payload.get("replications", 0)),
-            converged=bool(payload.get("converged", True)),
-        )
+        if (not isinstance(payload, _MappingABC)
+                or payload.get("schema") != RESULT_SCHEMA):
+            return None
+        try:
+            return cls(
+                means={k: float(v) for k, v in payload["means"].items()},
+                stats={
+                    k: MetricSummary.from_dict(v)
+                    for k, v in payload["stats"].items()
+                },
+                replications=int(payload["replications"]),
+                converged=bool(payload.get("converged", True)),
+            )
+        except (AttributeError, KeyError, TypeError, ValueError):
+            return None
 
     def to_payload(self) -> dict:
         """JSON-serializable form (the store/report value)."""
@@ -968,9 +973,9 @@ class Campaign:
         results: dict[PointSpec, PointResult] = {}
         controllers: dict[PointSpec, ReplicationController] = {}
         for spec in self.points:
-            hit = store.get(spec.key())
+            hit = PointResult.from_payload(store.get(spec.key()))
             if hit is not None:
-                results[spec] = PointResult.from_payload(hit)
+                results[spec] = hit
             else:
                 controllers[spec] = spec.controller()
         done = len(results)

@@ -181,6 +181,8 @@ class CampaignService:
     ``jobs`` workers); results stream to the store through a dedicated
     writer thread.  All public methods are thread-safe -- the HTTP
     handler pool calls them concurrently with the worker.
+
+    Raises ``ValueError`` when ``store`` exists and is not a directory.
     """
 
     def __init__(
@@ -190,6 +192,9 @@ class CampaignService:
         executor: str | None = None,
     ) -> None:
         self.cache = ResultCache(Path(store) if store is not None else None)
+        path = self.cache.path
+        if path.exists() and not path.is_dir():
+            raise ValueError(f"result store {path} is not a directory")
         self.writer = AsyncResultWriter(self.cache)
         self.jobs = jobs
         self.executor = executor
@@ -254,7 +259,8 @@ class CampaignService:
                 submitted_at=float(payload.get("submitted_at", 0.0)),
             )
             missing = [
-                s for s in campaign.points if self.cache.get(s.key()) is None
+                s for s in campaign.points
+                if PointResult.from_payload(self.cache.get(s.key())) is None
             ]
             if not missing:
                 job.state = "done"
@@ -325,9 +331,7 @@ class CampaignService:
         for spec in job.campaign.points:
             hit = known.get(spec)
             if hit is None:
-                payload = self.cache.get(spec.key())
-                if payload is not None:
-                    hit = PointResult.from_payload(payload)
+                hit = PointResult.from_payload(self.cache.get(spec.key()))
             if hit is not None:
                 completed[spec] = hit
         report = campaign_report(

@@ -8,15 +8,10 @@ campaign runs -- can populate the same cache directory without ever
 producing a torn or corrupt file: distinct keys land in distinct files,
 and concurrent writes of the same key resolve to one complete winner.
 
-Earlier versions kept a single monolithic ``results.json`` that was
-rewritten in full on every insertion (O(n^2) disk churn over a campaign)
-and could be truncated by an interrupt mid-``write_text``.  A legacy
-file found at the configured path is imported into the shard directory
-once and renamed to ``results.json.migrated``.
-
 Set ``REPRO_CACHE=0`` to keep results in memory only;
-``REPRO_CACHE_DIR`` relocates the on-disk cache (default
-``.repro-cache/`` under the working directory).
+``REPRO_CACHE_DIR`` relocates the on-disk cache: shards live in
+``<REPRO_CACHE_DIR>/results.shards/`` (default
+``.repro-cache/results.shards/`` under the working directory).
 """
 
 from __future__ import annotations
@@ -35,7 +30,7 @@ from typing import Iterable, Iterator, Mapping
 def _default_cache_path() -> Path:
     root = os.environ.get("REPRO_CACHE_DIR")
     base = Path(root) if root else Path.cwd() / ".repro-cache"
-    return base / "results.json"
+    return base / "results.shards"
 
 
 #: minimum age (seconds) before an orphaned ``*.tmp`` file is reaped on
@@ -49,75 +44,19 @@ def _shard_name(key: str) -> str:
     return hashlib.sha256(key.encode("utf-8")).hexdigest()[:40] + ".json"
 
 
-def _translate_legacy_key(key: str) -> str | None:
-    """Rewrite a pre-shard ``"|"``-joined cache key as the structured
-    :meth:`PointSpec.key` JSON, so an imported paper-scale cache stays
-    *reachable* under the new lookup scheme.
-
-    The legacy format was 21 ``str()``-ed fields in a fixed order.
-    Returns ``None`` when ``key`` is not in that format or describes an
-    external trace (whose content fingerprint is unrecoverable).
-    """
-    parts = key.split("|")
-    if len(parts) != 21:
-        return None
-    (workload, load, alloc, sched, jobs, min_rep, max_rep, trace_max,
-     network_mode, width, length, topology, t_s, p_len, num_mes,
-     demand_mult, round_gap, max_messages, seed, window, trace_tag) = parts
-    if trace_tag != "sdsc":
-        return None
-    try:
-        # trace replay was (and is) a single deterministic run
-        lo, hi = (1, 1) if workload == "real" else (int(min_rep), int(max_rep))
-        payload = {
-            "workload": workload,
-            "load": float(load),
-            "alloc": alloc,
-            "sched": sched,
-            "network_mode": network_mode,
-            "trace_source": "sdsc",
-            "trace_max_jobs": None if trace_max == "None" else int(trace_max),
-            "replications": [lo, hi],
-            # fields absent from the legacy key were defaults there
-            "config": {
-                "width": int(width), "length": int(length),
-                "topology": topology, "network_mode": network_mode,
-                "t_s": float(t_s), "p_len": int(p_len),
-                "num_mes": float(num_mes), "max_messages": int(max_messages),
-                "trace_demand_multiplier": float(demand_mult),
-                "round_gap_factor": float(round_gap),
-                "jobs": int(jobs), "warmup_jobs": 0, "seed": int(seed),
-                "max_time": None, "scheduler_window": int(window),
-            },
-        }
-    except ValueError:
-        return None
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
 class ResultCache:
     """Two-level memo: in-process dict + sharded JSON directory.
 
-    ``path`` accepts either a shard directory or, for backward
-    compatibility, a legacy ``*.json`` file path; the latter shards into
-    a sibling ``<name>.shards/`` directory and imports the legacy file's
-    contents on first load.
+    ``path`` is the shard directory (default
+    ``<REPRO_CACHE_DIR or ./.repro-cache>/results.shards``).
     """
 
     def __init__(self, path: Path | None = None) -> None:
         self._mem: dict[str, dict] = {}
-        disk_enabled = os.environ.get("REPRO_CACHE", "1") != "0"
-        p = Path(path) if path is not None else _default_cache_path()
-        if p.suffix == ".json":
-            legacy = p
-            self.path = p.with_suffix(".shards")
-        else:
-            legacy = p / "results.json"
-            self.path = p
-        self.disk = disk_enabled
+        self.path = Path(path) if path is not None else _default_cache_path()
+        self.disk = os.environ.get("REPRO_CACHE", "1") != "0"
         if self.disk:
             self._reap_temps()
-            self._import_legacy(legacy)
 
     # ------------------------------------------------------------------ API
     def get(self, key: str) -> dict | None:
@@ -258,29 +197,6 @@ class ResultCache:
             except OSError:
                 pass
             raise
-
-    def _import_legacy(self, legacy: Path) -> None:
-        """One-shot migration of a monolithic ``results.json``."""
-        if not legacy.is_file():
-            return
-        try:
-            entries = json.loads(legacy.read_text())
-        except (OSError, json.JSONDecodeError):
-            return  # corrupt legacy cache: ignore it
-        if not isinstance(entries, dict):
-            return
-        try:
-            for key, value in entries.items():
-                if isinstance(value, dict):
-                    # pre-shard keys are rewritten to the structured
-                    # format; unrecognised keys import verbatim
-                    target = _translate_legacy_key(key) or key
-                    self._mem.setdefault(target, dict(value))
-                    if not (self.path / _shard_name(target)).exists():
-                        self._write_shard(target, value)
-            legacy.rename(legacy.with_suffix(".json.migrated"))
-        except OSError:
-            pass  # read-only cache dir: served from memory this run
 
 
 #: writer-queue sentinel: drain whatever is left, then exit the thread

@@ -10,6 +10,7 @@ from repro.core.config import SimConfig
 from repro.core import _soa_native
 from repro.experiments.campaign import (
     Campaign,
+    PointResult,
     PointSpec,
     ProcessPoolExecutor,
     Scale,
@@ -192,37 +193,36 @@ class TestParallelEquivalence:
         assert set(again) == set(campaign.points)
 
 
-def _legacy_key(spec: PointSpec) -> str:
-    """The pre-shard cache key format, reconstructed for a spec."""
-    cfg, sc = spec.run_config, spec.scale
-    return "|".join(str(v) for v in (
-        spec.workload, spec.load, spec.alloc, spec.sched, sc.jobs,
-        sc.min_replications, sc.max_replications, sc.trace_max_jobs,
-        spec.network_mode, cfg.width, cfg.length, cfg.topology, cfg.t_s,
-        cfg.p_len, cfg.num_mes, cfg.trace_demand_multiplier,
-        cfg.round_gap_factor, cfg.max_messages, cfg.seed,
-        cfg.scheduler_window, "sdsc",
-    ))
+class TestStalePayloads:
+    """A stored value that is not a current-schema payload is a miss."""
 
+    @pytest.mark.parametrize("payload", [
+        None,
+        {m: 1.25 for m in METRICS},  # schema 1: a bare {metric: mean} dict
+        {"schema": 1, "means": {"m": 1.0}, "stats": {}, "replications": 1},
+        {"schema": 2, "means": {"m": "x"}, "stats": {}, "replications": 1},
+        {"schema": 2, "means": {"m": 1.0}},
+        ["not", "a", "mapping"],
+    ])
+    def test_from_payload_miss(self, payload):
+        assert PointResult.from_payload(payload) is None
 
-class TestLegacyMigration:
-    def test_legacy_keys_translate_to_structured_keys(self):
-        from repro.experiments.store import _translate_legacy_key
+    def test_round_trip_is_a_hit(self, tmp_path):
+        (result,) = Campaign([_spec()]).run(
+            jobs=1, cache=ResultCache(tmp_path)).values()
+        assert result.stats and result.replications == 1
+        assert PointResult.from_payload(result.to_payload()) == result
 
-        for spec in (_spec(), _spec(workload="real", load=0.05),
-                     _spec(scale=Scale.by_name("paper"), sched="SSD")):
-            assert _translate_legacy_key(_legacy_key(spec)) == spec.key()
-
-    def test_migrated_entries_reachable_via_run_point(self, tmp_path):
-        """A pre-shard results.json keeps serving cache hits unchanged."""
-        spec = _spec()
-        legacy = tmp_path / "c.json"
-        legacy.write_text(json.dumps(
-            {_legacy_key(spec): {m: 1.25 for m in METRICS}}
-        ))
-        out = run_point("uniform", 0.01, "GABL", "FCFS", scale=SMOKE,
-                        config=TINY, cache=ResultCache(legacy))
-        assert out == {m: 1.25 for m in METRICS}  # hit, not re-simulated
+    def test_schema1_shard_recomputed_and_rewritten(self, tmp_path):
+        campaign = Campaign([_spec()])
+        cold = campaign.run(jobs=1, cache=ResultCache(tmp_path / "cold"))
+        key = _spec().key()
+        ResultCache(tmp_path / "stale").put(key, {m: 1.25 for m in METRICS})
+        again = campaign.run(jobs=1, cache=ResultCache(tmp_path / "stale"))
+        assert again == cold
+        shard = ResultCache(tmp_path / "stale").get(key)
+        assert shard["schema"] == 2
+        assert shard == cold[_spec()].to_payload()
 
 
 def _put_range(args) -> int:
@@ -235,6 +235,14 @@ def _put_range(args) -> int:
 
 
 class TestShardedStore:
+    def test_default_location_under_cache_dir(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE", "1")
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "d"))
+        cache = ResultCache()
+        cache.put("k", {"m": 1.0})
+        assert cache.path == tmp_path / "d" / "results.shards"
+        assert len(list(cache.path.glob("*.json"))) == 1
+
     def test_round_trip(self, tmp_path):
         cache = ResultCache(tmp_path / "c")
         key = _spec().key()

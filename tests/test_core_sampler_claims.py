@@ -7,6 +7,9 @@ from repro.core.config import SimConfig
 from repro.core.sampler import StateSampler
 from repro.core.simulator import Simulator
 from repro.experiments.claims import (
+    _RANKED_FIGS,
+    _TURNAROUND_FIGS,
+    _UTIL_FIGS,
     CHECKS,
     ClaimReport,
     ClaimResult,
@@ -90,10 +93,21 @@ class TestSampler:
             StateSampler(make_sim(), period=0.0)
 
 
-def _fake_figs(gabl=10.0, paging=15.0, util=0.8):
+def _perturb(figs, fig_id, label, series):
+    """``figs`` with one cell, ``fig_id``'s ``label`` series, replaced."""
+    fig = figs[fig_id]
+    figs[fig_id] = FigureResult(
+        spec=fig.spec, loads=fig.loads, series={**fig.series, label: series}
+    )
+    return figs
+
+
+def _fake_figs():
     """Synthetic figure set embodying the paper's findings: GABL wins
-    everywhere, SSD beats FCFS, and MBS sits above Paging(0) on the real
-    workload but below it on the stochastic ones (the C3 exception)."""
+    everywhere, SSD beats FCFS, MBS sits above Paging(0) on the real
+    workload but below it on the stochastic ones (the C3 exception), and
+    saturation utilization is 0.8 for every strategy."""
+    gabl, paging, util = 10.0, 15.0, 0.8
     figs = {}
     for fig_id, spec in FIGURES.items():
         if spec.saturation:
@@ -123,22 +137,32 @@ class TestClaimChecks:
             assert isinstance(result, ClaimResult)
             assert result.passed, result
 
-    def test_c2_fails_when_gabl_loses(self):
-        figs = _fake_figs(gabl=30.0, paging=15.0)
-        assert not check_c2_gabl_best(figs).passed
+    @pytest.mark.parametrize("rival", ("Paging(0)", "MBS"))
+    @pytest.mark.parametrize("sched", ("FCFS", "SSD"))
+    @pytest.mark.parametrize("fig_id", _RANKED_FIGS)
+    def test_c2_fails_when_gabl_loses(self, fig_id, sched, rival):
+        figs = _perturb(_fake_figs(), fig_id, f"{rival}({sched})", (1.0, 1.0))
+        result = check_c2_gabl_best(figs)
+        assert not result.passed
+        assert f"{fig_id} {sched}: GABL" in result.detail
+        assert rival in result.detail
 
-    def test_c4_fails_when_ssd_worse(self):
-        figs = _fake_figs()
-        spec = FIGURES["fig3"]
-        bad_series = dict(figs["fig3"].series)
-        bad_series["GABL(SSD)"] = (1000.0, 2000.0)
-        figs["fig3"] = FigureResult(
-            spec=spec, loads=figs["fig3"].loads, series=bad_series
-        )
-        assert not check_c4_ssd_beats_fcfs(figs).passed
+    @pytest.mark.parametrize("alloc", ("GABL", "Paging(0)", "MBS"))
+    @pytest.mark.parametrize("fig_id", _TURNAROUND_FIGS)
+    def test_c4_fails_when_ssd_worse(self, fig_id, alloc):
+        figs = _perturb(_fake_figs(), fig_id, f"{alloc}(SSD)", (1000.0, 2000.0))
+        result = check_c4_ssd_beats_fcfs(figs)
+        assert not result.passed
+        assert f"{fig_id} {alloc}: SSD" in result.detail
 
-    def test_c5_fails_out_of_band(self):
-        figs = _fake_figs(util=0.3)
+    @pytest.mark.parametrize("label, util", [
+        ("GABL(FCFS)", 0.30),  # below the band
+        ("MBS(SSD)", 0.99),  # above the band
+        ("Paging(0)(FCFS)", 0.56),  # in the band, FCFS spread 0.24 > 0.2
+    ])
+    @pytest.mark.parametrize("fig_id", _UTIL_FIGS)
+    def test_c5_fails_out_of_band(self, fig_id, label, util):
+        figs = _perturb(_fake_figs(), fig_id, label, (util,))
         assert not check_c5_utilization(figs).passed
 
     def test_report_formatting(self):

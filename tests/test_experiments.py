@@ -69,7 +69,7 @@ class TestScales:
 
 class TestRunPoint:
     def test_returns_all_metrics(self, tmp_path):
-        cache = ResultCache(tmp_path / "c.json")
+        cache = ResultCache(tmp_path / "c")
         out = run_point(
             "uniform", 0.01, "GABL", "FCFS",
             scale="smoke", config=TINY, cache=cache,
@@ -78,7 +78,7 @@ class TestRunPoint:
         assert out["mean_turnaround"] > 0
 
     def test_cache_hit_identical(self, tmp_path):
-        cache = ResultCache(tmp_path / "c.json")
+        cache = ResultCache(tmp_path / "c")
         a = run_point("uniform", 0.01, "MBS", "SSD",
                       scale="smoke", config=TINY, cache=cache)
         b = run_point("uniform", 0.01, "MBS", "SSD",
@@ -86,17 +86,17 @@ class TestRunPoint:
         assert a == b
 
     def test_cache_persists_to_disk(self, tmp_path):
-        path = tmp_path / "c.json"
+        path = tmp_path / "c"
         c1 = ResultCache(path)
         a = run_point("uniform", 0.01, "GABL", "FCFS",
                       scale="smoke", config=TINY, cache=c1)
-        c2 = ResultCache(path)  # fresh instance reads the file
+        c2 = ResultCache(path)  # fresh instance reads the shards
         b = run_point("uniform", 0.01, "GABL", "FCFS",
                       scale="smoke", config=TINY, cache=c2)
         assert a == b
 
     def test_distinct_keys_not_conflated(self, tmp_path):
-        cache = ResultCache(tmp_path / "c.json")
+        cache = ResultCache(tmp_path / "c")
         a = run_point("uniform", 0.01, "GABL", "FCFS",
                       scale="smoke", config=TINY, cache=cache)
         b = run_point("uniform", 0.02, "GABL", "FCFS",
@@ -104,7 +104,7 @@ class TestRunPoint:
         assert a != b
 
     def test_custom_trace(self, tmp_path):
-        cache = ResultCache(tmp_path / "c.json")
+        cache = ResultCache(tmp_path / "c")
         trace = [
             TraceJob(arrival=float(i * 5), size=(i % 4) + 1, runtime=30.0)
             for i in range(40)
@@ -116,7 +116,7 @@ class TestRunPoint:
 
 class TestRunFigure:
     def test_figure_shape(self, tmp_path):
-        cache = ResultCache(tmp_path / "c.json")
+        cache = ResultCache(tmp_path / "c")
         result = run_figure("fig3", scale="smoke", config=TINY, cache=cache)
         assert result.spec.fig_id == "fig3"
         assert len(result.loads) == 2
@@ -126,7 +126,7 @@ class TestRunFigure:
             assert all(v > 0 for v in series)
 
     def test_series_for(self, tmp_path):
-        cache = ResultCache(tmp_path / "c.json")
+        cache = ResultCache(tmp_path / "c")
         result = run_figure("fig9", scale="smoke", config=TINY, cache=cache)
         assert result.series_for("GABL", "FCFS") == result.series["GABL(FCFS)"]
 

@@ -1,7 +1,5 @@
 """Edge-case tests for reporting, runner plumbing and misc strategy knobs."""
 
-import json
-
 import pytest
 
 from repro.experiments.figures import FIGURES
@@ -53,43 +51,20 @@ class TestReportEdges:
 
 
 class TestResultCacheEdges:
-    def test_corrupt_legacy_file_ignored(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE", "1")  # force the disk path on
-        path = tmp_path / "c.json"
-        path.write_text("{not json")
-        cache = ResultCache(path)  # must not raise
-        assert cache.get("anything") is None
-        cache.put("k", {"m": 1.0})
-        # the put lands in a shard readable by a fresh instance
-        assert ResultCache(path).get("k") == {"m": 1.0}
-
-    def test_legacy_file_migrated_once(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE", "1")
-        path = tmp_path / "c.json"
-        path.write_text(json.dumps({"old-key": {"m": 3.0}}))
-        cache = ResultCache(path)
-        assert cache.get("old-key") == {"m": 3.0}
-        assert not path.exists()  # renamed after import
-        assert path.with_suffix(".json.migrated").exists()
-        # shards now carry the entry; a fresh instance reads them
-        assert ResultCache(path).get("old-key") == {"m": 3.0}
-
     def test_corrupt_shard_ignored(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE", "1")
-        cache = ResultCache(tmp_path / "c.json")
+        cache = ResultCache(tmp_path / "c")
         cache.put("k", {"m": 1.0})
         shards = list(cache.path.glob("*.json"))
         assert len(shards) == 1
         shards[0].write_text("{torn write")
-        assert ResultCache(tmp_path / "c.json").get("k") is None
+        assert ResultCache(tmp_path / "c").get("k") is None
 
     def test_memory_only_when_disk_disabled(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE", "0")
-        path = tmp_path / "c.json"
-        cache = ResultCache(path)
+        cache = ResultCache(tmp_path / "c")
         cache.put("k", {"m": 2.0})
         assert cache.get("k") == {"m": 2.0}
-        assert not path.exists()
         assert not cache.path.exists()
 
 

@@ -152,6 +152,32 @@ class TestServiceEndpoints:
             twin.close()
 
 
+class TestStoreValidation:
+    """A ``--store`` path that exists and is not a directory fails at
+    start, not on the first submission."""
+
+    def test_service_rejects_file_store(self, tmp_path):
+        store = tmp_path / "store-file"
+        store.write_text("{}")
+        with pytest.raises(ValueError, match="not a directory"):
+            CampaignService(store=store)
+
+    def test_cli_serve_file_store_exits_two(self, tmp_path):
+        store = tmp_path / "store-file"
+        store.write_text("{}")
+        # a subprocess with a timeout: a regression would serve forever
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "serve",
+             "--port", "0", "--store", str(store)],
+            env={**os.environ, "PYTHONPATH": SRC}, cwd=str(REPO),
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [
+            f"serve error: result store {store} is not a directory"
+        ]
+
+
 # ------------------------------------------------- the restart drill (E2E)
 DRILL_DOC = {
     "name": "drill",
