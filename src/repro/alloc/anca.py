@@ -39,7 +39,7 @@ class ANCAAllocator(Allocator):
         return Allocation(
             job_id=job_id,
             submeshes=tuple(chunks),
-            coords=self._coords_of(chunks),
+            nodes=self._nodes_of(chunks),
         )
 
     def _place(self, job_id: int, w: int, l: int, out: list[SubMesh]) -> None:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Any, Sequence
 
 from repro.mesh.busylist import BusyList
-from repro.mesh.geometry import Coord, SubMesh
+from repro.mesh.geometry import SubMesh
 from repro.mesh.grid import MeshGrid
 
 
@@ -32,21 +32,22 @@ from repro.mesh.grid import MeshGrid
 class Allocation:
     """The processors granted to one job.
 
-    ``coords`` is ordered (sub-mesh by sub-mesh, row-major inside each);
-    the all-to-all traffic generator uses this order for its round-robin
-    destination schedule.  ``token`` is an opaque allocator payload (e.g.
-    the MBS buddy blocks) threaded back into ``release``.
+    ``nodes`` are row-major node ids, sub-mesh by sub-mesh; the network
+    consumes them as-is and the all-to-all traffic generator uses this
+    order for its round-robin destination schedule.  ``token`` is an
+    opaque allocator payload (e.g. the MBS buddy blocks) threaded back
+    into ``release``.
     """
 
     job_id: int
     submeshes: tuple[SubMesh, ...]
-    coords: tuple[Coord, ...]
+    nodes: tuple[int, ...]
     token: Any = None
 
     @property
     def size(self) -> int:
         """Number of processors allocated."""
-        return len(self.coords)
+        return len(self.nodes)
 
     @property
     def contiguous(self) -> bool:
@@ -193,12 +194,11 @@ class Allocator(abc.ABC):
             )
 
     # ------------------------------------------------------------- helpers
-    @staticmethod
-    def _coords_of(submeshes: Sequence[SubMesh]) -> tuple[Coord, ...]:
-        """Concatenate member nodes of the sub-meshes, in order."""
-        out: list[Coord] = []
+    def _nodes_of(self, submeshes: Sequence[SubMesh]) -> tuple[int, ...]:
+        """Concatenate the node ids of the sub-meshes, in order."""
+        out: list[int] = []
         for s in submeshes:
-            out.extend(s.nodes())
+            out.extend(s.node_ids(self.width))
         return tuple(out)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -40,7 +40,7 @@ class FirstFitAllocator(Allocator):
         if s is None:
             return None
         self.grid.allocate_submesh(s, job_id)
-        return Allocation(job_id=job_id, submeshes=(s,), coords=self._coords_of((s,)))
+        return Allocation(job_id=job_id, submeshes=(s,), nodes=self._nodes_of((s,)))
 
 
 class BestFitAllocator(Allocator):
@@ -71,7 +71,7 @@ class BestFitAllocator(Allocator):
             return None
         self.grid.allocate_submesh(best, job_id)
         return Allocation(
-            job_id=job_id, submeshes=(best,), coords=self._coords_of((best,))
+            job_id=job_id, submeshes=(best,), nodes=self._nodes_of((best,))
         )
 
     def _boundary_contact(self, s: SubMesh, free: np.ndarray | None = None) -> int:

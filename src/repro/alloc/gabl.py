@@ -45,7 +45,7 @@ class GABLAllocator(Allocator):
             return Allocation(
                 job_id=job_id,
                 submeshes=(contiguous,),
-                coords=self._coords_of((contiguous,)),
+                nodes=self._nodes_of((contiguous,)),
             )
         if w * l > self.grid.free_count:
             return None
@@ -53,7 +53,7 @@ class GABLAllocator(Allocator):
         return Allocation(
             job_id=job_id,
             submeshes=tuple(chunks),
-            coords=self._coords_of(chunks),
+            nodes=self._nodes_of(chunks),
         )
 
     def _find_contiguous(self, w: int, l: int) -> SubMesh | None:

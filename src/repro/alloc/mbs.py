@@ -239,7 +239,7 @@ class MBSAllocator(Allocator):
         return Allocation(
             job_id=job_id,
             submeshes=submeshes,
-            coords=self._coords_of(submeshes),
+            nodes=self._nodes_of(submeshes),
             token=tuple(blocks),
         )
 

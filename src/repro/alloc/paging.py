@@ -86,7 +86,7 @@ class PagingAllocator(Allocator):
         return Allocation(
             job_id=job_id,
             submeshes=tuple(submeshes),
-            coords=self._coords_of(submeshes),
+            nodes=self._nodes_of(submeshes),
             token=tuple(taken),
         )
 

@@ -62,7 +62,7 @@ class RandomAllocator(Allocator):
         return Allocation(
             job_id=job_id,
             submeshes=tuple(submeshes),
-            coords=self._coords_of(submeshes),
+            nodes=self._nodes_of(submeshes),
         )
 
     def reset(self) -> None:

@@ -741,7 +741,7 @@ def _run_sweep(args, scale, config, trace) -> int:
         print(f"bad workload spec: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
-        print(f"bad --channels/--arqs axis: {exc}", file=sys.stderr)
+        print(f"bad sweep parameters: {exc}", file=sys.stderr)
         return 2
     print(f"sweep: {len(campaign.points)} unique points, "
           f"scale={scale}, jobs={args.jobs}")
@@ -892,10 +892,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     # (shared sweeps simulate once; -j parallelises across every cell)
     fig_targets = [t for t in targets if t in FIGURES]
     if fig_targets:
-        campaign = Campaign.from_figures(
-            fig_targets, scale=scale, config=config,
-            network_mode=args.network_mode, trace=trace,
-        )
+        try:
+            campaign = Campaign.from_figures(
+                fig_targets, scale=scale, config=config,
+                network_mode=args.network_mode, trace=trace,
+            )
+        except ValueError as exc:
+            print(f"bad figure parameters: {exc}", file=sys.stderr)
+            return 2
         _progress(
             f"campaign: {len(campaign.points)} unique points for "
             f"{len(fig_targets)} figure(s), scale={scale}, jobs={args.jobs}"
@@ -931,7 +935,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                     network_mode=args.network_mode, trace=trace,
                     jobs=args.jobs, executor=args.executor,
                 )
-            except (SpecError, KeyError) as exc:
+            except (ValueError, KeyError) as exc:
                 print(f"bad point parameters: {exc}", file=sys.stderr)
                 return 2
             dt = time.perf_counter() - t0

@@ -473,7 +473,7 @@ static int lfrb(SoaCtx *c, int64_t max_w, int64_t max_l, int64_t max_area,
 }
 
 /* mark a free rectangle as owned by job j; append its node ids
- * (row-major, matching SubMesh.nodes()) to the coords scratch */
+ * (row-major, matching SubMesh.node_ids()) to the coords scratch */
 static void take_rect(SoaCtx *c, int64_t j, int64_t x0, int64_t y0,
                       int64_t w, int64_t l)
 {

@@ -51,6 +51,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import multiprocessing
 import os
 import threading
@@ -354,6 +355,23 @@ class PointSpec:
                 self, "config",
                 self.config.with_(jobs=self.scale.jobs,
                                   network_mode=self.network_mode),
+            )
+
+    def validate(self) -> None:
+        """Raise ``ValueError`` unless the point can run: a finite
+        positive load, an allocator that builds on the config's mesh, a
+        known scheduler, and no ``sfb`` network mode on a torus."""
+        if not (math.isfinite(self.load) and self.load > 0):
+            raise ValueError(f"load must be finite and > 0, got {self.load}")
+        try:
+            make_allocator(self.alloc, self.config.width, self.config.length)
+            make_scheduler(self.sched)
+        except KeyError as exc:
+            raise ValueError(exc.args[0]) from None
+        if self.network_mode == "sfb" and self.config.topology == "torus":
+            raise ValueError(
+                "network mode 'sfb' cannot run on a torus; "
+                "use fast, batch or causal"
             )
 
     @property
@@ -698,6 +716,26 @@ def _thread_executor_viable(specs: Iterable[PointSpec]) -> bool:
     return all(spec.run_config.engine == "soa" for spec in specs)
 
 
+def _resolve_executor_kind(
+    jobs: int, kind: str | None, specs: Iterable[PointSpec]
+) -> str:
+    """The executor kind a campaign run uses (see :func:`make_executor`)."""
+    if kind is not None and kind not in EXECUTOR_KINDS:
+        raise ValueError(
+            f"unknown executor {kind!r}; choose from {EXECUTOR_KINDS}"
+        )
+    if kind is None:
+        if jobs <= 1:
+            kind = "serial"
+        elif _thread_executor_viable(specs):
+            kind = "thread"
+        else:
+            kind = "process"
+    if kind == "process" and jobs < 2:
+        kind = "serial"
+    return kind
+
+
 def make_executor(
     jobs: int,
     kind: str | None = None,
@@ -713,19 +751,7 @@ def make_executor(
     ``kind`` is honoured verbatim, except that a process pool cannot
     run with fewer than two workers and degrades to serial.
     """
-    if kind is not None and kind not in EXECUTOR_KINDS:
-        raise ValueError(
-            f"unknown executor {kind!r}; choose from {EXECUTOR_KINDS}"
-        )
-    if kind is None:
-        if jobs <= 1:
-            kind = "serial"
-        elif _thread_executor_viable(specs):
-            kind = "thread"
-        else:
-            kind = "process"
-    if kind == "process" and jobs < 2:
-        kind = "serial"
+    kind = _resolve_executor_kind(jobs, kind, specs)
     if kind == "serial":
         return SerialExecutor()
     if kind == "thread":
@@ -800,7 +826,11 @@ class _CostModel:
 
 # ----------------------------------------------------------------- campaign
 class Campaign:
-    """A deduplicated set of simulation points and the engine to run it."""
+    """A deduplicated set of simulation points and the engine to run it.
+
+    Every unique point is validated (:meth:`PointSpec.validate`) here,
+    so a malformed point fails with ``ValueError`` before anything runs.
+    """
 
     def __init__(
         self,
@@ -810,6 +840,8 @@ class Campaign:
         unique: dict[str, PointSpec] = {}
         for spec in points:
             unique.setdefault(spec.key(), spec)
+        for spec in unique.values():
+            spec.validate()
         #: unique points in first-seen order
         self.points: tuple[PointSpec, ...] = tuple(unique.values())
         self.trace = list(trace) if trace is not None else None
@@ -994,27 +1026,12 @@ class Campaign:
         if executor is not None:
             exe = executor
         else:
-            kind = executor_kind
-            if kind is not None and kind not in EXECUTOR_KINDS:
-                raise ValueError(
-                    f"unknown executor {kind!r}; choose from {EXECUTOR_KINDS}"
-                )
-            if kind is None:
-                if jobs <= 1:
-                    kind = "serial"
-                elif _thread_executor_viable(controllers):
-                    kind = "thread"
-                else:
-                    kind = "process"
-            if kind == "process" and jobs < 2:
-                kind = "serial"
+            kind = _resolve_executor_kind(jobs, executor_kind, controllers)
             if kind == "process":
                 task_trace, exe = self._process_pool(jobs, controllers)
-            elif kind == "thread":
-                exe = ThreadPoolExecutor(max(1, jobs))
-                in_process = True
             else:
-                exe = SerialExecutor()
+                # serial or thread: tasks run in this interpreter
+                exe = make_executor(jobs, kind)
                 in_process = True
         # in-process executors skip the payload-dict round trip: tasks
         # hand back RunResult objects (for native lanes, built straight

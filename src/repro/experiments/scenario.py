@@ -38,7 +38,6 @@ from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.trajectory import SaturationScan
 
-from repro.alloc import make_allocator
 from repro.core.config import NETWORK_MODES, PAPER_CONFIG, SimConfig
 from repro.core.hooks import TrajectoryObserver
 from repro.experiments.campaign import (
@@ -54,7 +53,6 @@ from repro.experiments.campaign import (
     trace_fingerprint,
 )
 from repro.experiments.store import ResultCache
-from repro.sched import make_scheduler
 from repro.workload.trace import TraceJob
 from repro.workload.transforms import canonical_workload
 from repro.experiments.report import summarize_point
@@ -103,16 +101,6 @@ class Scenario:
         self.scheds = tuple(self.scheds)
         if not self.allocs or not self.scheds:
             raise ValueError("scenario needs at least one allocator and scheduler")
-        for alloc in self.allocs:
-            try:
-                make_allocator(alloc, 4, 4)
-            except KeyError as exc:
-                raise ValueError(f"bad scenario allocator: {exc.args[0]}") from None
-        for sched in self.scheds:
-            try:
-                make_scheduler(sched)
-            except KeyError as exc:
-                raise ValueError(f"bad scenario scheduler: {exc.args[0]}") from None
         if self.scale not in SCALES:
             raise ValueError(
                 f"unknown scale {self.scale!r}; choose from {sorted(SCALES)}"
@@ -133,7 +121,9 @@ class Scenario:
                 "scenario channels/arqs need at least one entry (use [null] "
                 "for the perfect-interconnect default)"
             )
-        self.grid_configs()  # reject unknown/invalid config overrides now
+        # reject invalid config overrides and points (loads, allocators
+        # that do not fit the mesh, schedulers, sfb on a torus) now
+        self.campaign()
 
     # -------------------------------------------------------- serialization
     @classmethod

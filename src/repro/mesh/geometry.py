@@ -10,7 +10,7 @@ paper.  Width extends along the x axis and length along the y axis, so the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 
 class Coord(NamedTuple):
@@ -18,10 +18,6 @@ class Coord(NamedTuple):
 
     x: int
     y: int
-
-    def manhattan(self, other: "Coord") -> int:
-        """Hop distance to ``other`` under minimal (e.g. XY) routing."""
-        return abs(self.x - other.x) + abs(self.y - other.y)
 
 
 @dataclass(frozen=True, slots=True)
@@ -99,11 +95,13 @@ class SubMesh:
             and other.y1 <= self.y2
         )
 
-    def nodes(self) -> Iterator[Coord]:
-        """Iterate the member nodes in row-major (y-outer) order."""
+    def node_ids(self, width: int) -> list[int]:
+        """Row-major node ids ``y * width + x`` of the members, y outer."""
+        out: list[int] = []
         for y in range(self.y1, self.y2 + 1):
-            for x in range(self.x1, self.x2 + 1):
-                yield Coord(x, y)
+            row = y * width
+            out.extend(range(row + self.x1, row + self.x2 + 1))
+        return out
 
     def fits_in(self, w: int, l: int) -> bool:
         """Whether this sub-mesh fits inside a ``w x l`` frame as-is."""

@@ -90,18 +90,6 @@ class MeshGrid:
         """Whether ``s`` lies entirely inside the mesh."""
         return s.x2 < self.width and s.y2 < self.length
 
-    # ------------------------------------------------------------- node ids
-    def node_id(self, c: Coord) -> int:
-        """Row-major linear id of ``c`` (used by the network simulator)."""
-        self._check_coord(c)
-        return c.y * self.width + c.x
-
-    def coord_of(self, node_id: int) -> Coord:
-        """Inverse of :meth:`node_id`."""
-        if not 0 <= node_id < self.size:
-            raise ValueError(f"node id {node_id} out of range")
-        return Coord(node_id % self.width, node_id // self.width)
-
     # ---------------------------------------------------------- mutation API
     def allocate_submesh(self, s: SubMesh, job_id: int) -> None:
         """Mark every processor of ``s`` as owned by ``job_id``.

@@ -13,6 +13,9 @@ but differ in how they execute it:
 * ``causal``  -- one event per hop, exact FIFO-by-arrival arbitration;
 * ``sfb``     -- single-flit-buffer wormhole with chained channel holding.
 
+Backends address processors by the row-major node ids allocations
+carry (``Allocation.nodes``) and use them as-is.
+
 Backends come in two families.  *Synchronous* backends
 (``synchronous = True``) resolve a whole launch of traffic rounds at
 injection time through :meth:`NetworkBackend.inject_rounds` and return
@@ -32,7 +35,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence, Type
 
 from repro.core.engine import Engine
-from repro.mesh.geometry import Coord
 from repro.network.routing import xy_route
 from repro.network.topology import MeshTopology
 
@@ -92,14 +94,12 @@ class NetworkBackend:
         self.drain = float(p_len - 1)  #: body drain after header ejection
         self.free_at: list[float] = [0.0] * topology.channel_count
         self.packets_sent = 0
-        #: XY routes are static; cache them keyed by (src, dst) node pair
+        #: XY routes are static; cache them keyed by the (src, dst) id pair
         self._route_cache: dict[int, list[int]] = {}
 
     # ------------------------------------------------------------- routing
-    def _route(self, src: Coord, dst: Coord) -> list[int]:
-        key = (src.y * self.topology.width + src.x) * self.topology.node_count + (
-            dst.y * self.topology.width + dst.x
-        )
+    def _route(self, src: int, dst: int) -> list[int]:
+        key = src * self.topology.node_count + dst
         path = self._route_cache.get(key)
         if path is None:
             path = xy_route(self.topology, src, dst)
@@ -107,7 +107,7 @@ class NetworkBackend:
         return path
 
     # ------------------------------------------------------------ traffic
-    def transmit(self, src: Coord, dst: Coord, now: float) -> PathTiming:
+    def transmit(self, src: int, dst: int, now: float) -> PathTiming:
         """Synchronously transmit one packet (synchronous backends only)."""
         raise NotImplementedError(
             f"{self.mode!r} backend does not support synchronous transmit"
@@ -115,8 +115,8 @@ class NetworkBackend:
 
     def send(
         self,
-        src: Coord,
-        dst: Coord,
+        src: int,
+        dst: int,
         now: float,
         on_delivered: Callable[[PathTiming], None],
     ) -> None:
@@ -127,16 +127,16 @@ class NetworkBackend:
 
     def inject_rounds(
         self,
-        coords: Sequence[Coord],
+        nodes: Sequence[int],
         offsets: Sequence[int],
         now: float,
         round_gap: float,
     ) -> RoundStats:
         """Inject one job's full traffic: round ``r`` (the cyclic
-        permutation ``i -> (i + offsets[r]) mod n`` over ``coords``) is
-        injected at ``now + r * round_gap``, every processor sending one
-        packet per round.  Returns the aggregate packet statistics
-        (synchronous backends only)."""
+        permutation ``i -> (i + offsets[r]) mod n`` over the node ids
+        ``nodes``) is injected at ``now + r * round_gap``, every processor
+        sending one packet per round.  Returns the aggregate packet
+        statistics (synchronous backends only)."""
         raise NotImplementedError(
             f"{self.mode!r} backend does not support round injection"
         )

@@ -25,7 +25,6 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.engine import Engine
-from repro.mesh.geometry import Coord
 from repro.network import _native
 from repro.network.backend import RoundStats, register_backend
 from repro.network.topology import MeshTopology
@@ -64,18 +63,15 @@ class BatchBackend(FastBackend):
 
     def inject_rounds(
         self,
-        coords: Sequence[Coord],
+        nodes: Sequence[int],
         offsets: Sequence[int],
         now: float,
         round_gap: float,
     ) -> RoundStats:
         if self._kernel is None:
-            return super().inject_rounds(coords, offsets, now, round_gap)
-        n = len(coords)
-        width = self.topology.width
-        ids = np.fromiter(
-            (y * width + x for x, y in coords), dtype=np.int64, count=n
-        )
+            return super().inject_rounds(nodes, offsets, now, round_gap)
+        n = len(nodes)
+        ids = np.array(nodes, dtype=np.int64)
         packets = n * len(offsets)
         self.packets_sent += packets
         offs = np.asarray(offsets, dtype=np.int64)

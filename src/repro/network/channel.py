@@ -264,9 +264,9 @@ _SEND, _ARRIVE, _FAIL = 0, 1, 2
 
 
 def resolve_launch(
-    transmit: Callable[[object, object, float], PathTiming],
+    transmit: Callable[[int, int, float], PathTiming],
     model: ChannelModel,
-    coords: Sequence,
+    nodes: Sequence[int],
     offsets: Sequence[int],
     now: float,
     round_gap: float,
@@ -278,9 +278,10 @@ def resolve_launch(
     (round-major, source-minor -- the same FIFO order as the lossless
     ``inject_rounds`` path), failed attempts surface as sender timeouts,
     and the ARQ protocol's retransmissions re-enter the send queue until
-    every flow's packets are accepted.
+    every flow's packets are accepted.  ``nodes`` are the job's node
+    ids, passed to ``transmit`` as-is.
     """
-    n = len(coords)
+    n = len(nodes)
     total = len(offsets)
     flows = [model.flow(total) for _ in range(n)]
     first_inject: list[dict[int, float]] = [{} for _ in range(n)]
@@ -305,7 +306,7 @@ def resolve_launch(
             if not flow.should_send(k):
                 continue
             attempts += 1
-            timing = transmit(coords[i], coords[(i + offsets[k]) % n], t)
+            timing = transmit(nodes[i], nodes[(i + offsets[k]) % n], t)
             fi = first_inject[i]
             if k not in fi:
                 fi[k] = timing.t_inject
@@ -373,22 +374,22 @@ class ChannelledEventLaunch:
     """
 
     __slots__ = (
-        "network", "engine", "model", "job", "coords", "offsets",
+        "network", "engine", "model", "job", "nodes", "offsets",
         "on_complete", "flows", "first_inject", "blocking", "remaining",
         "priority",
     )
 
     def __init__(
-        self, network, engine, model: ChannelModel, job, coords,
-        offsets: Sequence[int], now: float, round_gap: float, on_complete,
-        priority,
+        self, network, engine, model: ChannelModel, job,
+        nodes: Sequence[int], offsets: Sequence[int], now: float,
+        round_gap: float, on_complete, priority,
     ) -> None:
-        n = len(coords)
+        n = len(nodes)
         self.network = network
         self.engine = engine
         self.model = model
         self.job = job
-        self.coords = coords
+        self.nodes = nodes
         self.offsets = list(offsets)
         self.on_complete = on_complete
         self.flows = [model.flow(len(offsets)) for _ in range(n)]
@@ -406,17 +407,17 @@ class ChannelledEventLaunch:
                 )
 
     def _send_round(self, k: int) -> None:
-        for i in range(len(self.coords)):
+        for i in range(len(self.nodes)):
             self._send(i, k)
 
     def _send(self, i: int, k: int) -> None:
         flow = self.flows[i]
         if not flow.should_send(k):
             return
-        dst = self.coords[(i + self.offsets[k]) % len(self.coords)]
+        nodes = self.nodes
         self.network.send(
-            self.coords[i],
-            dst,
+            nodes[i],
+            nodes[(i + self.offsets[k]) % len(nodes)],
             self.engine.now,
             lambda timing, i=i, k=k: self._delivered(i, k, timing),
         )

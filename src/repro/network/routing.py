@@ -16,7 +16,6 @@ topologies (see :mod:`repro.network.wormhole`).
 
 from __future__ import annotations
 
-from repro.mesh.geometry import Coord
 from repro.network.topology import Direction, MeshTopology
 
 
@@ -33,49 +32,43 @@ def _dimension_steps(src: int, dst: int, size: int, wrap: bool) -> tuple[int, in
     return backward, -1
 
 
-def xy_route(topology: MeshTopology, src: Coord, dst: Coord) -> list[int]:
-    """Channel index path from ``src`` to ``dst``: injection, links, ejection."""
+def xy_route(topology: MeshTopology, src: int, dst: int) -> list[int]:
+    """Channel path from node ``src`` to node ``dst``: injection, links, ejection."""
     if src == dst:
         raise ValueError("no route from a node to itself")
     W, L, wrap = topology.width, topology.length, topology.wrap
-    src_id = src.y * W + src.x
-    dst_id = dst.y * W + dst.x
-    path: list[int] = [src_id * 6 + Direction.INJ]
+    path: list[int] = [src * 6 + Direction.INJ]
 
-    x, y = src.x, src.y
-    hops, step = _dimension_steps(src.x, dst.x, W, wrap)
+    y, x = divmod(src, W)
+    dst_y, dst_x = divmod(dst, W)
+    hops, step = _dimension_steps(x, dst_x, W, wrap)
     channel_dir = Direction.EAST if step > 0 else Direction.WEST
     for _ in range(hops):
         path.append((y * W + x) * 6 + channel_dir)
         x = (x + step) % W
-    hops, step = _dimension_steps(src.y, dst.y, L, wrap)
+    hops, step = _dimension_steps(y, dst_y, L, wrap)
     channel_dir = Direction.NORTH if step > 0 else Direction.SOUTH
     for _ in range(hops):
         path.append((y * W + x) * 6 + channel_dir)
         y = (y + step) % L
 
-    assert y * W + x == dst_id
-    path.append(dst_id * 6 + Direction.EJ)
+    assert y * W + x == dst
+    path.append(dst * 6 + Direction.EJ)
     return path
 
 
-def xy_route_nodes(topology: MeshTopology, src: Coord, dst: Coord) -> list[Coord]:
-    """Node sequence visited by the XY route (inclusive of endpoints)."""
+def xy_route_nodes(topology: MeshTopology, src: int, dst: int) -> list[int]:
+    """Node ids visited by the XY route (inclusive of endpoints)."""
     W, L, wrap = topology.width, topology.length, topology.wrap
-    nodes: list[Coord] = [src]
-    x, y = src.x, src.y
-    hops, step = _dimension_steps(src.x, dst.x, W, wrap)
+    nodes: list[int] = [src]
+    y, x = divmod(src, W)
+    dst_y, dst_x = divmod(dst, W)
+    hops, step = _dimension_steps(x, dst_x, W, wrap)
     for _ in range(hops):
         x = (x + step) % W
-        nodes.append(Coord(x, y))
-    hops, step = _dimension_steps(src.y, dst.y, L, wrap)
+        nodes.append(y * W + x)
+    hops, step = _dimension_steps(y, dst_y, L, wrap)
     for _ in range(hops):
         y = (y + step) % L
-        nodes.append(Coord(x, y))
+        nodes.append(y * W + x)
     return nodes
-
-
-def route_hops(src: Coord, dst: Coord) -> int:
-    """Link-hop count of the mesh XY route (the Manhattan distance)."""
-    return abs(src.x - dst.x) + abs(src.y - dst.y)
-

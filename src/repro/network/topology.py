@@ -6,15 +6,16 @@ node additionally owns an *injection* channel (processor into router) and
 an *ejection* channel (router into processor); packets from one source
 serialise at its injection channel exactly as in ProcSimity.
 
-Channels are identified by dense integer indices (``node_id * 6 + dir``)
-so the simulator can keep per-channel state in flat arrays.
+Nodes are the row-major ids ``y * W + x`` that allocations carry
+(:meth:`repro.mesh.geometry.SubMesh.node_ids`); ``divmod(node, W)``
+recovers ``(y, x)`` where a coordinate is needed.  Channels are
+identified by dense integer indices (``node_id * 6 + dir``) so the
+simulator can keep per-channel state in flat arrays.
 """
 
 from __future__ import annotations
 
 import enum
-
-from repro.mesh.geometry import Coord
 
 
 class Direction(enum.IntEnum):
@@ -32,7 +33,7 @@ _CHANNELS_PER_NODE = len(Direction)
 
 
 class MeshTopology:
-    """Coordinate/node/channel arithmetic for a ``W x L`` mesh or torus.
+    """Node and channel arithmetic for a ``W x L`` mesh or torus.
 
     With ``wrap=True`` the boundary links wrap around (a 2D torus) --
     the paper's stated future-work direction ("it would be interesting
@@ -60,13 +61,6 @@ class MeshTopology:
     def channel_count(self) -> int:
         return self.node_count * _CHANNELS_PER_NODE
 
-    def node_id(self, c: Coord) -> int:
-        """Row-major linear node id."""
-        return c.y * self.width + c.x
-
-    def coord_of(self, node_id: int) -> Coord:
-        return Coord(node_id % self.width, node_id // self.width)
-
     # --------------------------------------------------------- channels
     def channel(self, node_id: int, direction: Direction) -> int:
         """Dense channel index for ``direction`` out of ``node_id``."""
@@ -80,36 +74,38 @@ class MeshTopology:
         """Whether the directional link exists (boundaries wrap on a torus)."""
         if self.wrap:
             return True
-        c = self.coord_of(node_id)
+        y, x = divmod(node_id, self.width)
         if direction == Direction.EAST:
-            return c.x + 1 < self.width
+            return x + 1 < self.width
         if direction == Direction.WEST:
-            return c.x - 1 >= 0
+            return x - 1 >= 0
         if direction == Direction.NORTH:
-            return c.y + 1 < self.length
+            return y + 1 < self.length
         if direction == Direction.SOUTH:
-            return c.y - 1 >= 0
+            return y - 1 >= 0
         return True  # INJ/EJ always exist
 
     def neighbour(self, node_id: int, direction: Direction) -> int:
         """Node on the other end of a directional link."""
         if not self.link_exists(node_id, direction):
             raise ValueError(f"no {direction.name} link at node {node_id}")
-        c = self.coord_of(node_id)
+        W, L = self.width, self.length
+        y, x = divmod(node_id, W)
         if direction == Direction.EAST:
-            return self.node_id(Coord((c.x + 1) % self.width, c.y))
+            return y * W + (x + 1) % W
         if direction == Direction.WEST:
-            return self.node_id(Coord((c.x - 1) % self.width, c.y))
+            return y * W + (x - 1) % W
         if direction == Direction.NORTH:
-            return self.node_id(Coord(c.x, (c.y + 1) % self.length))
+            return (y + 1) % L * W + x
         if direction == Direction.SOUTH:
-            return self.node_id(Coord(c.x, (c.y - 1) % self.length))
+            return (y - 1) % L * W + x
         raise ValueError(f"{direction.name} is not a link direction")
 
-    def distance(self, src: Coord, dst: Coord) -> int:
+    def distance(self, src: int, dst: int) -> int:
         """Minimal hop count between two nodes on this topology."""
-        dx = abs(src.x - dst.x)
-        dy = abs(src.y - dst.y)
+        sy, sx = divmod(src, self.width)
+        ty, tx = divmod(dst, self.width)
+        dx, dy = abs(sx - tx), abs(sy - ty)
         if self.wrap:
             dx = min(dx, self.width - dx)
             dy = min(dy, self.length - dy)

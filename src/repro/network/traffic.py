@@ -13,8 +13,10 @@ between message exchanges of the ProcSimity job model.  The job's
 *service time* spans from allocation until its last packet is delivered
 (execution times are simulator outputs, not inputs).
 
-Traffic is handed to the network backend a round at a time: synchronous
-backends (``fast``, ``batch``) resolve the whole launch through
+The job's processors are the row-major node ids of its allocation
+(``Allocation.nodes``), in allocation order, and the network backend
+receives them unchanged, a round at a time: synchronous backends
+(``fast``, ``batch``) resolve the whole launch through
 :meth:`~repro.network.backend.NetworkBackend.inject_rounds` and report
 aggregate :class:`~repro.network.backend.RoundStats` that are folded
 into the job in bulk; event-driven backends (``causal``, ``sfb``)
@@ -43,7 +45,6 @@ if TYPE_CHECKING:  # pragma: no cover
 from repro.core.engine import Engine
 from repro.core.events import Priority
 from repro.core.job import Job
-from repro.mesh.geometry import Coord
 from repro.network.backend import NetworkBackend, PathTiming
 
 
@@ -130,8 +131,8 @@ class AllToAllTraffic:
         assert job.allocation is not None, "job must be allocated before launch"
         # Paging(size_index >= 1) grants whole pages; only the requested
         # w*l processors actually compute/communicate.
-        coords = job.allocation.coords[: job.size]
-        n = len(coords)
+        nodes = job.allocation.nodes[: job.size]
+        n = len(nodes)
         if n < 2:
             duration = job.messages * self.round_gap
             self.engine.schedule(
@@ -140,9 +141,9 @@ class AllToAllTraffic:
             return
         offsets = destination_offsets(n, job.messages)
         if self.channel is not None:
-            self._launch_channelled(job, coords, offsets, now, on_complete)
+            self._launch_channelled(job, nodes, offsets, now, on_complete)
         elif self.network.synchronous:
-            stats = self.network.inject_rounds(coords, offsets, now, self.round_gap)
+            stats = self.network.inject_rounds(nodes, offsets, now, self.round_gap)
             job.record_packets(
                 stats.packets, stats.latency_sum, stats.blocking_sum
             )
@@ -150,13 +151,13 @@ class AllToAllTraffic:
                 stats.last_delivery, on_complete, job, priority=Priority.DEPARTURE
             )
         else:
-            self._launch_event_driven(job, coords, offsets, now, on_complete)
+            self._launch_event_driven(job, nodes, offsets, now, on_complete)
 
     # --------------------------------------------------- lossy-channel path
     def _launch_channelled(
         self,
         job: Job,
-        coords: tuple[Coord, ...],
+        nodes: tuple[int, ...],
         offsets: list[int],
         now: float,
         on_complete: Callable[[Job], None],
@@ -168,7 +169,7 @@ class AllToAllTraffic:
             result = resolve_launch(
                 self.network.transmit,
                 self.channel,
-                coords,
+                nodes,
                 offsets,
                 now,
                 self.round_gap,
@@ -186,7 +187,7 @@ class AllToAllTraffic:
                 self.engine,
                 self.channel,
                 job,
-                coords,
+                nodes,
                 offsets,
                 now,
                 self.round_gap,
@@ -198,12 +199,12 @@ class AllToAllTraffic:
     def _launch_event_driven(
         self,
         job: Job,
-        coords: tuple[Coord, ...],
+        nodes: tuple[int, ...],
         offsets: list[int],
         now: float,
         on_complete: Callable[[Job], None],
     ) -> None:
-        n = len(coords)
+        n = len(nodes)
         job.pending_packets = len(offsets) * n
 
         def delivered(timing: PathTiming) -> None:
@@ -214,7 +215,7 @@ class AllToAllTraffic:
 
         def send_round(offset: int, at: float) -> None:
             for i in range(n):
-                self.network.send(coords[i], coords[(i + offset) % n], at, delivered)
+                self.network.send(nodes[i], nodes[(i + offset) % n], at, delivered)
 
         for k, offset in enumerate(offsets):
             if k == 0:

@@ -52,7 +52,6 @@ from typing import Callable, Sequence
 
 from repro.core.engine import Engine
 from repro.core.events import Priority
-from repro.mesh.geometry import Coord
 from repro.network.backend import (
     NetworkBackend,
     PathTiming,
@@ -72,7 +71,7 @@ class FastBackend(NetworkBackend):
     synchronous = True
 
     # ------------------------------------------------------------ transmit
-    def transmit(self, src: Coord, dst: Coord, now: float) -> PathTiming:
+    def transmit(self, src: int, dst: int, now: float) -> PathTiming:
         """Reserve the whole XY path at once and return its timing.
 
         The packet is queued at the source at time ``now``; channel
@@ -102,13 +101,13 @@ class FastBackend(NetworkBackend):
     # -------------------------------------------------------- round launch
     def inject_rounds(
         self,
-        coords: Sequence[Coord],
+        nodes: Sequence[int],
         offsets: Sequence[int],
         now: float,
         round_gap: float,
     ) -> RoundStats:
         """Reserve every round's packets in deterministic order."""
-        n = len(coords)
+        n = len(nodes)
         transmit = self.transmit
         packets = 0
         latency_sum = 0.0
@@ -117,7 +116,7 @@ class FastBackend(NetworkBackend):
         for r, offset in enumerate(offsets):
             t_round = now + r * round_gap
             for i in range(n):
-                timing = transmit(coords[i], coords[(i + offset) % n], t_round)
+                timing = transmit(nodes[i], nodes[(i + offset) % n], t_round)
                 packets += 1
                 latency_sum += timing.latency
                 blocking_sum += timing.blocking
@@ -140,8 +139,8 @@ class CausalBackend(NetworkBackend):
 
     def send(
         self,
-        src: Coord,
-        dst: Coord,
+        src: int,
+        dst: int,
         now: float,
         on_delivered: Callable[[PathTiming], None],
     ) -> None:
@@ -208,8 +207,8 @@ class SFBBackend(NetworkBackend):
 
     def send(
         self,
-        src: Coord,
-        dst: Coord,
+        src: int,
+        dst: int,
         now: float,
         on_delivered: Callable[[PathTiming], None],
     ) -> None:

@@ -1,16 +1,15 @@
-"""Sample distributions: percentiles, histograms, tail summaries.
+"""Sample percentiles.
 
 The paper reports means, but the FCFS-vs-SSD story (section 4) is really
 a *distributional* one: SSD collapses the median and the short-job mass
-while stretching the tail.  These helpers back the per-job analyses in
-the examples and the scheduling ablations.
+while stretching the tail.  :func:`percentile` backs the per-job
+turnaround quantiles in ``examples/scheduling_comparison.py``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 def percentile(values: Sequence[float], q: float) -> float:
@@ -33,112 +32,3 @@ def percentile(values: Sequence[float], q: float) -> float:
         return float(ordered[lo])
     frac = rank - lo
     return float(ordered[lo] * (1.0 - frac) + ordered[hi] * frac)
-
-
-@dataclass(frozen=True, slots=True)
-class DistributionSummary:
-    """Five-number-plus summary of a sample."""
-
-    n: int
-    mean: float
-    std: float
-    minimum: float
-    p25: float
-    median: float
-    p75: float
-    p95: float
-    maximum: float
-
-    @property
-    def cv(self) -> float:
-        """Coefficient of variation (0 for a zero mean)."""
-        return self.std / self.mean if self.mean else 0.0
-
-    @property
-    def tail_ratio(self) -> float:
-        """p95 over median -- the heavy-tail indicator SSD exploits."""
-        return self.p95 / self.median if self.median else math.inf
-
-    def format(self, label: str = "", precision: int = 1) -> str:
-        """One aligned text line for reports."""
-        return (
-            f"{label:<22s} n={self.n:<6d} mean={self.mean:>10.{precision}f} "
-            f"p50={self.median:>10.{precision}f} p95={self.p95:>10.{precision}f} "
-            f"max={self.maximum:>10.{precision}f}"
-        )
-
-
-def summarize(values: Iterable[float]) -> DistributionSummary:
-    """Compute a :class:`DistributionSummary` from any iterable."""
-    data = sorted(float(v) for v in values)
-    if not data:
-        raise ValueError("no samples")
-    n = len(data)
-    mean = sum(data) / n
-    var = sum((v - mean) ** 2 for v in data) / (n - 1) if n > 1 else 0.0
-    return DistributionSummary(
-        n=n,
-        mean=mean,
-        std=math.sqrt(var),
-        minimum=data[0],
-        p25=percentile(data, 25),
-        median=percentile(data, 50),
-        p75=percentile(data, 75),
-        p95=percentile(data, 95),
-        maximum=data[-1],
-    )
-
-
-class Histogram:
-    """Fixed-width-bin histogram with text rendering."""
-
-    __slots__ = ("lo", "hi", "bins", "counts", "underflow", "overflow", "n")
-
-    def __init__(self, lo: float, hi: float, bins: int = 20) -> None:
-        if hi <= lo:
-            raise ValueError(f"empty histogram range [{lo}, {hi})")
-        if bins < 1:
-            raise ValueError("need at least one bin")
-        self.lo = float(lo)
-        self.hi = float(hi)
-        self.bins = bins
-        self.counts = [0] * bins
-        self.underflow = 0
-        self.overflow = 0
-        self.n = 0
-
-    def add(self, value: float) -> None:
-        """Count one observation (under/overflow tracked separately)."""
-        self.n += 1
-        if value < self.lo:
-            self.underflow += 1
-            return
-        if value >= self.hi:
-            self.overflow += 1
-            return
-        idx = int((value - self.lo) / (self.hi - self.lo) * self.bins)
-        self.counts[min(idx, self.bins - 1)] += 1
-
-    def extend(self, values: Iterable[float]) -> None:
-        """Count every observation in ``values``."""
-        for v in values:
-            self.add(v)
-
-    def bin_edges(self, idx: int) -> tuple[float, float]:
-        """The ``[lo, hi)`` value range of bin ``idx``."""
-        width = (self.hi - self.lo) / self.bins
-        return self.lo + idx * width, self.lo + (idx + 1) * width
-
-    def render(self, width: int = 40) -> str:
-        """ASCII bar chart, one row per bin."""
-        peak = max(self.counts) if any(self.counts) else 1
-        rows = []
-        for i, c in enumerate(self.counts):
-            a, b = self.bin_edges(i)
-            bar = "#" * int(round(c / peak * width))
-            rows.append(f"[{a:>9.1f},{b:>9.1f}) {c:>6d} {bar}")
-        if self.underflow:
-            rows.insert(0, f"{'< ' + format(self.lo, '.1f'):>21s} {self.underflow:>6d}")
-        if self.overflow:
-            rows.append(f"{'>= ' + format(self.hi, '.1f'):>21s} {self.overflow:>6d}")
-        return "\n".join(rows)

@@ -41,15 +41,15 @@ class TestFactory:
 class TestAllocation:
     def test_properties(self):
         subs = (SubMesh(0, 0, 1, 1), SubMesh(3, 3, 3, 3))
-        coords = tuple(c for s in subs for c in s.nodes())
-        alloc = Allocation(job_id=1, submeshes=subs, coords=coords)
+        nodes = tuple(n for s in subs for n in s.node_ids(8))
+        alloc = Allocation(job_id=1, submeshes=subs, nodes=nodes)
         assert alloc.size == 5
         assert not alloc.contiguous
         assert alloc.fragment_count == 2
 
     def test_contiguous_single(self):
         s = SubMesh(0, 0, 2, 2)
-        alloc = Allocation(1, (s,), tuple(s.nodes()))
+        alloc = Allocation(1, (s,), tuple(s.node_ids(8)))
         assert alloc.contiguous
 
 

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.alloc.paging import PagingAllocator
-from repro.mesh.geometry import Coord
 from repro.mesh.grid import submeshes_disjoint
 
 
@@ -54,7 +53,7 @@ class TestAllocate:
         a = PagingAllocator(8, 8, size_index=0)
         alloc = a.allocate(1, 3, 1)
         assert alloc is not None
-        assert [c for c in alloc.coords] == [Coord(0, 0), Coord(1, 0), Coord(2, 0)]
+        assert alloc.nodes == (0, 1, 2)
         # a row run merges into one sub-mesh
         assert alloc.contiguous
 
@@ -70,7 +69,7 @@ class TestAllocate:
         first = a.allocate(1, 3, 1)
         second = a.allocate(2, 2, 1)
         assert second is not None
-        assert second.coords[0] == Coord(3, 0)
+        assert second.nodes[0] == 3  # (3, 0)
         assert submeshes_disjoint(list(first.submeshes) + list(second.submeshes))
 
     def test_complete_succeeds_iff_enough_free(self):
@@ -108,7 +107,7 @@ class TestAllocate:
         a = PagingAllocator(4, 4, size_index=0, indexing="snake")
         a.allocate(1, 4, 1)  # row 0
         nxt = a.allocate(2, 1, 1)
-        assert nxt.coords[0] == Coord(3, 1)  # snake turns around
+        assert nxt.nodes[0] == 1 * 4 + 3  # snake turns around at (3, 1)
 
     def test_stats(self):
         a = PagingAllocator(8, 8, size_index=0)

@@ -8,7 +8,9 @@ These are the repository's core invariants (DESIGN.md section 5):
 * release restores the free count, and a full release cycle returns the
   grid to empty;
 * the three *complete* strategies of the paper succeed iff
-  ``free >= w*l``.
+  ``free >= w*l``;
+* ``Allocation.nodes`` lists the row-major ids of the granted sub-meshes
+  in order (the all-to-all schedule depends on it), each owned by the job.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.alloc import make_allocator
 from repro.alloc.base import Allocator
+from repro.mesh.geometry import Coord
 from repro.mesh.grid import submeshes_disjoint
 
 COMPLETE_SPECS = ["Paging(0)", "MBS", "GABL", "Random", "ANCA"]
@@ -47,7 +50,13 @@ def _drive(alloc: Allocator, reqs, holds) -> None:
         assert allocation.size >= w * l
         assert free_before - alloc.free_count == allocation.size
         assert submeshes_disjoint(list(allocation.submeshes))
-        assert len(set(allocation.coords)) == allocation.size
+        assert len(set(allocation.nodes)) == allocation.size
+        assert list(allocation.nodes) == [
+            n for s in allocation.submeshes for n in s.node_ids(8)
+        ]
+        for n in allocation.nodes:
+            y, x = divmod(n, 8)
+            assert alloc.grid.owner_at(Coord(x, y)) == j
         if hold:
             held[j] = allocation
         else:

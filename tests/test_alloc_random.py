@@ -43,23 +43,23 @@ class TestRandomAllocator:
     def test_deterministic_per_seed(self):
         a1 = RandomAllocator(8, 8, seed=42)
         a2 = RandomAllocator(8, 8, seed=42)
-        assert a1.allocate(1, 3, 3).coords == a2.allocate(1, 3, 3).coords
+        assert a1.allocate(1, 3, 3).nodes == a2.allocate(1, 3, 3).nodes
 
     def test_different_seeds_differ(self):
         a1 = RandomAllocator(16, 16, seed=1)
         a2 = RandomAllocator(16, 16, seed=2)
-        assert a1.allocate(1, 6, 6).coords != a2.allocate(1, 6, 6).coords
+        assert a1.allocate(1, 6, 6).nodes != a2.allocate(1, 6, 6).nodes
 
     def test_release_and_reset(self):
         a = RandomAllocator(8, 8, seed=3)
         alloc = a.allocate(1, 5, 5)
         a.release(alloc)
         assert a.free_count == 64
-        first = a.allocate(2, 3, 3).coords
+        first = a.allocate(2, 3, 3).nodes
         a.reset()
         # reset also rewinds the RNG, so the stream repeats
         a.allocate(3, 5, 5)
-        again = a.allocate(4, 3, 3).coords
+        again = a.allocate(4, 3, 3).nodes
         # streams differ because job order differs -- just exercise reset
         assert a.free_count == 64 - 25 - 9
         a.grid.validate()

@@ -65,7 +65,7 @@ def scripted_model(protocol, fates=(), delays=()):
 def launch(protocol, n, total, fates=(), delays=()):
     return resolve_launch(
         stub_transmit, scripted_model(protocol, fates, delays),
-        coords=list(range(n)), offsets=[1] * total, now=0.0,
+        nodes=list(range(n)), offsets=[1] * total, now=0.0,
         round_gap=ROUND_GAP,
     )
 
@@ -162,7 +162,7 @@ class TestStopAndWaitThroughput:
                     seed=seed, p_len=16, round_gap=ROUND_GAP,
                 )
                 result = resolve_launch(
-                    stub_transmit, model, coords=list(range(n)),
+                    stub_transmit, model, nodes=list(range(n)),
                     offsets=[1] * total, now=0.0, round_gap=ROUND_GAP,
                 )
                 spans.append(result.stats.last_delivery)

@@ -1,8 +1,15 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(autouse=True)
@@ -59,6 +66,56 @@ def test_point_requires_args(capsys):
     rc = main(["point", "--scale", "smoke"])
     assert rc == 2
     assert "requires" in capsys.readouterr().err
+
+
+#: malformed points: each must exit 2 with one stderr line, no traceback
+MALFORMED_POINTS = {
+    "negative-load": ["--load", "-1"],
+    "zero-load": ["--load", "0"],
+    "nan-load": ["--load", "nan"],
+    "pages-overflow-mesh": ["--load", "0.02", "--alloc", "Paging(99)"],
+    "sfb-on-torus": [
+        "--load", "0.02", "--network-mode", "sfb", "--topology", "torus",
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "argv", MALFORMED_POINTS.values(), ids=MALFORMED_POINTS.keys()
+)
+def test_point_rejects_malformed_input(argv, capsys):
+    rc = main(["point", "--workload", "uniform", "--scale", "smoke", *argv])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("bad point parameters: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["--loads", "0.01", "--allocs", "Foo"],
+    ["--loads", "0.01", "--scheds", "LIFO"],
+    ["--loads", "-0.5"],
+], ids=["unknown-alloc", "unknown-sched", "negative-load"])
+def test_sweep_rejects_malformed_input(argv, capsys):
+    rc = main(["sweep", "--workloads", "uniform", "--scale", "smoke", *argv])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("bad sweep parameters: ")
+
+
+def test_point_infinite_load_exits_promptly():
+    """An infinite load means zero interarrival time: endless arrivals
+    at t=0.  Run it in a subprocess with a timeout so a regression
+    fails instead of hanging the suite."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", "point", "--workload", "uniform",
+         "--load", "inf", "--scale", "smoke"],
+        env={**os.environ, "PYTHONPATH": str(REPO / "src"), "REPRO_CACHE": "0"},
+        cwd=str(REPO), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [
+        "bad point parameters: load must be finite and > 0, got inf"
+    ]
 
 
 def test_unknown_target(capsys):

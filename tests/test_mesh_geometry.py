@@ -11,13 +11,6 @@ class TestCoord:
         c = Coord(3, 5)
         assert c.x == 3 and c.y == 5
 
-    def test_manhattan_zero(self):
-        assert Coord(2, 2).manhattan(Coord(2, 2)) == 0
-
-    def test_manhattan_symmetric(self):
-        a, b = Coord(1, 7), Coord(4, 2)
-        assert a.manhattan(b) == b.manhattan(a) == 8
-
     def test_tuple_behaviour(self):
         assert Coord(1, 2) == (1, 2)
 
@@ -40,7 +33,7 @@ class TestSubMesh:
     def test_single_node(self):
         s = SubMesh(5, 5, 5, 5)
         assert s.area == 1
-        assert list(s.nodes()) == [Coord(5, 5)]
+        assert s.node_ids(8) == [5 * 8 + 5]
 
     def test_degenerate_rejected(self):
         with pytest.raises(ValueError):
@@ -78,13 +71,25 @@ class TestSubMesh:
 
     def test_nodes_row_major(self):
         s = SubMesh(1, 1, 2, 2)
-        assert list(s.nodes()) == [
-            Coord(1, 1), Coord(2, 1), Coord(1, 2), Coord(2, 2)
-        ]
+        # (1, 1), (2, 1), (1, 2), (2, 2) on a 4-wide mesh
+        assert s.node_ids(4) == [5, 6, 9, 10]
 
     def test_nodes_count_is_area(self):
         s = SubMesh.from_base(2, 3, 4, 5)
-        assert len(list(s.nodes())) == s.area == 20
+        assert len(s.node_ids(8)) == s.area == 20
+
+    @given(
+        x=st.integers(0, 9), y=st.integers(0, 9),
+        w=st.integers(1, 6), l=st.integers(1, 6), pad=st.integers(0, 3),
+    )
+    def test_node_ids_are_row_major_cells(self, x, y, w, l, pad):
+        """``divmod(id, W)`` recovers exactly the member cells, y outer."""
+        s = SubMesh.from_base(x, y, w, l)
+        width = x + w + pad
+        cells = [divmod(n, width) for n in s.node_ids(width)]
+        assert cells == [
+            (cy, cx) for cy in range(y, y + l) for cx in range(x, x + w)
+        ]
 
     def test_suits_definition4(self):
         """Definition 4: suitable iff w >= a and l >= b."""

@@ -1,5 +1,6 @@
 """Unit tests for repro.mesh.grid (occupancy state)."""
 
+import numpy as np
 import pytest
 
 from repro.mesh.geometry import Coord, SubMesh
@@ -24,22 +25,14 @@ class TestConstruction:
 class TestNodeIds:
     def test_row_major(self):
         g = MeshGrid(4, 4)
-        assert g.node_id(Coord(0, 0)) == 0
-        assert g.node_id(Coord(3, 0)) == 3
-        assert g.node_id(Coord(0, 1)) == 4
-        assert g.node_id(Coord(3, 3)) == 15
+        assert SubMesh(0, 0, 3, 3).node_ids(g.width) == list(range(g.size))
 
-    def test_roundtrip(self):
+    def test_ids_index_the_occupancy_grid(self):
+        """Node ids are flat indices into the grid's row-major state."""
         g = MeshGrid(5, 7)
-        for nid in range(g.size):
-            assert g.node_id(g.coord_of(nid)) == nid
-
-    def test_out_of_range(self):
-        g = MeshGrid(4, 4)
-        with pytest.raises(ValueError):
-            g.coord_of(16)
-        with pytest.raises(ValueError):
-            g.node_id(Coord(4, 0))
+        s = SubMesh(1, 2, 3, 5)
+        g.allocate_submesh(s, 7)
+        assert np.flatnonzero(~g.free_mask()).tolist() == s.node_ids(g.width)
 
 
 class TestAllocateRelease:

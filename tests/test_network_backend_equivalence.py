@@ -17,7 +17,6 @@ from repro.core.config import SimConfig
 from repro.core.engine import Engine
 from repro.core.simulator import Simulator
 from repro.experiments.campaign import Scale, make_workload
-from repro.mesh.geometry import Coord
 from repro.network import _native
 from repro.network.backend import make_backend
 from repro.network.batch import BatchBackend
@@ -125,11 +124,11 @@ def launch_pair(n: int, messages: int, seeds: int, solver: str,
     now = 0.0
     for _ in range(seeds % 3 + 2):
         base = int(rng.integers(0, 64 - n))
-        coords = [Coord((base + i) % 8, (base + i) // 8) for i in range(n)]
+        nodes = list(range(base, base + n))
         offsets = destination_offsets(n, messages)
         now = float(rng.integers(0, 50))
-        a = fast.inject_rounds(coords, offsets, now, 16.0)
-        b = batch.inject_rounds(coords, offsets, now, 16.0)
+        a = fast.inject_rounds(nodes, offsets, now, 16.0)
+        b = batch.inject_rounds(nodes, offsets, now, 16.0)
         assert a == b  # packets, latency_sum, blocking_sum, last_delivery
     assert np.array_equal(np.asarray(fast.free_at), batch.free_at)
     assert fast.packets_sent == batch.packets_sent
@@ -158,10 +157,9 @@ class TestKernelRouteWalk:
         batch = make_backend("batch", topo, Engine())
         if batch._kernel is None:
             pytest.skip("compiled kernel unavailable")
-        coords = [topo.coord_of(n) for n in range(topo.node_count)]
         now = 0.0
-        for i, src in enumerate(coords):
-            for dst in coords[i + 1:]:
+        for src in range(topo.node_count):
+            for dst in range(src + 1, topo.node_count):
                 # one launch per pair (src -> dst and dst -> src), far
                 # enough after the last that every channel is free again
                 now += 1000.0
@@ -274,9 +272,8 @@ class TestNativeGating:
         try:
             backend = BatchBackend(MeshTopology(4, 4), Engine())
             assert backend._kernel is None
-            coords = [Coord(0, 0), Coord(1, 0), Coord(2, 0)]
             stats = backend.inject_rounds(
-                coords, destination_offsets(3, 2), 0.0, 16.0
+                [0, 1, 2], destination_offsets(3, 2), 0.0, 16.0
             )
             assert stats.packets == 6
         finally:

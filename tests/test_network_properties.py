@@ -16,7 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.engine import Engine
-from repro.mesh.geometry import Coord
 from repro.network.backend import make_backend
 from repro.network.topology import MeshTopology
 
@@ -25,11 +24,9 @@ WIDTH = LENGTH = 8
 P_LEN = 48
 T_S = 1.0
 
-coord = st.tuples(
-    st.integers(0, WIDTH - 1), st.integers(0, LENGTH - 1)
-).map(lambda p: Coord(*p))
+node = st.integers(0, WIDTH * LENGTH - 1)
 
-packet = st.tuples(coord, coord).filter(lambda sd: sd[0] != sd[1])
+packet = st.tuples(node, node).filter(lambda sd: sd[0] != sd[1])
 
 
 def staggered_times(n: int) -> list[float]:

@@ -6,52 +6,56 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.config import SimConfig
 from repro.core.engine import Engine
-from repro.mesh.geometry import Coord
 from repro.network.routing import xy_route, xy_route_nodes
 from repro.network.backend import make_backend
 from repro.network.topology import Direction, MeshTopology
 
 
+def node(x, y, w=8):
+    """Row-major node id of ``(x, y)`` on a ``w``-wide mesh."""
+    return y * w + x
+
+
 class TestTorusTopology:
     def test_wraparound_links_exist(self):
         t = MeshTopology(4, 4, wrap=True)
-        east_edge = t.node_id(Coord(3, 1))
+        east_edge = node(3, 1, w=4)
         assert t.link_exists(east_edge, Direction.EAST)
-        assert t.neighbour(east_edge, Direction.EAST) == t.node_id(Coord(0, 1))
-        north_edge = t.node_id(Coord(2, 3))
-        assert t.neighbour(north_edge, Direction.NORTH) == t.node_id(Coord(2, 0))
+        assert t.neighbour(east_edge, Direction.EAST) == node(0, 1, w=4)
+        north_edge = node(2, 3, w=4)
+        assert t.neighbour(north_edge, Direction.NORTH) == node(2, 0, w=4)
 
     def test_mesh_has_no_wrap(self):
         t = MeshTopology(4, 4, wrap=False)
-        assert not t.link_exists(t.node_id(Coord(3, 1)), Direction.EAST)
+        assert not t.link_exists(node(3, 1, w=4), Direction.EAST)
 
     def test_distance_wraps(self):
         t = MeshTopology(8, 8, wrap=True)
-        assert t.distance(Coord(0, 0), Coord(7, 0)) == 1
-        assert t.distance(Coord(0, 0), Coord(4, 0)) == 4
-        assert t.distance(Coord(1, 1), Coord(6, 7)) == 3 + 2
+        assert t.distance(node(0, 0), node(7, 0)) == 1
+        assert t.distance(node(0, 0), node(4, 0)) == 4
+        assert t.distance(node(1, 1), node(6, 7)) == 3 + 2
         m = MeshTopology(8, 8, wrap=False)
-        assert m.distance(Coord(0, 0), Coord(7, 0)) == 7
+        assert m.distance(node(0, 0), node(7, 0)) == 7
 
 
 class TestTorusRouting:
     def test_route_takes_short_way(self):
         t = MeshTopology(8, 8, wrap=True)
-        path = xy_route(t, Coord(0, 0), Coord(7, 0))
+        path = xy_route(t, node(0, 0), node(7, 0))
         assert len(path) == 3  # inj + one wrap link + ej
         _, direction = t.channel_owner(path[1])
         assert direction == Direction.WEST  # 0 -> 7 is one hop westwards
 
     def test_tie_breaks_positive(self):
         t = MeshTopology(8, 8, wrap=True)
-        path = xy_route(t, Coord(0, 0), Coord(4, 0))
+        path = xy_route(t, node(0, 0), node(4, 0))
         dirs = {t.channel_owner(c)[1] for c in path[1:-1]}
         assert dirs == {Direction.EAST}
 
     def test_nodes_walk_wraps(self):
         t = MeshTopology(4, 4, wrap=True)
-        nodes = xy_route_nodes(t, Coord(3, 3), Coord(0, 0))
-        assert nodes == [Coord(3, 3), Coord(0, 3), Coord(0, 0)]
+        nodes = xy_route_nodes(t, node(3, 3, w=4), node(0, 0, w=4))
+        assert nodes == [node(3, 3, w=4), node(0, 3, w=4), node(0, 0, w=4)]
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -59,7 +63,7 @@ class TestTorusRouting:
         dx=st.integers(0, 7), dy=st.integers(0, 7),
     )
     def test_route_length_is_torus_distance(self, sx, sy, dx, dy):
-        src, dst = Coord(sx, sy), Coord(dx, dy)
+        src, dst = node(sx, sy), node(dx, dy)
         if src == dst:
             return
         t = MeshTopology(8, 8, wrap=True)
@@ -72,7 +76,7 @@ class TestTorusRouting:
         dx=st.integers(0, 7), dy=st.integers(0, 7),
     )
     def test_torus_never_longer_than_mesh(self, sx, sy, dx, dy):
-        src, dst = Coord(sx, sy), Coord(dx, dy)
+        src, dst = node(sx, sy), node(dx, dy)
         if src == dst:
             return
         torus = MeshTopology(8, 8, wrap=True)
@@ -92,7 +96,7 @@ class TestSFBMode:
     def test_uncontended_latency_matches_causal(self):
         net, engine = make_sfb()
         seen = []
-        net.send(Coord(0, 0), Coord(3, 4), 0.0, seen.append)
+        net.send(node(0, 0), node(3, 4), 0.0, seen.append)
         engine.run()
         assert len(seen) == 1
         assert seen[0].latency == pytest.approx((7 + 2) * 4 + 7)
@@ -106,8 +110,8 @@ class TestSFBMode:
         seen = []
         # long path: 14 hops, so injection releases when the header is
         # p_len=8 channels in
-        net.send(Coord(0, 0), Coord(7, 7), 0.0, lambda t: seen.append(t))
-        net.send(Coord(0, 0), Coord(7, 7), 0.0, lambda t: seen.append(t))
+        net.send(node(0, 0), node(7, 7), 0.0, lambda t: seen.append(t))
+        net.send(node(0, 0), node(7, 7), 0.0, lambda t: seen.append(t))
         engine.run()
         assert len(seen) == 2
         # deep-buffer modes inject the second packet at t=8; sfb must wait
@@ -121,10 +125,10 @@ class TestSFBMode:
         net, engine = make_sfb(p_len=8)
         order = []
         # worm A: long eastward route on row 0
-        net.send(Coord(0, 0), Coord(7, 0), 0.0, lambda t: order.append(("A", t)))
+        net.send(node(0, 0), node(7, 0), 0.0, lambda t: order.append(("A", t)))
         # worm B: same route injected just after -> queues behind A's
         # held channels for a long time
-        net.send(Coord(1, 0), Coord(6, 0), 0.0, lambda t: order.append(("B", t)))
+        net.send(node(1, 0), node(6, 0), 0.0, lambda t: order.append(("B", t)))
         engine.run()
         a = dict(order)["A"]
         b = dict(order)["B"]
@@ -137,11 +141,11 @@ class TestSFBMode:
 
     def test_reset_clears_holders(self):
         net, engine = make_sfb()
-        net.send(Coord(0, 0), Coord(5, 5), 0.0, lambda t: None)
+        net.send(node(0, 0), node(5, 5), 0.0, lambda t: None)
         net.reset()
         assert all(h is None for h in net._holder)
         seen = []
-        net.send(Coord(0, 0), Coord(5, 5), 0.0, seen.append)
+        net.send(node(0, 0), node(5, 5), 0.0, seen.append)
         engine.run()
         assert seen[0].blocking == 0.0
 
@@ -152,10 +156,10 @@ class TestSFBMode:
         seen = []
         for y in range(6):
             for x in range(6):
-                dst = Coord(5 - x, 5 - y)
-                if dst == Coord(x, y):
+                src, dst = node(x, y, w=6), node(5 - x, 5 - y, w=6)
+                if dst == src:
                     continue
-                net.send(Coord(x, y), dst, 0.0, seen.append)
+                net.send(src, dst, 0.0, seen.append)
         engine.run()
         assert len(seen) == 36
         assert all(t.t_deliver > 0 for t in seen)

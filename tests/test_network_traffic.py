@@ -5,7 +5,7 @@ import pytest
 from repro.alloc.base import Allocation
 from repro.core.engine import Engine
 from repro.core.job import Job
-from repro.mesh.geometry import Coord, SubMesh
+from repro.mesh.geometry import SubMesh
 from repro.network.backend import make_backend
 from repro.network.topology import MeshTopology
 from repro.network.traffic import AllToAllTraffic, destination_schedule
@@ -45,16 +45,18 @@ class TestDestinationSchedule:
         assert offset not in (1, 2, 9)
 
 
-def _run_job(coords, messages, mode, round_gap=None):
-    """Launch one job's traffic on an 8x8 mesh and run to completion."""
+def _run_job(cells, messages, mode, round_gap=None):
+    """Launch one job's traffic on an 8x8 mesh, one processor per
+    ``(x, y)`` cell, and run to completion."""
     engine = Engine()
     topo = MeshTopology(8, 8)
     net = make_backend(mode, topo, engine)
     traffic = AllToAllTraffic(net, engine, round_gap=round_gap)
-    submeshes = tuple(SubMesh(c.x, c.y, c.x, c.y) for c in coords)
-    job = Job(job_id=1, arrival_time=0.0, width=1, length=len(coords),
+    submeshes = tuple(SubMesh(x, y, x, y) for x, y in cells)
+    nodes = tuple(n for s in submeshes for n in s.node_ids(8))
+    job = Job(job_id=1, arrival_time=0.0, width=1, length=len(cells),
               messages=messages)
-    job.allocation = Allocation(1, submeshes, tuple(coords))
+    job.allocation = Allocation(1, submeshes, nodes)
     done = []
     traffic.launch(job, 0.0, lambda j: done.append(engine.now))
     engine.run()
@@ -65,29 +67,29 @@ def _run_job(coords, messages, mode, round_gap=None):
 class TestLaunch:
     @pytest.mark.parametrize("mode", ["fast", "causal"])
     def test_packet_count(self, mode):
-        coords = [Coord(0, 0), Coord(1, 0), Coord(2, 0)]
-        job, _, net = _run_job(coords, messages=4, mode=mode)
+        cells = [(0, 0), (1, 0), (2, 0)]
+        job, _, net = _run_job(cells, messages=4, mode=mode)
         assert job.packet_count == 3 * 4
         assert net.packets_sent == 12
 
     @pytest.mark.parametrize("mode", ["fast", "causal"])
     def test_completion_after_last_delivery(self, mode):
-        coords = [Coord(0, 0), Coord(4, 4)]
-        job, t_done, _ = _run_job(coords, messages=1, mode=mode)
+        cells = [(0, 0), (4, 4)]
+        job, t_done, _ = _run_job(cells, messages=1, mode=mode)
         # one round of 2 packets, 8 hops each: done at base latency
         assert t_done == pytest.approx((8 + 2) * 4 + 7)
 
     def test_round_gap_spaces_rounds(self):
-        coords = [Coord(0, 0), Coord(4, 0)]
-        _, fast_done, _ = _run_job(coords, messages=3, mode="fast",
+        cells = [(0, 0), (4, 0)]
+        _, fast_done, _ = _run_job(cells, messages=3, mode="fast",
                                    round_gap=100.0)
         # last round injected at t=200
         assert fast_done == pytest.approx(200 + (4 + 2) * 4 + 7)
 
     def test_modes_agree_on_totals(self):
-        coords = [Coord(x, y) for x in range(3) for y in range(3)]
-        jf, tf, _ = _run_job(coords, messages=5, mode="fast")
-        jc, tc, _ = _run_job(coords, messages=5, mode="causal")
+        cells = [(x, y) for x in range(3) for y in range(3)]
+        jf, tf, _ = _run_job(cells, messages=5, mode="fast")
+        jc, tc, _ = _run_job(cells, messages=5, mode="causal")
         assert jf.packet_count == jc.packet_count
         assert tf == pytest.approx(tc, rel=0.2)
         assert jf.latency_sum == pytest.approx(jc.latency_sum, rel=0.2)
@@ -98,8 +100,8 @@ class TestLaunch:
         net = make_backend("fast", topo, engine)
         traffic = AllToAllTraffic(net, engine, round_gap=16.0)
         job = Job(job_id=1, arrival_time=0.0, width=1, length=1, messages=6)
-        c = Coord(2, 2)
-        job.allocation = Allocation(1, (SubMesh(2, 2, 2, 2),), (c,))
+        s = SubMesh(2, 2, 2, 2)
+        job.allocation = Allocation(1, (s,), tuple(s.node_ids(8)))
         done = []
         traffic.launch(job, 0.0, lambda j: done.append(engine.now))
         engine.run()
@@ -113,7 +115,7 @@ class TestLaunch:
             AllToAllTraffic(net, engine, round_gap=4.0)
 
     def test_paging_internal_fragment_excluded(self):
-        """Traffic must only use the first w*l coords of an allocation."""
+        """Traffic must only use the first w*l nodes of an allocation."""
         engine = Engine()
         topo = MeshTopology(8, 8)
         net = make_backend("fast", topo, engine)
@@ -121,7 +123,7 @@ class TestLaunch:
         # job requested 1x2=2 procs but was granted 4 (a 2x2 page)
         s = SubMesh(0, 0, 1, 1)
         job = Job(job_id=1, arrival_time=0.0, width=1, length=2, messages=3)
-        job.allocation = Allocation(1, (s,), tuple(s.nodes()))
+        job.allocation = Allocation(1, (s,), tuple(s.node_ids(8)))
         done = []
         traffic.launch(job, 0.0, lambda j: done.append(True))
         engine.run()

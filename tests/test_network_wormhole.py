@@ -4,10 +4,14 @@ blocking accounting, and fast/causal mode agreement."""
 import pytest
 
 from repro.core.engine import Engine
-from repro.mesh.geometry import Coord
 from repro.network.backend import make_backend
 from repro.network.topology import MeshTopology
 from repro.network.wormhole import PathTiming
+
+
+def node(x, y):
+    """Row-major node id of ``(x, y)`` on the 8-wide test mesh."""
+    return y * 8 + x
 
 
 def make_net(mode="fast", t_s=3.0, p_len=8, w=8, l=8):
@@ -18,9 +22,9 @@ def make_net(mode="fast", t_s=3.0, p_len=8, w=8, l=8):
 
 class TestUncontendedLatency:
     @pytest.mark.parametrize("src,dst,hops", [
-        (Coord(0, 0), Coord(1, 0), 1),
-        (Coord(0, 0), Coord(3, 4), 7),
-        (Coord(7, 7), Coord(0, 0), 14),
+        (node(0, 0), node(1, 0), 1),
+        (node(0, 0), node(3, 4), 7),
+        (node(7, 7), node(0, 0), 14),
     ])
     def test_latency_formula_fast(self, src, dst, hops):
         """Uncontended latency is (h+2)(t_s+1) + P_len - 1."""
@@ -34,7 +38,7 @@ class TestUncontendedLatency:
     def test_latency_formula_causal(self):
         net, engine = make_net(mode="causal")
         seen: list[PathTiming] = []
-        net.send(Coord(0, 0), Coord(3, 4), 0.0, seen.append)
+        net.send(node(0, 0), node(3, 4), 0.0, seen.append)
         engine.run()
         assert len(seen) == 1
         assert seen[0].latency == pytest.approx((7 + 2) * 4 + 7)
@@ -42,7 +46,7 @@ class TestUncontendedLatency:
 
     def test_parameter_scaling(self):
         net, _ = make_net(t_s=1.0, p_len=4)
-        t = net.transmit(Coord(0, 0), Coord(2, 0), 0.0)
+        t = net.transmit(node(0, 0), node(2, 0), 0.0)
         assert t.latency == pytest.approx((2 + 2) * 2 + 3)
 
 
@@ -50,10 +54,10 @@ class TestContention:
     def test_shared_channel_serializes(self):
         """Two packets over the same link: the second blocks p_len units."""
         net, _ = make_net()
-        a = net.transmit(Coord(0, 0), Coord(2, 0), 0.0)
-        b = net.transmit(Coord(0, 1), Coord(2, 1), 0.0)
+        a = net.transmit(node(0, 0), node(2, 0), 0.0)
+        b = net.transmit(node(0, 1), node(2, 1), 0.0)
         assert a.blocking == 0.0 and b.blocking == 0.0  # disjoint rows
-        c = net.transmit(Coord(0, 0), Coord(2, 0), 0.0)
+        c = net.transmit(node(0, 0), node(2, 0), 0.0)
         # same source: injection wait is source queueing (not blocking),
         # but the worm then trails the first one link-by-link with no
         # further stalls
@@ -63,14 +67,14 @@ class TestContention:
     def test_cross_traffic_blocks(self):
         """A packet crossing a busy channel accrues blocking time."""
         net, _ = make_net()
-        net.transmit(Coord(0, 0), Coord(3, 0), 0.0)  # holds east links row 0
-        t = net.transmit(Coord(1, 1), Coord(2, 0), 0.0)
+        net.transmit(node(0, 0), node(3, 0), 0.0)  # holds east links row 0
+        t = net.transmit(node(1, 1), node(2, 0), 0.0)
         # its second hop (east on row 0 after going south... XY: east first
         # on row 1, then south into contested row 0) -- actually XY goes
         # east at y=1 then south; the ejection at (2,0) is free, so no
         # blocking expected here
         assert t.blocking == 0.0
-        u = net.transmit(Coord(0, 0), Coord(3, 0), 0.0)
+        u = net.transmit(node(0, 0), node(3, 0), 0.0)
         # same path as the first packet: injection queueing 8, and the
         # links are timed so the worm streams behind -- no link stall
         assert u.t_inject == pytest.approx(8.0)
@@ -79,8 +83,8 @@ class TestContention:
         net, _ = make_net()
         # saturate one link with many packets from different sources
         # (via distinct injection channels converging on the same link)
-        t1 = net.transmit(Coord(0, 0), Coord(2, 0), 0.0)
-        t2 = net.transmit(Coord(1, 0), Coord(3, 0), 0.0)
+        t1 = net.transmit(node(0, 0), node(2, 0), 0.0)
+        t2 = net.transmit(node(1, 0), node(3, 0), 0.0)
         # t2's east link (1->2) is held by t1 [4, 12); t2's header arrives
         # at 4 -> no wait (t1 acquired it at 4? t1: inj [0,8), link0->1
         # [4,12), link1->2 [8,16)); t2: inj [0,8), link1->2 arrival at 4,
@@ -91,7 +95,7 @@ class TestContention:
         """latency == base + blocking for any single packet."""
         net, _ = make_net()
         for i in range(5):
-            t = net.transmit(Coord(0, 0), Coord(4, 3), 0.0)
+            t = net.transmit(node(0, 0), node(4, 3), 0.0)
             hops = 7
             assert t.latency == pytest.approx(net.base_latency(hops) + t.blocking)
 
@@ -100,15 +104,15 @@ class TestModesAgree:
     def test_single_packet_identical(self):
         fast, _ = make_net(mode="fast")
         causal, engine = make_net(mode="causal")
-        ft = fast.transmit(Coord(0, 0), Coord(5, 5), 0.0)
+        ft = fast.transmit(node(0, 0), node(5, 5), 0.0)
         out = []
-        causal.send(Coord(0, 0), Coord(5, 5), 0.0, out.append)
+        causal.send(node(0, 0), node(5, 5), 0.0, out.append)
         engine.run()
         assert out[0].latency == pytest.approx(ft.latency)
         assert out[0].t_deliver == pytest.approx(ft.t_deliver)
 
     def test_disjoint_packets_identical(self):
-        pairs = [(Coord(0, y), Coord(7, y)) for y in range(4)]
+        pairs = [(node(0, y), node(7, y)) for y in range(4)]
         fast, _ = make_net(mode="fast")
         fast_results = [fast.transmit(s, d, 0.0) for s, d in pairs]
         causal, engine = make_net(mode="causal")
@@ -125,7 +129,7 @@ class TestModesAgree:
         pairs = []
         for y in range(4):
             for x in range(3):
-                pairs.append((Coord(x, y), Coord(7 - x, y)))
+                pairs.append((node(x, y), node(7 - x, y)))
         fast, _ = make_net(mode="fast")
         f_total = sum(
             fast.transmit(s, d, i * 10.0).blocking
@@ -147,7 +151,7 @@ class TestModesAgree:
         pairs = []
         for y in range(4):
             for x in range(3):
-                pairs.append((Coord(x, y), Coord(7 - x, y)))
+                pairs.append((node(x, y), node(7 - x, y)))
         fast, _ = make_net(mode="fast")
         f_total = sum(fast.transmit(s, d, 0.0).blocking for s, d in pairs)
         causal, engine = make_net(mode="causal")
@@ -162,11 +166,11 @@ class TestModesAgree:
 class TestStateManagement:
     def test_reset(self):
         net, _ = make_net()
-        net.transmit(Coord(0, 0), Coord(3, 3), 0.0)
+        net.transmit(node(0, 0), node(3, 3), 0.0)
         assert net.packets_sent == 1
         net.reset()
         assert net.packets_sent == 0
-        t = net.transmit(Coord(0, 0), Coord(3, 3), 0.0)
+        t = net.transmit(node(0, 0), node(3, 3), 0.0)
         assert t.blocking == 0.0
 
     def test_invalid_mode(self):
@@ -176,6 +180,6 @@ class TestStateManagement:
 
     def test_route_cache_reused(self):
         net, _ = make_net()
-        net.transmit(Coord(0, 0), Coord(3, 3), 0.0)
-        net.transmit(Coord(0, 0), Coord(3, 3), 10.0)
+        net.transmit(node(0, 0), node(3, 3), 0.0)
+        net.transmit(node(0, 0), node(3, 3), 10.0)
         assert len(net._route_cache) == 1

@@ -68,6 +68,33 @@ class TestScenarioSpec:
         with pytest.raises(ValueError, match="network_mode"):
             Scenario.from_dict({**SMALL, "network_mode": "quantum"})
 
+    @pytest.mark.parametrize("override,match", [
+        # Paging(2) pages are 4x4: they fit a 4x4 probe mesh but not
+        # the paper's 16x22 one
+        ({"config": {"seed": 7}, "allocs": ["Paging(2)"]}, "divisible"),
+        ({"loads": [-0.5]}, "load"),
+        ({"loads": [0.0]}, "load"),
+        ({"loads": [float("inf")]}, "load"),
+        ({"loads": [float("nan")]}, "load"),
+        ({"network_mode": "sfb",
+          "config": {"width": 8, "length": 8, "topology": "torus"}}, "torus"),
+    ], ids=["paging-miss", "negative", "zero", "inf", "nan", "sfb-torus"])
+    def test_rejects_points_that_cannot_run(
+        self, override, match, tmp_path, capsys
+    ):
+        """Bad points fail at load time, and the CLI exits 2 with one
+        stderr line."""
+        from repro.cli import main
+
+        doc = {**SMALL, **override}
+        with pytest.raises(ValueError, match=match):
+            Scenario.from_dict(doc)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["scenario", str(bad)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("bad scenario file ")
+
     def test_float_args_keep_full_precision(self):
         sc1 = Scenario.from_dict({**SMALL, "workload": "uniform | thin:0.1234567"})
         sc2 = Scenario.from_dict({**SMALL, "workload": "uniform | thin:0.1234571"})

@@ -4,11 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.stats.distribution import (
-    Histogram,
-    percentile,
-    summarize,
-)
+from repro.stats.distribution import percentile
 
 
 class TestPercentile:
@@ -43,79 +39,3 @@ class TestPercentile:
         assert percentile(data, q) == pytest.approx(
             float(np.percentile(np.array(data), q)), rel=1e-9, abs=1e-6
         )
-
-
-class TestSummarize:
-    def test_known_values(self):
-        s = summarize(range(1, 101))
-        assert s.n == 100
-        assert s.mean == pytest.approx(50.5)
-        assert s.median == pytest.approx(50.5)
-        assert s.minimum == 1 and s.maximum == 100
-        assert s.p95 == pytest.approx(95.05)
-
-    def test_tail_ratio(self):
-        heavy = summarize([1] * 90 + [1000] * 10)
-        light = summarize([1] * 100)
-        assert heavy.tail_ratio > light.tail_ratio
-
-    def test_cv_zero_mean(self):
-        s = summarize([-1.0, 1.0])
-        assert s.cv == 0.0
-
-    def test_format_line(self):
-        line = summarize([1.0, 2.0, 3.0]).format("demo")
-        assert "demo" in line and "n=3" in line
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            summarize([])
-
-
-class TestHistogram:
-    def test_binning(self):
-        h = Histogram(0, 10, bins=10)
-        h.extend([0.5, 1.5, 1.6, 9.9])
-        assert h.counts[0] == 1
-        assert h.counts[1] == 2
-        assert h.counts[9] == 1
-        assert h.n == 4
-
-    def test_under_overflow(self):
-        h = Histogram(0, 10, bins=5)
-        h.extend([-1, 10, 11])
-        assert h.underflow == 1
-        assert h.overflow == 2
-        assert sum(h.counts) == 0
-
-    def test_edge_values(self):
-        h = Histogram(0, 10, bins=10)
-        h.add(0.0)  # inclusive low edge
-        h.add(10.0)  # exclusive high edge -> overflow
-        assert h.counts[0] == 1
-        assert h.overflow == 1
-
-    def test_bin_edges(self):
-        h = Histogram(0, 10, bins=5)
-        assert h.bin_edges(0) == (0.0, 2.0)
-        assert h.bin_edges(4) == (8.0, 10.0)
-
-    def test_render(self):
-        h = Histogram(0, 4, bins=2)
-        h.extend([1, 1, 3])
-        art = h.render(width=10)
-        assert "##########" in art  # the peak bin at full width
-        assert art.count("\n") == 1
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            Histogram(5, 5)
-        with pytest.raises(ValueError):
-            Histogram(0, 1, bins=0)
-
-    @settings(max_examples=30, deadline=None)
-    @given(st.lists(st.floats(0, 100), max_size=100))
-    def test_conservation(self, data):
-        h = Histogram(0, 100, bins=7)
-        h.extend(data)
-        assert sum(h.counts) + h.underflow + h.overflow == len(data)
