@@ -26,7 +26,7 @@ ALLOCS = ("GABL", "Paging(0)", "MBS")
 
 
 def _run(alloc: str, mode: str, jobs: int) -> tuple[dict[str, float], float]:
-    cfg = PAPER_CONFIG.with_(jobs=jobs)
+    cfg = PAPER_CONFIG.with_(jobs=jobs, network_mode=mode)
     sc = Scale("abl", jobs=jobs, min_replications=1, max_replications=1,
                trace_max_jobs=None)
     sim = Simulator(
@@ -34,7 +34,6 @@ def _run(alloc: str, mode: str, jobs: int) -> tuple[dict[str, float], float]:
         make_allocator(alloc, cfg.width, cfg.length),
         make_scheduler("FCFS"),
         make_workload("uniform", cfg, 0.009, sc),
-        network_mode=mode,
     )
     t0 = time.perf_counter()
     r = sim.run()

@@ -22,7 +22,9 @@ ALLOCS = ("GABL", "Paging(0)", "MBS")
 
 
 def _run(alloc: str, topology: str, jobs: int) -> dict[str, float]:
-    cfg = PAPER_CONFIG.with_(jobs=jobs, topology=topology)
+    # causal: exact arbitration for the physical claim
+    cfg = PAPER_CONFIG.with_(jobs=jobs, topology=topology,
+                             network_mode="causal")
     sc = Scale("abl", jobs=jobs, min_replications=1, max_replications=1,
                trace_max_jobs=None)
     sim = Simulator(
@@ -30,7 +32,6 @@ def _run(alloc: str, topology: str, jobs: int) -> dict[str, float]:
         make_allocator(alloc, cfg.width, cfg.length),
         make_scheduler("FCFS"),
         make_workload("uniform", cfg, 0.009, sc),
-        network_mode="causal",  # exact arbitration for the physical claim
     )
     r = sim.run()
     return {

@@ -36,7 +36,7 @@ BEST_OF = 3
 
 
 def _run_cell(mode: str, jobs: int, trace_max: int):
-    cfg = PAPER_CONFIG.with_(jobs=jobs)
+    cfg = PAPER_CONFIG.with_(jobs=jobs, network_mode=mode)
     sc = Scale("bench", jobs=jobs, min_replications=1, max_replications=1,
                trace_max_jobs=trace_max)
     sim = Simulator(
@@ -44,7 +44,6 @@ def _run_cell(mode: str, jobs: int, trace_max: int):
         make_allocator("GABL", cfg.width, cfg.length),
         make_scheduler("FCFS"),
         make_workload("real", cfg, LOAD, sc),
-        network_mode=mode,
     )
     t0 = time.perf_counter()
     result = sim.run()

@@ -20,13 +20,12 @@ JOBS = 150
 
 
 def run(alloc: str, topology: str):
-    cfg = PAPER_CONFIG.with_(jobs=JOBS, topology=topology)
+    cfg = PAPER_CONFIG.with_(jobs=JOBS, topology=topology, network_mode="causal")
     sim = Simulator(
         cfg,
         make_allocator(alloc, cfg.width, cfg.length),
         make_scheduler("FCFS"),
         StochasticWorkload(cfg, load=LOAD, sides="uniform"),
-        network_mode="causal",
     )
     return sim.run()
 

@@ -388,7 +388,7 @@ def _progress(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def _run_scenarios(files: Sequence[str], args, trace) -> int:
+def _run_scenarios(files: Sequence[str], args, flags: dict, trace) -> int:
     import dataclasses
 
     from repro.experiments.scenario import Scenario
@@ -400,29 +400,18 @@ def _run_scenarios(files: Sequence[str], args, trace) -> int:
             overrides: dict = {}
             if args.scale is not None:
                 overrides["scale"] = args.scale
-            if args.network_mode is not None:
-                overrides["network_mode"] = args.network_mode
-            config_overrides = {}
-            if args.topology is not None:
-                config_overrides["topology"] = args.topology
-            if args.engine is not None:
-                config_overrides["engine"] = args.engine
-            if args.channel is not None:
-                config_overrides["channel"] = args.channel
-            if args.arq is not None:
-                config_overrides["arq"] = args.arq
-            if config_overrides:
-                overrides["config"] = {**scenario.config, **config_overrides}
+            if flags:
+                overrides["config"] = {**scenario.config, **flags}
             if overrides:
                 scenario = dataclasses.replace(scenario, **overrides)
         except (OSError, ValueError) as exc:
             print(f"bad scenario file {path}: {exc}", file=sys.stderr)
             return 2
-        mode = scenario.network_mode or scenario.sim_config().network_mode
+        cfg = scenario.sim_config()
         _progress(
-            f"scenario {scenario.name}: {len(scenario.points())} points, "
-            f"scale={scenario.scale}, network={mode}, "
-            f"topology={scenario.sim_config().topology}, jobs={args.jobs}"
+            f"scenario {scenario.name}: {len(scenario.campaign().points)} "
+            f"points, scale={scenario.scale}, network={cfg.network_mode}, "
+            f"topology={cfg.topology}, jobs={args.jobs}"
         )
         t0 = time.perf_counter()
         result = scenario.run(
@@ -684,8 +673,7 @@ def _run_auto_saturation_figures(
     for fig_id in fig_targets:
         t0 = time.perf_counter()
         figure, scan, points = run_saturation_figure(
-            fig_id, scale=scale, config=config,
-            network_mode=args.network_mode, trace=trace, jobs=args.jobs,
+            fig_id, scale=scale, config=config, trace=trace, jobs=args.jobs,
         )
         dt = time.perf_counter() - t0
         print(scan.format())
@@ -733,8 +721,7 @@ def _run_sweep(args, scale, config, trace) -> int:
             loads=loads,
             allocs=tuple(x for x in args.allocs.split(",") if x),
             scheds=tuple(x for x in args.scheds.split(",") if x),
-            scale=scale, config=config,
-            network_mode=args.network_mode, trace=trace,
+            scale=scale, config=config, trace=trace,
             channels=channels, arqs=arqs,
         )
     except SpecError as exc:
@@ -774,13 +761,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         print("--jobs must be >= 1", file=sys.stderr)
         return 2
     scale = args.scale or default_scale()
+    # the one place CLI flags become run settings: every explicitly given
+    # flag overrides the matching SimConfig field
+    flags = {
+        f: v for f in ("topology", "network_mode", "engine", "channel", "arq")
+        if (v := getattr(args, f)) is not None
+    }
     try:
-        config = PAPER_CONFIG.with_(
-            topology=args.topology or "mesh",
-            engine=args.engine or "reference",
-            channel=args.channel,
-            arq=args.arq,
-        )
+        config = PAPER_CONFIG.with_(**flags)
     except ValueError as exc:
         print(f"bad --channel/--arq: {exc}", file=sys.stderr)
         return 2
@@ -894,8 +882,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     if fig_targets:
         try:
             campaign = Campaign.from_figures(
-                fig_targets, scale=scale, config=config,
-                network_mode=args.network_mode, trace=trace,
+                fig_targets, scale=scale, config=config, trace=trace,
             )
         except ValueError as exc:
             print(f"bad figure parameters: {exc}", file=sys.stderr)
@@ -912,8 +899,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         if target == "claims":
             from repro.experiments.claims import verify_all
 
-            report = verify_all(scale=scale, network_mode=args.network_mode,
-                                jobs=args.jobs)
+            report = verify_all(
+                scale=scale, config=config, trace=trace,
+                jobs=args.jobs, executor=args.executor,
+            )
             print(report.format())
             if not report.passed:
                 return 1
@@ -931,8 +920,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             try:
                 point = run_point(
                     args.workload, args.load, args.alloc, args.sched,
-                    scale=scale, config=config,
-                    network_mode=args.network_mode, trace=trace,
+                    scale=scale, config=config, trace=trace,
                     jobs=args.jobs, executor=args.executor,
                 )
             except (ValueError, KeyError) as exc:
@@ -948,10 +936,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             print(f"unknown target {target!r}", file=sys.stderr)
             return 2
         t0 = time.perf_counter()
-        result = run_figure(
-            target, scale=scale, config=config,
-            network_mode=args.network_mode, trace=trace,
-        )
+        result = run_figure(target, scale=scale, config=config, trace=trace)
         dt = time.perf_counter() - t0
         print(format_figure(result))
         if args.plot:
@@ -966,7 +951,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             return rc
 
     if scenario_files:
-        rc = _run_scenarios(scenario_files, args, trace)
+        rc = _run_scenarios(scenario_files, args, flags, trace)
         if rc != 0:
             return rc
     return 0

@@ -44,7 +44,12 @@ from repro.workload.columnar import job_stream
 
 
 class Simulator:
-    """One simulation run over a fixed strategy combination."""
+    """One simulation run over a fixed strategy combination.
+
+    ``config`` carries every run setting, including the network timing
+    engine (:attr:`SimConfig.network_mode`); ``seed`` overrides
+    ``config.seed`` for one replication.
+    """
 
     def __init__(
         self,
@@ -52,7 +57,6 @@ class Simulator:
         allocator: Allocator,
         scheduler: Scheduler,
         workload: Workload,
-        network_mode: str | None = None,
         seed: int | None = None,
         keep_jobs: bool = False,
         observers: Sequence[SimObserver] = (),
@@ -71,7 +75,7 @@ class Simulator:
             config.width, config.length, wrap=config.topology == "torus"
         )
         self.network = make_backend(
-            config.network_mode if network_mode is None else network_mode,
+            config.network_mode,
             self.topology,
             self.engine,
             t_s=config.t_s,

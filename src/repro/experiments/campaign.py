@@ -5,7 +5,7 @@ x 6 strategy combos x up to 20 replications each, every cell independent
 of every other.  This module turns that grid into an explicit *campaign*:
 
 * :class:`PointSpec` -- one frozen, picklable simulation cell (workload,
-  load, allocator, scheduler, scale, config, network mode).  Its
+  load, allocator, scheduler, scale, config).  Its
   :meth:`~PointSpec.key` is a stable JSON document of the field values,
   which doubles as the result-store key;
 * :class:`Campaign` -- enumerates the union of cells needed by a set of
@@ -319,8 +319,9 @@ class PointSpec:
     fingerprint (:func:`trace_fingerprint`) so cells replayed from
     different traces cannot alias each other or the built-in SDSC one.
 
-    The stored ``config`` is normalised to the *run* config (job count
-    pinned by the scale preset), so spec equality, hashing and
+    ``config`` carries every run setting (machine, network mode,
+    engine, channel, seed); it is normalised to the *run* config (job
+    count pinned by the scale preset), so spec equality, hashing and
     :meth:`key` all agree on what constitutes the same cell.
     """
 
@@ -330,31 +331,20 @@ class PointSpec:
     sched: str
     scale: Scale
     config: SimConfig = PAPER_CONFIG
-    #: network backend; ``None`` (the default) adopts the config's mode,
-    #: an explicit value overrides it
-    network_mode: str | None = None
     trace_source: str = "sdsc"  #: "sdsc" or an external-trace fingerprint
 
     def __post_init__(self) -> None:
         # normalise so equality/hashing/key() agree: pipeline specs
         # canonicalise (equal pipelines -> equal keys, and a malformed
-        # spec fails here rather than inside a worker), the scale pins
-        # the job count, and the backend is resolved to ONE value
-        # carried by both the spec field and the stored config (it is
-        # part of the cache key; results from one backend must never
-        # alias another's)
+        # spec fails here rather than inside a worker) and the scale
+        # pins the job count
         if is_pipeline_spec(self.workload):
             object.__setattr__(
                 self, "workload", canonical_workload(self.workload)
             )
-        if self.network_mode is None:
-            object.__setattr__(self, "network_mode", self.config.network_mode)
-        if (self.config.jobs != self.scale.jobs
-                or self.config.network_mode != self.network_mode):
+        if self.config.jobs != self.scale.jobs:
             object.__setattr__(
-                self, "config",
-                self.config.with_(jobs=self.scale.jobs,
-                                  network_mode=self.network_mode),
+                self, "config", self.config.with_(jobs=self.scale.jobs)
             )
 
     def validate(self) -> None:
@@ -368,16 +358,12 @@ class PointSpec:
             make_scheduler(self.sched)
         except KeyError as exc:
             raise ValueError(exc.args[0]) from None
-        if self.network_mode == "sfb" and self.config.topology == "torus":
+        if (self.config.network_mode == "sfb"
+                and self.config.topology == "torus"):
             raise ValueError(
                 "network mode 'sfb' cannot run on a torus; "
                 "use fast, batch or causal"
             )
-
-    @property
-    def run_config(self) -> SimConfig:
-        """The per-run config (job count pinned by the scale preset)."""
-        return self.config
 
     @property
     def replication_bounds(self) -> tuple[int, int]:
@@ -400,7 +386,7 @@ class PointSpec:
         field.  Unlike a joined string, a field value containing a
         separator or drifting float repr cannot alias another point."""
         lo, hi = self.replication_bounds
-        cfg = dataclasses.asdict(self.run_config)
+        cfg = dataclasses.asdict(self.config)
         # the execution engine never affects results (bit-identical by
         # construction, see repro.core.soa), so both engines must read
         # and write the same cache cell
@@ -414,7 +400,7 @@ class PointSpec:
             "load": self.load,
             "alloc": self.alloc,
             "sched": self.sched,
-            "network_mode": self.network_mode,
+            "network_mode": cfg["network_mode"],
             "trace_source": self.trace_source,
             "trace_max_jobs": self.scale.trace_max_jobs,
             "replications": [lo, hi],
@@ -431,9 +417,9 @@ class PointSpec:
             f"{self.workload} load={self.load:g} "
             f"{self.alloc}({self.sched})"
         )
-        channel = self.run_config.channel
+        channel = self.config.channel
         if channel is not None:
-            arq = self.run_config.arq
+            arq = self.config.arq
             base += f" ch={channel}" + (f"/{arq}" if arq else "")
         return base
 
@@ -444,7 +430,7 @@ class PointSpec:
             METRICS,
             min_replications=lo,
             max_replications=hi,
-            base_seed=self.run_config.seed,
+            base_seed=self.config.seed,
         )
 
 
@@ -458,16 +444,15 @@ def build_simulator(
 
     Both the campaign work unit (:func:`run_spec_replication`) and the
     scenario trajectory runner build through here, so every spec field
-    that affects the run (config, window, network mode, workload
-    pipeline) is plumbed exactly once.
+    that affects the run (config, scheduler window, workload pipeline)
+    is plumbed exactly once.
     """
-    cfg = spec.run_config
+    cfg = spec.config
     return Simulator(
         cfg,
         make_allocator(spec.alloc, cfg.width, cfg.length),
         make_scheduler(spec.sched, window=cfg.scheduler_window),
         make_workload(spec.workload, cfg, spec.load, spec.scale, trace=trace),
-        network_mode=spec.network_mode,
         seed=seed,
         observers=observers,
     )
@@ -476,11 +461,11 @@ def build_simulator(
 def run_spec_replication(
     spec: PointSpec, seed: int, trace: Sequence[TraceJob] | None = None
 ) -> dict[str, float]:
-    """Execute ONE replication of a point; the process-pool work unit.
+    """Execute ONE replication of a point; returns its metric dict.
 
-    Module-level (hence picklable) and a pure function of its arguments:
-    every simulation input, including the seed, comes from the task, so
-    any worker computes the same answer.
+    A pure function of its arguments: every simulation input, including
+    the seed, comes from the call, so any worker computes the same
+    answer.
     """
     result = build_simulator(spec, seed, trace=trace).run()
     return {m: result.metric(m) for m in METRICS}
@@ -498,8 +483,8 @@ def run_spec_batch_results(
     when the point's strategies are covered, per-seed reference runs
     otherwise).  Returns the engine's ``RunResult`` objects in seed
     order -- for native lanes those are built straight from
-    ``LaneState.result()`` arrays, and in-process executors hand them
-    back to the drain loop without any payload-dict round trip.
+    ``LaneState.result()`` arrays, and the drain loop reads them without
+    any payload-dict round trip.
     """
     return run_point_batch(
         lambda seed: build_simulator(spec, seed, trace=trace), seeds
@@ -511,24 +496,22 @@ def run_spec_batch(
     seeds: Sequence[int],
     trace: Sequence[TraceJob] | None = None,
 ) -> list[dict[str, float]]:
-    """Dict form of :func:`run_spec_batch_results` (the picklable
-    process-pool work unit).  Results are in seed order and
-    bit-identical to ``[run_spec_replication(spec, s, trace) for s in
-    seeds]``."""
+    """Dict form of :func:`run_spec_batch_results`.  Results are in seed
+    order and bit-identical to ``[run_spec_replication(spec, s, trace)
+    for s in seeds]``."""
     results = run_spec_batch_results(spec, seeds, trace)
     return [{m: r.metric(m) for m in METRICS} for r in results]
 
 
 #: task-trace marker prefix: fetch the external trace from the worker
 #: process's registry under the fingerprint after the ``:`` (shipped once
-#: per worker -- by fork inheritance or the pool initializer -- not
-#: pickled into every task)
+#: per worker by the pool initializer, not pickled into every task)
 _TRACE_FROM_INITIALIZER = "@trace"
 
 #: per-process registry of external traces, keyed by
-#: :func:`trace_fingerprint`.  Populated in the parent before a fork
-#: start (children inherit it, so the initializer is skipped) or by
-#: :func:`_set_worker_trace` under spawn.
+#: :func:`trace_fingerprint`.  Filled only by :func:`_set_worker_trace`,
+#: the process pool's initializer; under fork its arguments are
+#: inherited rather than pickled.
 _WORKER_TRACES: dict[str, list[TraceJob]] = {}
 
 
@@ -538,10 +521,6 @@ def _set_worker_trace(
     """Pool initializer: register an external trace under its fingerprint."""
     if trace is not None:
         _WORKER_TRACES[fingerprint] = list(trace)
-
-
-def _trace_marker(trace: Sequence[TraceJob]) -> str:
-    return f"{_TRACE_FROM_INITIALIZER}:{trace_fingerprint(trace)}"
 
 
 def _resolve_task_trace(
@@ -560,37 +539,24 @@ def _resolve_task_trace(
     return resolved
 
 
-def _run_task(
-    task: tuple[PointSpec, int, Sequence[TraceJob] | str | None],
-) -> dict[str, float]:
-    spec, seed, trace = task
-    return run_spec_replication(spec, seed, _resolve_task_trace(trace))
-
-
 #: inflight-map marker for a whole-batch (lockstep) task
 _BATCH = "__batch__"
 
 
-def _run_batch_task(
-    task: tuple[PointSpec, tuple[int, ...], Sequence[TraceJob] | str | None],
-) -> list[dict[str, float]]:
-    spec, seeds, trace = task
-    return run_spec_batch(spec, seeds, _resolve_task_trace(trace))
-
-
-def _run_task_raw(task: tuple[PointSpec, int, Sequence[TraceJob] | None]):
-    """Zero-copy work unit for in-process executors: the ``RunResult``
-    itself, no metric-dict materialisation in the worker."""
+def _run_task_raw(task: tuple[PointSpec, int, Sequence[TraceJob] | str | None]):
+    """The per-seed work unit of every executor: the ``RunResult``
+    itself (a plain dataclass, so it pickles back from a process pool).
+    """
     spec, seed, trace = task
-    return build_simulator(spec, seed, trace=trace).run()
+    return build_simulator(spec, seed, trace=_resolve_task_trace(trace)).run()
 
 
 def _run_batch_task_raw(
-    task: tuple[PointSpec, tuple[int, ...], Sequence[TraceJob] | None],
+    task: tuple[PointSpec, tuple[int, ...], Sequence[TraceJob] | str | None],
 ) -> list:
-    """Zero-copy batch work unit (see :func:`run_spec_batch_results`)."""
+    """The whole-batch work unit (see :func:`run_spec_batch_results`)."""
     spec, seeds, trace = task
-    return run_spec_batch_results(spec, seeds, trace)
+    return run_spec_batch_results(spec, seeds, _resolve_task_trace(trace))
 
 
 # ---------------------------------------------------------------- executors
@@ -713,7 +679,7 @@ def _thread_executor_viable(specs: Iterable[PointSpec]) -> bool:
     time-share the GIL)."""
     if _soa_native.load_kernel() is None:
         return False
-    return all(spec.run_config.engine == "soa" for spec in specs)
+    return all(spec.config.engine == "soa" for spec in specs)
 
 
 def _resolve_executor_kind(
@@ -788,7 +754,7 @@ class _CostModel:
     def _stream_length(spec: PointSpec) -> int:
         if "real" in spec.workload and spec.scale.trace_max_jobs:
             return spec.scale.trace_max_jobs
-        return spec.run_config.jobs
+        return spec.config.jobs
 
     def base(self, spec: PointSpec) -> float:
         """The a-priori per-point work estimate (arbitrary units)."""
@@ -853,7 +819,6 @@ class Campaign:
         fig_ids: Sequence[str],
         scale: str | Scale = "smoke",
         config: SimConfig = PAPER_CONFIG,
-        network_mode: str | None = None,
         trace: Sequence[TraceJob] | None = None,
     ) -> "Campaign":
         """The union of cells needed to regenerate ``fig_ids``.
@@ -872,7 +837,7 @@ class Campaign:
                     specs.append(PointSpec(
                         workload=spec.workload, load=load,
                         alloc=alloc, sched=sched, scale=sc, config=config,
-                        network_mode=network_mode, trace_source=source,
+                        trace_source=source,
                     ))
         return cls(specs, trace=trace)
 
@@ -885,7 +850,6 @@ class Campaign:
         scheds: Sequence[str],
         scale: str | Scale = "smoke",
         config: SimConfig = PAPER_CONFIG,
-        network_mode: str | None = None,
         trace: Sequence[TraceJob] | None = None,
         channels: Sequence[str | None] = (None,),
         arqs: Sequence[str | None] = (None,),
@@ -908,7 +872,7 @@ class Campaign:
         specs = [
             PointSpec(
                 workload=w, load=ld, alloc=a, sched=s, scale=sc,
-                config=cfg, network_mode=network_mode, trace_source=source,
+                config=cfg, trace_source=source,
             )
             for cfg in configs
             for w in workloads for ld in loads for a in allocs for s in scheds
@@ -930,42 +894,37 @@ class Campaign:
         for spec in specs:
             if "real" not in spec.workload:
                 continue
-            key = (spec.workload, spec.load, spec.scale, spec.run_config)
+            key = (spec.workload, spec.load, spec.scale, spec.config)
             if key in seen:
                 continue
             seen.add(key)
             workload = make_workload(
-                spec.workload, spec.run_config, spec.load, spec.scale,
+                spec.workload, spec.config, spec.load, spec.scale,
                 trace=self.trace,
             )
             # pulling the first block forces trace parse + column
             # derivation into the parent's (inherited) memo caches
-            next(workload.blocks(spec.run_config.seed, 8), None)
+            next(workload.blocks(spec.config.seed, 8), None)
 
     def _process_pool(
         self, jobs: int, specs: Iterable[PointSpec]
-    ) -> tuple[Sequence[TraceJob] | str | None, "ProcessPoolExecutor"]:
+    ) -> tuple[str | None, "ProcessPoolExecutor"]:
         """A process pool plus the per-task trace field to use with it.
 
-        Fork-started workers inherit the parent's parsed state, so the
-        parent primes the trace/column memos up front
-        (:meth:`_prime_fork_state`), registers any external trace in the
-        worker registry, and skips the pool initializer entirely.
-        Spawn-started workers inherit nothing: the external trace ships
-        once per worker via the initializer instead.  Either way tasks
-        carry only a small fingerprint marker, never the trace itself.
+        Under a fork start the parent first primes the trace/column
+        memos (:meth:`_prime_fork_state`) so workers inherit the parsed
+        state.  An external trace always ships once per worker through
+        the pool initializer (under fork its arguments are inherited,
+        not pickled), so tasks carry only a small fingerprint marker,
+        never the trace itself.  Campaign points and scenario
+        trajectories both run on pools built here.
         """
-        fork = multiprocessing.get_start_method() == "fork"
-        if fork:
+        if multiprocessing.get_start_method() == "fork":
             self._prime_fork_state(specs)
         if self.trace is None:
             return None, ProcessPoolExecutor(jobs)
-        marker = _trace_marker(self.trace)
-        fingerprint = marker.partition(":")[2]
-        if fork:
-            _WORKER_TRACES[fingerprint] = list(self.trace)
-            return marker, ProcessPoolExecutor(jobs)
-        return marker, ProcessPoolExecutor(
+        fingerprint = trace_fingerprint(self.trace)
+        return f"{_TRACE_FROM_INITIALIZER}:{fingerprint}", ProcessPoolExecutor(
             jobs, initializer=_set_worker_trace,
             initargs=(fingerprint, self.trace),
         )
@@ -1021,7 +980,6 @@ class Campaign:
             return results
 
         own_executor = executor is None
-        in_process = False
         task_trace: Sequence[TraceJob] | str | None = self.trace
         if executor is not None:
             exe = executor
@@ -1030,15 +988,7 @@ class Campaign:
             if kind == "process":
                 task_trace, exe = self._process_pool(jobs, controllers)
             else:
-                # serial or thread: tasks run in this interpreter
                 exe = make_executor(jobs, kind)
-                in_process = True
-        # in-process executors skip the payload-dict round trip: tasks
-        # hand back RunResult objects (for native lanes, built straight
-        # from LaneState.result() arrays) and the drain loop reads the
-        # metrics directly.  Process pools keep the picklable dict form.
-        run_batch: Callable = _run_batch_task_raw if in_process else _run_batch_task
-        run_one: Callable = _run_task_raw if in_process else _run_task
 
         # completion-driven drain: finished points flush to the store in
         # coalesced batches (one directory fsync per drained round), so
@@ -1061,22 +1011,18 @@ class Campaign:
             batch_seeds[spec] = seeds
             batch_got[spec] = {}
             batch_started[spec] = time.perf_counter()
-            if spec.run_config.engine == "soa":
+            if spec.config.engine == "soa":
                 # one lockstep task per batch: the whole seed set
                 # advances together (repro.core.soa)
-                inflight[exe.submit(run_batch, (spec, seeds, task_trace))] = (
-                    spec,
-                    _BATCH,
-                )
+                fut = exe.submit(_run_batch_task_raw, (spec, seeds, task_trace))
+                inflight[fut] = (spec, _BATCH)
                 return
             for seed in seeds:
-                inflight[exe.submit(run_one, (spec, seed, task_trace))] = (
+                inflight[exe.submit(_run_task_raw, (spec, seed, task_trace))] = (
                     spec, seed,
                 )
 
         def as_metrics(result) -> dict[str, float]:
-            if isinstance(result, dict):
-                return result
             return {m: result.metric(m) for m in METRICS}
 
         def process(fut: futures.Future, resubmit: bool = True) -> None:

@@ -19,10 +19,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
+from repro.core.config import PAPER_CONFIG, SimConfig
 from repro.experiments.campaign import Campaign
 from repro.experiments.figures import FIGURES
 from repro.experiments.report import endpoint_ratio, mean_of
 from repro.experiments.runner import FigureResult, run_figure
+from repro.workload.trace import TraceJob
 
 
 @dataclass(frozen=True, slots=True)
@@ -214,18 +216,26 @@ CHECKS: Sequence[Callable[[Mapping[str, FigureResult]], ClaimResult]] = (
 
 
 def verify_all(
-    scale: str = "smoke", network_mode: str | None = None, jobs: int = 1
+    scale: str = "smoke",
+    config: SimConfig = PAPER_CONFIG,
+    trace: Sequence[TraceJob] | None = None,
+    jobs: int = 1,
+    executor: str | None = None,
 ) -> ClaimReport:
-    """Regenerate every figure and evaluate all paper claims.
+    """Regenerate every figure under ``config`` and evaluate all paper
+    claims.
 
-    ``jobs > 1`` pre-runs the union of all figures' cells as one
-    deduplicated campaign over a process pool; the per-figure
-    regeneration below is then pure cache reads.
+    The union of all figures' cells first runs as one deduplicated
+    campaign (``jobs``/``executor`` pick the parallelism, see
+    :meth:`Campaign.run`); the per-figure regeneration below is then
+    pure cache reads.  ``trace`` replaces the built-in SDSC trace for
+    the real-workload figures.
     """
-    Campaign.from_figures(tuple(FIGURES), scale=scale,
-                          network_mode=network_mode).run(jobs=jobs)
+    Campaign.from_figures(
+        tuple(FIGURES), scale=scale, config=config, trace=trace
+    ).run(jobs=jobs, executor_kind=executor)
     figs = {
-        fig_id: run_figure(fig_id, scale=scale, network_mode=network_mode)
+        fig_id: run_figure(fig_id, scale=scale, config=config, trace=trace)
         for fig_id in FIGURES
     }
     results = tuple(check(figs) for check in CHECKS)

@@ -39,7 +39,6 @@ from repro.experiments.campaign import (
     default_scale,
     make_workload,
     sdsc_trace,
-    trace_fingerprint,
 )
 from repro.experiments.figures import FIGURES, FigureSpec, combo_label
 from repro.experiments.store import ResultCache, global_cache
@@ -70,7 +69,6 @@ def run_point(
     sched: str,
     scale: str | Scale = "smoke",
     config: SimConfig = PAPER_CONFIG,
-    network_mode: str | None = None,
     cache: ResultCache | None = None,
     trace: Sequence[TraceJob] | None = None,
     jobs: int = 1,
@@ -78,14 +76,12 @@ def run_point(
 ) -> PointResult:
     """Run (with replications) one point; returns metric means (a
     mapping) plus their replication summaries."""
-    sc = Scale.by_name(scale) if isinstance(scale, str) else scale
-    spec = PointSpec(
-        workload=workload, load=load, alloc=alloc, sched=sched,
-        scale=sc, config=config, network_mode=network_mode,
-        trace_source=trace_fingerprint(trace) if trace is not None else "sdsc",
+    campaign = Campaign.sweep(
+        (workload,), (load,), (alloc,), (sched,),
+        scale=scale, config=config, trace=trace,
     )
-    campaign = Campaign((spec,), trace=trace)
-    return campaign.run(jobs=jobs, cache=cache, executor_kind=executor)[spec]
+    results = campaign.run(jobs=jobs, cache=cache, executor_kind=executor)
+    return results[campaign.points[0]]
 
 
 # ------------------------------------------------------------------ figures
@@ -107,7 +103,6 @@ def run_figure(
     fig_id: str,
     scale: str = "smoke",
     config: SimConfig = PAPER_CONFIG,
-    network_mode: str | None = None,
     cache: ResultCache | None = None,
     trace: Sequence[TraceJob] | None = None,
     jobs: int = 1,
@@ -116,22 +111,16 @@ def run_figure(
     """Regenerate one paper figure's data series."""
     spec = FIGURES[fig_id]
     sc = Scale.by_name(scale)
-    loads = spec.loads_for(sc.name)
     campaign = Campaign.from_figures(
-        (fig_id,), scale=sc, config=config,
-        network_mode=network_mode, trace=trace,
+        (fig_id,), scale=sc, config=config, trace=trace
     )
-    points = campaign.run(jobs=jobs, cache=cache, executor_kind=executor)
-    source = trace_fingerprint(trace) if trace is not None else "sdsc"
-    series: dict[str, tuple[float, ...]] = {}
-    for alloc, sched in spec.combos:
-        values = []
-        for load in loads:
-            cell = PointSpec(
-                workload=spec.workload, load=load, alloc=alloc, sched=sched,
-                scale=sc, config=config, network_mode=network_mode,
-                trace_source=source,
-            )
-            values.append(points[cell][spec.metric])
-        series[combo_label(alloc, sched)] = tuple(values)
+    results = campaign.run(jobs=jobs, cache=cache, executor_kind=executor)
+    cells = {(p.alloc, p.sched, p.load): r for p, r in results.items()}
+    loads = spec.loads_for(sc.name)
+    series = {
+        combo_label(alloc, sched): tuple(
+            cells[alloc, sched, load][spec.metric] for load in loads
+        )
+        for alloc, sched in spec.combos
+    }
     return FigureResult(spec=spec, loads=loads, series=series)

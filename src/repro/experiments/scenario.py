@@ -29,7 +29,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-from concurrent import futures
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -38,19 +37,19 @@ from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.trajectory import SaturationScan
 
-from repro.core.config import NETWORK_MODES, PAPER_CONFIG, SimConfig
+from repro.core.config import PAPER_CONFIG, SimConfig
 from repro.core.hooks import TrajectoryObserver
 from repro.experiments.campaign import (
     METRICS,
     SCALES,
-    _set_worker_trace,
-    _trace_marker,
     Campaign,
+    Executor,
     PointResult,
     PointSpec,
-    Scale,
+    SerialExecutor,
+    ThreadPoolExecutor,
+    _resolve_task_trace,
     build_simulator,
-    trace_fingerprint,
 )
 from repro.experiments.store import ResultCache
 from repro.workload.trace import TraceJob
@@ -60,13 +59,18 @@ from repro.experiments.report import summarize_point
 #: keys accepted by a scenario dict/JSON document
 _SCENARIO_KEYS = frozenset({
     "name", "workload", "loads", "allocs", "scheds", "scale", "config",
-    "network_mode", "sample_interval", "channels", "arqs",
+    "sample_interval", "channels", "arqs",
 })
 
 
 @dataclass
 class Scenario:
-    """One declarative experiment: pipeline x grid x config overrides."""
+    """One declarative experiment: pipeline x grid x config overrides.
+
+    Every run setting -- machine, network mode, engine, channel, seed --
+    is a ``SimConfig`` field set through :attr:`config`; the grid is
+    built by :meth:`Campaign.sweep` (:meth:`campaign`).
+    """
 
     name: str
     #: workload-pipeline spec (string grammar or dict AST); canonicalised
@@ -77,7 +81,6 @@ class Scenario:
     scale: str = "smoke"
     #: ``SimConfig`` field overrides applied on top of ``PAPER_CONFIG``
     config: dict = field(default_factory=dict)
-    network_mode: str | None = None
     #: trajectory sample interval in sim-time units; ``None`` disables
     sample_interval: float | None = None
     #: lossy-channel grid axis: channel policy specs applied per point
@@ -104,11 +107,6 @@ class Scenario:
         if self.scale not in SCALES:
             raise ValueError(
                 f"unknown scale {self.scale!r}; choose from {sorted(SCALES)}"
-            )
-        if self.network_mode is not None and self.network_mode not in NETWORK_MODES:
-            raise ValueError(
-                f"unknown network_mode {self.network_mode!r}; "
-                f"choose from {NETWORK_MODES}"
             )
         if self.sample_interval is not None and self.sample_interval <= 0:
             raise ValueError(
@@ -160,7 +158,6 @@ class Scenario:
             "scheds": list(self.scheds),
             "scale": self.scale,
             "config": dict(self.config),
-            "network_mode": self.network_mode,
         }
         if self.sample_interval is not None:
             out["sample_interval"] = self.sample_interval
@@ -189,48 +186,22 @@ class Scenario:
                 f"valid SimConfig fields: {fields}"
             ) from None
 
-    def grid_configs(self) -> tuple[SimConfig, ...]:
-        """One run config per ``channels`` x ``arqs`` grid cell.
-
-        ``None`` axis entries keep the corresponding ``config`` override
-        (so the default ``[null]`` axes collapse to :meth:`sim_config`).
-        """
-        base = self.sim_config()
-        return tuple(
-            base if ch is None and aq is None else base.with_(
-                channel=base.channel if ch is None else ch,
-                arq=base.arq if aq is None else aq,
-            )
-            for ch in self.channels for aq in self.arqs
-        )
-
-    def points(
-        self, trace: Sequence[TraceJob] | None = None
-    ) -> tuple[PointSpec, ...]:
-        """The scenario's grid as campaign point specs.
-
-        The canonical pipeline string rides in each spec's ``workload``
-        field, so it -- together with the override-carrying config -- is
-        folded into the structured cache key: two scenarios share a
-        cache cell exactly when the cell's simulation inputs coincide.
-        """
-        sc = Scale.by_name(self.scale)
-        source = trace_fingerprint(trace) if trace is not None else "sdsc"
-        return tuple(
-            PointSpec(
-                workload=self.workload, load=load, alloc=alloc, sched=sched,
-                scale=sc, config=cfg, network_mode=self.network_mode,
-                trace_source=source,
-            )
-            for cfg in self.grid_configs()
-            for load in self.loads
-            for alloc in self.allocs
-            for sched in self.scheds
-        )
-
     def campaign(self, trace: Sequence[TraceJob] | None = None) -> Campaign:
-        """The scenario's grid as a ready-to-run (deduplicated) campaign."""
-        return Campaign(self.points(trace), trace=trace)
+        """The scenario's grid as a ready-to-run (deduplicated) campaign.
+
+        One point per ``channels`` x ``arqs`` x load x allocator x
+        scheduler cell (``None`` axis entries keep the ``config``
+        override's own setting).  The canonical pipeline string rides in
+        each spec's ``workload`` field, so it -- together with the
+        override-carrying config -- is folded into the structured cache
+        key: two scenarios share a cache cell exactly when the cell's
+        simulation inputs coincide.
+        """
+        return Campaign.sweep(
+            (self.workload,), self.loads, self.allocs, self.scheds,
+            scale=self.scale, config=self.sim_config(), trace=trace,
+            channels=self.channels, arqs=self.arqs,
+        )
 
     # -------------------------------------------------------------- running
     def run(
@@ -277,7 +248,6 @@ class Scenario:
                 sched=self.scheds[0],
                 scale=self.scale,
                 config=self.sim_config(),
-                network_mode=self.network_mode,
                 trace=trace,
                 cache=cache,
                 jobs=jobs,
@@ -301,44 +271,28 @@ class Scenario:
             points = campaign.points
             labels = [spec.label() for spec in points]
             workers = min(jobs, len(points))
-            if workers > 1 and executor != "serial":
-                task_trace: Sequence[TraceJob] | str | None
-                if executor == "thread":
-                    # in-process: trajectories share the parent's trace
-                    # and caches directly -- no initializer, no pickling
-                    pool: futures.Executor = futures.ThreadPoolExecutor(
-                        max_workers=workers
-                    )
-                    task_trace = trace
-                else:
-                    # ship an external trace once per worker via the
-                    # pool initializer, keyed by its fingerprint (as
-                    # campaign.run does) instead of pickling it into
-                    # every task
-                    has_trace = trace is not None
-                    pool = futures.ProcessPoolExecutor(
-                        max_workers=workers,
-                        initializer=_set_worker_trace if has_trace else None,
-                        initargs=(
-                            (trace_fingerprint(trace), trace)
-                            if has_trace else ()
-                        ),
-                    )
-                    task_trace = _trace_marker(trace) if has_trace else None
-                run_one = partial(
-                    run_trajectory,
-                    sample_interval=run_scenario.sample_interval,
-                    trace=task_trace,
-                )
-                with pool:
-                    series = list(pool.map(run_one, points))
+            task_trace: Sequence[TraceJob] | str | None = trace
+            pool: Executor
+            if workers <= 1 or executor == "serial":
+                pool = SerialExecutor()
+            elif executor == "thread":
+                # in-process: trajectories share the parent's trace and
+                # caches directly
+                pool = ThreadPoolExecutor(workers)
             else:
-                series = [
-                    run_trajectory(
-                        spec, run_scenario.sample_interval, trace=trace
-                    )
-                    for spec in points
-                ]
+                # the campaign's own process pool: an external trace
+                # ships once per worker, tasks carry its fingerprint
+                task_trace, pool = campaign._process_pool(workers, points)
+            run_one = partial(
+                run_trajectory,
+                sample_interval=run_scenario.sample_interval,
+                trace=task_trace,
+            )
+            try:
+                pending = [pool.submit(run_one, spec) for spec in points]
+                series = [fut.result() for fut in pending]
+            finally:
+                pool.close()
             trajectories = dict(zip(labels, series))
         return ScenarioResult(
             scenario=run_scenario,
@@ -358,18 +312,16 @@ def run_trajectory(
 
     Uses the point's base seed (replication 0), so the time series
     describes the same run whose metrics entered the campaign mean.
-    Module-level and pure (like the campaign work unit), hence usable
+    Module-level and pure (like the campaign work units), hence usable
     from a process pool; a string ``trace`` is a fingerprint marker
     resolved against the worker's trace registry, exactly as in
-    :func:`~repro.experiments.campaign._run_task`.
+    :func:`~repro.experiments.campaign._run_task_raw`.
     """
-    if isinstance(trace, str):  # "@trace:<fingerprint>" marker
-        from repro.experiments import campaign as _campaign
-
-        trace = _campaign._resolve_task_trace(trace)
-    cfg = spec.run_config
+    cfg = spec.config
     observer = TrajectoryObserver(sample_interval, processors=cfg.processors)
-    build_simulator(spec, cfg.seed, trace=trace, observers=(observer,)).run()
+    build_simulator(
+        spec, cfg.seed, trace=_resolve_task_trace(trace), observers=(observer,)
+    ).run()
     return observer.series()
 
 

@@ -46,6 +46,7 @@ from pathlib import Path
 from typing import Mapping
 
 from repro import __version__
+from repro.core.config import PAPER_CONFIG
 from repro.experiments.campaign import Campaign, PointResult, PointSpec, _CostModel
 from repro.experiments.diff import campaign_report
 from repro.experiments.scenario import Scenario
@@ -75,8 +76,10 @@ def build_campaign(doc: Mapping) -> tuple[str, str, Campaign]:
 
     A document with ``"kind": "sweep"`` describes a full-factorial grid
     (``workloads``/``loads`` required, ``allocs``/``scheds``/``scale``/
-    ``network_mode`` optional); anything else must be a scenario
-    document (:meth:`Scenario.from_dict`, which rejects unknown keys).
+    ``network_mode`` optional; a missing or ``null`` ``network_mode``
+    keeps the config default); anything else must be a scenario
+    document (:meth:`Scenario.from_dict`, which rejects unknown keys --
+    a scenario sets its network mode under ``config``).
 
     Returns:
         ``(name, kind, campaign)`` where ``kind`` is ``"scenario"`` or
@@ -101,13 +104,17 @@ def build_campaign(doc: Mapping) -> tuple[str, str, Campaign]:
             loads = tuple(float(x) for x in doc["loads"])
         except (TypeError, ValueError):
             raise ValueError(f"bad sweep loads {doc['loads']!r}") from None
+        # a sweep document has no ``config`` block: its optional
+        # ``network_mode`` is the one config override it carries
+        mode = doc.get("network_mode")
         campaign = Campaign.sweep(
             workloads=tuple(doc["workloads"]),
             loads=loads,
             allocs=tuple(doc.get("allocs", ("GABL",))),
             scheds=tuple(doc.get("scheds", ("FCFS",))),
             scale=doc.get("scale", "smoke"),
-            network_mode=doc.get("network_mode"),
+            config=PAPER_CONFIG if mode is None
+            else PAPER_CONFIG.with_(network_mode=mode),
         )
         return str(doc.get("name", "sweep")), "sweep", campaign
     scenario = Scenario.from_dict(doc)

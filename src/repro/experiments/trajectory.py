@@ -192,7 +192,6 @@ def scan_saturation(
     sched: str = "FCFS",
     scale: str | Scale = "smoke",
     config: SimConfig = PAPER_CONFIG,
-    network_mode: str | None = None,
     trace: Sequence[TraceJob] | None = None,
     cache: ResultCache | None = None,
     jobs: int = 1,
@@ -217,8 +216,8 @@ def scan_saturation(
         alloc: allocator climbing the ladder.
         sched: scheduler climbing the ladder.
         scale: fidelity preset (name or :class:`Scale`).
-        config: base simulation config.
-        network_mode: network backend override.
+        config: simulation config (machine, network mode, engine,
+            channel) every rung runs under.
         trace: external trace for ``real`` sources.
         cache: result store (default: the global sharded cache).
         jobs: worker processes per rung's replications.
@@ -245,7 +244,7 @@ def scan_saturation(
     for load in ladder:
         result = run_point(
             workload, load, alloc, sched, scale=sc, config=config,
-            network_mode=network_mode, cache=cache, trace=trace, jobs=jobs,
+            cache=cache, trace=trace, jobs=jobs,
         )
         loads.append(load)
         utils.append(result["utilization"])
@@ -273,7 +272,6 @@ def run_saturation_figure(
     fig_id: str,
     scale: str | Scale = "smoke",
     config: SimConfig = PAPER_CONFIG,
-    network_mode: str | None = None,
     trace: Sequence[TraceJob] | None = None,
     cache: ResultCache | None = None,
     jobs: int = 1,
@@ -290,8 +288,8 @@ def run_saturation_figure(
     Args:
         fig_id: one of the saturation figures (``fig8``/``fig9``/``fig10``).
         scale: fidelity preset.
-        config: base simulation config.
-        network_mode: network backend override.
+        config: simulation config (machine, network mode, engine,
+            channel) the scan and every combo run under.
         trace: external trace for the real workload.
         cache: result store override.
         jobs: worker processes.
@@ -313,7 +311,7 @@ def run_saturation_figure(
     alloc, sched = spec.combos[0]
     scan = scan_saturation(
         spec.workload, alloc=alloc, sched=sched, scale=sc, config=config,
-        network_mode=network_mode, trace=trace, cache=cache, jobs=jobs,
+        trace=trace, cache=cache, jobs=jobs,
         rel_tol=rel_tol, confirm=confirm,
     )
     load = scan.knee if scan.knee is not None else SATURATION_LOADS[spec.workload]
@@ -321,8 +319,7 @@ def run_saturation_figure(
     cells = [
         PointSpec(
             workload=spec.workload, load=load, alloc=a, sched=s,
-            scale=sc, config=config, network_mode=network_mode,
-            trace_source=source,
+            scale=sc, config=config, trace_source=source,
         )
         for a, s in spec.combos
     ]

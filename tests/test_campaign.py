@@ -45,6 +45,20 @@ class TestPointSpec:
         assert payload["alloc"] == "GABL"
         assert payload["config"]["width"] == 8
         assert payload["config"]["jobs"] == SMOKE.jobs  # scale pins jobs
+        # the exact bytes of a non-default network mode on a torus: the
+        # top-level "network_mode" mirrors the config's, as stored keys,
+        # golden masters and pinned digests expect
+        spec = _spec(config=TINY.with_(topology="torus", network_mode="causal"))
+        assert spec.key() == (
+            '{"alloc":"GABL","config":{"jobs":120,"length":8,'
+            '"max_messages":512,"max_time":null,"network_mode":"causal",'
+            '"num_mes":5.0,"p_len":8,"round_gap_factor":2.0,'
+            '"scheduler_window":1,"seed":11,"t_s":3.0,"topology":"torus",'
+            '"trace_demand_multiplier":1.0,"warmup_jobs":0,"width":8},'
+            '"load":0.01,"network_mode":"causal","replications":[1,1],'
+            '"sched":"FCFS","trace_max_jobs":600,"trace_source":"sdsc",'
+            '"workload":"uniform"}'
+        )
 
     def test_key_cannot_alias_on_separator_fields(self):
         # a joined-string key would make these two cells identical

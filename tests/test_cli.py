@@ -169,6 +169,22 @@ def test_network_mode_choices_include_batch(capsys):
     assert "turnaround=" in capsys.readouterr().out
 
 
+def test_claims_runs_under_the_config_flags(tmp_path, capsys):
+    """`claims` simulates the machine the flags ask for: every point it
+    stores is a torus point."""
+    import json
+
+    rc = main(["claims", "--topology", "torus", "--engine", "soa",
+               "--scale", "smoke"])
+    assert rc in (0, 1)  # 1 = some paper claim fails on a torus
+    assert "C1" in capsys.readouterr().out
+    shards = sorted((tmp_path / "results.shards").glob("*.json"))
+    assert shards
+    for shard in shards:
+        key = json.loads(json.loads(shard.read_text())["key"])
+        assert key["config"]["topology"] == "torus", key
+
+
 # ------------------------------------------------------------ --help audit
 #: every CLI target and the contract fragments its --help must name:
 #: the report schema written by --out (where applicable) and the

@@ -19,10 +19,11 @@ def build(
     mode="fast",
     workload=None,
 ) -> Simulator:
+    config = config.with_(network_mode=mode)
     allocator = make_allocator(alloc, config.width, config.length)
     scheduler = make_scheduler(sched, window=config.scheduler_window)
     wl = workload or StochasticWorkload(config, load=load, sides=sides)
-    return Simulator(config, allocator, scheduler, wl, network_mode=mode)
+    return Simulator(config, allocator, scheduler, wl)
 
 
 class TestConservation:

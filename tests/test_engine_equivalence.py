@@ -173,7 +173,7 @@ class TestCampaignIntegration:
         def controller(batch_size):
             return ReplicationController(
                 metrics, min_replications=3, max_replications=9,
-                base_seed=spec.run_config.seed, batch_size=batch_size,
+                base_seed=spec.config.seed, batch_size=batch_size,
                 max_relative_error=1e-9,  # never converges early
             )
 

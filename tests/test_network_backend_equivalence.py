@@ -32,12 +32,12 @@ TRACE_SCALE = Scale("eq", jobs=40, min_replications=1, max_replications=1,
 
 def run_sim(config: SimConfig, mode: str, workload: str, seed: int,
             alloc: str = "GABL"):
+    config = config.with_(network_mode=mode)
     sim = Simulator(
         config,
         make_allocator(alloc, config.width, config.length),
         make_scheduler("FCFS"),
         make_workload(workload, config, 0.02, TRACE_SCALE),
-        network_mode=mode,
         seed=seed,
     )
     return sim.run()
@@ -196,8 +196,8 @@ class TestTrivialChannelEquivalence:
         spec = PointSpec(
             workload="uniform", load=0.02, alloc="GABL", sched="FCFS",
             scale=cls.SCALE,
-            config=SMALL.with_(engine=engine, channel=channel),
-            network_mode=mode,
+            config=SMALL.with_(engine=engine, channel=channel,
+                               network_mode=mode),
         )
         if engine == "soa":
             return run_spec_batch(spec, (3,))[0]

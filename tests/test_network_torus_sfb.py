@@ -194,13 +194,12 @@ class TestSimulatorIntegration:
 
         def run(topology, mode):
             cfg = SimConfig(width=8, length=8, jobs=30, seed=4,
-                            topology=topology)
+                            topology=topology, network_mode=mode)
             sim = Simulator(
                 cfg,
                 make_allocator("Random", 8, 8, seed=1),
                 make_scheduler("FCFS"),
                 StochasticWorkload(cfg, load=0.02),
-                network_mode=mode,
             )
             r = sim.run()
             return r.mean_packet_latency, r.mean_packet_blocking
@@ -220,13 +219,13 @@ class TestSimulatorIntegration:
         from repro.workload.stochastic import StochasticWorkload
 
         def run(mode):
-            cfg = SimConfig(width=8, length=8, jobs=25, seed=4)
+            cfg = SimConfig(width=8, length=8, jobs=25, seed=4,
+                            network_mode=mode)
             sim = Simulator(
                 cfg,
                 make_allocator("GABL", 8, 8),
                 make_scheduler("FCFS"),
                 StochasticWorkload(cfg, load=0.015),
-                network_mode=mode,
             )
             return sim.run()
 

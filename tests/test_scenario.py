@@ -46,7 +46,7 @@ class TestScenarioSpec:
         assert clone.to_dict() == sc.to_dict()
         assert clone.fingerprint() == sc.fingerprint()
 
-    def test_rejects_unknown_keys_and_bad_values(self):
+    def test_rejects_unknown_keys_and_bad_values(self, tmp_path, capsys):
         with pytest.raises(ValueError, match="unknown scenario key"):
             Scenario.from_dict({**SMALL, "typo": 1})
         with pytest.raises(ValueError, match="missing required"):
@@ -65,8 +65,21 @@ class TestScenarioSpec:
             Scenario.from_dict({**SMALL, "allocs": ["BOGUS"]})
         with pytest.raises(ValueError, match="scheduler"):
             Scenario.from_dict({**SMALL, "scheds": ["LIFO"]})
-        with pytest.raises(ValueError, match="network_mode"):
-            Scenario.from_dict({**SMALL, "network_mode": "quantum"})
+        with pytest.raises(ValueError, match="network mode"):
+            Scenario.from_dict({
+                **SMALL, "config": {**SMALL["config"], "network_mode": "quantum"},
+            })
+        # the network mode is a config field like any other: a top-level
+        # key is unknown, and the CLI exits 2 on it
+        doc = {**SMALL, "network_mode": "fast"}
+        with pytest.raises(ValueError, match=r"unknown scenario key.*network_mode"):
+            Scenario.from_dict(doc)
+        from repro.cli import main
+
+        bad = tmp_path / "top-level-mode.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["scenario", str(bad)]) == 2
+        assert "unknown scenario key" in capsys.readouterr().err
 
     @pytest.mark.parametrize("override,match", [
         # Paging(2) pages are 4x4: they fit a 4x4 probe mesh but not
@@ -76,8 +89,8 @@ class TestScenarioSpec:
         ({"loads": [0.0]}, "load"),
         ({"loads": [float("inf")]}, "load"),
         ({"loads": [float("nan")]}, "load"),
-        ({"network_mode": "sfb",
-          "config": {"width": 8, "length": 8, "topology": "torus"}}, "torus"),
+        ({"config": {"width": 8, "length": 8, "topology": "torus",
+                     "network_mode": "sfb"}}, "torus"),
     ], ids=["paging-miss", "negative", "zero", "inf", "nan", "sfb-torus"])
     def test_rejects_points_that_cannot_run(
         self, override, match, tmp_path, capsys
@@ -99,7 +112,7 @@ class TestScenarioSpec:
         sc1 = Scenario.from_dict({**SMALL, "workload": "uniform | thin:0.1234567"})
         sc2 = Scenario.from_dict({**SMALL, "workload": "uniform | thin:0.1234571"})
         assert sc1.workload != sc2.workload
-        assert sc1.points()[0].key() != sc2.points()[0].key()
+        assert sc1.campaign().points[0].key() != sc2.campaign().points[0].key()
 
     def test_config_overrides_apply(self):
         sc = Scenario.from_dict(SMALL)
@@ -108,10 +121,10 @@ class TestScenarioSpec:
         assert cfg.t_s == PAPER_CONFIG.t_s  # untouched fields keep defaults
 
     def test_points_fold_pipeline_into_cache_key(self):
-        plain = Scenario.from_dict(SMALL).points()[0]
+        plain = Scenario.from_dict(SMALL).campaign().points[0]
         piped = Scenario.from_dict(
             {**SMALL, "workload": "uniform | thin:0.9"}
-        ).points()[0]
+        ).campaign().points[0]
         assert plain.key() != piped.key()
         assert '"workload":"uniform | thin:0.9"' in piped.key()
 
@@ -131,7 +144,7 @@ class TestIdentityAcceptance:
             scale="smoke",
         )
         fig_campaign = Campaign.from_figures((fig_id,), scale="smoke")
-        scenario_keys = {p.key() for p in scenario.points()}
+        scenario_keys = {p.key() for p in scenario.campaign().points}
         figure_keys = {p.key() for p in fig_campaign.points}
         # same cells -> the sharded store hands the scenario the very
         # RunResult-derived metrics the figure campaign computed
@@ -141,9 +154,9 @@ class TestIdentityAcceptance:
         """'real | scale:1' runs a different cache cell than 'real' but
         must produce the exact same metrics."""
         base = Scenario.from_dict(
-            {**SMALL, "workload": "real"}).points()[0]
+            {**SMALL, "workload": "real"}).campaign().points[0]
         ident = Scenario.from_dict(
-            {**SMALL, "workload": "real | scale:1"}).points()[0]
+            {**SMALL, "workload": "real | scale:1"}).campaign().points[0]
         assert base.key() != ident.key()
         assert run_spec_replication(base, seed=7) == run_spec_replication(
             ident, seed=7
@@ -275,10 +288,11 @@ class TestScenarioCLI:
 
         sc = Scenario.load(EXAMPLE)
         over = dataclasses.replace(
-            sc, network_mode="fast",
-            config={**sc.config, "topology": "torus"},
+            sc, config={**sc.config, "topology": "torus", "network_mode": "fast"},
         )
         assert over.sim_config().topology == "torus"
-        assert all(p.network_mode == "fast" for p in over.points())
+        assert all(
+            p.config.network_mode == "fast" for p in over.campaign().points
+        )
         with pytest.raises(ValueError):
             dataclasses.replace(sc, scale="warp9")

@@ -76,6 +76,13 @@ class TestDocuments:
         name, kind, campaign = build_campaign(SWEEP_DOC)
         assert (name, kind) == ("serve-sweep", "sweep")
         assert len(campaign.points) == 2
+        # a sweep's top-level network_mode lands in every point's config;
+        # null means the config default
+        for mode, want in (("causal", "causal"), (None, "batch")):
+            _, _, campaign = build_campaign({**SWEEP_DOC, "network_mode": mode})
+            assert {p.config.network_mode for p in campaign.points} == {want}
+        with pytest.raises(ValueError, match="network mode"):
+            build_campaign({**SWEEP_DOC, "network_mode": "quantum"})
 
     def test_bad_documents_raise_value_error(self):
         with pytest.raises(ValueError):

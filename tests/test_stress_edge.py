@@ -13,13 +13,13 @@ from repro.workload.trace import TraceJob, TraceWorkload
 
 
 def run_trace(trace, cfg=None, alloc="GABL", sched="FCFS", mode="fast"):
-    cfg = cfg or SimConfig(width=8, length=8, jobs=len(trace), seed=3)
+    cfg = (cfg or SimConfig(width=8, length=8, jobs=len(trace), seed=3)
+           ).with_(network_mode=mode)
     sim = Simulator(
         cfg,
         make_allocator(alloc, cfg.width, cfg.length),
         make_scheduler(sched),
         TraceWorkload(cfg, trace, load=0.05),
-        network_mode=mode,
         keep_jobs=True,
     )
     result = sim.run()
