@@ -20,6 +20,7 @@ from repro.experiments.diff import diff_reports, load_report
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 EXAMPLE = Path(__file__).resolve().parent.parent / "examples" / "scenario_smoke.json"
+LOSSY_CELL = GOLDEN / "lossy_cell.scenario.json"
 
 
 @pytest.fixture(autouse=True)
@@ -55,9 +56,12 @@ def test_scenario_smoke_matches_golden(tmp_path):
         "diff", str(GOLDEN / "scenario_smoke.json"), str(fresh),
         "--trajectories", "--fail-on-regress",
     ]) == 0
+    _assert_trajectories_identical(GOLDEN / "scenario_smoke.json", fresh)
+
+
+def _assert_trajectories_identical(golden: Path, fresh: Path) -> None:
     report = diff_reports(
-        load_report(GOLDEN / "scenario_smoke.json"), load_report(fresh),
-        trajectories=True,
+        load_report(golden), load_report(fresh), trajectories=True,
     )
     for point in report.matched:
         assert point.series, f"{point.label}: no trajectory compared"
@@ -66,6 +70,19 @@ def test_scenario_smoke_matches_golden(tmp_path):
                 f"{point.label} trajectory {name}: {d.verdict} "
                 f"(max|Δ|={d.max_abs} at t={d.max_at})"
             )
+
+
+def test_scenario_lossy_cell_matches_golden(tmp_path):
+    """Every ARQ protocol over both fate paths (block draws without a
+    random delay, scalar draws interleaved with exp delays), bit for bit."""
+    fresh = tmp_path / "fresh.json"
+    assert main(["scenario", str(LOSSY_CELL), "--out", str(fresh)]) == 0
+    golden = GOLDEN / "scenario_lossy_cell.json"
+    _assert_all_identical(golden, fresh)
+    assert main([
+        "diff", str(golden), str(fresh), "--trajectories", "--fail-on-regress",
+    ]) == 0
+    _assert_trajectories_identical(golden, fresh)
 
 
 def test_fig9_cell_matches_golden(tmp_path):
