@@ -66,7 +66,10 @@ class FlowArq:
       ``t_detect``; returns ``(send_time, seq)`` retransmissions to
       schedule.
 
-    ``accepted`` maps sequence number to acceptance time once delivered.
+    ``accepted`` maps sequence number to acceptance time once delivered;
+    ``attempts[seq]`` counts the transmissions of ``seq`` so far (a list
+    of ``total`` ints), so a sequence number is in flight or was ever
+    sent exactly when its count is non-zero.
     """
 
     __slots__ = (
@@ -77,7 +80,6 @@ class FlowArq:
         "window",
         "accepted",
         "expected",
-        "sent",
         "pending",
         "busy_until",
         "attempts",
@@ -105,10 +107,9 @@ class FlowArq:
         self.window = 1 if protocol == "stop-and-wait" else window
         self.accepted: dict[int, float] = {}
         self.expected = 0  #: go-back-n receiver cursor
-        self.sent: set[int] = set()  #: seqs transmitted at least once
         self.pending: set[int] = set()  #: resends scheduled but not sent
         self.busy_until = 0.0  #: stop-and-wait ack-pacing horizon
-        self.attempts: dict[int, int] = {}
+        self.attempts = [0] * total  #: transmissions per seq (0 = never sent)
         # go-back-n single flow timer: one resend wave per timeout epoch,
         # backing off while the cumulative ack makes no progress
         self.last_wave = float("-inf")
@@ -126,19 +127,19 @@ class FlowArq:
         self.pending.discard(seq)
         if seq in self.accepted:
             return False
-        n = self.attempts.get(seq, 0) + 1
+        attempts = self.attempts
+        n = attempts[seq] + 1
         if n > MAX_ATTEMPTS:
             raise RuntimeError(
                 f"ARQ {self.protocol}: packet seq {seq} exceeded "
                 f"{MAX_ATTEMPTS} attempts (loss rate too close to 1?)"
             )
-        self.attempts[seq] = n
-        self.sent.add(seq)
+        attempts[seq] = n
         return True
 
     def detect_delay(self, seq: int) -> float:
         """Loss-detection delay of ``seq``'s latest attempt (with backoff)."""
-        n = self.attempts.get(seq, 1)
+        n = self.attempts[seq] or 1
         return self.timeout * (2.0 ** min(n - 1, BACKOFF_CAP))
 
     def on_failure(self, seq: int, t_detect: float) -> list[tuple[float, int]]:
@@ -169,9 +170,10 @@ class FlowArq:
             stop = base + self.window
             if stop > self.total:
                 stop = self.total
+            attempts = self.attempts
             for s in range(base, stop):
                 # resend only packets actually in flight (sent, unacked)
-                if s in self.accepted or s in self.pending or s not in self.sent:
+                if s in self.accepted or s in self.pending or not attempts[s]:
                     continue
                 self.pending.add(s)
                 out.append((t_detect + len(out) * self.spacing, s))

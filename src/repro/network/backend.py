@@ -32,16 +32,19 @@ with :func:`make_backend`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence, Type
+from typing import Callable, NamedTuple, Sequence, Type
 
 from repro.core.engine import Engine
 from repro.network.routing import xy_route
 from repro.network.topology import MeshTopology
 
 
-@dataclass(frozen=True, slots=True)
-class PathTiming:
-    """Outcome of transmitting one packet."""
+class PathTiming(NamedTuple):
+    """Outcome of transmitting one packet.
+
+    An immutable named tuple: the synchronous paths build one per
+    packet attempt, so construction cost counts.
+    """
 
     t_inject: float  #: service start on the injection channel
     t_deliver: float  #: last flit arrives at the destination processor
@@ -94,12 +97,13 @@ class NetworkBackend:
         self.drain = float(p_len - 1)  #: body drain after header ejection
         self.free_at: list[float] = [0.0] * topology.channel_count
         self.packets_sent = 0
-        #: XY routes are static; cache them keyed by the (src, dst) id pair
+        #: XY routes are static; cache them keyed by ``src * _node_count + dst``
         self._route_cache: dict[int, list[int]] = {}
+        self._node_count = topology.node_count
 
     # ------------------------------------------------------------- routing
     def _route(self, src: int, dst: int) -> list[int]:
-        key = src * self.topology.node_count + dst
+        key = src * self._node_count + dst
         path = self._route_cache.get(key)
         if path is None:
             path = xy_route(self.topology, src, dst)

@@ -9,17 +9,22 @@ hands an entire launch (every round of a job's all-to-all exchange) to
 the compiled kernel in :mod:`repro.network._native`, which walks the XY
 routes and runs the reference recurrence at C speed in one call.
 
-When no kernel is available (no C compiler, ``REPRO_NATIVE=0``) the
-backend *is* the ``fast`` reference loop: the inherited list
-``free_at`` and ``inject_rounds``.  The kernel performs literally the
-same float64 operations in the same order, so both paths are
-bit-identical to ``fast`` for any float configuration -- enforced by
+With the kernel loaded, the reservation table ``free_at`` is an
+``array('d')``: the kernel writes its contiguous float64 buffer in
+place, and the inherited per-packet ``transmit`` (the lossy-channel
+path) reads plain Python floats from it, not NumPy scalars.  When no
+kernel is available (no C compiler, ``REPRO_NATIVE=0``) the backend
+*is* the ``fast`` reference loop: the inherited list ``free_at`` and
+``inject_rounds``.  The kernel performs literally the same float64
+operations in the same order, so both paths are bit-identical to
+``fast`` for any float configuration -- enforced by
 ``tests/test_network_backend_equivalence.py``.
 """
 
 from __future__ import annotations
 
 import ctypes
+from array import array
 from typing import Sequence
 
 import numpy as np
@@ -38,7 +43,8 @@ class BatchBackend(FastBackend):
     Subclasses :class:`~repro.network.wormhole.FastBackend` so the
     single-packet ``transmit`` path -- and, without a kernel, the whole
     ``inject_rounds`` loop -- *is* the reference implementation (one
-    shared recurrence, no drift).
+    shared recurrence, no drift).  With a kernel, ``free_at`` is an
+    ``array('d')`` table whose buffer the kernel updates in place.
     """
 
     mode = "batch"
@@ -54,12 +60,12 @@ class BatchBackend(FastBackend):
         super().__init__(topology, engine, t_s=t_s, p_len=p_len)
         self._kernel = _native.load_kernel()
         if self._kernel is not None:
-            self.free_at = np.zeros(topology.channel_count)
+            self.free_at = array("d", bytes(8 * topology.channel_count))
 
     def reset(self) -> None:
         super().reset()
         if self._kernel is not None:
-            self.free_at = np.zeros(self.topology.channel_count)
+            self.free_at = array("d", bytes(8 * self.topology.channel_count))
 
     def inject_rounds(
         self,
@@ -83,7 +89,7 @@ class BatchBackend(FastBackend):
             as_ptr(ids.ctypes.data), ctypes.c_int64(n),
             as_ptr(offs.ctypes.data), ctypes.c_int64(len(offs)),
             ctypes.c_double(now), ctypes.c_double(round_gap),
-            as_ptr(self.free_at.ctypes.data),
+            as_ptr(self.free_at.buffer_info()[0]),
             ctypes.c_double(self.hop_cost), ctypes.c_double(self.occupancy),
             ctypes.c_double(self.drain),
             ctypes.c_int64(topo.width), ctypes.c_int64(topo.length),

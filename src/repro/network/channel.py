@@ -26,7 +26,10 @@ function of the run's lane seed -- *not* from the workload's
 ``default_rng(seed)`` stream.  Enabling a channel therefore never
 perturbs arrival times or job shapes, the per-run draw sequence is
 deterministic, and the same seed reproduces the same fates under the
-serial, thread and process executors alike.
+serial, thread and process executors alike.  When fates are the
+stream's only draws (no delay, or ``delay:fixed``), the sampler takes
+them ``FATE_BLOCK`` uniforms at a time: the draw order is unchanged,
+the generator merely runs ahead of the last fate handed out.
 
 **Trivial policies.**  ``"loss:0"`` (and any policy with zero failure
 probability and no delay) is *trivial*: the simulator skips the channel
@@ -43,6 +46,7 @@ every attempt, including failed ones.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -56,6 +60,10 @@ from repro.network.backend import PathTiming, RoundStats
 CHANNEL_STREAM = 0x43484E4C
 
 _DELAY_KINDS = ("fixed", "exp", "uniform")
+
+#: uniforms a :class:`ChannelSampler` draws at once when fates are the
+#: stream's only draws (same doubles, same order as one-by-one draws)
+FATE_BLOCK = 1024
 
 
 @dataclass(frozen=True, slots=True)
@@ -77,6 +85,8 @@ class ChannelPolicy:
             )
         if self.delay:
             kind = self.delay[0]
+            if not all(math.isfinite(v) for v in self.delay[1:]):
+                raise ValueError(f"delay values must be finite: {self.delay}")
             if kind == "fixed":
                 if len(self.delay) != 2 or self.delay[1] < 0:
                     raise ValueError(f"delay:fixed needs one value >= 0: {self.delay}")
@@ -184,23 +194,41 @@ class ChannelSampler:
     """Per-run channel RNG: packet fates and extra delays.
 
     Draw order is one fate draw per attempt (when the failure rate is
-    positive) plus one delay draw per *successful* attempt (when a delay
-    distribution is configured) -- a deterministic sequence given the
-    run's event order.
+    positive) plus one delay draw per *successful* attempt (when a
+    random delay distribution is configured) -- a deterministic sequence
+    given the run's event order.  Without a random delay the fates are
+    the only draws, so :meth:`fate` takes them from a block of
+    ``FATE_BLOCK`` uniforms drawn at once; ``rng.random(k)`` yields the
+    same doubles in the same order as ``k`` scalar ``rng.random()``
+    calls, so every fate is unchanged.  With an ``exp`` or ``uniform``
+    delay the draws interleave and each fate is one scalar draw.
     """
 
-    __slots__ = ("policy", "rng", "_failure")
+    __slots__ = ("policy", "rng", "_failure", "_ahead", "_block", "_pos")
 
     def __init__(self, policy: ChannelPolicy, seed: int) -> None:
         self.policy = policy
         self.rng = np.random.default_rng((CHANNEL_STREAM, int(seed) % 2**63))
         self._failure = policy.failure_rate
+        delay = policy.delay
+        #: True when no delay draw interleaves with the fate draws
+        self._ahead = not delay or delay[0] == "fixed"
+        self._block: list[float] = []  #: drawn-ahead uniforms
+        self._pos = FATE_BLOCK  #: next unused index into ``_block``
 
     def fate(self) -> bool:
         """True when the attempt survives the channel intact."""
         if self._failure == 0.0:
             return True
-        return self.rng.random() >= self._failure
+        if not self._ahead:
+            return self.rng.random() >= self._failure
+        pos = self._pos
+        block = self._block
+        if pos == FATE_BLOCK:
+            block = self._block = self.rng.random(FATE_BLOCK).tolist()
+            pos = 0
+        self._pos = pos + 1
+        return block[pos] >= self._failure
 
     def delay(self) -> float:
         """Extra delivery latency of a surviving attempt (grid-quantised)."""
@@ -280,48 +308,63 @@ def resolve_launch(
     and the ARQ protocol's retransmissions re-enter the send queue until
     every flow's packets are accepted.  ``nodes`` are the job's node
     ids, passed to ``transmit`` as-is.
+
+    The ``n * total`` original sends never enter the heap: a cursor
+    streams them in schedule order beside it.  Their schedule indices
+    are the lowest tie-break counters (heap entries count on from
+    ``n * total``), so an original goes first whenever its send time is
+    at most the heap's earliest -- the order one heap of every event
+    would give.
     """
     n = len(nodes)
     total = len(offsets)
     flows = [model.flow(total) for _ in range(n)]
     first_inject: list[dict[int, float]] = [{} for _ in range(n)]
     sampler = model.sampler
-    timeout = model.timeout
+    fate = sampler.fate
+    delay = sampler.delay
+    heappush = heapq.heappush
+    heappop = heapq.heappop
     blocking_sum = 0.0
     attempts = 0
 
     heap: list[tuple[float, int, int, int, int, float]] = []
-    ctr = 0
-    for k in range(total):
-        t = now + k * round_gap
-        for i in range(n):
-            heap.append((t, ctr, _SEND, i, k, 0.0))
-            ctr += 1
-    heapq.heapify(heap)
+    ctr = n * total
+    # cursor over the original sends: round next_k, source next_i
+    next_k = next_i = 0
+    next_t = now
 
-    while heap:
-        t, _, kind, i, k, aux = heapq.heappop(heap)
+    while True:
+        if next_k < total and (not heap or next_t <= heap[0][0]):
+            t, kind, i, k = next_t, _SEND, next_i, next_k
+            next_i += 1
+            if next_i == n:
+                next_i = 0
+                next_k += 1
+                next_t = now + next_k * round_gap
+        elif heap:
+            t, _, kind, i, k, aux = heappop(heap)
+        else:
+            break
         flow = flows[i]
         if kind == _SEND:
             if not flow.should_send(k):
                 continue
             attempts += 1
-            timing = transmit(nodes[i], nodes[(i + offsets[k]) % n], t)
+            t_inject, t_deliver, blocking = transmit(
+                nodes[i], nodes[(i + offsets[k]) % n], t
+            )
             fi = first_inject[i]
             if k not in fi:
-                fi[k] = timing.t_inject
-            blocking_sum += timing.blocking
-            if sampler.fate():
-                arrive = timing.t_deliver + sampler.delay()
+                fi[k] = t_inject
+            blocking_sum += blocking
+            if fate():
                 ctr += 1
-                heapq.heappush(
-                    heap, (arrive, ctr, _ARRIVE, i, k, timing.t_inject)
-                )
+                heappush(heap, (t_deliver + delay(), ctr, _ARRIVE, i, k, t_inject))
             else:
                 ctr += 1
-                heapq.heappush(
-                    heap,
-                    (timing.t_inject + flow.detect_delay(k), ctr, _FAIL, i, k, 0.0),
+                heappush(
+                    heap, (t_inject + flow.detect_delay(k), ctr, _FAIL, i, k, 0.0)
                 )
         elif kind == _ARRIVE:
             if flow.on_arrival(k, t) or k in flow.accepted:
@@ -330,19 +373,17 @@ def resolve_launch(
             # own (cumulative-ack) timeout for this attempt
             td = aux + flow.detect_delay(k)
             ctr += 1
-            heapq.heappush(heap, (td if td > t else t, ctr, _FAIL, i, k, 0.0))
+            heappush(heap, (td if td > t else t, ctr, _FAIL, i, k, 0.0))
         else:  # _FAIL
             for t_send, s in flow.on_failure(k, t):
                 ctr += 1
-                heapq.heappush(heap, (t_send, ctr, _SEND, i, s, 0.0))
+                heappush(heap, (t_send, ctr, _SEND, i, s, 0.0))
             if k not in flow.accepted and k not in flow.pending:
                 # still unrecovered but outside the current resend window
                 # (go-back-n): the retransmission timer re-arms until the
                 # window slides over it
                 ctr += 1
-                heapq.heappush(
-                    heap, (t + flow.detect_delay(k), ctr, _FAIL, i, k, 0.0)
-                )
+                heappush(heap, (t + flow.detect_delay(k), ctr, _FAIL, i, k, 0.0))
 
     latency_sum = 0.0
     last = now

@@ -77,7 +77,9 @@ class FastBackend(NetworkBackend):
         The packet is queued at the source at time ``now``; channel
         reservations follow the deterministic call order.
         """
-        path = self._route(src, dst)
+        path = self._route_cache.get(src * self._node_count + dst)
+        if path is None:
+            path = self._route(src, dst)
         free_at = self.free_at
         hop = self.hop_cost
         occ = self.occupancy
@@ -96,7 +98,7 @@ class FastBackend(NetworkBackend):
             free_at[c] = t + occ
             t += hop
         self.packets_sent += 1
-        return PathTiming(t_inject=t_inject, t_deliver=t + self.drain, blocking=blocking)
+        return PathTiming(t_inject, t + self.drain, blocking)
 
     # -------------------------------------------------------- round launch
     def inject_rounds(

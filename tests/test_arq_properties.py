@@ -195,6 +195,15 @@ class TestFlowArqStateMachine:
         assert flow.on_arrival(2, 4.0)  # cursor caught up
         assert flow.done
 
+    def test_go_back_n_resends_only_sent_seqs(self):
+        """A go-back-n wave covers the window from the cursor, but only
+        the seqs actually sent so far -- never one still unsent."""
+        flow = FlowArq("go-back-n", total=8, timeout=32.0, spacing=16.0)
+        for seq in range(3):
+            assert flow.should_send(seq)
+        resends = flow.on_failure(0, 100.0)
+        assert resends == [(100.0, 0), (116.0, 1), (132.0, 2)]
+
     def test_send_suppressed_after_accept(self):
         flow = FlowArq("selective-repeat", total=2, timeout=32.0, spacing=16.0)
         assert flow.should_send(0)

@@ -90,11 +90,27 @@ def test_point_rejects_malformed_input(argv, capsys):
     assert len(err) == 1 and err[0].startswith("bad point parameters: ")
 
 
+@pytest.mark.parametrize("spec", [
+    "delay:fixed:inf", "delay:fixed:nan", "delay:exp:inf", "delay:exp:nan",
+    "delay:uniform:0:inf",
+])
+def test_point_rejects_non_finite_delay(spec, capsys):
+    rc = main([
+        "point", "--workload", "uniform", "--load", "0.02", "--scale", "smoke",
+        "--channel", spec, "--arq", "selective-repeat",
+    ])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("bad --channel/--arq: ")
+    assert "finite" in err[0]
+
+
 @pytest.mark.parametrize("argv", [
     ["--loads", "0.01", "--allocs", "Foo"],
     ["--loads", "0.01", "--scheds", "LIFO"],
     ["--loads", "-0.5"],
-], ids=["unknown-alloc", "unknown-sched", "negative-load"])
+    ["--loads", "0.01", "--channels", "delay:exp:nan"],
+], ids=["unknown-alloc", "unknown-sched", "negative-load", "nan-delay"])
 def test_sweep_rejects_malformed_input(argv, capsys):
     rc = main(["sweep", "--workloads", "uniform", "--scale", "smoke", *argv])
     assert rc == 2

@@ -167,11 +167,30 @@ class TestKernelRouteWalk:
                 a = fast.inject_rounds(pair, [1], now, 16.0)
                 b = batch.inject_rounds(pair, [1], now, 16.0)
                 assert a == b, (src, dst)
-                touched = set(np.flatnonzero(batch.free_at >= now).tolist())
+                touched = set(
+                    np.flatnonzero(np.asarray(batch.free_at) >= now).tolist()
+                )
                 expected = set(xy_route(topo, src, dst))
                 expected |= set(xy_route(topo, dst, src))
                 assert touched == expected, (src, dst, wrap, dims)
         assert np.array_equal(np.asarray(fast.free_at), batch.free_at)
+
+
+class TestReservationTable:
+    def test_transmit_returns_plain_floats(self):
+        """With the kernel, ``free_at`` is an ``array('d')``, so the
+        per-packet ``transmit`` of the lossy path computes on Python
+        floats, not NumPy scalars."""
+        topo = MeshTopology(8, 8)
+        batch = make_backend("batch", topo, Engine())
+        if batch._kernel is None:
+            pytest.skip("compiled kernel unavailable")
+        batch.inject_rounds(list(range(16)), [1, 5], 0.0, 16.0)
+        timing = batch.transmit(0, 63, 4.0)
+        assert timing.blocking > 0.0  # read reservations the kernel wrote
+        assert [type(v) for v in timing] == [float, float, float]
+        batch.reset()
+        assert [type(v) for v in batch.transmit(63, 0, 0.0)] == [float] * 3
 
 
 class TestTrivialChannelEquivalence:
