@@ -2,8 +2,8 @@
 
 Three modules carry a C translation unit -- the batch backend's
 reservation kernel (:mod:`repro.network._native`), the SoA lane driver
-(:mod:`repro.core._soa_native`) and the uniform-sides draw loop
-(:mod:`repro.workload._native`).  Each keeps only its ``_SOURCE``, its
+(:mod:`repro.core._soa_native`) and the draw loops of the uniform-sides
+workload and the SDSC trace (:mod:`repro.workload._native`).  Each keeps only its ``_SOURCE``, its
 ctypes signatures and any extra link input; compiling, caching and
 loading go through :func:`build`, and the per-module memo through
 :class:`KernelMemo`.

@@ -40,6 +40,7 @@ reports with no embedded series -- usable directly as a CI gate.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -508,10 +509,13 @@ def diff_reports(
     """
     if not 0.0 < alpha < 1.0:
         raise DiffError(f"alpha must be in (0, 1), got {alpha}")
-    if rel_tol < 0.0:
-        raise DiffError(f"rel_tol must be >= 0, got {rel_tol}")
-    if traj_atol < 0.0 or traj_rtol < 0.0:
-        raise DiffError("trajectory tolerances must be >= 0")
+    # NaN passes any ``x < 0`` test and an infinite band passes every
+    # sample, so a tolerance must be finite as well as non-negative
+    if not (math.isfinite(rel_tol) and rel_tol >= 0.0):
+        raise DiffError(f"rel_tol must be finite and >= 0, got {rel_tol}")
+    for name, tol in (("traj_atol", traj_atol), ("traj_rtol", traj_rtol)):
+        if not (math.isfinite(tol) and tol >= 0.0):
+            raise DiffError(f"{name} must be finite and >= 0, got {tol}")
     a_names = set(a.metric_names())
     b_names = set(b.metric_names())
     if metrics:

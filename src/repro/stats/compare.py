@@ -9,7 +9,9 @@ actually differ.  This module supplies the three tools the diff subsystem
 * **Welch's t-test** (:func:`welch_t_test`) on two
   :class:`MetricSummary` objects (mean, unbiased variance, n -- exactly
   what the Welford/replication layer already carries), with the
-  Welch--Satterthwaite degrees of freedom;
+  Welch--Satterthwaite degrees of freedom; its p-value is
+  ``scipy.special.stdtr``, imported on the first call, so scipy loads
+  only in the processes that compare reports;
 * **CI overlap** (:func:`ci_overlap`): whether the two Student-t
   confidence intervals of the means intersect, the same intervals the
   replication stopping rule uses (:mod:`repro.stats.ci`);
@@ -36,8 +38,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
-
-from scipy import special as _special
 
 from repro.stats import ci as _ci
 
@@ -132,6 +132,8 @@ def welch_t_test(a: MetricSummary, b: MetricSummary) -> WelchResult:
     otherwise).  When both sample variances are zero the test
     degenerates: equal means give ``t=0, p=1``, unequal means give
     ``t=+/-inf, p=0`` (two exact constants can only differ surely).
+    The p-value comes from ``scipy.special.stdtr``, imported at the call:
+    ``repro diff`` is the only caller, so a campaign never loads scipy.
     """
     if a.n < 2 or b.n < 2:
         raise ValueError("Welch's t-test needs n >= 2 on both sides")
@@ -156,8 +158,10 @@ def welch_t_test(a: MetricSummary, b: MetricSummary) -> WelchResult:
         df = float(min(a.n, b.n) - 1)
     else:
         df = se2 * se2 / denom
+    from scipy import special
+
     # stdtr(df, -|t|) is what scipy's Student-t distribution ``sf`` computes
-    p = 2.0 * float(_special.stdtr(df, -abs(t)))
+    p = 2.0 * float(special.stdtr(df, -abs(t)))
     return WelchResult(t=t, df=df, p_value=min(p, 1.0))
 
 
@@ -232,8 +236,8 @@ def compare_metric(
     """
     if not 0 < alpha < 1:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    if rel_tol < 0:
-        raise ValueError(f"rel_tol must be >= 0, got {rel_tol}")
+    if not (math.isfinite(rel_tol) and rel_tol >= 0):
+        raise ValueError(f"rel_tol must be finite and >= 0, got {rel_tol}")
     if higher_is_better is None:
         higher_is_better = name in HIGHER_IS_BETTER
     delta = b.mean - a.mean

@@ -175,8 +175,10 @@ def band_exceedances(
     Returns:
         The indices ``i`` with ``|a_i - b_i| > atol + rtol * |a_i|``.
     """
-    if atol < 0 or rtol < 0:
-        raise ValueError("tolerances must be >= 0")
+    if not all(math.isfinite(x) and x >= 0 for x in (atol, rtol)):
+        raise ValueError(
+            f"tolerances must be finite and >= 0, got atol={atol}, rtol={rtol}"
+        )
     if len(a) != len(b):
         raise ValueError(f"length mismatch: {len(a)} != {len(b)}")
     return [
@@ -309,8 +311,8 @@ def detect_plateau(
     Returns:
         The confirming index, or ``None`` if no plateau is confirmed.
     """
-    if rel_tol < 0:
-        raise ValueError(f"rel_tol must be >= 0, got {rel_tol}")
+    if not (math.isfinite(rel_tol) and rel_tol >= 0):
+        raise ValueError(f"rel_tol must be finite and >= 0, got {rel_tol}")
     if confirm < 1:
         raise ValueError(f"confirm must be >= 1, got {confirm}")
     flat_run = 0

@@ -20,7 +20,11 @@ a trace calibrated to every published statistic:
   (Frontiers'96) -- this is what gives SSD its advantage.
 
 The generator is deterministic for a given seed; ``verify`` checks the
-synthetic statistics against the paper's published ones.
+synthetic statistics against the paper's published ones.  The per-job
+draws run in the compiled draw loop of :mod:`repro.workload._native`
+when it is available, on the same bit stream and in the same order as
+the Python loop here, which stays as the fallback and as the reference
+the tests compare against.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ import math
 
 import numpy as np
 
+from repro.workload import _native
 from repro.workload.trace import TraceJob, TraceStats, trace_stats
 
 #: the statistics the paper quotes for its trace
@@ -47,6 +52,10 @@ _SIZE_MIX = (
     (0.03, "full", (200, 352)),  # near-full-machine runs
 )
 
+#: mixture components drawn as bounded integers over ``[lo, hi]``; the
+#: others are log-normal
+_UNIFORM_KINDS = ("small", "full")
+
 _POWERS_OF_TWO = {4, 8, 16, 32, 64, 128, 256}
 
 
@@ -57,10 +66,7 @@ def _draw_size(rng: np.random.Generator, max_size: int) -> int:
         acc += weight
         if u <= acc:
             break
-    if kind == "small":
-        lo, hi = params
-        size = int(rng.integers(lo, hi + 1))
-    elif kind == "full":
+    if kind in _UNIFORM_KINDS:
         lo, hi = params
         size = int(rng.integers(lo, hi + 1))
     else:
@@ -76,6 +82,57 @@ def _draw_size(rng: np.random.Generator, max_size: int) -> int:
     return size
 
 
+def _python_trace(
+    rng: np.random.Generator,
+    jobs: int,
+    short_mean: float,
+    long_mean: float,
+    max_size: int,
+    mu_rt: float,
+    runtime_sigma: float,
+) -> list[TraceJob]:
+    """The per-job draw loop in Python: the fallback and the reference."""
+    out: list[TraceJob] = []
+    t = 0.0
+    for _ in range(jobs):
+        gap = rng.exponential(short_mean if rng.random() < 0.7 else long_mean)
+        t += gap
+        size = _draw_size(rng, max_size)
+        runtime = max(1.0, rng.lognormal(mu_rt, runtime_sigma))
+        out.append(TraceJob(arrival=t, size=size, runtime=runtime))
+    return out
+
+
+def _native_trace(
+    rng: np.random.Generator,
+    jobs: int,
+    short_mean: float,
+    long_mean: float,
+    max_size: int,
+    mu_rt: float,
+    runtime_sigma: float,
+) -> list[TraceJob] | None:
+    """:func:`_python_trace` in the compiled loop; ``None`` without it."""
+    mix = np.array(
+        [(weight, kind not in _UNIFORM_KINDS, *params)
+         for weight, kind, params in _SIZE_MIX],
+        dtype=np.float64,
+    )
+    pow2 = np.array(sorted(_POWERS_OF_TWO), dtype=np.int64)
+    arrival = np.empty(jobs)
+    size = np.empty(jobs, dtype=np.int64)
+    runtime = np.empty(jobs)
+    if not _native.fill_sdsc_draws(
+        rng, jobs, short_mean, long_mean, max_size, mu_rt, runtime_sigma,
+        mix, pow2, arrival, size, runtime,
+    ):
+        return None
+    return [
+        TraceJob(arrival=a, size=s, runtime=r)
+        for a, s, r in zip(arrival.tolist(), size.tolist(), runtime.tolist())
+    ]
+
+
 def synthesize_sdsc_trace(
     jobs: int = SDSC_PUBLISHED["jobs"],
     seed: int = 1995,
@@ -89,18 +146,10 @@ def synthesize_sdsc_trace(
         raise ValueError("a trace needs at least two jobs")
     rng = np.random.default_rng(seed)
     # hyper-exponential inter-arrivals: mean = 0.7*0.4m + 0.3*2.4m = m
-    short_mean = 0.4 * mean_interarrival
-    long_mean = 2.4 * mean_interarrival
-    out: list[TraceJob] = []
-    t = 0.0
-    mu_rt = math.log(runtime_median)
-    for _ in range(jobs):
-        gap = rng.exponential(short_mean if rng.random() < 0.7 else long_mean)
-        t += gap
-        size = _draw_size(rng, max_size)
-        runtime = max(1.0, rng.lognormal(mu_rt, runtime_sigma))
-        out.append(TraceJob(arrival=t, size=size, runtime=runtime))
-    return out
+    args = (rng, jobs, 0.4 * mean_interarrival, 2.4 * mean_interarrival,
+            max_size, math.log(runtime_median), runtime_sigma)
+    trace = _native_trace(*args)
+    return trace if trace is not None else _python_trace(*args)
 
 
 def verify(trace: list[TraceJob], tolerance: float = 0.15) -> TraceStats:

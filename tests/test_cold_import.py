@@ -1,11 +1,14 @@
-"""Cold-start guard: ``scipy.stats`` stays off the library's import path.
+"""Cold-start guard: no part of scipy is on the library's run path.
 
-Importing ``scipy.stats`` costs about a second of every CLI run and
-campaign process.  The stats layer uses ``scipy.special.stdtrit`` /
-``stdtr`` (the routines ``scipy.stats.t`` wraps) instead; this test
-fails as soon as any import -- eager or lazily on first use during a
-campaign -- pulls ``scipy.stats`` back in.  It is deterministic: it
-checks ``sys.modules``, not a timing.
+Importing ``scipy.special`` costs about a quarter of a second of every
+CLI run and campaign process, and ``scipy.stats`` about a second.  The
+replication stopping rule reads its 95% Student-t quantiles from an
+exact table (:data:`repro.stats.ci.T95_TABLE`), and only Welch's test
+-- which ``repro diff`` alone calls -- loads ``scipy.special`` lazily.
+This test fails as soon as any import, eager or lazily on first use
+during a campaign, pulls a ``scipy`` module back in, or Welch's test
+pulls in ``scipy.stats``.  It is deterministic: it checks
+``sys.modules``, not a timing.
 """
 
 from __future__ import annotations
@@ -31,7 +34,10 @@ SCRIPT = textwrap.dedent(
     from repro.experiments.store import ResultCache
     from repro.stats import MetricSummary, welch_t_test
 
-    assert "scipy.stats" not in sys.modules, "imported at module load"
+    def scipy_modules():
+        return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+    assert not scipy_modules(), f"imported at module load: {scipy_modules()[:3]}"
 
     # one point, two replications: the stopping rule's CI runs
     scale = campaign.Scale("cold", jobs=12, min_replications=2,
@@ -43,11 +49,14 @@ SCRIPT = textwrap.dedent(
     with tempfile.TemporaryDirectory() as tmp:
         (result,) = campaign.Campaign([spec]).run(
             jobs=1, cache=ResultCache(tmp)).values()
+    assert not scipy_modules(), f"imported by a campaign: {scipy_modules()[:3]}"
+
+    # Welch's test may load scipy.special on first use, never scipy.stats
     summary = result.stats["mean_turnaround"]
     assert summary.n == 2
     shifted = MetricSummary(summary.mean + 1.0, summary.variance + 1.0, 3)
     assert 0.0 <= welch_t_test(summary, shifted).p_value <= 1.0
-    assert "scipy.stats" not in sys.modules, "imported during a campaign"
+    assert "scipy.stats" not in sys.modules, "imported by welch_t_test"
     print("ok")
     """
 )

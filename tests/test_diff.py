@@ -5,6 +5,7 @@ grid-mismatch tolerance, schema validation and CI exit codes."""
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -197,6 +198,13 @@ class TestDiffReports:
             diff_reports(a, a, alpha=1.5)
         with pytest.raises(DiffError, match="rel_tol"):
             diff_reports(a, a, rel_tol=-0.1)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["rel_tol", "traj_atol", "traj_rtol"])
+    def test_non_finite_tolerances_are_diff_errors(self, name, value):
+        a = parse_report(make_report([make_point("k1")]))
+        with pytest.raises(DiffError, match=f"{name} must be finite"):
+            diff_reports(a, a, **{name: value})
 
     def test_rel_tol_dead_band(self):
         a = parse_report(make_report([make_point("k1", turnaround=100.0)]))

@@ -150,3 +150,29 @@ def test_perturbed_trajectory_sample_gates(tmp_path, capsys):
         "diff", str(golden), str(perturbed),
         "--trajectories", "--traj-atol", "0.01", "--fail-on-regress",
     ]) == 0
+
+
+@pytest.mark.parametrize("flag", [
+    ("--traj-rtol", "nan"),
+    ("--traj-atol", "nan"),
+    ("--traj-atol", "inf"),
+    ("--rel-tol", "nan"),
+    ("--rel-tol", "inf"),
+])
+def test_non_finite_tolerance_is_a_usage_error(tmp_path, capsys, flag):
+    """NaN passes an ``x < 0`` check and an infinite band passes every
+    sample: either would let a diverged trajectory through the gate."""
+    golden = GOLDEN / "scenario_smoke.json"
+    diverged = tmp_path / "diverged.json"
+    doc = json.loads(golden.read_text())
+    doc["points"][0]["trajectory"]["queue_length"][1] += 50
+    diverged.write_text(json.dumps(doc))
+    base = ["diff", str(golden), str(diverged),
+            "--trajectories", "--fail-on-regress"]
+    assert main(base) == 1
+    capsys.readouterr()
+    assert main([*base, *flag]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert len(out.err.strip().splitlines()) == 1
+    assert "finite" in out.err

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.stats.series import (
@@ -76,6 +78,12 @@ class TestDeviationAndArea:
         with pytest.raises(ValueError):
             band_exceedances(a, b, atol=-1.0)
 
+    @pytest.mark.parametrize("tol", ["atol", "rtol"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_band_exceedances_reject_non_finite_tolerances(self, tol, value):
+        with pytest.raises(ValueError, match="finite"):
+            band_exceedances([1.0], [100.0], **{tol: value})
+
 
 class TestDiffSeries:
     def test_identical_series(self):
@@ -130,6 +138,9 @@ class TestPlateauDetection:
     def test_validation(self):
         with pytest.raises(ValueError):
             detect_plateau([1.0], rel_tol=-0.1)
+        for value in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                detect_plateau([1.0], rel_tol=value)
         with pytest.raises(ValueError):
             detect_plateau([1.0], confirm=0)
 

@@ -143,6 +143,9 @@ class TestCompareMetric:
             compare_metric("m", S(1.0), S(2.0), alpha=0.0)
         with pytest.raises(ValueError):
             compare_metric("m", S(1.0), S(2.0), rel_tol=-1.0)
+        for value in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                compare_metric("m", S(1.0), S(2.0), rel_tol=value)
 
     def test_to_dict_is_json_ready(self):
         import json

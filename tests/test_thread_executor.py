@@ -12,6 +12,7 @@ store -- must survive concurrent first use from N threads.
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 from concurrent import futures
@@ -30,6 +31,8 @@ from repro.experiments.campaign import (
 from repro.experiments.store import ResultCache
 from repro.network import _native as network_native
 from repro.workload import _native as workload_native
+from repro.workload import sdsc
+from repro.workload.sdsc import SDSC_PUBLISHED
 from repro.workload.columnar import BlockCache
 from repro.workload.stochastic import StochasticWorkload
 
@@ -267,6 +270,21 @@ class TestNativeDrawHelper:
         np.testing.assert_array_equal(
             native_blk.messages, fallback_blk.messages
         )
+
+    @pytest.mark.parametrize("max_size", [4, 8, 9, 352])
+    def test_sdsc_native_loop_matches_python(self, max_size):
+        # max_size 4 and 8 put a power of two at the clamp bound, so the
+        # nudge and its re-clamp run in C; 9 clamps just above one
+        if workload_native.load_kernel() is None:
+            pytest.skip("native draw kernel unavailable")
+        args = (SDSC_PUBLISHED["jobs"], 0.4 * 1186.7, 2.4 * 1186.7,
+                max_size, math.log(500.0), 1.9)
+        for seed in (1995, 1, 7, 2026, 12345):
+            rng_py = np.random.default_rng(seed)
+            rng_c = np.random.default_rng(seed)
+            expected = sdsc._python_trace(rng_py, *args)
+            assert sdsc._native_trace(rng_c, *args) == expected
+            assert rng_c.bit_generator.state == rng_py.bit_generator.state
 
 
 class TestCoalescedWrites:
