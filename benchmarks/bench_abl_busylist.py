@@ -3,7 +3,9 @@
 The paper's conclusion: "GABL achieves this by using a busy list whose
 length is often small even when the size of the mesh scales up."  We run
 the same relative load on growing meshes and record the mean and peak
-busy-list length plus allocation throughput.
+busy-list length plus allocation throughput.  The busy list holds every
+allocated sub-mesh, so an observer counts its length from the fragments
+of the jobs that start and depart.
 """
 
 from __future__ import annotations
@@ -12,9 +14,26 @@ from _helpers import results_dir
 
 from repro.alloc.gabl import GABLAllocator
 from repro.core.config import PAPER_CONFIG
+from repro.core.hooks import SimObserver
 from repro.core.simulator import Simulator
 from repro.experiments.runner import Scale, make_workload
 from repro.sched import make_scheduler
+
+
+class BusyLength(SimObserver):
+    """Busy-list length, sampled at every successful allocation."""
+
+    def __init__(self) -> None:
+        self.length = self.peak = self.length_sum = self.samples = 0
+
+    def on_start(self, now, job, queue_length) -> None:
+        self.length += job.allocation.fragment_count
+        self.peak = max(self.peak, self.length)
+        self.length_sum += self.length
+        self.samples += 1
+
+    def on_complete(self, now, job) -> None:
+        self.length -= job.allocation.fragment_count
 
 
 def _run(width: int, length: int, jobs: int) -> dict[str, float]:
@@ -24,13 +43,13 @@ def _run(width: int, length: int, jobs: int) -> dict[str, float]:
     allocator = GABLAllocator(width, length)
     sc = Scale("abl", jobs=jobs, min_replications=1, max_replications=1,
                trace_max_jobs=None)
+    busy = BusyLength()
     sim = Simulator(cfg, allocator, make_scheduler("FCFS"),
-                    make_workload("uniform", cfg, load, sc))
+                    make_workload("uniform", cfg, load, sc), observers=(busy,))
     sim.run()
-    bl = allocator.busy_list
     return {
-        "mean_len": bl.mean_length,
-        "peak_len": float(bl.peak_length),
+        "mean_len": busy.length_sum / busy.samples,
+        "peak_len": float(busy.peak),
         "mean_fragments": allocator.stats.mean_fragments,
     }
 

@@ -3,31 +3,30 @@
 
 The paper measures utilization at a load where "the waiting queue is
 filled very early, allowing each strategy to reach its upper limits of
-utilization".  This example makes that premise visible: a state sampler
-records utilization and queue length over time, showing the ramp, the
-early queue blow-up, and the plateau each strategy settles on.
+utilization".  This example makes that premise visible: a trajectory
+observer records utilization and queue length over time, showing the
+ramp, the early queue blow-up, and the plateau each strategy settles on.
 """
 
 from repro import PAPER_CONFIG, Simulator, make_allocator, make_scheduler
-from repro.core.sampler import StateSampler
+from repro.core.hooks import TrajectoryObserver
 from repro.workload import StochasticWorkload
 
 LOAD = 0.03  # the fig9 saturation load
 JOBS = 250
 
 
-def run(alloc: str):
+def run(alloc: str) -> TrajectoryObserver:
     cfg = PAPER_CONFIG.with_(jobs=JOBS)
-    sim = Simulator(
+    traj = TrajectoryObserver(200.0, processors=cfg.processors)
+    Simulator(
         cfg,
         make_allocator(alloc, cfg.width, cfg.length),
         make_scheduler("FCFS"),
         StochasticWorkload(cfg, load=LOAD, sides="uniform"),
-    )
-    sampler = StateSampler(sim, period=200.0)
-    sampler.start()
-    sim.run()
-    return sampler
+        observers=(traj,),
+    ).run()
+    return traj
 
 
 def sparkline(values, width=60):
@@ -44,11 +43,14 @@ def sparkline(values, width=60):
 def main() -> None:
     print(f"uniform workload at saturation load {LOAD}, {JOBS} jobs, FCFS\n")
     for alloc in ("GABL", "Paging(0)", "MBS"):
-        sampler = run(alloc)
-        util = [u for _, u in sampler.utilization_series()]
-        queue = [float(q) for _, q in sampler.queue_series()]
-        t_fill = sampler.time_to_queue(20)
-        plateau = sampler.plateau_utilization()
+        traj = run(alloc)
+        util = traj.utilization()
+        queue = [float(q) for q in traj.queue_length]
+        t_fill = next(
+            (t for t, q in zip(traj.times, traj.queue_length) if q >= 20), None
+        )
+        tail = util[int(len(util) * 0.3):]  # skip the ramp-up
+        plateau = sum(tail) / len(tail)
         print(f"{alloc}:")
         print(f"  utilization |{sparkline(util)}|  plateau={plateau:.2f}")
         print(f"  queue       |{sparkline(queue)}|  "

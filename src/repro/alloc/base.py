@@ -1,11 +1,10 @@
 """Allocator interface shared by every allocation strategy.
 
-An allocator owns the :class:`~repro.mesh.grid.MeshGrid` occupancy state and
-a :class:`~repro.mesh.busylist.BusyList`.  A request is the sub-mesh shape
-``w x l`` asked for by a job (non-contiguous strategies may scatter the
-``w*l`` processors); on success the allocator returns an
-:class:`Allocation` that the simulator later hands back to
-:meth:`Allocator.release`.
+An allocator owns the :class:`~repro.mesh.grid.MeshGrid` occupancy state.
+A request is the sub-mesh shape ``w x l`` asked for by a job
+(non-contiguous strategies may scatter the ``w*l`` processors); on success
+the allocator returns an :class:`Allocation` that the simulator later
+hands back to :meth:`Allocator.release`.
 
 Invariants enforced (and property-tested):
 
@@ -23,7 +22,6 @@ import abc
 from dataclasses import dataclass
 from typing import Any, Sequence
 
-from repro.mesh.busylist import BusyList
 from repro.mesh.geometry import SubMesh
 from repro.mesh.grid import MeshGrid
 
@@ -107,7 +105,6 @@ class Allocator(abc.ABC):
 
     def __init__(self, width: int, length: int) -> None:
         self.grid = MeshGrid(width, length)
-        self.busy_list = BusyList()
         self.stats = AllocatorStats()
         self._failed_requests: set[tuple[int, int]] = set()
         self._failed_version = -1
@@ -152,21 +149,16 @@ class Allocator(abc.ABC):
         self.stats.fragments_sum += allocation.fragment_count
         if allocation.contiguous:
             self.stats.contiguous_successes += 1
-        for s in allocation.submeshes:
-            self.busy_list.add(job_id, s)
-        self.busy_list.sample_length()
         return allocation
 
     def release(self, allocation: Allocation) -> None:
         """Return every processor of ``allocation`` to the free pool."""
-        self.busy_list.remove_job(allocation.job_id)
         self._release(allocation)
         self.stats.released += 1
 
     def reset(self) -> None:
         """Drop all state (between simulation replications)."""
         self.grid.reset()
-        self.busy_list = BusyList()
         self.stats = AllocatorStats()
         self._failed_requests.clear()
         self._failed_version = -1

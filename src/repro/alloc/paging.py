@@ -105,16 +105,12 @@ class PagingAllocator(Allocator):
         self._free_pages = self.pages_w * self.pages_l
 
     # -------------------------------------------------------------- helpers
-    def _page_submesh(self, page: Coord) -> SubMesh:
-        """Processor rectangle covered by a page."""
-        ps = self.page_side
-        return SubMesh.from_base(page.x * ps, page.y * ps, ps, ps)
-
     def _merge_pages(self, pages: list[Coord]) -> list[SubMesh]:
         """Merge taken pages into maximal horizontal runs per page row.
 
         A full 2D merge is unnecessary: runs already capture the locality
-        the indexing scheme provides, and the busy list stays small.
+        the indexing scheme provides, and each allocation stays a short
+        list of sub-meshes.
         """
         ps = self.page_side
         by_row: dict[int, list[int]] = {}

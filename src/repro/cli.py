@@ -50,7 +50,7 @@ from repro.experiments.figures import FIGURES
 from repro.experiments.report import ascii_plot, format_figure, summarize_point
 from repro.experiments.runner import SCALES, default_scale, run_figure, run_point
 from repro.network.arq import ARQ_PROTOCOLS
-from repro.workload.swf import load_swf
+from repro.workload.swf import SWFError, load_swf
 from repro.workload.transforms import SpecError
 
 
@@ -774,7 +774,18 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     trace = None
     if args.swf:
-        trace = load_swf(args.swf, max_size=PAPER_CONFIG.processors)
+        try:
+            trace = load_swf(args.swf, max_size=PAPER_CONFIG.processors)
+        except (OSError, SWFError) as exc:
+            print(f"bad --swf {args.swf}: {exc}", file=sys.stderr)
+            return 2
+        if len(trace) < 2:
+            print(
+                f"bad --swf {args.swf}: needs at least two usable jobs, "
+                f"found {len(trace)}",
+                file=sys.stderr,
+            )
+            return 2
         print(f"loaded {len(trace)} jobs from {args.swf}")
 
     targets: list[str] = []

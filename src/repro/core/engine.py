@@ -18,25 +18,19 @@ from repro.core.events import Event, Priority
 class Engine:
     """Event heap + clock."""
 
-    __slots__ = ("_heap", "_now", "_seq", "_processed", "running")
+    __slots__ = ("_heap", "_now", "_seq", "_processed")
 
     def __init__(self) -> None:
         self._heap: list[Event] = []
         self._now = 0.0
         self._seq = 0
         self._processed = 0
-        self.running = False
 
     # ------------------------------------------------------------------ API
     @property
     def now(self) -> float:
         """Current simulation time."""
         return self._now
-
-    @property
-    def pending(self) -> int:
-        """Number of events still queued (including cancelled ones)."""
-        return len(self._heap)
 
     @property
     def processed(self) -> int:
@@ -93,43 +87,17 @@ class Engine:
         backwards.
         """
         heap = self._heap
-        self.running = True
-        try:
-            while heap:
-                if stop is not None and stop():
-                    break
-                ev = heap[0]
-                if ev.cancelled:
-                    heapq.heappop(heap)
-                    continue
-                if until is not None and ev.time > until:
-                    self._now = until
-                    break
-                heapq.heappop(heap)
-                self._now = ev.time
-                self._processed += 1
-                ev.callback(*ev.args)
-            else:
-                if until is not None:
-                    self._now = max(self._now, until)
-        finally:
-            self.running = False
-
-    def step(self) -> bool:
-        """Execute exactly one event; returns False when none remain."""
-        while self._heap:
-            ev = heapq.heappop(self._heap)
-            if ev.cancelled:
-                continue
+        while heap:
+            if stop is not None and stop():
+                break
+            ev = heap[0]
+            if until is not None and ev.time > until:
+                self._now = until
+                break
+            heapq.heappop(heap)
             self._now = ev.time
             self._processed += 1
             ev.callback(*ev.args)
-            return True
-        return False
-
-    def reset(self) -> None:
-        """Clear the heap and rewind the clock."""
-        self._heap.clear()
-        self._now = 0.0
-        self._seq = 0
-        self._processed = 0
+        else:
+            if until is not None:
+                self._now = max(self._now, until)

@@ -33,8 +33,3 @@ class Event:
     seq: int
     callback: Callable[..., None] = field(compare=False)
     args: tuple[Any, ...] = field(compare=False, default=())
-    cancelled: bool = field(compare=False, default=False)
-
-    def cancel(self) -> None:
-        """Mark the event dead; the kernel skips it on pop."""
-        self.cancelled = True

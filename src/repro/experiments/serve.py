@@ -449,6 +449,11 @@ class _Handler(BaseHTTPRequestHandler):
             return
         try:
             length = int(self.headers.get("Content-Length", "0"))
+            if length < 0:
+                # rfile.read(-1) would block until the client hangs up;
+                # the body cannot be framed, so drop the connection too
+                self.close_connection = True
+                raise ValueError(f"negative Content-Length {length}")
             doc = json.loads(self.rfile.read(length).decode("utf-8"))
         except (ValueError, UnicodeDecodeError) as exc:
             self._reply(400, {"error": f"bad request body: {exc}"})

@@ -1,4 +1,4 @@
-"""2D mesh substrate: geometry, occupancy grid, busy list, rectangle search.
+"""2D mesh substrate: geometry, occupancy grid, rectangle search.
 
 The target system of the paper (section 2) is a ``W x L`` 2D mesh where every
 processor is addressed by a coordinate pair ``(x, y)`` with ``0 <= x < W`` and
@@ -7,15 +7,12 @@ processor is addressed by a coordinate pair ``(x, y)`` with ``0 <= x < W`` and
 * :mod:`repro.mesh.geometry` -- coordinates and sub-mesh rectangles
   (Definitions 1-4 of the paper).
 * :mod:`repro.mesh.grid` -- the mutable occupancy state of the mesh.
-* :mod:`repro.mesh.busylist` -- the list of allocated sub-meshes per job
-  (the data structure GABL is named after).
 * :mod:`repro.mesh.rectfind` -- free-rectangle search engines used by the
   contiguous attempt of GABL and by the contiguous baselines.
 """
 
 from repro.mesh.geometry import Coord, SubMesh
 from repro.mesh.grid import MeshGrid
-from repro.mesh.busylist import BusyList
 from repro.mesh.rectfind import (
     find_suitable_submesh,
     all_suitable_bases,
@@ -27,7 +24,6 @@ __all__ = [
     "Coord",
     "SubMesh",
     "MeshGrid",
-    "BusyList",
     "find_suitable_submesh",
     "all_suitable_bases",
     "largest_free_rect",

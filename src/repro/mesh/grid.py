@@ -127,18 +127,6 @@ class MeshGrid:
         self._free_count -= len(nodes)
         self._version += 1
 
-    def release_nodes(self, nodes: Iterable[Coord], job_id: int) -> None:
-        """Free an arbitrary set of processors owned by ``job_id``."""
-        nodes = list(nodes)
-        for c in nodes:
-            self._check_coord(c)
-            if self._owner[c.y, c.x] != job_id:
-                raise ValueError(f"release of {c} not owned by job {job_id}")
-        for c in nodes:
-            self._owner[c.y, c.x] = FREE
-        self._free_count += len(nodes)
-        self._version += 1
-
     def reset(self) -> None:
         """Free the entire mesh (used between simulation replications)."""
         self._owner[:] = FREE

@@ -151,10 +151,6 @@ class NetworkBackend:
         self.free_at = [0.0] * self.topology.channel_count
         self.packets_sent = 0
 
-    def base_latency(self, hops: int) -> float:
-        """Uncontended latency of an ``hops``-link route."""
-        return (hops + 2) * self.hop_cost + self.drain
-
 
 #: mode name -> backend class
 BACKENDS: dict[str, Type[NetworkBackend]] = {}

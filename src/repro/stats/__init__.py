@@ -6,7 +6,6 @@ so that the confidence level is 95% and the relative errors do not exceed
 that stopping rule.
 """
 
-from repro.stats.welford import Welford
 from repro.stats.ci import mean_confidence_interval, relative_error
 from repro.stats.compare import (
     HIGHER_IS_BETTER,
@@ -37,7 +36,6 @@ from repro.stats.series import (
 )
 
 __all__ = [
-    "Welford",
     "mean_confidence_interval",
     "relative_error",
     "HIGHER_IS_BETTER",

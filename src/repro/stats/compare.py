@@ -8,7 +8,7 @@ actually differ.  This module supplies the three tools the diff subsystem
 
 * **Welch's t-test** (:func:`welch_t_test`) on two
   :class:`MetricSummary` objects (mean, unbiased variance, n -- exactly
-  what the Welford/replication layer already carries), with the
+  what the replication layer already carries), with the
   Welch--Satterthwaite degrees of freedom; its p-value is
   ``scipy.special.stdtr``, imported on the first call, so scipy loads
   only in the processes that compare reports;
@@ -66,8 +66,8 @@ class MetricSummary:
     """Replication summary of one metric: mean, unbiased variance, n.
 
     This is the sufficient statistic every comparison here consumes; it
-    is what :class:`~repro.stats.replication.ReplicatedMetric` and
-    :class:`~repro.stats.welford.Welford` already know.
+    is what :class:`~repro.stats.replication.ReplicatedMetric` already
+    knows.
     """
 
     mean: float
@@ -86,11 +86,6 @@ class MetricSummary:
         :func:`repro.stats.ci.mean_confidence_interval` uses."""
         mean, var = _ci.mean_variance(values)
         return cls(mean=mean, variance=var, n=len(values))
-
-    @classmethod
-    def from_welford(cls, acc) -> "MetricSummary":
-        """Adopt a :class:`~repro.stats.welford.Welford` accumulator."""
-        return cls(mean=acc.mean, variance=acc.variance, n=acc.n)
 
     def to_dict(self) -> dict:
         """JSON-serializable form (the report/store payload)."""

@@ -74,4 +74,4 @@ class TestStats:
         a.allocate(1, 3, 3)
         a.reset()
         assert a.stats.attempts == 0
-        assert len(a.busy_list) == 0
+        assert a.free_count == 64

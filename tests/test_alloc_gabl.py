@@ -130,17 +130,44 @@ class TestCompleteness:
         assert a.free_count == 64
 
 
-class TestBusyList:
-    def test_busy_list_tracks_jobs(self):
-        a = GABLAllocator(8, 8)
-        alloc = a.allocate(1, 4, 4)
-        assert len(a.busy_list) == alloc.fragment_count
-        a.release(alloc)
-        assert len(a.busy_list) == 0
-
+class TestRelease:
     def test_release_unknown_fails(self):
         a = GABLAllocator(8, 8)
         alloc = a.allocate(1, 2, 2)
         a.release(alloc)
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="not owned"):
             a.release(alloc)
+        assert a.free_count == 64
+
+    def test_release_frees_only_that_job(self):
+        a = GABLAllocator(8, 8)
+        first = a.allocate(1, 3, 3)
+        second = a.allocate(2, 2, 4)
+        a.release(first)
+        assert a.grid.owned_by(1) == []
+        assert len(a.grid.owned_by(2)) == second.size == 8
+        assert a.free_count == 64 - 8
+        a.grid.validate()
+
+    def test_release_counted_in_stats(self):
+        a = GABLAllocator(8, 8)
+        allocs = [a.allocate(j, 2, 2) for j in range(3)]
+        for n, alloc in enumerate(allocs, start=1):
+            a.release(alloc)
+            assert a.stats.released == n
+        assert a.stats.successes == 3
+
+    def test_scattered_job_owns_exactly_its_nodes(self):
+        """A non-contiguous allocation's node ids are exactly the cells
+        the grid records as owned by the job, and release frees them."""
+        a = GABLAllocator(8, 8)
+        for x in range(0, 8, 2):
+            a.grid.allocate_submesh(SubMesh.from_base(x, 0, 1, 8), 999)
+        alloc = a.allocate(5, 4, 4)
+        assert alloc is not None and not alloc.contiguous
+        owned = {c.y * a.width + c.x for c in a.grid.owned_by(5)}
+        assert owned == set(alloc.nodes)
+        assert len(alloc.nodes) == 16
+        a.release(alloc)
+        assert a.grid.owned_by(5) == []
+        assert a.free_count == 32

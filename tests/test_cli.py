@@ -167,6 +167,26 @@ def test_swf_option(tmp_path, capsys):
     assert "loaded 40 jobs" in out
 
 
+@pytest.mark.parametrize("case", ["missing", "directory", "short", "empty", "one"])
+def test_swf_option_rejects_bad_file(case, tmp_path, capsys):
+    """A bad ``--swf`` is a one-line exit 2, never a traceback."""
+    swf = tmp_path / "t.swf"
+    if case == "directory":
+        swf.mkdir()
+    elif case == "short":
+        swf.write_text("1 0 0\n")
+    elif case == "empty":
+        swf.write_text("; header only\n")
+    elif case == "one":
+        swf.write_text("1 0 0 60 4 -1 -1 4 -1 -1 1 1 1 1 -1 -1 -1 -1\n")
+    rc = main(["fig2", "--scale", "smoke", "--swf", str(swf)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"bad --swf {swf}: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_version_flag(capsys):
     import repro
 

@@ -50,6 +50,27 @@ class TestScheduling:
         with pytest.raises(ValueError):
             e.schedule(-1.0, lambda: None)
 
+    def test_schedule_returns_the_queued_event(self):
+        e = Engine()
+        e.schedule(2.0, lambda: None)
+        e.run()
+        ev = e.schedule(1.5, print, "x", priority=Priority.ARRIVAL)
+        assert ev.time == 3.5
+        assert ev.priority == int(Priority.ARRIVAL)
+        assert ev.args == ("x",)
+
+    def test_zero_delay_runs_at_current_time_after_caller(self):
+        e = Engine()
+        order = []
+
+        def first():
+            order.append(("first", e.now))
+            e.schedule(0.0, lambda: order.append(("follow", e.now)))
+
+        e.schedule(3.0, first)
+        e.run()
+        assert order == [("first", 3.0), ("follow", 3.0)]
+
     def test_callbacks_can_schedule(self):
         e = Engine()
         hits = []
@@ -103,46 +124,28 @@ class TestRunControl:
         assert e.processed == 1
         assert e.now == 5.0
 
-    def test_step(self):
-        e = Engine()
-        seen = []
-        e.schedule(1.0, seen.append, "x")
-        assert e.step() is True
-        assert seen == ["x"]
-        assert e.step() is False
-
     def test_empty_run_with_until_advances_clock(self):
         e = Engine()
         e.run(until=7.0)
         assert e.now == 7.0
 
-
-class TestCancellation:
-    def test_cancelled_not_run(self):
+    def test_event_exactly_at_until_runs(self):
         e = Engine()
         seen = []
-        ev = e.schedule(1.0, seen.append, "dead")
-        e.schedule(2.0, seen.append, "alive")
-        ev.cancel()
-        e.run()
-        assert seen == ["alive"]
+        e.schedule(5.0, seen.append, "at")
+        e.schedule(5.5, seen.append, "after")
+        e.run(until=5.0)
+        assert seen == ["at"]
+        assert e.now == 5.0
 
-    def test_pending_counts(self):
+    def test_processed_counts_only_executed_events(self):
         e = Engine()
-        e.schedule(1.0, lambda: None)
-        e.schedule(2.0, lambda: None)
-        assert e.pending == 2
-
-
-class TestReset:
-    def test_reset_clears_everything(self):
-        e = Engine()
-        e.schedule(1.0, lambda: None)
+        for t in (1.0, 2.0, 3.0, 8.0):
+            e.schedule(t, lambda: None)
+        e.run(until=4.0)
+        assert e.processed == 3
         e.run()
-        e.reset()
-        assert e.now == 0.0
-        assert e.pending == 0
-        assert e.processed == 0
+        assert e.processed == 4
 
 
 class TestEventOrdering:

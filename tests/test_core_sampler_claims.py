@@ -1,10 +1,11 @@
-"""Tests for the state sampler and the paper-claim verification module."""
+"""Tests for the saturation-dynamics premise and the paper-claim
+verification module."""
 
 import pytest
 
 from repro.alloc import make_allocator
 from repro.core.config import SimConfig
-from repro.core.sampler import StateSampler
+from repro.core.hooks import TrajectoryObserver
 from repro.core.simulator import Simulator
 from repro.experiments.claims import (
     _RANKED_FIGS,
@@ -21,76 +22,86 @@ from repro.experiments.figures import FIGURES
 from repro.experiments.runner import FigureResult
 from repro.sched import make_scheduler
 from repro.workload.stochastic import StochasticWorkload
+from repro.workload.trace import TraceJob, TraceWorkload
 
 
-def make_sim(load=0.05, jobs=40):
-    cfg = SimConfig(width=8, length=8, jobs=jobs, seed=9)
-    return Simulator(
-        cfg,
-        make_allocator("GABL", 8, 8),
-        make_scheduler("FCFS"),
-        StochasticWorkload(cfg, load=load),
-    )
-
-
-class TestSampler:
-    def test_collects_samples(self):
-        sim = make_sim()
-        sampler = StateSampler(sim, period=50.0)
-        sampler.start()
-        sim.run()
-        assert len(sampler.samples) > 5
-        times = [s.time for s in sampler.samples]
-        assert times == sorted(times)
-        # period spacing
-        gaps = [b - a for a, b in zip(times, times[1:])]
-        assert all(g == pytest.approx(50.0) for g in gaps)
-
-    def test_sample_values_sane(self):
-        sim = make_sim()
-        sampler = StateSampler(sim, period=25.0)
-        sampler.start()
-        sim.run()
-        for s in sampler.samples:
-            assert 0 <= s.busy_processors <= 64
-            assert s.queue_length >= 0
-            assert s.running_jobs >= 0
-            assert 0.0 <= s.utilization(64) <= 1.0
-
+class TestSaturationDynamics:
     def test_saturation_fills_queue_early(self):
         """The paper's Figs. 8-10 premise: under heavy load the waiting
         queue fills very early in the run."""
-        sim = make_sim(load=0.5, jobs=60)
-        sampler = StateSampler(sim, period=20.0)
-        sampler.start()
-        result = sim.run()
-        t_queue = sampler.time_to_queue(10)
+        cfg = SimConfig(width=8, length=8, jobs=60, seed=9)
+        traj = TrajectoryObserver(20.0, processors=64)
+        result = Simulator(
+            cfg,
+            make_allocator("GABL", 8, 8),
+            make_scheduler("FCFS"),
+            StochasticWorkload(cfg, load=0.5),
+            observers=(traj,),
+        ).run()
+        t_queue = next(
+            (t for t, q in zip(traj.times, traj.queue_length) if q >= 10), None
+        )
         assert t_queue is not None
         assert t_queue < result.sim_time * 0.25
-        assert sampler.plateau_utilization() > 0.5
+        util = traj.utilization()
+        tail = util[int(len(util) * 0.3):]
+        assert sum(tail) / len(tail) > 0.5
 
-    def test_series_helpers(self):
-        sim = make_sim()
-        sampler = StateSampler(sim, period=40.0)
-        sampler.start()
-        sim.run()
-        util = sampler.utilization_series()
-        queue = sampler.queue_series()
-        assert len(util) == len(queue) == len(sampler.samples)
-        assert all(0.0 <= u <= 1.0 for _, u in util)
 
-    def test_start_idempotent(self):
-        sim = make_sim()
-        sampler = StateSampler(sim, period=30.0)
-        sampler.start()
-        sampler.start()
-        sim.run()
-        times = [s.time for s in sampler.samples]
-        assert len(times) == len(set(times))  # no duplicate ticks
+    @staticmethod
+    def _observed(load, jobs=60, workload=None):
+        cfg = SimConfig(width=8, length=8, jobs=jobs, seed=9)
+        traj = TrajectoryObserver(20.0, processors=64)
+        result = Simulator(
+            cfg,
+            make_allocator("GABL", 8, 8),
+            make_scheduler("FCFS"),
+            workload or StochasticWorkload(cfg, load=load),
+            observers=(traj,),
+        ).run()
+        return traj, result
 
-    def test_bad_period(self):
-        with pytest.raises(ValueError):
-            StateSampler(make_sim(), period=0.0)
+    def test_observer_lets_a_short_trace_drain(self):
+        """A trace shorter than ``jobs`` ends when its last job departs,
+        with or without a trajectory observer attached: the observer
+        schedules no events of its own."""
+        cfg = SimConfig(width=8, length=8, jobs=50, seed=9)
+        trace = [
+            TraceJob(arrival=float(i * 7), size=4 + i * 6, runtime=100.0)
+            for i in range(5)
+        ]
+
+        def run(observers):
+            return Simulator(
+                cfg,
+                make_allocator("GABL", 8, 8),
+                make_scheduler("FCFS"),
+                TraceWorkload(cfg, trace, load=1.0),
+                observers=observers,
+            ).run()
+
+        plain = run(())
+        traj = TrajectoryObserver(20.0, processors=64)
+        observed = run((traj,))
+        assert observed == plain
+        assert observed.completed_jobs == 5
+        assert traj.times[-1] <= observed.sim_time < traj.times[-1] + 20.0
+
+    def test_samples_stay_within_machine_bounds(self):
+        traj, result = self._observed(load=0.5)
+        assert all(0 <= b <= 64 for b in traj.busy)
+        assert all(q >= 0 for q in traj.queue_length)
+        assert all(0 <= c <= result.completed_jobs for c in traj.completed)
+        assert all(0.0 <= u <= 1.0 for u in traj.utilization())
+
+    def test_light_load_does_not_saturate(self):
+        """The thresholds of the saturation test discriminate: at a
+        light load the queue never fills and the plateau stays low."""
+        traj, _ = self._observed(load=0.005)
+        assert max(traj.queue_length) < 10
+        util = traj.utilization()
+        tail = util[int(len(util) * 0.3):]
+        assert sum(tail) / len(tail) < 0.5
 
 
 def _perturb(figs, fig_id, label, series):

@@ -68,13 +68,11 @@ class TestAllocateRelease:
         with pytest.raises(ValueError):
             grid8.allocate_submesh(SubMesh.from_base(7, 7, 2, 2), 1)
 
-    def test_nodes_cycle(self, grid8):
+    def test_allocate_nodes(self, grid8):
         nodes = [Coord(0, 0), Coord(5, 5), Coord(7, 0)]
         grid8.allocate_nodes(nodes, 9)
         assert grid8.free_count == 61
         assert grid8.owner_at(Coord(5, 5)) == 9
-        grid8.release_nodes(nodes, 9)
-        assert grid8.free_count == 64
         grid8.validate()
 
     def test_nodes_double_alloc_atomic(self, grid8):
@@ -102,6 +100,57 @@ class TestAllocateRelease:
         assert grid8.free_count == 64
         assert grid8.owner_at(Coord(0, 0)) == FREE
 
+    def test_busy_and_free_counts_partition_the_mesh(self, grid8):
+        steps = [
+            ("alloc", SubMesh.from_base(0, 0, 3, 2), 1),
+            ("alloc", SubMesh.from_base(4, 4, 4, 4), 2),
+            ("release", SubMesh.from_base(0, 0, 3, 2), 1),
+            ("alloc", SubMesh.from_base(0, 0, 1, 8), 3),
+        ]
+        expected_busy = [6, 22, 16, 24]
+        for (op, s, job), busy in zip(steps, expected_busy):
+            if op == "alloc":
+                grid8.allocate_submesh(s, job)
+            else:
+                grid8.release_submesh(s, job)
+            assert grid8.busy_count == busy
+            assert grid8.busy_count + grid8.free_count == grid8.size
+            grid8.validate()
+
+    def test_partial_release_rejected_atomically(self, grid8):
+        """A release that covers cells the job does not own changes
+        nothing: owners, free count and version stay as they were."""
+        grid8.allocate_submesh(SubMesh.from_base(0, 0, 2, 2), 1)
+        grid8.allocate_submesh(SubMesh.from_base(2, 0, 2, 2), 2)
+        v0, free0 = grid8.version, grid8.free_count
+        with pytest.raises(ValueError, match="not owned"):
+            grid8.release_submesh(SubMesh.from_base(0, 0, 4, 2), 1)
+        assert grid8.version == v0
+        assert grid8.free_count == free0
+        assert grid8.owner_at(Coord(0, 0)) == 1
+        assert grid8.owner_at(Coord(3, 1)) == 2
+        grid8.validate()
+
+    def test_failed_allocation_leaves_version(self, grid8):
+        grid8.allocate_submesh(SubMesh.from_base(0, 0, 2, 2), 1)
+        v0 = grid8.version
+        with pytest.raises(ValueError):
+            grid8.allocate_submesh(SubMesh.from_base(1, 1, 2, 2), 2)
+        with pytest.raises(ValueError):
+            grid8.allocate_nodes([Coord(5, 5), Coord(0, 0)], 3)
+        assert grid8.version == v0
+        assert grid8.owned_by(2) == [] and grid8.owned_by(3) == []
+
+    def test_coordinate_queries_bounds_checked(self, grid8):
+        for c in (Coord(8, 0), Coord(0, 8)):
+            with pytest.raises(ValueError, match="outside"):
+                grid8.owner_at(c)
+            with pytest.raises(ValueError, match="outside"):
+                grid8.is_free(c)
+        with pytest.raises(ValueError, match="outside"):
+            grid8.allocate_nodes([Coord(0, 9)], 1)
+        assert grid8.free_count == 64
+
 
 class TestQueries:
     def test_submesh_free(self, grid8):
@@ -120,6 +169,12 @@ class TestQueries:
         mask = grid8.free_mask()
         assert not mask[5, 2]
         assert mask[2, 5]
+
+    def test_in_bounds(self, grid8):
+        assert grid8.in_bounds(SubMesh.from_base(0, 0, 8, 8))
+        assert grid8.in_bounds(SubMesh.from_base(7, 7, 1, 1))
+        assert not grid8.in_bounds(SubMesh.from_base(7, 0, 2, 1))
+        assert not grid8.in_bounds(SubMesh.from_base(0, 6, 1, 3))
 
     def test_ascii_art(self):
         g = MeshGrid(3, 2)

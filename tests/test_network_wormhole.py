@@ -33,7 +33,6 @@ class TestUncontendedLatency:
         assert t.t_inject == 0.0
         assert t.latency == pytest.approx((hops + 2) * 4 + 7)
         assert t.blocking == 0.0
-        assert t.latency == pytest.approx(net.base_latency(hops))
 
     def test_latency_formula_causal(self):
         net, engine = make_net(mode="causal")
@@ -97,7 +96,7 @@ class TestContention:
         for i in range(5):
             t = net.transmit(node(0, 0), node(4, 3), 0.0)
             hops = 7
-            assert t.latency == pytest.approx(net.base_latency(hops) + t.blocking)
+            assert t.latency == pytest.approx((hops + 2) * 4 + 7 + t.blocking)
 
 
 class TestModesAgree:

@@ -9,6 +9,7 @@ import json
 import os
 import re
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -130,6 +131,22 @@ class TestServiceEndpoints:
         svc, client = service
         with pytest.raises(ServiceError, match="HTTP 400"):
             client.submit({"name": "x", "bogus": True})
+
+    def test_negative_content_length_is_http_400(self, service):
+        """The body is never read, so the reply cannot stall."""
+        svc, client = service
+        port = int(client.base.rsplit(":", 1)[1])
+        with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+            sock.sendall(
+                b"POST /jobs HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+                b"Content-Length: -1\r\n\r\n"
+            )
+            reply = b""
+            while chunk := sock.recv(4096):
+                reply += chunk
+        assert reply.startswith(b"HTTP/1.1 400")
+        assert b"negative Content-Length" in reply
+        assert client.status()["service"] == "repro-serve"
 
     def test_unknown_job_is_http_404(self, service):
         svc, client = service

@@ -1,4 +1,4 @@
-"""Unit tests for the statistics package (Welford, CI, replications)."""
+"""Unit tests for the statistics package (mean/variance, CI, replications)."""
 
 import math
 
@@ -6,62 +6,34 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.stats.ci import mean_confidence_interval, relative_error
+from repro.stats.ci import mean_confidence_interval, mean_variance, relative_error
 from repro.stats.replication import ReplicationController, run_replications
-from repro.stats.welford import Welford
 
 
-class TestWelford:
-    def test_empty(self):
-        w = Welford()
-        assert w.n == 0
-        assert w.variance == 0.0
-        assert w.sem == 0.0
+class TestMeanVariance:
+    def test_empty_raises(self):
+        with pytest.raises(ValueError):
+            mean_variance([])
 
     def test_single(self):
-        w = Welford()
-        w.add(5.0)
-        assert w.mean == 5.0
-        assert w.variance == 0.0
+        assert mean_variance([5.0]) == (5.0, 0.0)
+
+    def test_two_values(self):
+        # deviations of +-1 over n - 1 = 1
+        assert mean_variance([1.0, 3.0]) == (2.0, 2.0)
 
     def test_matches_numpy(self):
         rng = np.random.default_rng(1)
-        xs = rng.normal(10, 3, size=500)
-        w = Welford()
-        for x in xs:
-            w.add(float(x))
-        assert w.mean == pytest.approx(float(np.mean(xs)))
-        assert w.variance == pytest.approx(float(np.var(xs, ddof=1)))
-        assert w.std == pytest.approx(float(np.std(xs, ddof=1)))
-
-    def test_merge(self):
-        rng = np.random.default_rng(2)
-        xs = rng.exponential(2.0, size=301)
-        a, b = Welford(), Welford()
-        for x in xs[:150]:
-            a.add(float(x))
-        for x in xs[150:]:
-            b.add(float(x))
-        a.merge(b)
-        assert a.n == 301
-        assert a.mean == pytest.approx(float(np.mean(xs)))
-        assert a.variance == pytest.approx(float(np.var(xs, ddof=1)))
-
-    def test_merge_empty_cases(self):
-        a, b = Welford(), Welford()
-        b.add(3.0)
-        a.merge(b)
-        assert a.mean == 3.0
-        a.merge(Welford())
-        assert a.n == 1
+        xs = rng.normal(10, 3, size=500).tolist()
+        mean, var = mean_variance(xs)
+        assert mean == pytest.approx(float(np.mean(xs)))
+        assert var == pytest.approx(float(np.var(xs, ddof=1)))
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=50))
     def test_property_matches_reference(self, xs):
-        w = Welford()
-        for x in xs:
-            w.add(x)
-        assert w.mean == pytest.approx(sum(xs) / len(xs), rel=1e-9, abs=1e-6)
+        mean, _ = mean_variance(xs)
+        assert mean == pytest.approx(sum(xs) / len(xs), rel=1e-9, abs=1e-6)
 
 
 class TestCI:

@@ -36,15 +36,12 @@ class TestMetricSummary:
         assert (s.mean, s.variance, s.n) == (7.0, 0.0, 1)
         assert s.half_width() == math.inf
 
-    def test_from_welford_adopts_moments(self):
-        from repro.stats.welford import Welford
-
-        acc = Welford()
-        for v in (1.0, 2.0, 4.0):
-            acc.add(v)
-        s = MetricSummary.from_welford(acc)
-        assert (s.mean, s.n) == (acc.mean, 3)
-        assert s.variance == acc.variance
+    def test_from_values_unbiased_variance(self):
+        s = MetricSummary.from_values([1.0, 2.0, 4.0])
+        assert s.mean == pytest.approx(7.0 / 3.0)
+        # sum of squared deviations 14/3 over n - 1 = 2
+        assert s.variance == pytest.approx(7.0 / 3.0)
+        assert s.n == 3
 
     def test_dict_round_trip(self):
         s = S(1.5, 0.25, 8)

@@ -1,10 +1,11 @@
 """Property tests (hypothesis) for the statistics layer.
 
-Covers the invariants the comparison subsystem leans on: Welford
-accumulation is merge-order invariant, the Student-t CI half-width
-shrinks with n, and Welch's t-test is symmetric (and the identity
-comparison is ``identical``) -- so ``repro diff`` verdicts cannot depend
-on which report is named first beyond the improved/regressed sign flip.
+Covers the invariants the comparison subsystem leans on: the two-pass
+mean/variance ignores observation order and shifts, the Student-t CI
+half-width shrinks with n, and Welch's t-test is symmetric (and the
+identity comparison is ``identical``) -- so ``repro diff`` verdicts
+cannot depend on which report is named first beyond the
+improved/regressed sign flip.
 """
 
 from __future__ import annotations
@@ -15,9 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.stats.ci import mean_confidence_interval
+from repro.stats.ci import mean_confidence_interval, mean_variance
 from repro.stats.compare import MetricSummary, compare_metric, welch_t_test
-from repro.stats.welford import Welford
 
 #: bounded magnitudes keep float error deterministic-small so the
 #: approx tolerances below are about algorithm identity, not overflow
@@ -35,55 +35,34 @@ summaries = st.builds(
 )
 
 
-def _fill(xs) -> Welford:
-    acc = Welford()
-    for x in xs:
-        acc.add(x)
-    return acc
-
-
-class TestWelfordProperties:
-    @given(values, st.data())
+class TestMeanVarianceProperties:
+    @given(values, st.randoms(use_true_random=False))
     @settings(max_examples=60, deadline=None)
-    def test_merge_order_invariance(self, xs, data):
-        """Any chunking + any merge order = the sequential accumulation."""
-        sequential = _fill(xs)
-        # split into random chunks, then merge them in a random order
-        n_chunks = data.draw(st.integers(1, max(1, len(xs))))
-        bounds = sorted(
-            data.draw(
-                st.lists(
-                    st.integers(0, len(xs)),
-                    min_size=n_chunks - 1,
-                    max_size=n_chunks - 1,
-                )
-            )
-        )
-        chunks = []
-        prev = 0
-        for b in [*bounds, len(xs)]:
-            chunks.append(xs[prev:b])
-            prev = b
-        order = data.draw(st.permutations(range(len(chunks))))
-        merged = Welford()
-        for i in order:
-            merged.merge(_fill(chunks[i]))
-        assert merged.n == sequential.n
-        assert merged.mean == pytest.approx(sequential.mean, rel=1e-9, abs=1e-7)
-        assert merged.variance == pytest.approx(
-            sequential.variance, rel=1e-7, abs=1e-6
-        )
+    def test_order_invariance(self, xs, rnd):
+        """Any permutation of the observations gives the same moments."""
+        mean, var = mean_variance(xs)
+        shuffled = list(xs)
+        rnd.shuffle(shuffled)
+        s_mean, s_var = mean_variance(shuffled)
+        assert s_mean == pytest.approx(mean, rel=1e-9, abs=1e-9)
+        assert s_var == pytest.approx(var, rel=1e-7, abs=1e-7)
+
+    @given(values, st.floats(min_value=-1e3, max_value=1e3, allow_nan=False))
+    @settings(max_examples=60, deadline=None)
+    def test_shift_moves_mean_not_variance(self, xs, c):
+        mean, var = mean_variance(xs)
+        s_mean, s_var = mean_variance([x + c for x in xs])
+        assert s_mean == pytest.approx(mean + c, rel=1e-9, abs=1e-9)
+        assert s_var == pytest.approx(var, rel=1e-7, abs=1e-6)
 
     @given(values)
     @settings(max_examples=60, deadline=None)
-    def test_welford_matches_two_pass_summary(self, xs):
-        acc = _fill(xs)
-        two_pass = MetricSummary.from_values(xs)
-        assert acc.n == two_pass.n
-        assert acc.mean == pytest.approx(two_pass.mean, rel=1e-9, abs=1e-9)
-        assert acc.variance == pytest.approx(
-            two_pass.variance, rel=1e-7, abs=1e-7
-        )
+    def test_variance_non_negative_and_zero_for_constants(self, xs):
+        _, var = mean_variance(xs)
+        assert var >= 0.0
+        c_mean, c_var = mean_variance([xs[0]] * len(xs))
+        assert c_mean == pytest.approx(xs[0], rel=1e-12, abs=1e-300)
+        assert c_var == pytest.approx(0.0, abs=1e-12)
 
 
 class TestCIProperties:

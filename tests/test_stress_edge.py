@@ -145,7 +145,6 @@ class TestConservationProperty:
         # with everything departed the machine must be empty again
         assert sim.allocator.free_count == 64
         sim.allocator.grid.validate()
-        assert len(sim.allocator.busy_list) == 0
         # per-job sanity
         for job in sim.metrics.per_job:
             assert job.depart_time is not None
