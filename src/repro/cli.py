@@ -39,6 +39,7 @@ derived from each point's spec, never from worker state).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from typing import Sequence
@@ -106,13 +107,16 @@ targets and their contracts (report schemas: 1 legacy, 2 keys+stats,
                      accepts submitted scenario/sweep JSON, streams
                      finished points to the sharded store, resumes
                      unfinished jobs on restart.
-                     exit 0 on clean shutdown; 2 bad arguments or a
-                     --store path that is not a directory.
+                     exit 0 on clean shutdown; 2 bad arguments (a
+                     --port outside 0-65535), an address it cannot
+                     listen on, or a --store path that is not a
+                     directory.
   submit FILE...     queue scenario/sweep JSON files on the service.
                      --wait polls until done (--out then writes each
                      job's schema-3 report).
                      exit 0 accepted (and done, with --wait); 1 a job
-                     failed; 2 bad file or unreachable service.
+                     failed; 2 bad file or unreachable service, or
+                     a negative or non-finite --interval.
   status [JOB_ID]    service overview, or one job's progress/ETA.
                      exit 0; 2 unknown job or unreachable service.
 """
@@ -349,7 +353,7 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="serve/submit/status/plot --follow: service port "
+        help="serve/submit/status/plot --follow: service port, 0-65535 "
         "(default 8037)",
     )
     p.add_argument(
@@ -378,8 +382,8 @@ def _build_parser() -> argparse.ArgumentParser:
         type=float,
         default=2.0,
         metavar="SECONDS",
-        help="submit --wait / plot --follow: poll interval "
-        "(default 2.0)",
+        help="submit --wait / plot --follow: poll interval, a finite "
+        "number >= 0 (default 2.0)",
     )
     return p
 
@@ -674,6 +678,7 @@ def _run_auto_saturation_figures(
         t0 = time.perf_counter()
         figure, scan, points = run_saturation_figure(
             fig_id, scale=scale, config=config, trace=trace, jobs=args.jobs,
+            executor=args.executor,
         )
         dt = time.perf_counter() - t0
         print(scan.format())
@@ -759,6 +764,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     if args.jobs < 1:
         print("--jobs must be >= 1", file=sys.stderr)
+        return 2
+    if args.port is not None and not 0 <= args.port <= 65535:
+        print(f"--port must be in 0-65535, got {args.port}", file=sys.stderr)
+        return 2
+    if not (math.isfinite(args.interval) and args.interval >= 0):
+        print(
+            f"--interval must be a finite number >= 0, got {args.interval}",
+            file=sys.stderr,
+        )
         return 2
     scale = args.scale or default_scale()
     # the one place CLI flags become run settings: every explicitly given

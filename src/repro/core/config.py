@@ -8,7 +8,9 @@ messages per processor per job, all-to-all pattern.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
+from numbers import Integral, Real
 from typing import Any
 
 #: network timing engines selectable through :attr:`SimConfig.network_mode`
@@ -31,6 +33,19 @@ ENGINES = ("reference", "soa")
 #: binary float, making all network backends bit-identical regardless
 #: of how their sums are associated (see repro.network.batch).
 TIME_GRID = 1024.0
+
+#: fields that must hold an integer / a finite real number: a malformed
+#: scenario override fails at construction, not mid-run
+_INT_FIELDS = (
+    "width", "length", "p_len", "max_messages", "jobs", "warmup_jobs",
+    "seed", "scheduler_window",
+)
+_REAL_FIELDS = ("t_s", "num_mes", "trace_demand_multiplier", "round_gap_factor")
+
+
+def _is_finite_real(value: Any) -> bool:
+    return (isinstance(value, Real) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
 @dataclass(frozen=True, slots=True)
@@ -88,6 +103,23 @@ class SimConfig:
     arq: str | None = None
 
     def __post_init__(self) -> None:
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in _REAL_FIELDS:
+            value = getattr(self, name)
+            if not _is_finite_real(value):
+                raise ValueError(
+                    f"{name} must be a finite real number, got {value!r}"
+                )
+        if self.max_time is not None and not (
+            _is_finite_real(self.max_time) and self.max_time > 0
+        ):
+            raise ValueError(
+                "max_time must be null or a positive finite number, "
+                f"got {self.max_time!r}"
+            )
         if self.width <= 0 or self.length <= 0:
             raise ValueError("mesh dimensions must be positive")
         if self.topology not in ("mesh", "torus"):

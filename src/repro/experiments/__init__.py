@@ -5,7 +5,6 @@ from repro.experiments.campaign import (
     Campaign,
     PointResult,
     PointSpec,
-    ProcessPoolExecutor,
     SerialExecutor,
     make_executor,
     run_spec_replication,
@@ -80,7 +79,6 @@ __all__ = [
     "Chart",
     "plot_report",
     "report_charts",
-    "ProcessPoolExecutor",
     "SerialExecutor",
     "make_executor",
     "run_spec_replication",

@@ -13,13 +13,14 @@ of every other.  This module turns that grid into an explicit *campaign*:
   between figures (the uniform sweep feeds Figs. 3, 6, 9, 12 and 15 but
   is simulated once), and executes replications through a pluggable
   executor;
-* :class:`SerialExecutor` / :class:`ThreadPoolExecutor` /
-  :class:`ProcessPoolExecutor` -- in-process serial, in-process
-  thread-parallel and multi-process execution backends.  Replication
-  seeds are a pure function of the spec
-  (``config.seed + replication_index``), never of worker state or
-  dispatch order, so serial, thread and process runs of the same
-  campaign produce **identical** metrics.
+* :func:`make_executor` -- the one place a run's executor is built: an
+  in-process :class:`SerialExecutor`, a thread pool or a process pool
+  (both from :mod:`concurrent.futures`).  A task carries only its spec
+  and seeds; an external trace is found through the spec's
+  ``trace_source`` (:func:`build_simulator`).  Replication seeds are a
+  pure function of the spec (``config.seed + replication_index``),
+  never of worker state or dispatch order, so serial, thread and
+  process runs of the same campaign produce **identical** metrics.
 
 The replication loop is *batched* (see
 :class:`repro.stats.ReplicationController`): each uncached point first
@@ -59,7 +60,7 @@ import time
 from collections.abc import Mapping as _MappingABC
 from concurrent import futures
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, Protocol, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.alloc import make_allocator
 from repro.core import _soa_native
@@ -353,6 +354,9 @@ class PointSpec:
         known scheduler, and no ``sfb`` network mode on a torus."""
         if not (math.isfinite(self.load) and self.load > 0):
             raise ValueError(f"load must be finite and > 0, got {self.load}")
+        for role, name in (("allocator", self.alloc), ("scheduler", self.sched)):
+            if not isinstance(name, str):
+                raise ValueError(f"{role} must be a name string, got {name!r}")
         try:
             make_allocator(self.alloc, self.config.width, self.config.length)
             make_scheduler(self.sched)
@@ -434,6 +438,18 @@ class PointSpec:
         )
 
 
+#: per-process registry of external traces, keyed by
+#: :func:`trace_fingerprint` (the ``trace_source`` of the specs that
+#: replay them).  :class:`Campaign` fills it for in-process executors;
+#: a process pool's initializer fills it once in each worker.
+_TRACES: dict[str, Sequence[TraceJob]] = {}
+
+
+def _register_trace(source: str, trace: Sequence[TraceJob]) -> None:
+    """Serve ``trace`` to every spec whose ``trace_source`` is ``source``."""
+    _TRACES[source] = trace
+
+
 def build_simulator(
     spec: PointSpec,
     seed: int,
@@ -445,8 +461,17 @@ def build_simulator(
     Both the campaign work unit (:func:`run_spec_replication`) and the
     scenario trajectory runner build through here, so every spec field
     that affects the run (config, scheduler window, workload pipeline)
-    is plumbed exactly once.
+    is plumbed exactly once.  Unless ``trace`` is given, an external
+    trace is looked up by the spec's ``trace_source`` in this process's
+    registry (:func:`_register_trace`).
     """
+    if trace is None and spec.trace_source != "sdsc":
+        trace = _TRACES.get(spec.trace_source)
+        if trace is None:
+            raise RuntimeError(
+                f"no external trace registered for {spec.trace_source!r}; "
+                "build the Campaign with its trace"
+            )
     cfg = spec.config
     return Simulator(
         cfg,
@@ -464,7 +489,8 @@ def run_spec_replication(
     """Execute ONE replication of a point; returns its metric dict.
 
     A pure function of its arguments: every simulation input, including
-    the seed, comes from the call, so any worker computes the same
+    the seed, comes from the call (an external trace from the call or
+    the spec's ``trace_source``), so any worker computes the same
     answer.
     """
     result = build_simulator(spec, seed, trace=trace).run()
@@ -503,183 +529,46 @@ def run_spec_batch(
     return [{m: r.metric(m) for m in METRICS} for r in results]
 
 
-#: task-trace marker prefix: fetch the external trace from the worker
-#: process's registry under the fingerprint after the ``:`` (shipped once
-#: per worker by the pool initializer, not pickled into every task)
-_TRACE_FROM_INITIALIZER = "@trace"
-
-#: per-process registry of external traces, keyed by
-#: :func:`trace_fingerprint`.  Filled only by :func:`_set_worker_trace`,
-#: the process pool's initializer; under fork its arguments are
-#: inherited rather than pickled.
-_WORKER_TRACES: dict[str, list[TraceJob]] = {}
-
-
-def _set_worker_trace(
-    fingerprint: str, trace: Sequence[TraceJob] | None
-) -> None:
-    """Pool initializer: register an external trace under its fingerprint."""
-    if trace is not None:
-        _WORKER_TRACES[fingerprint] = list(trace)
-
-
-def _resolve_task_trace(
-    trace: Sequence[TraceJob] | str | None,
-) -> Sequence[TraceJob] | None:
-    """Turn a task's trace field into the actual trace (or ``None``)."""
-    if not isinstance(trace, str):
-        return trace
-    fingerprint = trace.partition(":")[2]
-    resolved = _WORKER_TRACES.get(fingerprint)
-    if resolved is None:
-        raise RuntimeError(
-            f"worker has no registered trace for {fingerprint!r}; "
-            "the pool initializer did not run"
-        )
-    return resolved
-
-
 #: inflight-map marker for a whole-batch (lockstep) task
 _BATCH = "__batch__"
 
 
-def _run_task_raw(task: tuple[PointSpec, int, Sequence[TraceJob] | str | None]):
+def _run_task_raw(task: tuple[PointSpec, int]):
     """The per-seed work unit of every executor: the ``RunResult``
     itself (a plain dataclass, so it pickles back from a process pool).
     """
-    spec, seed, trace = task
-    return build_simulator(spec, seed, trace=_resolve_task_trace(trace)).run()
+    spec, seed = task
+    return build_simulator(spec, seed).run()
 
 
-def _run_batch_task_raw(
-    task: tuple[PointSpec, tuple[int, ...], Sequence[TraceJob] | str | None],
-) -> list:
+def _run_batch_task_raw(task: tuple[PointSpec, tuple[int, ...]]) -> list:
     """The whole-batch work unit (see :func:`run_spec_batch_results`)."""
-    spec, seeds, trace = task
-    return run_spec_batch_results(spec, seeds, _resolve_task_trace(trace))
+    spec, seeds = task
+    return run_spec_batch_results(spec, seeds)
 
 
 # ---------------------------------------------------------------- executors
-class Executor(Protocol):
-    """Minimal future-based task interface the campaign engine needs."""
-
-    jobs: int
-
-    def submit(self, fn: Callable, task) -> futures.Future:
-        """Schedule ``fn(task)``; the future resolves to its result."""
-        ...
-
-    def close(self) -> None:
-        """Release any worker resources (idempotent)."""
-        ...
-
-
-class SerialExecutor:
-    """Run tasks in-process, one at a time (the default).
+class SerialExecutor(futures.Executor):
+    """Run tasks in the caller's thread, one at a time (the default).
 
     ``submit`` executes the task immediately and returns an
     already-resolved future, so the campaign's drain loop observes the
-    same completion protocol as with a pool.
+    same completion protocol as with a pool; ``map``, ``shutdown`` and
+    the context manager come from :class:`concurrent.futures.Executor`.
     """
 
-    jobs = 1
-
-    def submit(self, fn: Callable, task) -> futures.Future:
-        """Run ``fn(task)`` now; return the already-resolved future."""
+    def submit(self, fn: Callable, /, *args, **kwargs) -> futures.Future:
+        """Run ``fn(*args, **kwargs)`` now; return the resolved future."""
         fut: futures.Future = futures.Future()
         try:
-            fut.set_result(fn(task))
+            fut.set_result(fn(*args, **kwargs))
         except Exception as exc:  # surfaced by fut.result();
             fut.set_exception(exc)  # KeyboardInterrupt propagates now
         return fut
 
-    def close(self) -> None:
-        """Nothing to release for in-process execution."""
-
-
-class ThreadPoolExecutor:
-    """Fan tasks out over ``jobs`` in-process worker threads.
-
-    The GIL-free fast path: when a point runs on the compiled SoA lane
-    driver, the whole per-batch event loop executes inside one ctypes
-    call, and ctypes releases the GIL for the duration of every foreign
-    call (:mod:`repro.core._soa_native`'s GIL-release contract).  Lanes
-    of different points therefore run genuinely in parallel while
-    sharing the process's :class:`~repro.workload.columnar.BlockCache`,
-    parse-once trace columns and result store -- no worker startup, no
-    pickling, no per-worker re-parsing.  Pure-Python (reference-engine)
-    tasks still time-share the GIL under this executor; the campaign's
-    executor auto-selection only defaults to threads when the native
-    driver can actually carry the work.
-    """
-
-    def __init__(self, jobs: int) -> None:
-        if jobs < 1:
-            raise ValueError(f"ThreadPoolExecutor needs jobs >= 1, got {jobs}")
-        self.jobs = jobs
-        self._pool: futures.ThreadPoolExecutor | None = None
-
-    def submit(self, fn: Callable, task) -> futures.Future:
-        """Submit ``fn(task)`` to the pool (started lazily on first use)."""
-        if self._pool is None:
-            self._pool = futures.ThreadPoolExecutor(
-                max_workers=self.jobs, thread_name_prefix="repro-campaign"
-            )
-        return self._pool.submit(fn, task)
-
-    def close(self) -> None:
-        """Shut the pool down (a later submit would restart it)."""
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
-
-
-class ProcessPoolExecutor:
-    """Fan tasks out over ``jobs`` worker processes.
-
-    A thin adapter around :class:`concurrent.futures.ProcessPoolExecutor`
-    that starts its workers lazily.  ``initializer``/``initargs`` run
-    once per worker process (the campaign uses them to ship an external
-    trace once instead of pickling it into every task)."""
-
-    def __init__(self, jobs: int, initializer: Callable | None = None,
-                 initargs: tuple = ()) -> None:
-        if jobs < 2:
-            raise ValueError("ProcessPoolExecutor needs jobs >= 2; use SerialExecutor")
-        self.jobs = jobs
-        self._initializer = initializer
-        self._initargs = initargs
-        self._pool: futures.ProcessPoolExecutor | None = None
-
-    def submit(self, fn: Callable, task) -> futures.Future:
-        """Submit ``fn(task)`` to the pool (started lazily on first use)."""
-        if self._pool is None:
-            self._pool = futures.ProcessPoolExecutor(
-                max_workers=self.jobs,
-                initializer=self._initializer,
-                initargs=self._initargs,
-            )
-        return self._pool.submit(fn, task)
-
-    def close(self) -> None:
-        """Shut the pool down (a later submit would restart it)."""
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
-
 
 #: the valid ``--executor`` choices (``None`` means auto-select)
 EXECUTOR_KINDS = ("serial", "thread", "process")
-
-
-def _thread_executor_viable(specs: Iterable[PointSpec]) -> bool:
-    """True when a thread pool would actually parallelise ``specs``:
-    the native lane driver is importable AND every point runs on the
-    SoA engine (reference-engine points are pure Python and would
-    time-share the GIL)."""
-    if _soa_native.load_kernel() is None:
-        return False
-    return all(spec.config.engine == "soa" for spec in specs)
 
 
 def _resolve_executor_kind(
@@ -693,7 +582,8 @@ def _resolve_executor_kind(
     if kind is None:
         if jobs <= 1:
             kind = "serial"
-        elif _thread_executor_viable(specs):
+        elif (_soa_native.load_kernel() is not None
+              and all(spec.config.engine == "soa" for spec in specs)):
             kind = "thread"
         else:
             kind = "process"
@@ -702,12 +592,41 @@ def _resolve_executor_kind(
     return kind
 
 
+def _prime_fork_state(
+    specs: Iterable[PointSpec], trace: Sequence[TraceJob] | None
+) -> None:
+    """Parse traces and derive replay columns once in the parent
+    before a fork-started pool spins up.
+
+    The memo caches involved (:func:`sdsc_trace`'s trace memo,
+    :class:`~repro.workload.trace.TraceWorkload`'s column memo and
+    the columnar block cache) are module globals, so fork children
+    inherit the parsed state instead of every worker re-parsing the
+    trace from scratch on its first task.
+    """
+    seen: set[tuple] = set()
+    for spec in specs:
+        if "real" not in spec.workload:
+            continue
+        key = (spec.workload, spec.load, spec.scale, spec.config)
+        if key in seen:
+            continue
+        seen.add(key)
+        workload = make_workload(
+            spec.workload, spec.config, spec.load, spec.scale, trace=trace,
+        )
+        # pulling the first block forces trace parse + column
+        # derivation into the parent's (inherited) memo caches
+        next(workload.blocks(spec.config.seed, 8), None)
+
+
 def make_executor(
     jobs: int,
     kind: str | None = None,
     specs: Iterable[PointSpec] = (),
-) -> Executor:
-    """Build the executor for a campaign run.
+    trace: Sequence[TraceJob] | None = None,
+) -> futures.Executor:
+    """Build the executor for a run: the one place a pool is made.
 
     ``kind`` is one of :data:`EXECUTOR_KINDS` or ``None`` for
     auto-selection: serial when ``jobs <= 1``, otherwise **thread**
@@ -716,13 +635,29 @@ def make_executor(
     **process** for GIL-bound reference-engine work.  An explicit
     ``kind`` is honoured verbatim, except that a process pool cannot
     run with fewer than two workers and degrades to serial.
+
+    A process pool ships an external ``trace`` once per worker through
+    its initializer (:func:`_register_trace`), so tasks never carry it.
+    Under a ``fork`` start the parent first primes the trace and column
+    memos for ``specs`` (:func:`_prime_fork_state`), which the workers
+    then inherit.
     """
+    specs = tuple(specs)
     kind = _resolve_executor_kind(jobs, kind, specs)
     if kind == "serial":
         return SerialExecutor()
     if kind == "thread":
-        return ThreadPoolExecutor(max(1, jobs))
-    return ProcessPoolExecutor(jobs)
+        return futures.ThreadPoolExecutor(
+            max_workers=max(1, jobs), thread_name_prefix="repro-campaign"
+        )
+    if multiprocessing.get_start_method() == "fork":
+        _prime_fork_state(specs, trace)
+    if trace is None:
+        return futures.ProcessPoolExecutor(max_workers=jobs)
+    return futures.ProcessPoolExecutor(
+        max_workers=jobs, initializer=_register_trace,
+        initargs=(trace_fingerprint(trace), trace),
+    )
 
 
 # --------------------------------------------------------------- dispatch
@@ -811,6 +746,8 @@ class Campaign:
         #: unique points in first-seen order
         self.points: tuple[PointSpec, ...] = tuple(unique.values())
         self.trace = list(trace) if trace is not None else None
+        if self.trace is not None:
+            _register_trace(trace_fingerprint(self.trace), self.trace)
 
     # ------------------------------------------------------------- builders
     @classmethod
@@ -880,59 +817,9 @@ class Campaign:
         return cls(specs, trace=trace)
 
     # ------------------------------------------------------------ execution
-    def _prime_fork_state(self, specs: Iterable[PointSpec]) -> None:
-        """Parse traces and derive replay columns once in the parent
-        before a fork-started pool spins up.
-
-        The memo caches involved (:func:`sdsc_trace`'s trace memo,
-        :class:`~repro.workload.trace.TraceWorkload`'s column memo and
-        the columnar block cache) are module globals, so fork children
-        inherit the parsed state instead of every worker re-parsing the
-        trace from scratch on its first task.
-        """
-        seen: set[tuple] = set()
-        for spec in specs:
-            if "real" not in spec.workload:
-                continue
-            key = (spec.workload, spec.load, spec.scale, spec.config)
-            if key in seen:
-                continue
-            seen.add(key)
-            workload = make_workload(
-                spec.workload, spec.config, spec.load, spec.scale,
-                trace=self.trace,
-            )
-            # pulling the first block forces trace parse + column
-            # derivation into the parent's (inherited) memo caches
-            next(workload.blocks(spec.config.seed, 8), None)
-
-    def _process_pool(
-        self, jobs: int, specs: Iterable[PointSpec]
-    ) -> tuple[str | None, "ProcessPoolExecutor"]:
-        """A process pool plus the per-task trace field to use with it.
-
-        Under a fork start the parent first primes the trace/column
-        memos (:meth:`_prime_fork_state`) so workers inherit the parsed
-        state.  An external trace always ships once per worker through
-        the pool initializer (under fork its arguments are inherited,
-        not pickled), so tasks carry only a small fingerprint marker,
-        never the trace itself.  Campaign points and scenario
-        trajectories both run on pools built here.
-        """
-        if multiprocessing.get_start_method() == "fork":
-            self._prime_fork_state(specs)
-        if self.trace is None:
-            return None, ProcessPoolExecutor(jobs)
-        fingerprint = trace_fingerprint(self.trace)
-        return f"{_TRACE_FROM_INITIALIZER}:{fingerprint}", ProcessPoolExecutor(
-            jobs, initializer=_set_worker_trace,
-            initargs=(fingerprint, self.trace),
-        )
-
     def run(
         self,
         jobs: int = 1,
-        executor: Executor | None = None,
         cache: ResultCache | None = None,
         progress: Callable[[str], None] | None = None,
         executor_kind: str | None = None,
@@ -979,16 +866,7 @@ class Campaign:
         if not controllers:
             return results
 
-        own_executor = executor is None
-        task_trace: Sequence[TraceJob] | str | None = self.trace
-        if executor is not None:
-            exe = executor
-        else:
-            kind = _resolve_executor_kind(jobs, executor_kind, controllers)
-            if kind == "process":
-                task_trace, exe = self._process_pool(jobs, controllers)
-            else:
-                exe = make_executor(jobs, kind)
+        exe = make_executor(jobs, executor_kind, controllers, self.trace)
 
         # completion-driven drain: finished points flush to the store in
         # coalesced batches (one directory fsync per drained round), so
@@ -999,7 +877,7 @@ class Campaign:
         # window (2x the worker count) has room.
         model = _CostModel()
         pending: list[PointSpec] = list(controllers)
-        window = max(1, exe.jobs) * 2 if exe.jobs > 1 else 1
+        window = 1 if isinstance(exe, SerialExecutor) or jobs <= 1 else 2 * jobs
         inflight: dict[futures.Future, tuple[PointSpec, int | str]] = {}
         batch_seeds: dict[PointSpec, tuple[int, ...]] = {}
         batch_got: dict[PointSpec, dict[int, dict[str, float]]] = {}
@@ -1014,13 +892,11 @@ class Campaign:
             if spec.config.engine == "soa":
                 # one lockstep task per batch: the whole seed set
                 # advances together (repro.core.soa)
-                fut = exe.submit(_run_batch_task_raw, (spec, seeds, task_trace))
+                fut = exe.submit(_run_batch_task_raw, (spec, seeds))
                 inflight[fut] = (spec, _BATCH)
                 return
             for seed in seeds:
-                inflight[exe.submit(_run_task_raw, (spec, seed, task_trace))] = (
-                    spec, seed,
-                )
+                inflight[exe.submit(_run_task_raw, (spec, seed))] = (spec, seed)
 
         def as_metrics(result) -> dict[str, float]:
             return {m: result.metric(m) for m in METRICS}
@@ -1098,6 +974,5 @@ class Campaign:
                 except BaseException:  # noqa: BLE001 - teardown best-effort
                     continue
             flush()
-            if own_executor:
-                exe.close()
+            exe.shutdown()
         return results

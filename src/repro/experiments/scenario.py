@@ -37,19 +37,16 @@ from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.trajectory import SaturationScan
 
-from repro.core.config import PAPER_CONFIG, SimConfig
+from repro.core.config import PAPER_CONFIG, SimConfig, _is_finite_real
 from repro.core.hooks import TrajectoryObserver
 from repro.experiments.campaign import (
     METRICS,
     SCALES,
     Campaign,
-    Executor,
     PointResult,
     PointSpec,
-    SerialExecutor,
-    ThreadPoolExecutor,
-    _resolve_task_trace,
     build_simulator,
+    make_executor,
 )
 from repro.experiments.store import ResultCache
 from repro.workload.trace import TraceJob
@@ -108,9 +105,10 @@ class Scenario:
             raise ValueError(
                 f"unknown scale {self.scale!r}; choose from {sorted(SCALES)}"
             )
-        if self.sample_interval is not None and self.sample_interval <= 0:
+        interval = self.sample_interval
+        if interval is not None and not (_is_finite_real(interval) and interval > 0):
             raise ValueError(
-                f"sample_interval must be positive, got {self.sample_interval}"
+                f"sample_interval must be a positive number, got {interval!r}"
             )
         self.channels = tuple(self.channels)
         self.arqs = tuple(self.arqs)
@@ -225,9 +223,11 @@ class Scenario:
         Trajectories are time series, not scalar means, so they are NOT
         persisted in the result store: each ``run`` call re-simulates
         one replication per point to record them.  With ``jobs > 1``
-        those runs fan out over a worker pool (threads under the
-        ``thread`` executor, processes otherwise) alongside the
-        campaign's own parallelism.
+        those runs fan out over a pool from
+        :func:`~repro.experiments.campaign.make_executor` (threads under
+        the ``thread`` executor, processes otherwise); trajectory runs
+        carry an observer, so they always take the GIL-bound reference
+        path.
 
         With ``auto_saturation=True`` a saturation scan
         (:func:`repro.experiments.trajectory.scan_saturation`) first
@@ -251,6 +251,7 @@ class Scenario:
                 trace=trace,
                 cache=cache,
                 jobs=jobs,
+                executor=executor,
                 start=max(self.loads),
             )
             if progress is not None:
@@ -269,31 +270,14 @@ class Scenario:
         trajectories: dict[str, dict] = {}
         if run_scenario.sample_interval is not None:
             points = campaign.points
-            labels = [spec.label() for spec in points]
-            workers = min(jobs, len(points))
-            task_trace: Sequence[TraceJob] | str | None = trace
-            pool: Executor
-            if workers <= 1 or executor == "serial":
-                pool = SerialExecutor()
-            elif executor == "thread":
-                # in-process: trajectories share the parent's trace and
-                # caches directly
-                pool = ThreadPoolExecutor(workers)
-            else:
-                # the campaign's own process pool: an external trace
-                # ships once per worker, tasks carry its fingerprint
-                task_trace, pool = campaign._process_pool(workers, points)
             run_one = partial(
-                run_trajectory,
-                sample_interval=run_scenario.sample_interval,
-                trace=task_trace,
+                run_trajectory, sample_interval=run_scenario.sample_interval
             )
-            try:
-                pending = [pool.submit(run_one, spec) for spec in points]
-                series = [fut.result() for fut in pending]
-            finally:
-                pool.close()
-            trajectories = dict(zip(labels, series))
+            with make_executor(
+                min(jobs, len(points)), executor or "process", points, trace
+            ) as pool:
+                series = list(pool.map(run_one, points))
+            trajectories = {spec.label(): s for spec, s in zip(points, series)}
         return ScenarioResult(
             scenario=run_scenario,
             points=campaign.points,
@@ -303,25 +287,19 @@ class Scenario:
         )
 
 
-def run_trajectory(
-    spec: PointSpec,
-    sample_interval: float,
-    trace: Sequence[TraceJob] | str | None = None,
-) -> dict:
+def run_trajectory(spec: PointSpec, sample_interval: float) -> dict:
     """Re-run one point's first replication with a trajectory observer.
 
     Uses the point's base seed (replication 0), so the time series
     describes the same run whose metrics entered the campaign mean.
     Module-level and pure (like the campaign work units), hence usable
-    from a process pool; a string ``trace`` is a fingerprint marker
-    resolved against the worker's trace registry, exactly as in
+    from a process pool; an external trace resolves from the spec's
+    ``trace_source``, exactly as in
     :func:`~repro.experiments.campaign._run_task_raw`.
     """
     cfg = spec.config
     observer = TrajectoryObserver(sample_interval, processors=cfg.processors)
-    build_simulator(
-        spec, cfg.seed, trace=_resolve_task_trace(trace), observers=(observer,)
-    ).run()
+    build_simulator(spec, cfg.seed, observers=(observer,)).run()
     return observer.series()
 
 

@@ -400,7 +400,7 @@ class CampaignService:
 class _Handler(BaseHTTPRequestHandler):
     """Routes HTTP requests to the service; JSON in, JSON out."""
 
-    # set by serve(): the shared CampaignService and shutdown hook
+    # set by make_server()/serve(): the shared CampaignService
     service: CampaignService
     protocol_version = "HTTP/1.1"
 
@@ -467,14 +467,18 @@ class _Handler(BaseHTTPRequestHandler):
 
 
 def make_server(
-    service: CampaignService, host: str = "127.0.0.1", port: int = DEFAULT_PORT
+    service: CampaignService | None,
+    host: str = "127.0.0.1",
+    port: int = DEFAULT_PORT,
 ) -> ThreadingHTTPServer:
     """An HTTP server bound to ``host:port``, routing to ``service``.
 
     The caller owns the loop: run ``serve_forever()`` (blocking) or on
     a thread, and ``server_close()`` + ``service.close()`` afterwards.
     ``port=0`` binds an ephemeral port (tests); read it back from
-    ``server.server_address``.
+    ``server.server_address``.  With ``service=None`` the socket binds
+    first and the service is attached afterwards as
+    ``server.RequestHandlerClass.service`` (what :func:`serve` does).
     """
     handler = type("BoundHandler", (_Handler,), {"service": service})
     return ThreadingHTTPServer((host, port), handler)
@@ -491,11 +495,22 @@ def serve(
 ) -> None:
     """Run the campaign service until interrupted (the CLI entry point).
 
-    ``ready`` (when given) is set once the socket is bound and the boot
-    reconciliation has run -- tests use it to avoid polling for startup.
+    The socket is bound before the service recovers or starts any job,
+    so an address it cannot listen on raises ``ValueError`` having
+    started no work.  ``ready`` (when given) is set once the socket is
+    bound and the boot reconciliation has run -- tests use it to avoid
+    polling for startup.
     """
-    service = CampaignService(store=store, jobs=jobs, executor=executor)
-    server = make_server(service, host=host, port=port)
+    try:
+        server = make_server(None, host=host, port=port)
+    except (OSError, OverflowError) as exc:
+        raise ValueError(f"cannot listen on {host}:{port}: {exc}") from None
+    try:
+        service = CampaignService(store=store, jobs=jobs, executor=executor)
+    except BaseException:
+        server.server_close()
+        raise
+    server.RequestHandlerClass.service = service
     note = progress if progress is not None else (lambda _msg: None)
     bound_host, bound_port = server.server_address[:2]
     note(

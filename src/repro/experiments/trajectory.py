@@ -200,6 +200,7 @@ def scan_saturation(
     max_steps: int = 8,
     rel_tol: float = 0.03,
     confirm: int = 2,
+    executor: str | None = None,
 ) -> SaturationScan:
     """Find a workload's saturation knee by climbing a load ladder.
 
@@ -220,7 +221,7 @@ def scan_saturation(
             channel) every rung runs under.
         trace: external trace for ``real`` sources.
         cache: result store (default: the global sharded cache).
-        jobs: worker processes per rung's replications.
+        jobs: parallel workers per rung's replications.
         start: ladder anchor load; defaults to the workload's figure
             sweep ceiling (:func:`repro.experiments.figures.sweep_ceiling`)
             and is required for pipeline workloads.
@@ -228,6 +229,9 @@ def scan_saturation(
         max_steps: rung budget before giving up.
         rel_tol: plateau flatness tolerance (relative utilization growth).
         confirm: consecutive flat rungs required to confirm the knee.
+        executor: executor kind for every rung
+            (:data:`~repro.experiments.campaign.EXECUTOR_KINDS`; ``None``
+            auto-selects).
 
     Returns:
         A :class:`SaturationScan`; its ``knee`` is ``None`` when the
@@ -244,7 +248,7 @@ def scan_saturation(
     for load in ladder:
         result = run_point(
             workload, load, alloc, sched, scale=sc, config=config,
-            cache=cache, trace=trace, jobs=jobs,
+            cache=cache, trace=trace, jobs=jobs, executor=executor,
         )
         loads.append(load)
         utils.append(result["utilization"])
@@ -277,6 +281,7 @@ def run_saturation_figure(
     jobs: int = 1,
     rel_tol: float = 0.03,
     confirm: int = 2,
+    executor: str | None = None,
 ) -> tuple[FigureResult, SaturationScan, dict[PointSpec, PointResult]]:
     """Regenerate a saturation bar chart at the *detected* knee.
 
@@ -292,9 +297,11 @@ def run_saturation_figure(
             channel) the scan and every combo run under.
         trace: external trace for the real workload.
         cache: result store override.
-        jobs: worker processes.
+        jobs: parallel workers.
         rel_tol: plateau flatness tolerance.
         confirm: consecutive flat rungs required.
+        executor: executor kind for the scan and every combo (``None``
+            auto-selects).
 
     Returns:
         ``(figure, scan, points)`` -- the regenerated figure series at
@@ -311,7 +318,7 @@ def run_saturation_figure(
     alloc, sched = spec.combos[0]
     scan = scan_saturation(
         spec.workload, alloc=alloc, sched=sched, scale=sc, config=config,
-        trace=trace, cache=cache, jobs=jobs,
+        trace=trace, cache=cache, jobs=jobs, executor=executor,
         rel_tol=rel_tol, confirm=confirm,
     )
     load = scan.knee if scan.knee is not None else SATURATION_LOADS[spec.workload]
@@ -324,7 +331,7 @@ def run_saturation_figure(
         for a, s in spec.combos
     ]
     campaign = Campaign(cells, trace=trace)
-    points = campaign.run(jobs=jobs, cache=cache)
+    points = campaign.run(jobs=jobs, cache=cache, executor_kind=executor)
     series = {
         combo_label(a, s): (points[cell][spec.metric],)
         for (a, s), cell in zip(spec.combos, cells)

@@ -2,7 +2,12 @@
 equivalence, and the sharded concurrency-safe result store."""
 
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
 from concurrent import futures
+from pathlib import Path
 
 import pytest
 
@@ -12,10 +17,9 @@ from repro.experiments.campaign import (
     Campaign,
     PointResult,
     PointSpec,
-    ProcessPoolExecutor,
     Scale,
     SerialExecutor,
-    ThreadPoolExecutor,
+    build_simulator,
     make_executor,
     run_spec_replication,
     trace_fingerprint,
@@ -125,36 +129,71 @@ class TestCampaignEnumeration:
 
 class TestExecutors:
     def test_make_executor(self):
-        assert isinstance(make_executor(1), SerialExecutor)
+        with make_executor(1) as serial:
+            assert isinstance(serial, SerialExecutor)
         # auto (no spec knowledge): thread when the native SoA driver
         # is available, process otherwise
-        auto = make_executor(4)
-        if _soa_native.load_kernel() is not None:
-            assert isinstance(auto, ThreadPoolExecutor)
-        else:
-            assert isinstance(auto, ProcessPoolExecutor)
-        with pytest.raises(ValueError):
-            ProcessPoolExecutor(1)
+        with make_executor(4) as auto:
+            if _soa_native.load_kernel() is not None:
+                assert isinstance(auto, futures.ThreadPoolExecutor)
+            else:
+                assert isinstance(auto, futures.ProcessPoolExecutor)
 
     def test_make_executor_kinds(self):
-        assert isinstance(make_executor(4, "serial"), SerialExecutor)
-        assert isinstance(make_executor(4, "thread"), ThreadPoolExecutor)
-        assert isinstance(make_executor(4, "process"), ProcessPoolExecutor)
+        with make_executor(4, "serial") as exe:
+            assert isinstance(exe, SerialExecutor)
+        with make_executor(4, "thread") as exe:
+            assert isinstance(exe, futures.ThreadPoolExecutor)
+        with make_executor(4, "process") as exe:
+            assert isinstance(exe, futures.ProcessPoolExecutor)
         # a process pool cannot run on one worker: degrades to serial
-        assert isinstance(make_executor(1, "process"), SerialExecutor)
+        with make_executor(1, "process") as exe:
+            assert isinstance(exe, SerialExecutor)
         with pytest.raises(ValueError):
             make_executor(4, "fibers")
 
     def test_auto_prefers_process_for_reference_engine(self):
         # reference-engine points are pure Python (GIL-bound): a thread
         # pool would serialise them, so auto-selection must not pick it
-        exe = make_executor(4, specs=(_spec(),))
-        assert isinstance(exe, ProcessPoolExecutor)
+        with make_executor(4, specs=(_spec(),)) as exe:
+            assert isinstance(exe, futures.ProcessPoolExecutor)
+
+    def test_serial_executor_has_the_futures_api(self):
+        with SerialExecutor() as exe:
+            assert list(exe.map(abs, (-1, 2, -3))) == [1, 2, 3]
+            failed = exe.submit(int, "x")
+        assert isinstance(failed.exception(), ValueError)
+        exe.shutdown()  # idempotent, nothing to release
 
     def test_worker_function_is_picklable_task(self):
         out = run_spec_replication(_spec(), seed=TINY.seed)
         assert set(out) == set(METRICS)
         assert out["mean_turnaround"] > 0
+
+
+class TestTraceRegistry:
+    """A work unit finds an external trace through its spec's
+    ``trace_source``; an explicit ``trace=`` still wins."""
+
+    @staticmethod
+    def _trace(widest: int) -> list[TraceJob]:
+        return [TraceJob(arrival=float(i * 4), size=(i % widest) + 1,
+                         runtime=25.0) for i in range(40)]
+
+    def test_unregistered_external_trace_is_an_error(self):
+        spec = _spec(workload="real", trace_source="ext:unregistered")
+        with pytest.raises(RuntimeError, match="no external trace"):
+            build_simulator(spec, seed=1)
+
+    def test_campaign_registers_its_trace(self):
+        t1, t2 = self._trace(4), self._trace(9)
+        s1 = _spec(workload="real", trace_source=trace_fingerprint(t1))
+        s2 = _spec(workload="real", trace_source=trace_fingerprint(t2))
+        Campaign([s1], trace=t1)
+        Campaign([s2], trace=t2)
+        via_registry = run_spec_replication(s1, seed=3)
+        assert via_registry == run_spec_replication(s2, seed=3, trace=t1)
+        assert via_registry != run_spec_replication(s2, seed=3)
 
 
 class TestParallelEquivalence:
@@ -205,6 +244,73 @@ class TestParallelEquivalence:
         # a fresh run against the warm store simulates nothing and agrees
         again = campaign.run(jobs=1, cache=ResultCache(tmp_path / "c"))
         assert set(again) == set(campaign.points)
+
+
+#: run in a fresh interpreter per start method: an external-trace point
+#: and a scenario trajectory pass on a two-worker process pool must both
+#: equal the serial run (spawn and forkserver workers inherit nothing,
+#: so the trace reaches them only through the pool initializer)
+_START_METHOD_PROBE = """
+import json, multiprocessing, sys
+from pathlib import Path
+
+from repro.core.config import SimConfig
+from repro.experiments.campaign import Scale
+from repro.experiments.runner import run_point
+from repro.experiments.scenario import Scenario
+from repro.experiments.store import ResultCache
+from repro.workload.trace import TraceJob
+
+if __name__ == "__main__":
+    multiprocessing.set_start_method(sys.argv[1])
+    tmp = Path(sys.argv[2])
+    trace = [TraceJob(arrival=float(i * 4), size=(i % 4) + 1, runtime=25.0)
+             for i in range(40)]
+    cfg = SimConfig(width=8, length=8, jobs=15, seed=11)
+    scale = Scale.by_name("smoke")
+    point = [
+        run_point("real", 0.05, "GABL", "FCFS", scale=scale, config=cfg,
+                  trace=trace, cache=ResultCache(tmp / f"point-{jobs}"),
+                  jobs=jobs, executor="process")
+        for jobs in (1, 2)
+    ]
+    scenario = Scenario.from_dict({
+        "name": "start-method", "workload": "real", "loads": [0.05, 0.08],
+        "allocs": ["GABL", "MBS"], "config": {"width": 8, "length": 8},
+        "sample_interval": 64.0,
+    })
+    runs = [
+        scenario.run(jobs=jobs, cache=ResultCache(tmp / f"scenario-{jobs}"),
+                     trace=trace, executor="process").to_dict()
+        for jobs in (1, 2)
+    ]
+    print(json.dumps({
+        "method": multiprocessing.get_start_method(),
+        "point": point[0] == point[1],
+        "scenario": runs[0] == runs[1],
+        "trajectories": all(p["trajectory"] for p in runs[1]["points"]),
+    }))
+"""
+
+
+@pytest.mark.parametrize("method", ["spawn", "forkserver", "fork"])
+def test_external_trace_process_pool_under_every_start_method(tmp_path, method):
+    if method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"start method {method!r} is not available here")
+    probe = tmp_path / "probe.py"
+    probe.write_text(_START_METHOD_PROBE)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, str(probe), method, str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": src,
+             "REPRO_CACHE_DIR": str(tmp_path / "cache")},
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == {
+        "method": method, "point": True, "scenario": True,
+        "trajectories": True,
+    }
 
 
 class TestStalePayloads:

@@ -9,7 +9,9 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.experiments import campaign
 from repro.experiments.figures import SATURATION_LOADS, sweep_ceiling
+from repro.experiments.scenario import Scenario
 from repro.experiments.trajectory import (
     run_saturation_figure,
     scan_saturation,
@@ -106,3 +108,34 @@ def test_cli_auto_saturation_scenario_report(tmp_path, capsys):
     # the knee load joined the simulated grid
     assert scan["knee"] in doc["scenario"]["loads"]
     assert any(p["load"] == scan["knee"] for p in doc["points"])
+
+
+@pytest.fixture
+def resolved_kinds(monkeypatch):
+    """Every executor kind a campaign run resolves to."""
+    real = campaign._resolve_executor_kind
+    kinds: list[str] = []
+
+    def spy(*args, **kwargs):
+        kinds.append(real(*args, **kwargs))
+        return kinds[-1]
+
+    monkeypatch.setattr(campaign, "_resolve_executor_kind", spy)
+    return kinds
+
+
+def test_cli_auto_saturation_honours_executor(resolved_kinds, capsys):
+    """Every scan rung and figure cell runs on the requested executor."""
+    rc = main(["fig9", "--auto-saturation", "-j", "2", "--executor", "serial"])
+    assert rc == 0
+    assert resolved_kinds and set(resolved_kinds) == {"serial"}
+
+
+def test_scenario_auto_saturation_honours_executor(resolved_kinds):
+    scenario = Scenario.from_dict({
+        "name": "sat", "workload": "uniform", "loads": [0.013],
+        "config": {"seed": 11},
+    })
+    result = scenario.run(jobs=2, auto_saturation=True, executor="serial")
+    assert result.saturation is not None
+    assert resolved_kinds and set(resolved_kinds) == {"serial"}

@@ -91,7 +91,21 @@ class TestScenarioSpec:
         ({"loads": [float("nan")]}, "load"),
         ({"config": {"width": 8, "length": 8, "topology": "torus",
                      "network_mode": "sfb"}}, "torus"),
-    ], ids=["paging-miss", "negative", "zero", "inf", "nan", "sfb-torus"])
+        # malformed field types fail here too, never with a TypeError
+        # traceback at load time or mid-run
+        ({"sample_interval": "a"}, "sample_interval"),
+        ({"sample_interval": float("nan")}, "sample_interval"),
+        ({"allocs": [5]}, "allocator"),
+        ({"scheds": [None]}, "scheduler"),
+        ({"config": {"max_time": "z"}}, "max_time"),
+        ({"config": {"max_time": 0}}, "max_time"),
+        ({"config": {"width": 1.5}}, "width"),
+        ({"config": {"seed": True}}, "seed"),
+        ({"config": {"t_s": float("inf")}}, "t_s"),
+    ], ids=["paging-miss", "negative", "zero", "inf", "nan", "sfb-torus",
+            "interval-str", "interval-nan", "alloc-int", "sched-null",
+            "max-time-str", "max-time-zero", "width-float", "seed-bool",
+            "t_s-inf"])
     def test_rejects_points_that_cannot_run(
         self, override, match, tmp_path, capsys
     ):

@@ -132,6 +132,23 @@ class TestServiceEndpoints:
         with pytest.raises(ServiceError, match="HTTP 400"):
             client.submit({"name": "x", "bogus": True})
 
+    @pytest.mark.parametrize("doc", [
+        {**SCENARIO_DOC, "sample_interval": "a"},
+        {**SCENARIO_DOC, "allocs": [5]},
+        {**SWEEP_DOC, "allocs": [7]},
+        {**SCENARIO_DOC, "config": {"max_time": "z"}},
+        {**SCENARIO_DOC, "config": {"width": 1.5}},
+    ], ids=["interval-str", "alloc-int", "sweep-alloc-int", "max-time-str",
+            "width-float"])
+    def test_malformed_field_is_http_400(self, service, doc):
+        """A wrongly typed field is rejected at submission; the service
+        stays up and queues nothing."""
+        svc, client = service
+        with pytest.raises(ServiceError, match="HTTP 400"):
+            client.submit(doc)
+        status = client.status()
+        assert status["service"] == "repro-serve" and status["jobs"] == []
+
     def test_negative_content_length_is_http_400(self, service):
         """The body is never read, so the reply cannot stall."""
         svc, client = service
@@ -199,6 +216,85 @@ class TestStoreValidation:
         assert proc.returncode == 2
         assert proc.stderr.splitlines() == [
             f"serve error: result store {store} is not a directory"
+        ]
+
+
+def _serve_workers() -> set[threading.Thread]:
+    return {t for t in threading.enumerate() if t.name == "repro-serve-worker"}
+
+
+class TestServeArguments:
+    """Bad service arguments exit 2 with one stderr line and start no
+    work."""
+
+    @pytest.mark.parametrize("port", ["99999", "-1"])
+    def test_out_of_range_port_exits_two(self, tmp_path, capsys, port):
+        rc = main(["serve", "--port", port, "--store", str(tmp_path / "s")])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"--port must be in 0-65535, got {port}"
+        ]
+
+    def test_busy_port_exits_two_before_recovering_jobs(self, tmp_path, capsys):
+        store = tmp_path / "shards"
+        (store / "jobs").mkdir(parents=True)
+        # a queued job a started service would recover and run
+        (store / "jobs" / f"{job_id(SCENARIO_DOC)}.json").write_text(
+            json.dumps({"id": job_id(SCENARIO_DOC), "name": "serve-test",
+                        "kind": "scenario", "doc": SCENARIO_DOC,
+                        "submitted_at": 0.0})
+        )
+        workers = _serve_workers()
+        with socket.socket() as busy:
+            busy.bind(("127.0.0.1", 0))
+            busy.listen()
+            port = busy.getsockname()[1]
+            rc = main(["serve", "--port", str(port), "--store", str(store)])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"serve error: cannot listen on 127.0.0.1:{port}: ")
+        assert _serve_workers() == workers
+        assert not list(store.glob("*.json"))
+
+    def test_unresolvable_host_exits_two(self, tmp_path, capsys, monkeypatch):
+        # stands in for a host that does not resolve, without a lookup
+        def unresolvable(address, handler):
+            raise socket.gaierror(socket.EAI_NONAME, "Name or service not known")
+
+        monkeypatch.setattr(
+            "repro.experiments.serve.ThreadingHTTPServer", unresolvable
+        )
+        workers = _serve_workers()
+        rc = main(["serve", "--host", "256.1.1.1", "--port", "0",
+                   "--store", str(tmp_path / "s")])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "serve error: cannot listen on 256.1.1.1:0: "
+            f"[Errno {socket.EAI_NONAME}] Name or service not known"
+        ]
+        assert _serve_workers() == workers
+
+    @pytest.mark.parametrize("interval", ["-1", "nan", "inf"])
+    def test_bad_interval_rejected_before_submitting(
+        self, service, tmp_path, capsys, interval
+    ):
+        svc, client = service
+        doc = tmp_path / "doc.json"
+        doc.write_text(json.dumps(SCENARIO_DOC))
+        port = client.base.rsplit(":", 1)[1]
+        rc = main(["submit", str(doc), "--port", port, "--wait",
+                   "--interval", interval])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"--interval must be a finite number >= 0, got {float(interval)}"
+        ]
+        assert client.status()["jobs"] == []
+
+    def test_plot_follow_bad_interval_exits_two(self, capsys):
+        assert main(["plot", "abc", "--follow", "--interval", "-0.5"]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "--interval must be a finite number >= 0, got -0.5"
         ]
 
 
