@@ -774,7 +774,11 @@ def main(argv: Sequence[str] | None = None) -> int:
             file=sys.stderr,
         )
         return 2
-    scale = args.scale or default_scale()
+    try:
+        scale = args.scale or default_scale()
+    except KeyError as exc:
+        print(f"bad REPRO_SCALE: {exc.args[0]}", file=sys.stderr)
+        return 2
     # the one place CLI flags become run settings: every explicitly given
     # flag overrides the matching SimConfig field
     flags = {

@@ -76,6 +76,7 @@ from repro.workload.sdsc import synthesize_sdsc_trace
 from repro.workload.stochastic import StochasticWorkload
 from repro.workload.trace import TraceJob, TraceWorkload
 from repro.workload.transforms import (
+    SOURCES,
     build_pipeline,
     canonical_workload,
     is_pipeline_spec,
@@ -349,14 +350,21 @@ class PointSpec:
             )
 
     def validate(self) -> None:
-        """Raise ``ValueError`` unless the point can run: a finite
-        positive load, an allocator that builds on the config's mesh, a
-        known scheduler, and no ``sfb`` network mode on a torus."""
-        if not (math.isfinite(self.load) and self.load > 0):
-            raise ValueError(f"load must be finite and > 0, got {self.load}")
-        for role, name in (("allocator", self.alloc), ("scheduler", self.sched)):
+        """Raise ``ValueError`` unless the point can run: a known workload
+        source or pipeline spec, a finite positive load, an allocator that
+        builds on the config's mesh, a known scheduler, and no ``sfb``
+        network mode on a torus."""
+        for role, name in (("workload", self.workload),
+                           ("allocator", self.alloc), ("scheduler", self.sched)):
             if not isinstance(name, str):
                 raise ValueError(f"{role} must be a name string, got {name!r}")
+        if self.workload not in SOURCES and not is_pipeline_spec(self.workload):
+            raise ValueError(
+                f"unknown workload {self.workload!r}; choose from "
+                f"{SOURCES} or a pipeline spec"
+            )
+        if not (math.isfinite(self.load) and self.load > 0):
+            raise ValueError(f"load must be finite and > 0, got {self.load}")
         try:
             make_allocator(self.alloc, self.config.width, self.config.length)
             make_scheduler(self.sched)

@@ -1,11 +1,12 @@
 """Long-running campaign service behind ``repro serve``.
 
 The service turns the one-shot campaign runner into a local job queue:
-scenario/sweep JSON documents are submitted over HTTP, executed through
-the existing cost-aware campaign engine, and their finished points are
-streamed to the sharded :class:`~repro.experiments.store.ResultCache`
-through an :class:`~repro.experiments.store.AsyncResultWriter` (bounded
-queue, coalesced ``put_many`` drains, one fsync per drain).
+scenario/sweep JSON documents are submitted over HTTP and executed
+through the existing cost-aware campaign engine, which writes their
+finished points to the sharded
+:class:`~repro.experiments.store.ResultCache` the same way a foreground
+run does: one coalesced ``put_many`` (one directory fsync) per drain
+round of :meth:`~repro.experiments.campaign.Campaign.run`.
 
 Endpoints (all JSON, bound to localhost by default):
 
@@ -23,11 +24,11 @@ Endpoints (all JSON, bound to localhost by default):
 
 Durability contract: every submitted job writes an atomic manifest
 under ``<shards>/jobs/``, and every finished point reaches the shard
-directory within one writer drain.  On boot the service reconciles
-manifests against shard contents and requeues only the missing points
--- the campaign engine's cache-hit scan skips everything already on
-disk -- so a SIGKILL mid-campaign loses at most the in-flight batch
-and never recomputes a flushed point.
+directory at the end of the drain round it finished in.  On boot the
+service reconciles manifests against shard contents and requeues only
+the missing points -- the campaign engine's cache-hit scan skips
+everything already on disk -- so a SIGKILL mid-campaign loses at most
+the round in flight and never recomputes a written point.
 
 Reports served while a job is mid-flight contain scalar metrics only;
 trajectory series are recorded by foreground ``repro scenario`` runs
@@ -50,7 +51,7 @@ from repro.core.config import PAPER_CONFIG
 from repro.experiments.campaign import Campaign, PointResult, PointSpec, _CostModel
 from repro.experiments.diff import campaign_report
 from repro.experiments.scenario import Scenario
-from repro.experiments.store import AsyncResultWriter, ResultCache
+from repro.experiments.store import ResultCache
 
 #: default service port (unassigned range; override with --port)
 DEFAULT_PORT = 8037
@@ -138,7 +139,7 @@ class Job:
     done: int = 0
     #: per-spec results as they land (cache hits and fresh completions)
     results: dict[PointSpec, PointResult] = field(default_factory=dict)
-    #: remaining-work estimate in cost-model base units
+    #: completed work so far in cost-model base units
     cost_done: float = 0.0
 
     @property
@@ -185,9 +186,9 @@ class CampaignService:
     """The job queue: one worker thread over the campaign engine.
 
     Jobs run one at a time (each campaign fans out internally over
-    ``jobs`` workers); results stream to the store through a dedicated
-    writer thread.  All public methods are thread-safe -- the HTTP
-    handler pool calls them concurrently with the worker.
+    ``jobs`` workers and writes its finished points to the service's
+    store).  All public methods are thread-safe -- the HTTP handler
+    pool calls them concurrently with the worker.
 
     Raises ``ValueError`` when ``store`` exists and is not a directory.
     """
@@ -202,7 +203,6 @@ class CampaignService:
         path = self.cache.path
         if path.exists() and not path.is_dir():
             raise ValueError(f"result store {path} is not a directory")
-        self.writer = AsyncResultWriter(self.cache)
         self.jobs = jobs
         self.executor = executor
         self.started_at = time.time()
@@ -244,7 +244,7 @@ class CampaignService:
         points are all in the store as done, requeue the rest.
 
         Requeued jobs re-enter the campaign engine, whose cache-hit
-        scan skips every point already flushed -- only missing points
+        scan skips every point already written -- only missing points
         recompute.
         """
         if not self.cache.disk:
@@ -331,7 +331,6 @@ class CampaignService:
         job = self.job(jid)
         if job is None:
             return None
-        self.writer.flush()  # queued points become visible to get()
         completed: dict[PointSpec, PointResult] = {}
         with self._lock:
             known = dict(job.results)
@@ -348,12 +347,11 @@ class CampaignService:
         return report
 
     def close(self) -> None:
-        """Stop the worker (after its current job) and flush the writer."""
+        """Stop the worker after its current job."""
         with self._wakeup:
             self._closed = True
             self._wakeup.notify_all()
         self._worker.join(timeout=30.0)
-        self.writer.close()
 
     # --------------------------------------------------------------- worker
     def _worker_loop(self) -> None:
@@ -382,11 +380,10 @@ class CampaignService:
         try:
             job.campaign.run(
                 jobs=self.jobs,
-                cache=self.writer,
+                cache=self.cache,
                 executor_kind=self.executor,
                 on_point=on_point,
             )
-            self.writer.flush()
             with self._lock:
                 job.state = "done"
                 job.finished_at = time.time()
@@ -525,7 +522,7 @@ def serve(
     try:
         server.serve_forever()
     except KeyboardInterrupt:
-        note("interrupted; flushing writer and shutting down")
+        note("interrupted; shutting down (finished points are already stored)")
     finally:
         server.server_close()
         service.close()

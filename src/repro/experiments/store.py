@@ -19,12 +19,10 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import queue
 import tempfile
-import threading
 import time
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 
 def _default_cache_path() -> Path:
@@ -71,15 +69,6 @@ class ResultCache:
             self._mem[key] = value
         return value
 
-    def put(self, key: str, value: Mapping) -> None:
-        """Store ``value`` under ``key`` (atomic shard write when on disk)."""
-        self._mem[key] = dict(value)
-        if self.disk:
-            try:
-                self._write_shard(key, self._mem[key])
-            except OSError:
-                self.disk = False  # read-only filesystem: stay in memory
-
     def put_many(self, items: Iterable[tuple[str, Mapping]]) -> None:
         """Store a batch of ``(key, value)`` pairs with coalesced disk I/O.
 
@@ -88,8 +77,7 @@ class ResultCache:
         metadata flush, the *directory* is fsynced **once per batch**
         after all renames land -- so a whole drained campaign round
         costs one fsync, not one per point, and a crash loses at most
-        the final batch.  This is the campaign drain loop's write path;
-        :meth:`put` remains the single-entry form.
+        the final batch.  This is the store's only write path.
         """
         wrote = False
         for key, value in items:
@@ -102,36 +90,6 @@ class ResultCache:
                     self.disk = False  # read-only filesystem: stay in memory
         if wrote:
             self._sync_dir()
-
-    def keys(self) -> Iterator[str]:
-        """Every point key the store holds (memory plus disk shards).
-
-        The disk scan reads only well-formed shard files -- a file whose
-        embedded ``key`` does not hash back to its own name (a foreign
-        file, a hash collision, or a corrupt write) is skipped, and
-        orphaned ``*.tmp`` files are never considered.  Keys are yielded
-        memory-first, deduplicated, in no particular order.
-        """
-        seen = set(self._mem)
-        yield from self._mem
-        if not self.disk:
-            return
-        try:
-            shards = list(self.path.glob("*.json"))
-        except OSError:
-            return
-        for shard in shards:
-            try:
-                payload = json.loads(shard.read_text())
-            except (OSError, json.JSONDecodeError):
-                continue
-            if not isinstance(payload, dict):
-                continue
-            key = payload.get("key")
-            if (isinstance(key, str) and key not in seen
-                    and _shard_name(key) == shard.name):
-                seen.add(key)
-                yield key
 
     def _reap_temps(self) -> int:
         """Remove orphaned ``*.tmp`` files from the shard directory.
@@ -197,99 +155,6 @@ class ResultCache:
             except OSError:
                 pass
             raise
-
-
-#: writer-queue sentinel: drain whatever is left, then exit the thread
-_STOP = object()
-
-
-class AsyncResultWriter:
-    """Stream results to a :class:`ResultCache` through one writer thread.
-
-    Producers (campaign drain loops, HTTP handlers) enqueue results on a
-    bounded queue and return immediately; a single dedicated thread
-    drains whatever has accumulated and commits each drained batch
-    through the cache's coalesced :meth:`ResultCache.put_many` -- so a
-    burst of finished points costs **one** directory fsync per drain,
-    not one per point, and producers never wait on disk unless the queue
-    is full (backpressure at ``maxsize`` entries).
-
-    The writer quacks like the cache (``get``/``put``/``put_many``), so
-    it drops into :meth:`Campaign.run`'s ``cache=`` parameter unchanged.
-    Reads delegate straight to the wrapped cache; a point enqueued but
-    not yet drained is invisible for the few milliseconds until its
-    batch commits -- callers needing read-your-writes call
-    :meth:`flush` first.  Crash durability is the cache's own contract:
-    shard writes stay atomic, and a kill mid-drain loses at most the
-    batch in flight.
-    """
-
-    def __init__(self, cache: ResultCache, maxsize: int = 1024) -> None:
-        self.cache = cache
-        self._queue: queue.Queue = queue.Queue(maxsize)
-        self._closed = False
-        self._thread = threading.Thread(
-            target=self._drain_loop, name="repro-store-writer", daemon=True
-        )
-        self._thread.start()
-
-    # ------------------------------------------------------------------ API
-    def get(self, key: str) -> dict | None:
-        """Read-through to the wrapped cache (memory first, then disk)."""
-        return self.cache.get(key)
-
-    def put(self, key: str, value: Mapping) -> None:
-        """Enqueue one result for the writer thread (returns at once)."""
-        self.put_many(((key, value),))
-
-    def put_many(self, items: Iterable[tuple[str, Mapping]]) -> None:
-        """Enqueue a batch of results for the writer thread.
-
-        Blocks only when the bounded queue is full (producers cannot
-        outrun the disk without bound).  Raises ``RuntimeError`` after
-        :meth:`close`.
-        """
-        if self._closed:
-            raise RuntimeError("AsyncResultWriter is closed")
-        for key, value in items:
-            self._queue.put((key, dict(value)))
-
-    def flush(self) -> None:
-        """Block until everything enqueued so far has hit the cache."""
-        self._queue.join()
-
-    def close(self) -> None:
-        """Flush remaining work and stop the writer thread (idempotent)."""
-        if self._closed:
-            return
-        self._closed = True
-        self._queue.put(_STOP)
-        self._thread.join()
-
-    # --------------------------------------------------------------- thread
-    def _drain_loop(self) -> None:
-        while True:
-            item = self._queue.get()
-            stop = item is _STOP
-            batch = [] if stop else [item]
-            while True:
-                try:
-                    nxt = self._queue.get_nowait()
-                except queue.Empty:
-                    break
-                if nxt is _STOP:
-                    stop = True
-                    break
-                batch.append(nxt)
-            if batch:
-                try:
-                    self.cache.put_many(batch)  # one fsync for the batch
-                finally:
-                    for _ in batch:
-                        self._queue.task_done()
-            if stop:
-                self._queue.task_done()
-                return
 
 
 _GLOBAL_CACHE: ResultCache | None = None

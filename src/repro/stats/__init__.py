@@ -2,8 +2,8 @@
 
 The paper: "Simulation results are averaged over enough independent runs
 so that the confidence level is 95% and the relative errors do not exceed
-5%."  :func:`~repro.stats.replication.run_replications` implements exactly
-that stopping rule.
+5%."  :class:`~repro.stats.replication.ReplicationController` is the one
+driver of that stopping rule.
 """
 
 from repro.stats.ci import mean_confidence_interval, relative_error
@@ -23,7 +23,6 @@ from repro.stats.replication import (
     ReplicatedMetric,
     ReplicationController,
     ReplicationResult,
-    run_replications,
 )
 from repro.stats.series import (
     SeriesDiff,
@@ -51,7 +50,6 @@ __all__ = [
     "ReplicatedMetric",
     "ReplicationController",
     "ReplicationResult",
-    "run_replications",
     "SeriesDiff",
     "detect_plateau",
     "detect_saturation",

@@ -5,23 +5,17 @@ confidence level is 95% and the relative errors do not exceed 5%": run
 replications with distinct seeds until every watched metric's 95% CI
 half-width is within 5% of its mean (or a replication cap is reached).
 
-Two entry points share one rule:
-
-* :func:`run_replications` -- the sequential driver (one ``run_once``
-  call at a time), unchanged semantics;
-* :class:`ReplicationController` -- the *batched* form used by the
-  campaign engine: it hands out seed batches (``min_replications`` seeds
-  up front, then ``batch_size`` more per round) so a process pool can
-  run them concurrently, and evaluates the stopping rule on the results
-  fed back.  With ``batch_size=1`` (the default) the seeds run, the
-  replication count and the resulting means are *identical* to the
-  sequential driver -- parallel and serial execution agree bit-for-bit.
+:class:`ReplicationController` is the only driver of that rule.  It
+hands out a warm-up batch of ``min_replications`` seeds, then one seed
+per round, and evaluates the rule on the results fed back -- so the
+campaign engine can run a batch on any executor and still check the
+rule after every replication, exactly as a sequential loop would.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from repro.stats.ci import mean_confidence_interval, relative_error
 
@@ -69,7 +63,7 @@ class ReplicationController:
         result = ctrl.result()                             # execution
 
     ``next_seeds`` returns the ``min_replications`` warm-up batch first,
-    then ``batch_size`` further seeds per call until the rule is met or
+    then one further seed per call until the rule is met or
     ``max_replications`` have been issued, then ``()``.  Seeds are
     ``base_seed + replication_index`` -- a pure function of the
     constructor arguments, never of worker state, so any executor
@@ -87,21 +81,17 @@ class ReplicationController:
         confidence: float = 0.95,
         max_relative_error: float = 0.05,
         base_seed: int = 0,
-        batch_size: int = 1,
     ) -> None:
         if min_replications < 1:
             raise ValueError("min_replications must be >= 1")
         if max_replications < min_replications:
             raise ValueError("max_replications must be >= min_replications")
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
         self._names = tuple(metric_names)
         self._min = min_replications
         self._max = max_replications
         self._confidence = confidence
         self._max_rel = max_relative_error
         self._base_seed = base_seed
-        self._batch = batch_size
         self._samples: dict[str, list[float]] = {m: [] for m in self._names}
         self._issued = 0
         self._completed = 0
@@ -130,14 +120,13 @@ class ReplicationController:
             raise RuntimeError("previous batch not fed back yet")
         if self.finished:
             return ()
-        want = self._min if self._issued == 0 else self._batch
-        n = min(want, self._max - self._issued)
+        n = self._min if self._issued == 0 else 1
         seeds = tuple(self._base_seed + i for i in range(self._issued, self._issued + n))
         self._issued += n
         return seeds
 
     def add_batch(self, results: Sequence[Mapping[str, float]]) -> None:
-        """Record one batch of ``run_once`` outputs, in seed order."""
+        """Record one batch of per-seed metric dicts, in seed order."""
         if self._completed + len(results) > self._issued:
             raise ValueError("more results than issued seeds")
         for result in results:
@@ -172,36 +161,3 @@ class ReplicationController:
             metrics=metrics, replications=self._completed, converged=self._converged
         )
 
-
-def run_replications(
-    run_once: Callable[[int], Mapping[str, float]],
-    metric_names: Sequence[str],
-    min_replications: int = 3,
-    max_replications: int = 20,
-    confidence: float = 0.95,
-    max_relative_error: float = 0.05,
-    base_seed: int = 0,
-) -> ReplicationResult:
-    """Run ``run_once(seed)`` until all metrics meet the stopping rule.
-
-    ``run_once`` maps a seed to a metric dict; seeds are
-    ``base_seed + replication_index``.  ``min_replications=1`` disables
-    the rule entirely (single deterministic runs, e.g. trace replay).
-    """
-    ctrl = ReplicationController(
-        metric_names,
-        min_replications=min_replications,
-        max_replications=max_replications,
-        confidence=confidence,
-        max_relative_error=max_relative_error,
-        base_seed=base_seed,
-        batch_size=1,
-    )
-    while seeds := ctrl.next_seeds():
-        # feeding each result back individually reproduces the classic
-        # check-after-every-replication loop exactly
-        for seed in seeds:
-            ctrl.add_batch([run_once(seed)])
-            if ctrl.converged:
-                break
-    return ctrl.result()

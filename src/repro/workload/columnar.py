@@ -246,10 +246,13 @@ def jobs_from_blocks(blocks: Iterable[JobBlock]) -> Iterator[Job]:
 
 
 def _cache_budget_bytes() -> int:
-    """The block-cache byte budget (``REPRO_BLOCK_CACHE_MB``, default 128)."""
+    """The block-cache byte budget (``REPRO_BLOCK_CACHE_MB``, default 128;
+    an unparsable or non-finite value falls back to the default)."""
     try:
         mb = float(os.environ.get("REPRO_BLOCK_CACHE_MB", "128"))
     except ValueError:
+        mb = 128.0
+    if not math.isfinite(mb):
         mb = 128.0
     return max(0, int(mb * 1024 * 1024))
 

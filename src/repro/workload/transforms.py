@@ -700,7 +700,8 @@ def is_pipeline_spec(workload: str) -> bool:
     that is not a known source is *not* a pipeline -- callers keep their
     historical unknown-name error paths for plain strings.
     """
-    return workload not in SOURCES and any(c in workload for c in "|+*:")
+    return (isinstance(workload, str) and workload not in SOURCES
+            and any(c in workload for c in "|+*:"))
 
 
 def spec_is_deterministic(spec: str | dict) -> bool:

@@ -337,7 +337,9 @@ class TestStalePayloads:
         campaign = Campaign([_spec()])
         cold = campaign.run(jobs=1, cache=ResultCache(tmp_path / "cold"))
         key = _spec().key()
-        ResultCache(tmp_path / "stale").put(key, {m: 1.25 for m in METRICS})
+        ResultCache(tmp_path / "stale").put_many(
+            [(key, {m: 1.25 for m in METRICS})]
+        )
         again = campaign.run(jobs=1, cache=ResultCache(tmp_path / "stale"))
         assert again == cold
         shard = ResultCache(tmp_path / "stale").get(key)
@@ -350,7 +352,7 @@ def _put_range(args) -> int:
     cache_dir, start, n = args
     cache = ResultCache(cache_dir)
     for i in range(start, start + n):
-        cache.put(f"key-{i}", {"m": float(i)})
+        cache.put_many([(f"key-{i}", {"m": float(i)})])
     return n
 
 
@@ -359,29 +361,29 @@ class TestShardedStore:
         monkeypatch.setenv("REPRO_CACHE", "1")
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "d"))
         cache = ResultCache()
-        cache.put("k", {"m": 1.0})
+        cache.put_many([("k", {"m": 1.0})])
         assert cache.path == tmp_path / "d" / "results.shards"
         assert len(list(cache.path.glob("*.json"))) == 1
 
     def test_round_trip(self, tmp_path):
         cache = ResultCache(tmp_path / "c")
         key = _spec().key()
-        cache.put(key, {"m": 1.5, "k": 2.0})
+        cache.put_many([(key, {"m": 1.5, "k": 2.0})])
         assert ResultCache(tmp_path / "c").get(key) == {"m": 1.5, "k": 2.0}
 
     def test_one_shard_per_key(self, tmp_path):
         cache = ResultCache(tmp_path / "c")
         for i in range(5):
-            cache.put(f"key-{i}", {"m": float(i)})
+            cache.put_many([(f"key-{i}", {"m": float(i)})])
         assert len(list(cache.path.glob("*.json"))) == 5
         assert not list(cache.path.glob("*.tmp"))
 
     def test_put_does_not_rewrite_other_shards(self, tmp_path):
         cache = ResultCache(tmp_path / "c")
-        cache.put("a", {"m": 1.0})
+        cache.put_many([("a", {"m": 1.0})])
         shard = next(cache.path.glob("*.json"))
         before = shard.stat().st_mtime_ns
-        cache.put("b", {"m": 2.0})
+        cache.put_many([("b", {"m": 2.0})])
         assert shard.stat().st_mtime_ns == before
 
     def test_concurrent_writers_distinct_keys(self, tmp_path):

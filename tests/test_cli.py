@@ -110,12 +110,36 @@ def test_point_rejects_non_finite_delay(spec, capsys):
     ["--loads", "0.01", "--scheds", "LIFO"],
     ["--loads", "-0.5"],
     ["--loads", "0.01", "--channels", "delay:exp:nan"],
-], ids=["unknown-alloc", "unknown-sched", "negative-load", "nan-delay"])
+    ["--loads", "0.02", "--workloads", "bogus"],
+    ["--loads", "0.02", "--workloads", "uniform,unifrom"],
+], ids=["unknown-alloc", "unknown-sched", "negative-load", "nan-delay",
+        "unknown-workload", "misspelt-workload"])
 def test_sweep_rejects_malformed_input(argv, capsys):
     rc = main(["sweep", "--workloads", "uniform", "--scale", "smoke", *argv])
     assert rc == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("bad sweep parameters: ")
+
+
+def test_bad_repro_scale_exits_two(monkeypatch, capsys):
+    monkeypatch.setenv("REPRO_SCALE", "huge")
+    rc = main(["fig2"])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [
+        "bad REPRO_SCALE: unknown scale 'huge'; "
+        "choose from ['paper', 'quick', 'smoke']"
+    ]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_block_cache_budget_runs(value, monkeypatch, capsys):
+    """A non-finite REPRO_BLOCK_CACHE_MB falls back to the default."""
+    monkeypatch.setenv("REPRO_BLOCK_CACHE_MB", value)
+    rc = main(["point", "--workload", "uniform", "--load", "0.02",
+               "--scale", "smoke"])
+    assert rc == 0
+    assert "turnaround=" in capsys.readouterr().out
 
 
 def test_point_infinite_load_exits_promptly():

@@ -160,8 +160,8 @@ class TestCampaignIntegration:
         assert a.key() == b.key()
 
     def test_replication_controller_batches(self):
-        # batch_size>1 batches driven through the lockstep path must
-        # reproduce the sequential reference controller exactly: same
+        # a 9-seed warm-up batch driven through the lockstep path must
+        # reproduce per-seed runs fed one at a time exactly: same
         # replication count, same samples, same means
         spec = _spec(
             workload="exponential",
@@ -170,19 +170,22 @@ class TestCampaignIntegration:
         )
         metrics = ("mean_turnaround", "utilization")
 
-        def controller(batch_size):
+        def controller(min_replications):
             return ReplicationController(
-                metrics, min_replications=3, max_replications=9,
-                base_seed=spec.config.seed, batch_size=batch_size,
+                metrics, min_replications=min_replications,
+                max_replications=9, base_seed=spec.config.seed,
                 max_relative_error=1e-9,  # never converges early
             )
 
-        seq = controller(1)
+        seq = controller(3)
         while seeds := seq.next_seeds():
             seq.add_batch([run_spec_replication(spec, s) for s in seeds])
-        lock = controller(3)
+        lock = controller(9)
+        batches = 0
         while seeds := lock.next_seeds():
             lock.add_batch(run_spec_batch(spec, seeds))
+            batches += 1
+        assert batches == 1
         assert lock.completed == seq.completed == 9
         a, b = seq.result(), lock.result()
         assert a.replications == b.replications

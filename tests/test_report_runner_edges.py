@@ -54,7 +54,7 @@ class TestResultCacheEdges:
     def test_corrupt_shard_ignored(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE", "1")
         cache = ResultCache(tmp_path / "c")
-        cache.put("k", {"m": 1.0})
+        cache.put_many([("k", {"m": 1.0})])
         shards = list(cache.path.glob("*.json"))
         assert len(shards) == 1
         shards[0].write_text("{torn write")
@@ -63,7 +63,7 @@ class TestResultCacheEdges:
     def test_memory_only_when_disk_disabled(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE", "0")
         cache = ResultCache(tmp_path / "c")
-        cache.put("k", {"m": 2.0})
+        cache.put_many([("k", {"m": 2.0})])
         assert cache.get("k") == {"m": 2.0}
         assert not cache.path.exists()
 

@@ -19,6 +19,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
+from repro.experiments.campaign import PointResult
 from repro.experiments.serve import (
     CampaignService,
     build_campaign,
@@ -26,6 +27,7 @@ from repro.experiments.serve import (
     make_server,
 )
 from repro.experiments.service_client import ServiceClient, ServiceError
+from repro.experiments.store import ResultCache
 
 REPO = Path(__file__).resolve().parent.parent
 SRC = str(REPO / "src")
@@ -95,6 +97,11 @@ class TestDocuments:
             build_campaign({"name": "x"})  # scenario missing keys
         with pytest.raises(ValueError):
             build_campaign([1, 2, 3])
+        # a plain name that is neither a source nor a pipeline spec, and
+        # a bare string (it would split into one-letter workloads)
+        for workloads in (["bogus"], "uniform"):
+            with pytest.raises(ValueError, match="unknown workload"):
+                build_campaign({**SWEEP_DOC, "workloads": workloads})
 
 
 class TestServiceEndpoints:
@@ -138,8 +145,12 @@ class TestServiceEndpoints:
         {**SWEEP_DOC, "allocs": [7]},
         {**SCENARIO_DOC, "config": {"max_time": "z"}},
         {**SCENARIO_DOC, "config": {"width": 1.5}},
+        {**SWEEP_DOC, "workloads": ["bogus"]},
+        {**SWEEP_DOC, "workloads": "uniform"},
+        {**SWEEP_DOC, "workloads": [5]},
     ], ids=["interval-str", "alloc-int", "sweep-alloc-int", "max-time-str",
-            "width-float"])
+            "width-float", "sweep-workload-unknown", "sweep-workloads-str",
+            "sweep-workload-int"])
     def test_malformed_field_is_http_400(self, service, doc):
         """A wrongly typed field is rejected at submission; the service
         stays up and queues nothing."""
@@ -176,6 +187,16 @@ class TestServiceEndpoints:
         client = ServiceClient(port=1, timeout=0.5)
         with pytest.raises(ServiceError, match="no campaign service"):
             client.status()
+
+    def test_done_job_is_in_a_fresh_store(self, service):
+        """Once a job reports ``done`` every point is on disk: a fresh
+        cache over the store path returns each one."""
+        svc, client = service
+        jid = client.submit(SWEEP_DOC)["id"]
+        assert client.wait(jid, interval=0.05, timeout=120)["state"] == "done"
+        fresh = ResultCache(svc.cache.path)
+        for spec in svc.job(jid).campaign.points:
+            assert PointResult.from_payload(fresh.get(spec.key())) is not None
 
     def test_restart_reconciles_done_job_from_store(self, tmp_path, service):
         svc, client = service

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.stats.ci import mean_confidence_interval, mean_variance, relative_error
-from repro.stats.replication import ReplicationController, run_replications
+from repro.stats.replication import ReplicationController
 
 
 class TestMeanVariance:
@@ -75,7 +75,25 @@ class TestCI:
         assert relative_error(-10.0, 0.5) == pytest.approx(0.05)
 
 
+def _stream(seed: int) -> dict:
+    """Synthetic metric stream: deterministic per seed, converges slowly."""
+    rng = np.random.default_rng(seed)
+    return {"m": float(rng.normal(100, 15.0)), "k": float(rng.normal(5, 0.1))}
+
+
+def _drive(run=_stream, names=("m", "k"), **kwargs):
+    """Run a controller to completion; returns it and its seed batches."""
+    ctrl = ReplicationController(names, **kwargs)
+    seen = []
+    while seeds := ctrl.next_seeds():
+        seen.append(seeds)
+        ctrl.add_batch([run(s) for s in seeds])
+    return ctrl, seen
+
+
 class TestReplications:
+    """The paper's stopping rule, driven through the controller."""
+
     def test_deterministic_single_run(self):
         calls = []
 
@@ -83,7 +101,8 @@ class TestReplications:
             calls.append(seed)
             return {"m": 42.0}
 
-        res = run_replications(run, ["m"], min_replications=1, max_replications=1)
+        ctrl, _ = _drive(run, ["m"], min_replications=1, max_replications=1)
+        res = ctrl.result()
         assert res.replications == 1
         assert res.converged
         assert res.mean("m") == 42.0
@@ -95,7 +114,8 @@ class TestReplications:
         def run(seed):
             return {"m": 100.0 + float(rng.normal(0, 0.01))}
 
-        res = run_replications(run, ["m"], min_replications=3, max_replications=20)
+        ctrl, _ = _drive(run, ["m"], min_replications=3, max_replications=20)
+        res = ctrl.result()
         assert res.replications == 3
         assert res.converged
         assert res["m"].relative_error <= 0.05
@@ -106,7 +126,8 @@ class TestReplications:
         def run(seed):
             return {"m": float(rng.uniform(0, 1000))}
 
-        res = run_replications(run, ["m"], min_replications=3, max_replications=5)
+        ctrl, _ = _drive(run, ["m"], min_replications=3, max_replications=5)
+        res = ctrl.result()
         assert res.replications == 5
         assert not res.converged
 
@@ -117,7 +138,8 @@ class TestReplications:
         def run(seed):
             return {"m": float(rng.normal(50, 2.0))}
 
-        res = run_replications(run, ["m"], min_replications=3, max_replications=50)
+        ctrl, _ = _drive(run, ["m"], min_replications=3, max_replications=50)
+        res = ctrl.result()
         assert res.converged
         assert res["m"].relative_error <= 0.05
 
@@ -127,9 +149,10 @@ class TestReplications:
         def run(seed):
             return {"stable": 10.0, "noisy": float(rng.uniform(0, 100))}
 
-        res = run_replications(
+        ctrl, _ = _drive(
             run, ["stable", "noisy"], min_replications=3, max_replications=6
         )
+        res = ctrl.result()
         assert res.replications == 6
         assert not res.converged
 
@@ -140,56 +163,29 @@ class TestReplications:
             seeds.append(seed)
             return {"m": float(seed)}
 
-        run_replications(run, ["m"], min_replications=3, max_replications=3,
-                         base_seed=100)
+        _drive(run, ["m"], min_replications=3, max_replications=3,
+               base_seed=100)
         assert seeds == [100, 101, 102]
 
     def test_validation(self):
         run = lambda seed: {"m": 1.0}
         with pytest.raises(ValueError):
-            run_replications(run, ["m"], min_replications=0)
+            _drive(run, ["m"], min_replications=0)
         with pytest.raises(ValueError):
-            run_replications(run, ["m"], min_replications=5, max_replications=2)
-
-
-def _stream(seed: int) -> dict:
-    """Synthetic metric stream: deterministic per seed, converges slowly."""
-    rng = np.random.default_rng(seed)
-    return {"m": float(rng.normal(100, 15.0)), "k": float(rng.normal(5, 0.1))}
+            _drive(run, ["m"], min_replications=5, max_replications=2)
 
 
 class TestReplicationController:
-    """The batched controller must reproduce the sequential rule."""
-
-    def _drive(self, **kwargs):
-        ctrl = ReplicationController(["m", "k"], **kwargs)
-        seen = []
-        while seeds := ctrl.next_seeds():
-            seen.append(seeds)
-            ctrl.add_batch([_stream(s) for s in seeds])
-        return ctrl, seen
+    """Batch shape and feedback contract of the controller."""
 
     def test_warmup_batch_is_min_replications(self):
-        ctrl, seen = self._drive(min_replications=3, max_replications=20,
-                                 base_seed=10)
+        ctrl, seen = _drive(min_replications=3, max_replications=20,
+                            base_seed=10)
         assert seen[0] == (10, 11, 12)
         assert all(len(batch) == 1 for batch in seen[1:])
 
-    def test_matches_sequential_stopping_rule(self):
-        for base_seed in (0, 7, 42):
-            seq = run_replications(_stream, ["m", "k"], min_replications=3,
-                                   max_replications=20, base_seed=base_seed)
-            ctrl, _ = self._drive(min_replications=3, max_replications=20,
-                                  base_seed=base_seed)
-            bat = ctrl.result()
-            assert bat.replications == seq.replications
-            assert bat.converged == seq.converged
-            assert bat["m"].values == seq["m"].values
-            assert bat.mean("m") == seq.mean("m")
-            assert bat.mean("k") == seq.mean("k")
-
     def test_single_deterministic_run(self):
-        ctrl, seen = self._drive(min_replications=1, max_replications=1)
+        ctrl, seen = _drive(min_replications=1, max_replications=1)
         assert seen == [(0,)]
         assert ctrl.result().converged
 
@@ -206,16 +202,14 @@ class TestReplicationController:
         assert res.replications == 5
         assert not res.converged
 
-    def test_larger_batch_size_never_exceeds_cap(self):
-        ctrl = ReplicationController(["m", "k"], min_replications=3,
-                                     max_replications=7, batch_size=3)
-        issued = []
-        while seeds := ctrl.next_seeds():
-            issued.extend(seeds)
-            ctrl.add_batch([{"m": float(np.random.default_rng(s).uniform(0, 1e6)),
-                             "k": 1.0} for s in seeds])
-        assert len(issued) == 7  # 3 warm-up + 3 + 1 (clipped at the cap)
-        assert issued == list(range(7))
+    def test_seeds_are_contiguous_and_stop_at_cap(self):
+        def noisy(seed):
+            return {"m": float(np.random.default_rng(seed).uniform(0, 1e6)),
+                    "k": 1.0}
+
+        ctrl, seen = _drive(noisy, min_replications=3, max_replications=7)
+        assert seen == [(0, 1, 2), (3,), (4,), (5,), (6,)]
+        assert ctrl.finished and ctrl.next_seeds() == ()
 
     def test_results_before_feedback_rejected(self):
         ctrl = ReplicationController(["m"], min_replications=2,

@@ -1,21 +1,14 @@
 """Durability tests for the sharded result store: orphaned-temp
-reaping, the keys() scan, the async writer thread, and the campaign
-drain loop's flush-on-teardown contract."""
+reaping and the campaign drain loop's flush-on-teardown contract."""
 
 from __future__ import annotations
 
-import json
 import os
 import time
 
 import pytest
 
-from repro.experiments.store import (
-    TEMP_REAP_AGE,
-    AsyncResultWriter,
-    ResultCache,
-    _shard_name,
-)
+from repro.experiments.store import TEMP_REAP_AGE, ResultCache
 
 
 @pytest.fixture(autouse=True)
@@ -31,7 +24,7 @@ def backdate(path, age=TEMP_REAP_AGE + 120.0):
 class TestTempReaping:
     def test_orphaned_tmp_reaped_on_open(self, tmp_path):
         cache = ResultCache(tmp_path / "shards")
-        cache.put("k1", {"v": 1})
+        cache.put_many([("k1", {"v": 1})])
         # a writer killed between mkstemp and os.replace leaves this
         orphan = cache.path / "tmpabc123.tmp"
         orphan.write_text('{"partial')
@@ -49,26 +42,6 @@ class TestTempReaping:
         ResultCache(tmp_path / "shards")
         assert inflight.exists()
 
-    def test_keys_ignores_temps_and_foreign_files(self, tmp_path):
-        cache = ResultCache(tmp_path / "shards")
-        cache.put_many([("k1", {"v": 1}), ("k2", {"v": 2})])
-        orphan = cache.path / "tmporphan.tmp"
-        orphan.write_text('{"key": "ghost"}')
-        backdate(orphan)
-        # jobs/ manifests and stray json must not surface as point keys
-        (cache.path / "jobs").mkdir()
-        (cache.path / "jobs" / "deadbeef.json").write_text('{"id": "x"}')
-        (cache.path / "notes.json").write_text('{"key": "fake"}')
-        fresh = ResultCache(tmp_path / "shards")
-        assert sorted(fresh.keys()) == ["k1", "k2"]
-
-    def test_keys_merges_memory_and_disk(self, tmp_path):
-        a = ResultCache(tmp_path / "shards")
-        a.put("disk-key", {"v": 1})
-        b = ResultCache(tmp_path / "shards")
-        b.put("mem-key", {"v": 2})
-        assert sorted(b.keys()) == ["disk-key", "mem-key"]
-
     def test_reap_returns_count(self, tmp_path):
         cache = ResultCache(tmp_path / "shards")
         cache.path.mkdir(parents=True, exist_ok=True)
@@ -78,57 +51,6 @@ class TestTempReaping:
             backdate(p)
         assert ResultCache(tmp_path / "shards")._reap_temps() in (0, 3)
         assert not list(cache.path.glob("*.tmp"))
-
-
-class TestAsyncResultWriter:
-    def test_writes_reach_cache_and_disk(self, tmp_path):
-        cache = ResultCache(tmp_path / "shards")
-        writer = AsyncResultWriter(cache)
-        writer.put("k1", {"v": 1})
-        writer.put_many([("k2", {"v": 2}), ("k3", {"v": 3})])
-        writer.flush()
-        assert cache.get("k2") == {"v": 2}
-        shard = cache.path / _shard_name("k3")
-        assert json.loads(shard.read_text())["value"] == {"v": 3}
-        writer.close()
-
-    def test_get_reads_through(self, tmp_path):
-        cache = ResultCache(tmp_path / "shards")
-        cache.put("k1", {"v": 1})
-        writer = AsyncResultWriter(cache)
-        assert writer.get("k1") == {"v": 1}
-        writer.close()
-
-    def test_close_is_idempotent_and_put_after_close_raises(self, tmp_path):
-        writer = AsyncResultWriter(ResultCache(tmp_path / "shards"))
-        writer.put("k", {"v": 0})
-        writer.close()
-        writer.close()
-        with pytest.raises(RuntimeError):
-            writer.put("k2", {"v": 1})
-
-    def test_drop_in_for_campaign_run(self, tmp_path, monkeypatch):
-        # the writer duck-types the cache API Campaign.run consumes
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        from repro.experiments.campaign import Campaign
-
-        campaign = Campaign.sweep(
-            workloads=("uniform",), loads=(0.02,),
-            allocs=("GABL",), scheds=("FCFS",), scale="smoke",
-        )
-        cache = ResultCache(tmp_path / "shards")
-        writer = AsyncResultWriter(cache)
-        results = campaign.run(cache=writer)
-        writer.flush()
-        spec = campaign.points[0]
-        assert cache.get(spec.key()) is not None
-        writer.close()
-        # a rerun against the same store is a pure cache hit
-        again = Campaign.sweep(
-            workloads=("uniform",), loads=(0.02,),
-            allocs=("GABL",), scheds=("FCFS",), scale="smoke",
-        ).run(cache=ResultCache(tmp_path / "shards"))
-        assert dict(again[spec]) == dict(results[spec])
 
 
 class TestDrainLoopFlush:
@@ -156,7 +78,8 @@ class TestDrainLoopFlush:
         with pytest.raises(KeyboardInterrupt):
             campaign.run(cache=cache, progress=explode)
         assert seen  # the interrupt fired after a completion
-        flushed = [k for k in ResultCache(tmp_path / "shards").keys()]
+        fresh = ResultCache(tmp_path / "shards")
+        flushed = [s for s in campaign.points if fresh.get(s.key()) is not None]
         assert flushed, "finished point was dropped by the teardown path"
 
     def test_on_point_callback_sees_hits_and_fresh_points(

@@ -226,6 +226,13 @@ class TestBlockCache:
         assert b1 is not b2
         assert np.array_equal(b1.arrival, b2.arrival)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "lots"])
+    def test_bad_budget_falls_back_to_default(self, monkeypatch, value):
+        from repro.workload.columnar import _cache_budget_bytes
+
+        monkeypatch.setenv("REPRO_BLOCK_CACHE_MB", value)
+        assert _cache_budget_bytes() == 128 * 1024 * 1024
+
     def test_eviction_respects_budget(self):
         cache = BlockCache(budget=1)  # ~one stream's worth at most
         wl = make_source("uniform")
