@@ -87,6 +87,7 @@ class LaneState:
         self.cj = np.zeros(heap_cap, dtype=np.int64)
         self.ids = np.zeros(cells, dtype=np.int64)
         self.offs = np.zeros(max(config.max_messages, 1), dtype=np.int64)
+        self.xy = np.zeros(2 * cells, dtype=np.int64)
         window = max(config.scheduler_window, 1)
         self.window = window
         self.pkk = np.zeros(window, dtype=np.float64)
@@ -177,7 +178,7 @@ class LaneState:
             self.nk, self.nx, self.ny, self.npar, self.nchild,
             self.nstate, self.nepoch, self.nown,
             self.mhe, self.mhn, self.mhl, self.mhoff,
-            self.rk, self.rx, self.ry,
+            self.rk, self.rx, self.ry, self.xy,
         ]
         assert len(arrays) == native.P_COUNT
         table = (ctypes.c_void_p * native.P_COUNT)()

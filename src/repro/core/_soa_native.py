@@ -92,7 +92,8 @@ P_MHOFF = 42     # i64[max_k+2] MBS free-heap arena offsets per level
 P_RK = 43        # i64[n_roots] MBS root cover: levels
 P_RX = 44        # i64[n_roots] MBS root cover: base x
 P_RY = 45        # i64[n_roots] MBS root cover: base y
-P_COUNT = 46
+P_XY = 46        # i64[2*W*L] solve_rounds' per-launch (x, y) scratch
+P_COUNT = 47
 
 #: f8 scalar slots (P_F)
 F_NOW = 0
@@ -158,7 +159,7 @@ CF_COUNT = 5
 
 #: pointer-table layout fingerprint, checked by the C entry point so a
 #: stale cached .so can never be driven with a mismatched layout
-LAYOUT_MAGIC = 20260808
+LAYOUT_MAGIC = 20261018
 
 #: ``soa_advance`` return codes
 RC_DONE = 1
@@ -179,6 +180,7 @@ enum {
     P_HTS, P_ERO, P_SAT,
     P_NK, P_NX, P_NY, P_NPAR, P_NCHILD, P_NSTATE, P_NEPOCH, P_NOWN,
     P_MHE, P_MHN, P_MHL, P_MHOFF, P_RK, P_RX, P_RY,
+    P_XY,
     P_COUNT
 };
 
@@ -195,7 +197,7 @@ enum { CI_MAGIC = 0, CI_W, CI_L, CI_WRAP, CI_ALLOC, CI_SCHED, CI_WINDOW,
 
 enum { CF_HOP = 0, CF_OCC, CF_DRAIN, CF_GAP, CF_UNTIL };
 
-#define LAYOUT_MAGIC 20260808
+#define LAYOUT_MAGIC 20261018
 
 /* MBS block states (repro.alloc.mbs) */
 #define B_FREE 0
@@ -230,6 +232,7 @@ typedef struct {
     uint8_t *nstate;
     int64_t *mhe, *mhn, *mhl, *mhoff;
     const int64_t *rk, *rx, *ry;
+    int64_t *xy;
     int64_t W, L, alloc_kind, sched_kind, window, jobs_target, warmup;
     int64_t n_prov, exhausted, has_until, node_cap, n_roots, max_k;
     int32_t wrap;
@@ -869,7 +872,7 @@ static void launch(SoaCtx *c, int64_t j)
     double out[3];
     out[0] = 0.0; out[1] = 0.0; out[2] = now;
     solve_rounds(c->ids, size, c->offs, msgs, now, c->gap, c->free_at,
-                 c->hop, c->occ, c->drain, c->W, c->L, c->wrap, out);
+                 c->hop, c->occ, c->drain, c->W, c->L, c->wrap, c->xy, out);
     c->jpk[j] = size * msgs;
     c->jlat[j] = out[0];
     c->jblk[j] = out[1];
@@ -960,6 +963,7 @@ int64_t soa_advance(void **P, const int64_t *CI, const double *CF)
     c->rk = (const int64_t *)P[P_RK];
     c->rx = (const int64_t *)P[P_RX];
     c->ry = (const int64_t *)P[P_RY];
+    c->xy = (int64_t *)P[P_XY];
     c->W = CI[CI_W]; c->L = CI[CI_L];
     c->wrap = (int32_t)CI[CI_WRAP];
     c->alloc_kind = CI[CI_ALLOC];

@@ -8,6 +8,15 @@ same float64 recurrence as
 :meth:`repro.network.wormhole.FastBackend.transmit`, one whole launch
 (every round of a job's all-to-all exchange) per call.
 
+``solve_rounds`` is the only C walk: the SoA lane driver
+(:mod:`repro.core._soa_native`) embeds this source and calls it too.
+The walk divides nowhere per packet.  Each launch converts its node ids
+to ``(x, y)`` once, into a scratch table of ``2 * n`` int64 the caller
+owns (so the kernel still allocates nothing); each round's offset is
+normalised once with Python's ``%`` semantics, so an offset of any sign
+or size picks the destination ``fast`` picks; and the hops step the
+channel index by 6 per x hop and ``6 * width`` per y hop.
+
 The kernel is strictly optional: :mod:`repro.network.batch` falls back
 to the ``fast`` reference loop (same results) when compilation is
 impossible.  Because the C code performs the identical IEEE-754
@@ -44,21 +53,30 @@ _SOURCE = r"""
  * The XY walk mirrors repro.network.routing: x first then y, each
  * dimension taking the shorter way around on a torus with ties broken
  * towards the positive direction.  Channel indices are node * 6 + dir
- * with dir in {INJ=0, EJ=1, EAST=2, WEST=3, NORTH=4, SOUTH=5}.
+ * with dir in {INJ=0, EJ=1, EAST=2, WEST=3, NORTH=4, SOUTH=5}, so one
+ * x hop moves the channel index by 6 and one y hop by 6 * width.
+ *
+ * The walk divides nowhere per packet: solve_rounds converts each
+ * node id to (x, y) once per launch, normalises each round's offset
+ * once, and the hops step channel indices by stride (a torus wraps a
+ * coordinate with a compare).  The helpers are `static inline`: kept
+ * as a call, walk would pass the blocking sum through memory on every
+ * hop.
  */
 
-static int64_t dim_step(int64_t src, int64_t dst, int64_t size, int wrap,
-                        int64_t *count)
+/* Hops and direction (+1/-1) along one dimension, from coordinates in
+ * [0, size): on a torus the shorter way around, ties going forward. */
+static inline int64_t dim_step(int64_t src, int64_t dst, int64_t size,
+                               int wrap, int64_t *count)
 {
-    if (dst == src) { *count = 0; return 1; }
+    int64_t forward = dst - src;
     if (!wrap) {
-        if (dst > src) { *count = dst - src; return 1; }
-        *count = src - dst;
+        if (forward >= 0) { *count = forward; return 1; }
+        *count = -forward;
         return -1;
     }
-    int64_t forward = (dst - src) % size;
     if (forward < 0) forward += size;
-    int64_t backward = size - forward;
+    const int64_t backward = size - forward;
     if (forward <= backward) { *count = forward; return 1; }
     *count = backward;
     return -1;
@@ -67,8 +85,8 @@ static int64_t dim_step(int64_t src, int64_t dst, int64_t size, int wrap,
 /* Reserve one channel: FIFO wait (added to *blk, the contention
  * accumulator) exactly as the reference loop accrues it, stall by
  * stall, so blocking sums stay bit-identical for any float config. */
-static double reserve(double *free_at, int64_t c, double t, double occ,
-                      double *blk)
+static inline double reserve(double *free_at, int64_t c, double t,
+                             double occ, double *blk)
 {
     const double f = free_at[c];
     if (f > t) {
@@ -79,52 +97,75 @@ static double reserve(double *free_at, int64_t c, double t, double occ,
     return t;
 }
 
-/* One packet: whole-path reservation src -> dst, injected at t0.
- * Returns the ejection-channel service start; *t_inj_out gets the
- * injection-channel service start, *blk_out the per-hop blocking sum. */
-static double transmit(const double t0, const int64_t src, const int64_t dst,
-                       double *free_at, const double hop, const double occ,
-                       const int64_t width, const int64_t length,
-                       const int32_t wrap, double *t_inj_out,
-                       double *blk_out)
+/* Reserve `count` link channels along one dimension, starting at
+ * channel c of coordinate pos and moving `step` (+1/-1) per hop; the
+ * channel index moves by `stride` per unit of the coordinate.  On a
+ * torus the coordinate wraps at `size`, moving c back by a whole lap.
+ * Returns the header time after the last hop. */
+static inline double walk(double *free_at, int64_t c, int64_t pos,
+                          int64_t count, int64_t step, int64_t stride,
+                          int64_t size, int32_t wrap, double t, double hop,
+                          double occ, double *blk)
 {
-    const int64_t sx = src % width, sy = src / width;
-    const int64_t dx = dst % width, dy = dst / width;
+    const int64_t dc = step > 0 ? stride : -stride;
+    if (!wrap) {
+        for (int64_t i = 0; i < count; i++) {
+            t = reserve(free_at, c, t, occ, blk) + hop;
+            c += dc;
+        }
+        return t;
+    }
+    const int64_t lap = stride * size;
+    for (int64_t i = 0; i < count; i++) {
+        t = reserve(free_at, c, t, occ, blk) + hop;
+        pos += step;
+        c += dc;
+        if (pos == size) { pos = 0; c -= lap; }
+        else if (pos < 0) { pos = size - 1; c += lap; }
+    }
+    return t;
+}
+
+/* One packet: whole-path reservation src -> dst, injected at t0, with
+ * the endpoints given as node ids and (x, y) coordinates.  Returns the
+ * ejection-channel service start; *t_inj_out gets the injection-channel
+ * service start, *blk_out the per-hop blocking sum. */
+static inline double transmit(const double t0, const int64_t src,
+                              const int64_t sx, const int64_t sy,
+                              const int64_t dst, const int64_t dx,
+                              const int64_t dy, double *free_at,
+                              const double hop, const double occ,
+                              const int64_t width, const int64_t length,
+                              const int32_t wrap, double *t_inj_out,
+                              double *blk_out)
+{
     int64_t cx, cy;
     const int64_t step_x = dim_step(sx, dx, width, wrap, &cx);
     const int64_t step_y = dim_step(sy, dy, length, wrap, &cy);
     /* injection: waiting here is source queueing, not blocking */
-    double f = free_at[src * 6];
+    const double f = free_at[src * 6];
     double t = t0 >= f ? t0 : f;
     free_at[src * 6] = t + occ;
     *t_inj_out = t;
     t += hop;
     double blocking = 0.0;
-    const int64_t chan_dx = step_x > 0 ? 2 : 3;  /* EAST : WEST */
-    int64_t x = sx;
-    for (int64_t i = 0; i < cx; i++) {
-        t = reserve(free_at, (sy * width + x) * 6 + chan_dx, t, occ,
-                    &blocking) + hop;
-        x += step_x;
-        if (wrap) x = (x + width) % width;
-    }
-    const int64_t chan_dy = step_y > 0 ? 4 : 5;  /* NORTH : SOUTH */
-    int64_t y = sy;
-    for (int64_t i = 0; i < cy; i++) {
-        t = reserve(free_at, (y * width + dx) * 6 + chan_dy, t, occ,
-                    &blocking) + hop;
-        y += step_y;
-        if (wrap) y = (y + length) % length;
-    }
+    /* x hops along row sy (EAST : WEST), then y hops along column dx
+     * (NORTH : SOUTH) */
+    t = walk(free_at, src * 6 + (step_x > 0 ? 2 : 3), sx, cx, step_x, 6,
+             width, wrap, t, hop, occ, &blocking);
+    t = walk(free_at, (sy * width + dx) * 6 + (step_y > 0 ? 4 : 5), sy, cy,
+             step_y, 6 * width, length, wrap, t, hop, occ, &blocking);
     const double t_ej = reserve(free_at, dst * 6 + 1, t, occ, &blocking);
     *blk_out = blocking;
     return t_ej;
 }
 
 /* A whole launch: round r is the cyclic permutation i -> (i +
- * offsets[r]) mod n over the node ids, injected at now + r * gap, in
- * deterministic packet order.  Aggregates the per-packet statistics
- * exactly as the reference engine does:
+ * offsets[r]) mod n over the node ids (Python `%`: any sign or size of
+ * offset), injected at now + r * gap, in deterministic packet order.
+ * xy is caller-owned scratch of 2 * n int64 for the nodes' (x, y).
+ * Aggregates the per-packet statistics exactly as the reference engine
+ * does:
  *
  * out[0] += latency  (= t_eject + hop + drain - t_inject)
  * out[1] += blocking (per-hop stall sum, injection wait excluded)
@@ -133,24 +174,37 @@ static double transmit(const double t0, const int64_t src, const int64_t dst,
 void solve_rounds(const int64_t *ids, int64_t n, const int64_t *offsets,
                   int64_t rounds, double now, double gap, double *free_at,
                   double hop, double occ, double drain,
-                  int64_t width, int64_t length, int32_t wrap, double *out)
+                  int64_t width, int64_t length, int32_t wrap,
+                  int64_t *xy, double *out)
 {
+    if (n <= 0) return;
+    for (int64_t i = 0; i < n; i++) {
+        xy[2 * i] = ids[i] % width;
+        xy[2 * i + 1] = ids[i] / width;
+    }
+    double latency = out[0], blocking_sum = out[1], last = out[2];
     for (int64_t r = 0; r < rounds; r++) {
         const double t_round = now + (double)r * gap;
-        const int64_t offset = offsets[r];
+        int64_t j = offsets[r] % n;
+        if (j < 0) j += n;
         for (int64_t i = 0; i < n; i++) {
             double t_inj, blocking;
-            const double t_ej = transmit(t_round, ids[i],
-                                         ids[(i + offset) % n], free_at,
-                                         hop, occ, width, length, wrap,
-                                         &t_inj, &blocking);
+            const double t_ej = transmit(t_round, ids[i], xy[2 * i],
+                                         xy[2 * i + 1], ids[j], xy[2 * j],
+                                         xy[2 * j + 1], free_at, hop, occ,
+                                         width, length, wrap, &t_inj,
+                                         &blocking);
             const double t_deliver = t_ej + hop + drain;
-            out[0] += t_deliver - t_inj;
-            out[1] += blocking;
-            if (t_deliver > out[2])
-                out[2] = t_deliver;
+            latency += t_deliver - t_inj;
+            blocking_sum += blocking;
+            if (t_deliver > last)
+                last = t_deliver;
+            if (++j == n) j = 0;
         }
     }
+    out[0] = latency;
+    out[1] = blocking_sum;
+    out[2] = last;
 }
 """
 
@@ -167,6 +221,7 @@ def _build() -> ctypes.CDLL | None:
         ctypes.c_double, ctypes.c_double, ctypes.c_void_p,
         ctypes.c_double, ctypes.c_double, ctypes.c_double,
         ctypes.c_int64, ctypes.c_int64, ctypes.c_int32, ctypes.c_void_p,
+        ctypes.c_void_p,
     ]
     return lib
 

@@ -61,6 +61,8 @@ class BatchBackend(FastBackend):
         self._kernel = _native.load_kernel()
         if self._kernel is not None:
             self.free_at = array("d", bytes(8 * topology.channel_count))
+            #: the kernel's per-launch (x, y) scratch, two slots per node
+            self._xy = array("q", bytes(16 * topology.node_count))
 
     def reset(self) -> None:
         super().reset()
@@ -78,6 +80,8 @@ class BatchBackend(FastBackend):
             return super().inject_rounds(nodes, offsets, now, round_gap)
         n = len(nodes)
         ids = np.array(nodes, dtype=np.int64)
+        if 2 * n > len(self._xy):  # a node list with repeats
+            self._xy = array("q", bytes(16 * n))
         packets = n * len(offsets)
         self.packets_sent += packets
         offs = np.asarray(offsets, dtype=np.int64)
@@ -93,7 +97,8 @@ class BatchBackend(FastBackend):
             ctypes.c_double(self.hop_cost), ctypes.c_double(self.occupancy),
             ctypes.c_double(self.drain),
             ctypes.c_int64(topo.width), ctypes.c_int64(topo.length),
-            ctypes.c_int32(int(topo.wrap)), as_ptr(out.ctypes.data),
+            ctypes.c_int32(int(topo.wrap)), as_ptr(self._xy.buffer_info()[0]),
+            as_ptr(out.ctypes.data),
         )
         return RoundStats(
             packets=packets,

@@ -152,9 +152,11 @@ class LoadScale(WorkloadTransform):
 
     @staticmethod
     def check_args(factor: float) -> None:
-        """Reject non-positive factors at spec-parse time."""
-        if factor <= 0:
-            raise ValueError(f"scale factor must be positive, got {factor}")
+        """Reject non-positive and non-finite factors at spec-parse time."""
+        if not (math.isfinite(factor) and factor > 0):
+            raise ValueError(
+                f"scale factor must be positive and finite, got {factor}"
+            )
 
     def __init__(self, inner: Workload, factor: float, salt: int = 0) -> None:
         self.check_args(factor)
@@ -248,9 +250,11 @@ class Jitter(WorkloadTransform):
 
     @staticmethod
     def check_args(sigma: float) -> None:
-        """Reject negative noise widths at spec-parse time."""
-        if sigma < 0:
-            raise ValueError(f"jitter sigma must be non-negative, got {sigma}")
+        """Reject negative and non-finite noise widths at spec-parse time."""
+        if not (math.isfinite(sigma) and sigma >= 0):
+            raise ValueError(
+                f"jitter sigma must be non-negative and finite, got {sigma}"
+            )
 
     def __init__(self, inner: Workload, sigma: float, salt: int = 0) -> None:
         self.check_args(sigma)
@@ -307,9 +311,12 @@ class Burstify(WorkloadTransform):
 
     @staticmethod
     def check_args(interval: float) -> None:
-        """Reject non-positive burst intervals at spec-parse time."""
-        if interval <= 0:
-            raise ValueError(f"burst interval must be positive, got {interval}")
+        """Reject non-positive and non-finite burst intervals at
+        spec-parse time."""
+        if not (math.isfinite(interval) and interval > 0):
+            raise ValueError(
+                f"burst interval must be positive and finite, got {interval}"
+            )
 
     def __init__(self, inner: Workload, interval: float, salt: int = 0) -> None:
         self.check_args(interval)

@@ -62,6 +62,22 @@ def test_point_rejects_out_of_range_transform_arg(capsys):
     assert "bad point parameters" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("spec", [
+    "uniform|scale:nan", "uniform|scale:inf", "uniform|jitter:nan",
+    "uniform|jitter:inf", "uniform|burst:inf", "uniform|burst:nan",
+    "uniform*nan", "uniform*inf",
+])
+def test_point_rejects_non_finite_transform_arg(spec, capsys):
+    """A NaN or infinite transform argument is a one-line exit 2, not a
+    ``turnaround=nan`` point."""
+    rc = main(["point", "--workload", spec, "--load", "0.02",
+               "--scale", "smoke"])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("bad point parameters: ")
+    assert "finite" in err[0]
+
+
 def test_point_requires_args(capsys):
     rc = main(["point", "--scale", "smoke"])
     assert rc == 2

@@ -10,9 +10,14 @@ while channels are still occupied by earlier packets' bodies (a long
 ``p_len`` keeps real cross-packet contention in play).  This was an
 untested prose claim; here it is enforced as a property over randomly
 generated packet sets.
+
+The ``batch`` backend's whole-launch kernel is held to the ``fast``
+reference loop the same way: bit-identical launch statistics and
+reservation tables over generated shapes, node subsets and offsets.
 """
 
-from hypothesis import given, settings
+import numpy as np
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.engine import Engine
@@ -81,3 +86,86 @@ def test_batch_equals_fast_on_staggered_injections(packets):
     times = staggered_times(len(packets))
     for (src, dst), at in zip(packets, times):
         assert batch.transmit(src, dst, at) == fast.transmit(src, dst, at)
+
+
+def tenths(lo: int, hi: int):
+    """Decimal fractions such as 0.3 or 7.1, which float64 rounds, so
+    every sum and comparison in the recurrence is exercised inexactly."""
+    return st.integers(lo, hi).map(lambda k: k / 10)
+
+
+@st.composite
+def launch_sequences(draw):
+    """A mesh or torus of 1..9 x 1..9 (at least 2 nodes) and a few
+    consecutive launches sharing its reservation table: each over a
+    shuffled, not necessarily contiguous node subset, with offsets of
+    any sign or size that never name the sender itself."""
+    width = draw(st.integers(1, 9))
+    length = draw(st.integers(1 if width > 1 else 2, 9))
+    topo = MeshTopology(width, length, wrap=draw(st.booleans()))
+    launches = []
+    now = 0.0
+    for _ in range(draw(st.integers(1, 4))):
+        nodes = draw(st.lists(st.integers(0, topo.node_count - 1),
+                              min_size=2, max_size=topo.node_count,
+                              unique=True))
+        n = len(nodes)
+        offsets = draw(st.lists(
+            st.integers(-(2**63), 2**63 - 1).filter(lambda o: o % n != 0),
+            min_size=1, max_size=5,
+        ))
+        now += draw(tenths(0, 900))
+        launches.append((nodes, offsets, now, draw(tenths(1, 400))))
+    return topo, draw(tenths(0, 60)), draw(tenths(10, 160)), launches
+
+
+def assert_batch_matches_fast(topo, t_s, p_len, launches):
+    fast = make_backend("fast", topo, Engine(), t_s=t_s, p_len=p_len)
+    batch = make_backend("batch", topo, Engine(), t_s=t_s, p_len=p_len)
+    for nodes, offsets, now, gap in launches:
+        assert batch.inject_rounds(nodes, offsets, now, gap) == \
+            fast.inject_rounds(nodes, offsets, now, gap)
+    assert np.array_equal(np.asarray(fast.free_at), np.asarray(batch.free_at))
+    assert batch.packets_sent == fast.packets_sent
+
+
+def edge_case(width, length, wrap, nodes, offsets):
+    return (MeshTopology(width, length, wrap=wrap), 0.3, 7.1,
+            [(nodes, offsets, 0.0, 1.7), (nodes[::-1], offsets, 5.3, 0.9)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(launch_sequences())
+@example(edge_case(1, 9, False, [8, 0, 3, 5], [1, -2, 7]))
+@example(edge_case(9, 1, True, [2, 7, 0, 4, 8], [-1, 3, 2**40]))
+@example(edge_case(2, 2, True, [3, 0, 2, 1], [1, 2, 3, -5]))
+def test_batch_launches_equal_fast_launches(case):
+    """``batch.inject_rounds`` (the compiled XY walk, when built) agrees
+    with the ``fast`` reference loop bit for bit, launch after launch,
+    on every shape and node order the kernel's strided walk can meet."""
+    assert_batch_matches_fast(*case)
+
+
+def test_negative_offset_launch_equals_fast():
+    """A negative offset selects ``nodes[(i + offset) % n]`` with
+    Python's ``%``; the kernel must never index before the node list."""
+    topo = MeshTopology(4, 4)
+    nodes = list(range(16))
+    assert_batch_matches_fast(topo, 3.0, 8, [
+        (nodes, [-1], 0.0, 16.0),
+        (nodes, [1, -5, 3], 40.0, 16.0),
+    ])
+
+
+def test_repeated_nodes_launch_equals_fast():
+    """A node list longer than the mesh (ids repeated, no self-sends)
+    gets a coordinate scratch of its own size, not a heap overrun."""
+    topo = MeshTopology(2, 1)
+    fast = make_backend("fast", topo, Engine())
+    batch = make_backend("batch", topo, Engine())
+    nodes = [0, 1] * 3
+    assert batch.inject_rounds(nodes, [1, 3, -1], 0.0, 16.0) == \
+        fast.inject_rounds(nodes, [1, 3, -1], 0.0, 16.0)
+    assert np.array_equal(np.asarray(fast.free_at), np.asarray(batch.free_at))
+    if batch._kernel is not None:
+        assert len(batch._xy) >= 2 * len(nodes)

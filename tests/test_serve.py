@@ -148,9 +148,10 @@ class TestServiceEndpoints:
         {**SWEEP_DOC, "workloads": ["bogus"]},
         {**SWEEP_DOC, "workloads": "uniform"},
         {**SWEEP_DOC, "workloads": [5]},
+        {**SWEEP_DOC, "workloads": ["uniform|scale:nan"]},
     ], ids=["interval-str", "alloc-int", "sweep-alloc-int", "max-time-str",
             "width-float", "sweep-workload-unknown", "sweep-workloads-str",
-            "sweep-workload-int"])
+            "sweep-workload-int", "sweep-workload-nan-scale"])
     def test_malformed_field_is_http_400(self, service, doc):
         """A wrongly typed field is rejected at submission; the service
         stays up and queues nothing."""

@@ -4,7 +4,8 @@ Compiled kernels are loadable code, so the shared build helper must
 never trust a directory or a library someone else could have written,
 must never leave half-written files behind, must not let concurrent
 builds corrupt each other's inputs, and must not touch the compiler at
-all under ``REPRO_NATIVE=0``.
+all under ``REPRO_NATIVE=0``.  The reservation kernel itself must stay
+memory- and UB-clean on edge launches (a sanitizer build).
 """
 
 from __future__ import annotations
@@ -187,3 +188,76 @@ class TestNativeGate:
             monkeypatch.undo()
             for module in KERNEL_MODULES:
                 module.reset_kernel_cache()
+
+
+#: drives ``solve_rounds`` over edge launches, every buffer heap-allocated
+#: at its exact size so AddressSanitizer sees any out-of-bounds access
+SANITIZER_MAIN = r"""
+#include <stdlib.h>
+#include <string.h>
+
+static int launch(int64_t width, int64_t length, int32_t wrap,
+                  const int64_t *nodes, int64_t n,
+                  const int64_t *offs, int64_t rounds)
+{
+    int64_t *ids = malloc(n * sizeof *ids);
+    int64_t *offsets = malloc(rounds * sizeof *offsets);
+    int64_t *xy = malloc(2 * n * sizeof *xy);
+    double *free_at = calloc(width * length * 6, sizeof *free_at);
+    memcpy(ids, nodes, n * sizeof *ids);
+    memcpy(offsets, offs, rounds * sizeof *offsets);
+    double out[3] = {0.0, 0.0, 10.0};
+    /* two launches sharing one reservation table */
+    for (int k = 0; k < 2; k++)
+        solve_rounds(ids, n, offsets, rounds, 10.0 + 7.3 * k, 1.7, free_at,
+                     1.3, 7.1, 6.1, width, length, wrap, xy, out);
+    const int ok = out[0] > 0.0 && out[1] >= 0.0 && out[2] > 10.0;
+    free(ids); free(offsets); free(xy); free(free_at);
+    return ok ? 0 : 1;
+}
+
+int main(void)
+{
+    static const int64_t far[] = {1, -1, 5, -7, INT64_MAX, INT64_MIN,
+                                  INT64_MAX - 3, INT64_MIN + 5};
+    const int64_t nfar = sizeof far / sizeof far[0];
+    static const int64_t line[] = {8, 0, 3, 5, 1, 7, 2, 6, 4};
+    static const int64_t square[] = {3, 0, 2, 1};
+    static const int64_t corners[] = {351, 0};
+    int64_t every[16 * 22];
+    for (int64_t i = 0; i < 16 * 22; i++) every[i] = 16 * 22 - 1 - i;
+    int rc = 0;
+    for (int32_t wrap = 0; wrap < 2; wrap++) {
+        rc |= launch(1, 9, wrap, line, 9, far, nfar);   /* 1 x N */
+        rc |= launch(9, 1, wrap, line, 9, far, nfar);   /* N x 1 */
+        rc |= launch(2, 2, wrap, square, 4, far, nfar); /* 2 x 2 */
+        rc |= launch(16, 22, wrap, corners, 2, far, nfar);      /* n = 2 */
+        rc |= launch(16, 22, wrap, every, 16 * 22, far, nfar);  /* all */
+    }
+    return rc;
+}
+"""
+
+
+def test_reservation_kernel_is_sanitizer_clean(tmp_path):
+    """ASan/UBSan build of the reservation kernel: 1 x N, N x 1 and
+    2 x 2 shapes (mesh and torus), two-node and whole-mesh launches,
+    and offsets far outside ``[0, n)``, without one sanitizer report."""
+    cc = _toolchain.compiler()
+    if cc is None:
+        pytest.skip("no C compiler available")
+    source = tmp_path / "kernel_main.c"
+    source.write_text(network_native._SOURCE + SANITIZER_MAIN)
+    exe = tmp_path / "kernel_main"
+    built = subprocess.run(
+        [cc, "-O1", "-g", "-fno-omit-frame-pointer", "-ffp-contract=off",
+         "-fsanitize=address,undefined", "-fno-sanitize-recover=all",
+         str(source), "-o", str(exe)],
+        capture_output=True, text=True, timeout=120,
+    )
+    if built.returncode != 0:
+        pytest.skip(f"sanitizer runtime unavailable: {built.stderr[-200:]}")
+    run = subprocess.run([str(exe)], capture_output=True, text=True,
+                         timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert "Sanitizer" not in run.stderr and "runtime error" not in run.stderr

@@ -10,6 +10,7 @@ replication seed.
 
 from __future__ import annotations
 
+import math
 from itertools import islice
 
 import pytest
@@ -222,6 +223,30 @@ def test_spec_errors():
         parse_workload_spec(
             {"op": "thin", "args": [0.5],
              "inner": {"merge": [{"source": "real"}, {"source": "uniform"}]}}
+        )
+
+
+@pytest.mark.parametrize("spec", [
+    "uniform | scale:nan", "uniform | scale:inf", "uniform | scale:-inf",
+    "uniform | jitter:nan", "uniform | jitter:inf",
+    "uniform | burst:nan", "uniform | burst:inf",
+    "uniform | thin:nan", "uniform*nan", "uniform*inf",
+])
+def test_non_finite_transform_args_rejected(spec):
+    """NaN slips through ``<= 0``-style range checks; every transform
+    argument must be finite."""
+    with pytest.raises(SpecError):
+        parse_workload_spec(spec)
+
+
+@pytest.mark.parametrize("op", ["scale", "jitter", "burst"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_transform_args_rejected_in_ast(op, value):
+    """A dict AST (scenario files, service submissions) is held to the
+    same check as the string grammar."""
+    with pytest.raises(SpecError, match="finite"):
+        parse_workload_spec(
+            {"op": op, "args": [value], "inner": {"source": "uniform"}}
         )
 
 
