@@ -26,8 +26,11 @@ Safety rules, shared by every kernel:
 
 Kernels are compiled with ``-ffp-contract=off`` so no multiply-adds are
 fused and the C float64 arithmetic matches the Python reference bit for
-bit.  Any failure (no compiler, no safe cache directory, a compile
-error) yields ``None`` and the caller takes its Python fallback.
+bit.  A cached library is named by a digest of everything that made it
+-- source, identity, the compiler's resolved path and :data:`CFLAGS` --
+so a changed flag or compiler never reuses a stale build.  Any failure
+(no compiler, no safe cache directory, a compile error) yields ``None``
+and the caller takes its Python fallback.
 """
 
 from __future__ import annotations
@@ -47,12 +50,18 @@ from typing import Callable, Sequence
 #: each exactly once
 KERNEL_LOCK = threading.Lock()
 
+#: the compile command's flags (``-ffp-contract=off`` is what keeps the
+#: kernels bit-identical to Python); part of every library's digest
+CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+
 
 def compiler() -> str | None:
-    """The C compiler to use: ``$CC``, else the first of cc/gcc/clang."""
+    """Path of the C compiler to use: ``$CC``, else the first of
+    cc/gcc/clang on ``PATH``."""
     for cand in (os.environ.get("CC"), "cc", "gcc", "clang"):
-        if cand and shutil.which(cand):
-            return cand
+        path = shutil.which(cand) if cand else None
+        if path:
+            return path
     return None
 
 
@@ -94,8 +103,7 @@ def _compile(cc: str, source: str, link: Sequence[Path],
         fh.write(source)
     fd, tmp = tempfile.mkstemp(suffix=".so", dir=directory)
     os.close(fd)
-    cmd = [cc, "-O2", "-fPIC", "-shared", "-ffp-contract=off", src,
-           *map(str, link), "-o", tmp]
+    cmd = [cc, *CFLAGS, src, *map(str, link), "-o", tmp]
     try:
         subprocess.run(cmd, check=True, capture_output=True, timeout=60)
         os.replace(tmp, lib_path)
@@ -110,15 +118,23 @@ def _compile(cc: str, source: str, link: Sequence[Path],
                 pass
 
 
+def library_name(stem: str, source: str, identity: str, cc: str) -> str:
+    """``{stem}_{digest}.so``: ``digest`` is the first 16 hex digits of
+    the sha256 of ``source + identity``, the real path of compiler
+    ``cc`` (symlinks such as ``cc`` -> ``gcc-12`` resolved) and
+    :data:`CFLAGS`, NUL-separated."""
+    recipe = "\0".join((source + identity, os.path.realpath(cc), *CFLAGS))
+    return f"{stem}_{hashlib.sha256(recipe.encode()).hexdigest()[:16]}.so"
+
+
 def build(stem: str, source: str, identity: str = "",
           link: Sequence[Path] = ()) -> ctypes.CDLL | None:
     """Compile (once per cache) and load a kernel; ``None`` on failure.
 
-    The library is cached as ``{stem}_{digest}.so`` where ``digest`` is
-    the first 16 hex digits of ``sha256(source + identity)``; pass in
-    ``identity`` anything besides the source that the binary depends on
-    (e.g. the version of a linked static library).  ``link`` adds extra
-    inputs to the compiler command line.
+    The library is cached as :func:`library_name`; pass in ``identity``
+    anything besides the source and the compile command that the binary
+    depends on (e.g. the version of a linked static library).  ``link``
+    adds extra inputs to the compiler command line.
     """
     cc = compiler()
     if cc is None:
@@ -126,8 +142,7 @@ def build(stem: str, source: str, identity: str = "",
     directory = cache_dir()
     if directory is None:
         return None
-    digest = hashlib.sha256((source + identity).encode()).hexdigest()[:16]
-    lib_path = directory / f"{stem}_{digest}.so"
+    lib_path = directory / library_name(stem, source, identity, cc)
     if not lib_path.is_file() and not _compile(
         cc, source, link, directory, lib_path
     ):

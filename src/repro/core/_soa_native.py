@@ -76,7 +76,7 @@ P_PKS = 26       # i64[window] scheduler peek scratch: sequence numbers
 P_PKJ = 27       # i64[window] scheduler peek scratch: job indices
 P_HTS = 28       # i64[L*W] column-height scratch
 P_ERO = 29       # i64[L*W] width-erosion scratch
-P_SAT = 30       # i64[(W+1)*(L+1)] summed-area-table scratch
+P_SAT = 30       # i64[(W+1)*(L+1)] summed-area table; lfrb: per-row reach
 P_NK = 31        # i64[ncap] MBS node level k
 P_NX = 32        # i64[ncap] MBS node base x
 P_NY = 33        # i64[ncap] MBS node base y
@@ -398,12 +398,11 @@ static void sched_remove(SoaCtx *c, int64_t j)
 
 /* ------------------------------------------------ contiguous searches */
 
-/* find_suitable_submesh: first free w x l base in row-major order */
-static int find_suitable(SoaCtx *c, int64_t w, int64_t l,
-                         int64_t *bx, int64_t *by)
+/* summed-area table of the free cells, (W+1) x (L+1); one per
+ * allocation attempt serves both orientations' find_suitable */
+static void build_sat(SoaCtx *c)
 {
     const int64_t W = c->W, L = c->L, W1 = W + 1;
-    if (w > W || l > L) return 0;
     for (int64_t x = 0; x <= W; x++) c->sat[x] = 0;
     for (int64_t y = 1; y <= L; y++) {
         c->sat[y * W1] = 0;
@@ -413,6 +412,15 @@ static int find_suitable(SoaCtx *c, int64_t w, int64_t l,
                 + c->sat[y * W1 + x - 1] - c->sat[(y - 1) * W1 + x - 1] + f;
         }
     }
+}
+
+/* find_suitable_submesh: first free w x l base in row-major order,
+ * read off the table build_sat left */
+static int find_suitable(SoaCtx *c, int64_t w, int64_t l,
+                         int64_t *bx, int64_t *by)
+{
+    const int64_t W = c->W, L = c->L, W1 = W + 1;
+    if (w > W || l > L) return 0;
     const int64_t want = w * l;
     for (int64_t y = 0; y + l <= L; y++)
         for (int64_t x = 0; x + w <= W; x++) {
@@ -424,54 +432,121 @@ static int find_suitable(SoaCtx *c, int64_t w, int64_t l,
     return 0;
 }
 
-/* largest_free_rect_bounded: the erosion-tensor argmax of
- * repro.mesh.rectfind, as a strictly-greater scan in (w, y, x) order
- * over the packed tie-break key.  Only anchors with erosion >= 1 are
- * scanned: any carved >= 1 key strictly beats every carved = 0 key, and
- * carved >= 1 iff erosion >= 1 (the caps are always >= 1 because
- * max_w <= max_area). */
-static int lfrb(SoaCtx *c, int64_t max_w, int64_t max_l, int64_t max_area,
+/* largest_free_rect_bounded for both orientations of a bw x bl cap in
+ * one erosion sweep, then GABL's choice between them: the transpose
+ * (bl x bw) wins only with a strictly larger area.
+ *
+ * Orientation o is the erosion-tensor argmax of repro.mesh.rectfind
+ * with width cap mw[o] and length cap ml[o]: a strictly-greater scan in
+ * (w, y, x) order over the packed key carved * w * R3 + tail, where the
+ * tie-break tail (top row, then x, then w) is < R3, so a smaller area
+ * always means a smaller key.  Both orientations read the same column
+ * heights and the same erosion at each width, so one sweep to the
+ * larger width cap scores both.  Anchors with erosion 0 carve nothing
+ * and are never scored (the caps are >= 1 because mw[o] <= max_area).
+ *
+ * The sweep skips work that cannot move a best key, always by a strict
+ * test, since an equal key would not replace the best either:
+ * - a row is scored for o only if its largest possible key -- its
+ *   largest erosion rmax carved to o's caps, with the tie-break fields
+ *   at their maxima -- beats o's best;
+ * - erosion never grows with w, and a row has positive erosion only up
+ *   to the width of its widest run of free cells (reach), so once
+ *   min(mw[o], reach) * min(rmax, ml[o]), capped at max_area, is below
+ *   o's best area for every o, no wider anchor in the row can win: the
+ *   row is dropped (reach 0), and the sweep ends when every row is.
+ * reach borrows the summed-area scratch, which find_suitable is done
+ * with by then. */
+static int lfrb(SoaCtx *c, int64_t bw, int64_t bl, int64_t max_area,
                 int64_t *ox, int64_t *oy, int64_t *ow, int64_t *ol)
 {
     const int64_t W = c->W, L = c->L;
-    if (max_w > W) max_w = W;
-    if (max_l > L) max_l = L;
-    if (max_w <= 0 || max_l <= 0 || max_area <= 0) return 0;
-    if (max_w > max_area) max_w = max_area;
+    if (max_area <= 0) return 0;
+    const int no = bw != bl ? 2 : 1;
+    int64_t mw[2] = {bw, bl}, ml[2] = {bl, bw}, top = 0;
+    for (int o = 0; o < no; o++) {
+        if (mw[o] > W) mw[o] = W;
+        if (mw[o] > max_area) mw[o] = max_area;
+        if (ml[o] > L) ml[o] = L;
+        if (mw[o] <= 0 || ml[o] <= 0) mw[o] = 0;  /* no rectangle */
+        if (mw[o] > top) top = mw[o];
+    }
+    if (top == 0) return 0;
     const int64_t R1 = W + 1, R2 = R1 * R1, R3 = (L + 2) * R2;
-    for (int64_t x = 0; x < W; x++) {
-        int64_t run = 0;
+    int64_t *reach = c->sat;
+    for (int64_t y = 0; y < L; y++) {
+        int64_t run = 0, widest = 0;
+        for (int64_t x = 0; x < W; x++) {
+            const int64_t i = y * W + x;
+            const int64_t h = c->owner[i] >= 0 ? 0
+                : y > 0 ? c->hts[i - W] + 1 : 1;
+            c->hts[i] = c->ero[i] = h;
+            run = h > 0 ? run + 1 : 0;
+            if (run > widest) widest = run;
+        }
+        reach[y] = widest;
+    }
+    int64_t best[2] = {-1, -1}, area[2] = {0, 0};
+    int64_t bx[2] = {0, 0}, by[2] = {0, 0}, bwd[2] = {0, 0};
+    int64_t bln[2] = {0, 0}, be[2] = {0, 0};
+    int more = 1;
+    for (int64_t w = 1; w <= top && more; w++) {
+        int live[2];
+        int64_t caps[2];
+        for (int o = 0; o < 2; o++) {
+            live[o] = o < no && w <= mw[o];
+            caps[o] = max_area / w;
+            if (caps[o] > ml[o]) caps[o] = ml[o];
+        }
+        more = 0;
         for (int64_t y = 0; y < L; y++) {
-            run = c->owner[y * W + x] < 0 ? run + 1 : 0;
-            c->hts[y * W + x] = run;
-            c->ero[y * W + x] = run;
+            if (reach[y] < w) continue;
+            /* erode row y to width w (a no-op at w = 1) */
+            int64_t *er = c->ero + y * W;
+            const int64_t *hr = c->hts + y * W + w - 1;
+            int64_t rmax = 0;
+            for (int64_t x = 0; x + w <= W; x++) {
+                const int64_t e = hr[x] < er[x] ? hr[x] : er[x];
+                er[x] = e;
+                if (e > rmax) rmax = e;
+            }
+            const int64_t top_tail = (rmax + (L - 1 - y)) * R2 + W * R1 + w;
+            int scan[2];
+            for (int o = 0; o < 2; o++)
+                scan[o] = live[o] && (rmax < caps[o] ? rmax : caps[o]) * w
+                    * R3 + top_tail > best[o];
+            if (scan[0] || scan[1])
+                for (int64_t x = 0; x + w <= W; x++) {
+                    const int64_t e = er[x];
+                    if (e <= 0) continue;
+                    const int64_t tail = (e + (L - 1 - y)) * R2
+                        + (W - x) * R1 + w;
+                    for (int o = 0; o < 2; o++) {
+                        if (!scan[o]) continue;
+                        const int64_t carved = e < caps[o] ? e : caps[o];
+                        const int64_t key = carved * w * R3 + tail;
+                        if (key > best[o]) {
+                            best[o] = key; area[o] = carved * w;
+                            bx[o] = x; by[o] = y; bwd[o] = w;
+                            bln[o] = carved; be[o] = e;
+                        }
+                    }
+                }
+            int keep = 0;
+            for (int o = 0; o < 2; o++) {
+                const int64_t wide = mw[o] < reach[y] ? mw[o] : reach[y];
+                if (!live[o] || wide <= w) continue;
+                int64_t bound = wide * (rmax < ml[o] ? rmax : ml[o]);
+                if (bound > max_area) bound = max_area;
+                keep |= bound >= area[o];
+            }
+            if (!keep) reach[y] = 0;
+            more |= keep;
         }
     }
-    int64_t best_key = -1, bx = 0, by = 0, bw = 0, bl = 0, be = 0;
-    for (int64_t w = 1; w <= max_w; w++) {
-        if (w > 1)
-            for (int64_t y = 0; y < L; y++)
-                for (int64_t x = 0; x + w <= W; x++) {
-                    int64_t h = c->hts[y * W + x + w - 1];
-                    if (h < c->ero[y * W + x]) c->ero[y * W + x] = h;
-                }
-        int64_t caps = max_area / w;
-        if (caps > max_l) caps = max_l;
-        for (int64_t y = 0; y < L; y++)
-            for (int64_t x = 0; x + w <= W; x++) {
-                int64_t e = c->ero[y * W + x];
-                if (e <= 0) continue;
-                int64_t carved = e < caps ? e : caps;
-                int64_t key = carved * w * R3 + (e + (L - 1 - y)) * R2
-                    + (W - x) * R1 + w;
-                if (key > best_key) {
-                    best_key = key;
-                    bx = x; by = y; bw = w; bl = carved; be = e;
-                }
-            }
-    }
-    if (best_key < 0) return 0;
-    *ox = bx; *oy = by - be + 1; *ow = bw; *ol = bl;
+    const int o = best[1] >= 0 && (best[0] < 0 || area[1] > area[0]) ? 1 : 0;
+    if (best[o] < 0) return 0;
+    *ox = bx[o]; *oy = by[o] - be[o] + 1; *ow = bwd[o]; *ol = bln[o];
     return 1;
 }
 
@@ -494,6 +569,7 @@ static int alloc_gabl(SoaCtx *c, int64_t j, int64_t w, int64_t l)
 {
     int64_t bx, by;
     /* contiguous attempt, both orientations, before the free-count gate */
+    build_sat(c);
     if (find_suitable(c, w, l, &bx, &by)) {
         take_rect(c, j, bx, by, w, l);
         c->cur_nsub = 1;
@@ -508,15 +584,9 @@ static int alloc_gabl(SoaCtx *c, int64_t j, int64_t w, int64_t l)
     /* greedy largest-first decomposition */
     int64_t remaining = w * l, bw = w, bl = l, nsub = 0;
     while (remaining > 0) {
-        int64_t x1, y1, w1, l1, x2, y2, w2, l2;
-        int f1 = lfrb(c, bw, bl, remaining, &x1, &y1, &w1, &l1);
-        if (bw != bl) {
-            int f2 = lfrb(c, bl, bw, remaining, &x2, &y2, &w2, &l2);
-            if (f2 && (!f1 || w2 * l2 > w1 * l1)) {
-                f1 = 1; x1 = x2; y1 = y2; w1 = w2; l1 = l2;
-            }
-        }
-        if (!f1) return -1;  /* invariant: free >= remaining */
+        int64_t x1, y1, w1, l1;
+        if (!lfrb(c, bw, bl, remaining, &x1, &y1, &w1, &l1))
+            return -1;  /* invariant: free >= remaining */
         take_rect(c, j, x1, y1, w1, l1);
         nsub++;
         remaining -= w1 * l1;

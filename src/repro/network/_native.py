@@ -17,6 +17,13 @@ normalised once with Python's ``%`` semantics, so an offset of any sign
 or size picks the destination ``fast`` picks; and the hops step the
 channel index by 6 per x hop and ``6 * width`` per y hop.
 
+Each channel reservation is branch-free: the service start is a select,
+``s = max(free_at[c], t)``, and the wait ``s - t`` is added to the
+packet's blocking sum on every hop, stalled or not.  Where ``fast``
+adds nothing (no stall) the wait is ``+0.0``, and adding ``+0.0``
+leaves a sum that starts at ``+0.0`` and only grows unchanged bit for
+bit, so the blocking sums are the reference's exactly.
+
 The kernel is strictly optional: :mod:`repro.network.batch` falls back
 to the ``fast`` reference loop (same results) when compilation is
 impossible.  Because the C code performs the identical IEEE-754
@@ -84,17 +91,22 @@ static inline int64_t dim_step(int64_t src, int64_t dst, int64_t size,
 
 /* Reserve one channel: FIFO wait (added to *blk, the contention
  * accumulator) exactly as the reference loop accrues it, stall by
- * stall, so blocking sums stay bit-identical for any float config. */
+ * stall, so blocking sums stay bit-identical for any float config.
+ *
+ * Branch-free: the service start is a select (gcc -O2 emits maxsd, not
+ * a stall branch that mispredicts on contended hops) and the wait is
+ * added on every hop.  Where the reference loop skips the add (no
+ * stall, f <= t), s - t is +0.0, and x + +0.0 == x bit for bit for
+ * every x but -0.0; the sum starts at +0.0 and only ever adds waits
+ * >= +0.0, so it is never -0.0. */
 static inline double reserve(double *free_at, int64_t c, double t,
                              double occ, double *blk)
 {
     const double f = free_at[c];
-    if (f > t) {
-        *blk += f - t;
-        t = f;
-    }
-    free_at[c] = t + occ;
-    return t;
+    const double s = f > t ? f : t;
+    *blk += s - t;
+    free_at[c] = s + occ;
+    return s;
 }
 
 /* Reserve `count` link channels along one dimension, starting at
@@ -197,8 +209,7 @@ void solve_rounds(const int64_t *ids, int64_t n, const int64_t *offsets,
             const double t_deliver = t_ej + hop + drain;
             latency += t_deliver - t_inj;
             blocking_sum += blocking;
-            if (t_deliver > last)
-                last = t_deliver;
+            last = t_deliver > last ? t_deliver : last;
             if (++j == n) j = 0;
         }
     }

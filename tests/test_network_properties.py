@@ -16,7 +16,11 @@ reference loop the same way: bit-identical launch statistics and
 reservation tables over generated shapes, node subsets and offsets.
 """
 
+import dataclasses
+import struct
+
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -119,12 +123,19 @@ def launch_sequences(draw):
     return topo, draw(tenths(0, 60)), draw(tenths(10, 160)), launches
 
 
+def stats_bits(stats):
+    """``RoundStats`` with every float as its IEEE-754 bytes: ``==``
+    alone cannot tell a blocking sum of -0.0 from +0.0."""
+    return {k: struct.pack("<d", v) if isinstance(v, float) else v
+            for k, v in dataclasses.asdict(stats).items()}
+
+
 def assert_batch_matches_fast(topo, t_s, p_len, launches):
     fast = make_backend("fast", topo, Engine(), t_s=t_s, p_len=p_len)
     batch = make_backend("batch", topo, Engine(), t_s=t_s, p_len=p_len)
     for nodes, offsets, now, gap in launches:
-        assert batch.inject_rounds(nodes, offsets, now, gap) == \
-            fast.inject_rounds(nodes, offsets, now, gap)
+        assert stats_bits(batch.inject_rounds(nodes, offsets, now, gap)) == \
+            stats_bits(fast.inject_rounds(nodes, offsets, now, gap))
     assert np.array_equal(np.asarray(fast.free_at), np.asarray(batch.free_at))
     assert batch.packets_sent == fast.packets_sent
 
@@ -155,6 +166,27 @@ def test_negative_offset_launch_equals_fast():
         (nodes, [-1], 0.0, 16.0),
         (nodes, [1, -5, 3], 40.0, 16.0),
     ])
+
+
+@pytest.mark.parametrize("mode", ("fast", "batch"))
+def test_contention_free_blocking_is_positive_zero(mode):
+    """A launch that never stalls accrues a blocking sum of +0.0, sign
+    bit clear: the compiled walk adds ``s - t == +0.0`` on every
+    unstalled hop, which must leave the +0.0 it starts from alone."""
+    backend = make_backend(mode, MeshTopology(4, 4), Engine())
+    stats = backend.inject_rounds([0, 5], [1], 0.0, 16.0)
+    assert struct.pack("<d", stats.blocking_sum) == struct.pack("<d", 0.0)
+
+
+def test_contended_blocking_bits_equal_fast():
+    """Every node of a 4 x 4 mesh sends in one burst of rounds, so
+    packets stall; ``batch`` gives the bits ``fast`` gives."""
+    nodes = list(range(16))
+    stats = [make_backend(mode, MeshTopology(4, 4), Engine())
+             .inject_rounds(nodes, [1, 5, -3, 8], 0.0, 2.0)
+             for mode in ("fast", "batch")]
+    assert stats[0].blocking_sum > 0.0
+    assert stats_bits(stats[0]) == stats_bits(stats[1])
 
 
 def test_repeated_nodes_launch_equals_fast():

@@ -37,8 +37,12 @@ def cache(tmp_path, monkeypatch) -> Path:
     return tmp_path / "xdg" / "repro-mesh"
 
 
-def _so_name(stem: str, source: str) -> str:
-    return f"{stem}_{hashlib.sha256(source.encode()).hexdigest()[:16]}.so"
+def _so_name(stem: str, source: str, flags=_toolchain.CFLAGS) -> str:
+    """The cached library's name, from the digest recipe written out:
+    source (+ identity), the compiler's resolved path and the flags."""
+    cc = os.path.realpath(_toolchain.compiler() or "cc")
+    recipe = "\0".join((source, cc, *flags))
+    return f"{stem}_{hashlib.sha256(recipe.encode()).hexdigest()[:16]}.so"
 
 
 class TestCacheDir:
@@ -145,8 +149,33 @@ class TestBuild:
 
 
 class TestCacheNames:
-    """Kernel library names keep their digest recipe, so caches built by
-    earlier versions stay valid."""
+    """Kernel library names are a digest of everything that made the
+    binary: source, identity, compiler and flags."""
+
+    def test_two_flag_lists_give_two_libraries(self, cache, monkeypatch):
+        if _toolchain.compiler() is None:
+            pytest.skip("no C compiler available")
+        assert _toolchain.build("t", SOURCE) is not None
+        flags = (*_toolchain.CFLAGS, "-fno-math-errno")
+        monkeypatch.setattr(_toolchain, "CFLAGS", flags)
+        assert _toolchain.build("t", SOURCE) is not None
+        assert sorted(p.name for p in cache.iterdir()) == sorted(
+            [_so_name("t", SOURCE), _so_name("t", SOURCE, flags)])
+
+    def test_compiler_path_names_the_library(self):
+        names = {_toolchain.library_name("t", SOURCE, "", cc)
+                 for cc in ("/toolchains/gcc-12/bin/gcc",
+                            "/toolchains/gcc-13/bin/gcc")}
+        assert len(names) == 2
+
+    def test_compiler_named_by_its_real_path(self, tmp_path):
+        # a symlink (cc -> gcc-12) names the compiler it points at
+        real = tmp_path / "gcc-12"
+        real.write_text("")
+        link = tmp_path / "cc"
+        link.symlink_to(real)
+        assert _toolchain.library_name("t", SOURCE, "", str(link)) == \
+            _toolchain.library_name("t", SOURCE, "", str(real))
 
     @pytest.mark.parametrize(
         "module,stem,identity",
@@ -159,7 +188,7 @@ class TestCacheNames:
         ],
         ids=("reserve", "soa", "draws"),
     )
-    def test_library_named_by_stem_and_source_digest(
+    def test_library_named_by_stem_and_build_digest(
         self, cache, module, stem, identity
     ):
         module.reset_kernel_cache()
@@ -193,6 +222,7 @@ class TestNativeGate:
 #: drives ``solve_rounds`` over edge launches, every buffer heap-allocated
 #: at its exact size so AddressSanitizer sees any out-of-bounds access
 SANITIZER_MAIN = r"""
+#include <math.h>
 #include <stdlib.h>
 #include <string.h>
 
@@ -211,7 +241,8 @@ static int launch(int64_t width, int64_t length, int32_t wrap,
     for (int k = 0; k < 2; k++)
         solve_rounds(ids, n, offsets, rounds, 10.0 + 7.3 * k, 1.7, free_at,
                      1.3, 7.1, 6.1, width, length, wrap, xy, out);
-    const int ok = out[0] > 0.0 && out[1] >= 0.0 && out[2] > 10.0;
+    const int ok = out[0] > 0.0 && out[1] >= 0.0 && !signbit(out[1])
+        && out[2] > 10.0;
     free(ids); free(offsets); free(xy); free(free_at);
     return ok ? 0 : 1;
 }
@@ -239,20 +270,100 @@ int main(void)
 """
 
 
-def test_reservation_kernel_is_sanitizer_clean(tmp_path):
-    """ASan/UBSan build of the reservation kernel: 1 x N, N x 1 and
-    2 x 2 shapes (mesh and torus), two-node and whole-mesh launches,
-    and offsets far outside ``[0, n)``, without one sanitizer report."""
+#: drives the lane driver's ``alloc_gabl`` (contiguous search, then the
+#: greedy decomposition) on edge grids, over a ``SoaCtx`` whose buffers
+#: are heap-allocated at their exact sizes; every grant is checked to
+#: cover exactly ``w * l`` distinct cells that were free before
+GABL_SANITIZER_MAIN = r"""
+#include <stdlib.h>
+
+enum { EMPTY, FULL, CHECKER, STRIPES };
+
+static int gabl(int64_t W, int64_t L, int pattern, int64_t w, int64_t l)
+{
+    const int64_t cells = W * L, job = 7;
+    SoaCtx ctx;
+    memset(&ctx, 0, sizeof ctx);
+    SoaCtx *c = &ctx;
+    c->W = W; c->L = L;
+    c->I = calloc(I_NCNT + 1, sizeof *c->I);
+    c->owner = malloc(cells * sizeof *c->owner);
+    c->ids = malloc(cells * sizeof *c->ids);
+    c->hts = malloc(cells * sizeof *c->hts);
+    c->ero = malloc(cells * sizeof *c->ero);
+    c->sat = malloc((W + 1) * (L + 1) * sizeof *c->sat);
+    int64_t free_cells = 0;
+    for (int64_t i = 0; i < cells; i++) {
+        const int64_t x = i % W, y = i / W;
+        const int busy = pattern == FULL || (pattern == CHECKER && (x + y) % 2)
+            || (pattern == STRIPES && x % 3 == 2);
+        c->owner[i] = busy ? 1 : -1;
+        free_cells += !busy;
+    }
+    c->I[I_FREE] = free_cells;
+    int bad = 0;
+    const int r = alloc_gabl(c, job, w, l);
+    if (r == 1) {
+        int64_t mine = 0, busy = 0;
+        for (int64_t i = 0; i < cells; i++) {
+            mine += c->owner[i] == job;
+            busy += c->owner[i] == 1;
+        }
+        bad = c->ids_len != w * l || mine != w * l || c->cur_nsub < 1
+            || busy != cells - free_cells
+            || c->I[I_FREE] != free_cells - w * l;
+        for (int64_t k = 0; k < c->ids_len; k++)
+            bad |= c->ids[k] < 0 || c->ids[k] >= cells
+                || c->owner[c->ids[k]] != job;
+    } else {
+        /* GABL fails only when too few processors are free */
+        bad = r != 0 || w * l <= free_cells;
+    }
+    free(c->I); free(c->owner); free(c->ids); free(c->hts); free(c->ero);
+    free(c->sat);
+    return bad;
+}
+
+/* every request side pair at the mesh bounds, plus a middling one */
+static int bounds(int64_t W, int64_t L, int pattern)
+{
+    const int64_t sw[] = {1, W, W > 2 ? W / 2 : 1};
+    const int64_t sl[] = {1, L, L > 2 ? L / 2 : 1};
+    int rc = 0;
+    for (int a = 0; a < 3; a++)
+        for (int b = 0; b < 3; b++)
+            rc |= gabl(W, L, pattern, sw[a], sl[b]);
+    return rc;
+}
+
+int main(void)
+{
+    int rc = 0;
+    for (int pattern = EMPTY; pattern <= STRIPES; pattern++) {
+        rc |= bounds(1, 9, pattern);    /* 1 x N */
+        rc |= bounds(9, 1, pattern);    /* N x 1 */
+        rc |= bounds(1, 1, pattern);
+        rc |= bounds(16, 22, pattern);  /* the paper's mesh */
+        rc |= bounds(22, 16, pattern);
+    }
+    return rc;
+}
+"""
+
+
+def _run_sanitized(tmp_path, source: str) -> None:
+    """Compile ``source`` with ASan/UBSan into an executable and run it;
+    it must exit 0 without one sanitizer report."""
     cc = _toolchain.compiler()
     if cc is None:
         pytest.skip("no C compiler available")
-    source = tmp_path / "kernel_main.c"
-    source.write_text(network_native._SOURCE + SANITIZER_MAIN)
+    path = tmp_path / "kernel_main.c"
+    path.write_text(source)
     exe = tmp_path / "kernel_main"
     built = subprocess.run(
         [cc, "-O1", "-g", "-fno-omit-frame-pointer", "-ffp-contract=off",
          "-fsanitize=address,undefined", "-fno-sanitize-recover=all",
-         str(source), "-o", str(exe)],
+         str(path), "-o", str(exe)],
         capture_output=True, text=True, timeout=120,
     )
     if built.returncode != 0:
@@ -261,3 +372,18 @@ def test_reservation_kernel_is_sanitizer_clean(tmp_path):
                          timeout=120)
     assert run.returncode == 0, run.stderr
     assert "Sanitizer" not in run.stderr and "runtime error" not in run.stderr
+
+
+def test_reservation_kernel_is_sanitizer_clean(tmp_path):
+    """ASan/UBSan build of the reservation kernel: 1 x N, N x 1 and
+    2 x 2 shapes (mesh and torus), two-node and whole-mesh launches,
+    and offsets far outside ``[0, n)``, without one sanitizer report;
+    every blocking sum keeps its sign bit clear."""
+    _run_sanitized(tmp_path, network_native._SOURCE + SANITIZER_MAIN)
+
+
+def test_gabl_search_is_sanitizer_clean(tmp_path):
+    """ASan/UBSan build of the lane driver's GABL search: 1 x N, N x 1,
+    1 x 1 and 16 x 22 (both ways round) grids, empty, full,
+    checkerboard and striped, with requests at the mesh bounds."""
+    _run_sanitized(tmp_path, _soa_native._SOURCE + GABL_SANITIZER_MAIN)
