@@ -10,7 +10,7 @@ from setuptools import find_packages, setup
 
 setup(
     name="repro",
-    version="1.20.0",
+    version="1.21.0",
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     # 3.11+: parallel campaigns pickle frozen slotted dataclasses

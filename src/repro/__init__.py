@@ -42,7 +42,7 @@ from repro.core.simulator import Simulator
 from repro.mesh import Coord, MeshGrid, SubMesh
 from repro.sched import FCFSScheduler, SSDScheduler, make_scheduler
 
-__version__ = "1.20.0"
+__version__ = "1.21.0"
 
 __all__ = [
     "Allocation",

@@ -88,6 +88,8 @@ class LaneState:
         self.ids = np.zeros(cells, dtype=np.int64)
         self.offs = np.zeros(max(config.max_messages, 1), dtype=np.int64)
         self.xy = np.zeros(2 * cells, dtype=np.int64)
+        self.link = np.zeros(cells, dtype=np.int64)
+        self.jhead = np.zeros(cap, dtype=np.int64)
         window = max(config.scheduler_window, 1)
         self.window = window
         self.pkk = np.zeros(window, dtype=np.float64)
@@ -178,7 +180,7 @@ class LaneState:
             self.nk, self.nx, self.ny, self.npar, self.nchild,
             self.nstate, self.nepoch, self.nown,
             self.mhe, self.mhn, self.mhl, self.mhoff,
-            self.rk, self.rx, self.ry, self.xy,
+            self.rk, self.rx, self.ry, self.xy, self.link, self.jhead,
         ]
         assert len(arrays) == native.P_COUNT
         table = (ctypes.c_void_p * native.P_COUNT)()
@@ -267,6 +269,7 @@ class LaneState:
         self.ssds = g(self.ssds)
         self.ssdj = g(self.ssdj)
         self.rem = g(self.rem)
+        self.jhead = g(self.jhead)
         self.cap = new_cap
         self._rebuild_pointers()
 

@@ -93,7 +93,9 @@ P_RK = 43        # i64[n_roots] MBS root cover: levels
 P_RX = 44        # i64[n_roots] MBS root cover: base x
 P_RY = 45        # i64[n_roots] MBS root cover: base y
 P_XY = 46        # i64[2*W*L] solve_rounds' per-launch (x, y) scratch
-P_COUNT = 47
+P_LINK = 47      # i64[W*L] next cell of the same job's allocation (-1 = end)
+P_JHEAD = 48     # i64[cap] first cell of each job's allocation chain
+P_COUNT = 49
 
 #: f8 scalar slots (P_F)
 F_NOW = 0
@@ -159,7 +161,7 @@ CF_COUNT = 5
 
 #: pointer-table layout fingerprint, checked by the C entry point so a
 #: stale cached .so can never be driven with a mismatched layout
-LAYOUT_MAGIC = 20261018
+LAYOUT_MAGIC = 20261027
 
 #: ``soa_advance`` return codes
 RC_DONE = 1
@@ -180,7 +182,7 @@ enum {
     P_HTS, P_ERO, P_SAT,
     P_NK, P_NX, P_NY, P_NPAR, P_NCHILD, P_NSTATE, P_NEPOCH, P_NOWN,
     P_MHE, P_MHN, P_MHL, P_MHOFF, P_RK, P_RX, P_RY,
-    P_XY,
+    P_XY, P_LINK, P_JHEAD,
     P_COUNT
 };
 
@@ -197,7 +199,7 @@ enum { CI_MAGIC = 0, CI_W, CI_L, CI_WRAP, CI_ALLOC, CI_SCHED, CI_WINDOW,
 
 enum { CF_HOP = 0, CF_OCC, CF_DRAIN, CF_GAP, CF_UNTIL };
 
-#define LAYOUT_MAGIC 20261018
+#define LAYOUT_MAGIC 20261027
 
 /* MBS block states (repro.alloc.mbs) */
 #define B_FREE 0
@@ -233,6 +235,7 @@ typedef struct {
     int64_t *mhe, *mhn, *mhl, *mhoff;
     const int64_t *rk, *rx, *ry;
     int64_t *xy;
+    int64_t *link, *jhead;
     int64_t W, L, alloc_kind, sched_kind, window, jobs_target, warmup;
     int64_t n_prov, exhausted, has_until, node_cap, n_roots, max_k;
     int32_t wrap;
@@ -568,7 +571,9 @@ static void take_rect(SoaCtx *c, int64_t j, int64_t x0, int64_t y0,
 static int alloc_gabl(SoaCtx *c, int64_t j, int64_t w, int64_t l)
 {
     int64_t bx, by;
-    /* contiguous attempt, both orientations, before the free-count gate */
+    /* no w x l free submesh (nor a decomposition) fits in fewer free
+     * cells, so the gate may run before the contiguous attempt */
+    if (w * l > c->I[I_FREE]) return 0;
     build_sat(c);
     if (find_suitable(c, w, l, &bx, &by)) {
         take_rect(c, j, bx, by, w, l);
@@ -580,7 +585,6 @@ static int alloc_gabl(SoaCtx *c, int64_t j, int64_t w, int64_t l)
         c->cur_nsub = 1;
         return 1;
     }
-    if (w * l > c->I[I_FREE]) return 0;
     /* greedy largest-first decomposition */
     int64_t remaining = w * l, bw = w, bl = l, nsub = 0;
     while (remaining > 0) {
@@ -889,18 +893,21 @@ static int try_alloc(SoaCtx *c, int64_t j)
     if (r < 0) return -1;
     if (!r) { c->memo[mi] = 1; return 0; }
     c->jns[j] = c->cur_nsub;
+    /* chain the granted cells so the release walks only its own */
+    for (int64_t k = 0; k + 1 < c->ids_len; k++)
+        c->link[c->ids[k]] = c->ids[k + 1];
+    c->link[c->ids[c->ids_len - 1]] = -1;
+    c->jhead[j] = c->ids[0];
     c->I[I_VERSION]++;
     return 1;
 }
 
 static void release_job(SoaCtx *c, int64_t j)
 {
-    const int64_t cells = c->W * c->L;
-    for (int64_t i = 0; i < cells; i++)
-        if (c->owner[i] == j) {
-            c->owner[i] = -1;
-            c->I[I_FREE]++;
-        }
+    for (int64_t i = c->jhead[j]; i >= 0; i = c->link[i]) {
+        c->owner[i] = -1;
+        c->I[I_FREE]++;
+    }
     if (c->alloc_kind == 2) release_mbs(c, j);
     c->I[I_VERSION]++;
 }
@@ -1034,6 +1041,8 @@ int64_t soa_advance(void **P, const int64_t *CI, const double *CF)
     c->rx = (const int64_t *)P[P_RX];
     c->ry = (const int64_t *)P[P_RY];
     c->xy = (int64_t *)P[P_XY];
+    c->link = (int64_t *)P[P_LINK];
+    c->jhead = (int64_t *)P[P_JHEAD];
     c->W = CI[CI_W]; c->L = CI[CI_L];
     c->wrap = (int32_t)CI[CI_WRAP];
     c->alloc_kind = CI[CI_ALLOC];

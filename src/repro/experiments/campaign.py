@@ -65,6 +65,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 from repro.alloc import make_allocator
 from repro.core import _soa_native
 from repro.core.config import PAPER_CONFIG, SimConfig
+from repro.core.hooks import TrajectoryObserver
 from repro.core.simulator import Simulator
 from repro.core.soa import run_point_batch
 from repro.experiments.figures import FIGURES
@@ -446,6 +447,18 @@ class PointSpec:
         )
 
 
+def trajectory_key(spec: PointSpec, sample_interval: float) -> str:
+    """Store key of a point's replication-0 trajectory series.
+
+    Derived from the point's metric key, so the series gets a shard of
+    its own and the metric payload and :meth:`PointSpec.key` never
+    change.  The interval (as a float, so ``64`` and ``64.0`` share a
+    shard) is part of the key: a series is only ever served at the
+    interval it was sampled at.
+    """
+    return f"{spec.key()}|traj:{float(sample_interval)!r}"
+
+
 #: per-process registry of external traces, keyed by
 #: :func:`trace_fingerprint` (the ``trace_source`` of the specs that
 #: replay them).  :class:`Campaign` fills it for in-process executors;
@@ -466,12 +479,13 @@ def build_simulator(
 ) -> Simulator:
     """The ONE place a point spec becomes a runnable simulator.
 
-    Both the campaign work unit (:func:`run_spec_replication`) and the
-    scenario trajectory runner build through here, so every spec field
-    that affects the run (config, scheduler window, workload pipeline)
-    is plumbed exactly once.  Unless ``trace`` is given, an external
-    trace is looked up by the spec's ``trace_source`` in this process's
-    registry (:func:`_register_trace`).
+    Every campaign work unit, observed replications
+    (:func:`run_observed_replication`) included, builds through here,
+    so every spec field that affects the run (config, scheduler window,
+    workload pipeline) is plumbed exactly once.  Unless ``trace`` is
+    given, an external trace is looked up by the spec's
+    ``trace_source`` in this process's registry
+    (:func:`_register_trace`).
     """
     if trace is None and spec.trace_source != "sdsc":
         trace = _TRACES.get(spec.trace_source)
@@ -503,6 +517,22 @@ def run_spec_replication(
     """
     result = build_simulator(spec, seed, trace=trace).run()
     return {m: result.metric(m) for m in METRICS}
+
+
+def run_observed_replication(
+    spec: PointSpec, seed: int, sample_interval: float
+) -> tuple:
+    """One replication of a point with a
+    :class:`~repro.core.hooks.TrajectoryObserver` attached.
+
+    Returns ``(RunResult, series)``.  The observer is passive, so the
+    ``RunResult`` equals an unobserved run of the same seed.
+    """
+    observer = TrajectoryObserver(
+        sample_interval, processors=spec.config.processors
+    )
+    result = build_simulator(spec, seed, observers=(observer,)).run()
+    return result, observer.series()
 
 
 def run_spec_batch_results(
@@ -541,18 +571,31 @@ def run_spec_batch(
 _BATCH = "__batch__"
 
 
-def _run_task_raw(task: tuple[PointSpec, int]):
-    """The per-seed work unit of every executor: the ``RunResult``
-    itself (a plain dataclass, so it pickles back from a process pool).
+def _run_task_raw(task: tuple[PointSpec, int, float | None]) -> tuple:
+    """The per-seed work unit of every executor: ``(RunResult, series)``
+    (plain data, so it pickles back from a process pool).  ``series`` is
+    the trajectory when the task carries a sample interval, else
+    ``None``.
     """
-    spec, seed = task
-    return build_simulator(spec, seed).run()
+    spec, seed, interval = task
+    if interval is None:
+        return build_simulator(spec, seed).run(), None
+    return run_observed_replication(spec, seed, interval)
 
 
-def _run_batch_task_raw(task: tuple[PointSpec, tuple[int, ...]]) -> list:
-    """The whole-batch work unit (see :func:`run_spec_batch_results`)."""
-    spec, seeds = task
-    return run_spec_batch_results(spec, seeds)
+def _run_batch_task_raw(
+    task: tuple[PointSpec, tuple[int, ...], float | None]
+) -> tuple:
+    """The whole-batch work unit (see :func:`run_spec_batch_results`):
+    ``(RunResults in seed order, series)``.  With a sample interval the
+    first seed runs observed on the reference path and the rest stay on
+    the lane; reference == soa keeps the results identical.
+    """
+    spec, seeds, interval = task
+    if interval is None:
+        return run_spec_batch_results(spec, seeds), None
+    first, series = run_observed_replication(spec, seeds[0], interval)
+    return [first] + run_spec_batch_results(spec, seeds[1:]), series
 
 
 # ---------------------------------------------------------------- executors
@@ -832,6 +875,7 @@ class Campaign:
         progress: Callable[[str], None] | None = None,
         executor_kind: str | None = None,
         on_point: Callable[[PointSpec, PointResult, int, int], None] | None = None,
+        sample_interval: float | None = None,
     ) -> dict[PointSpec, PointResult]:
         """Execute every point (replications included); returns a
         :class:`PointResult` (metric means + replication summaries) per
@@ -853,6 +897,12 @@ class Campaign:
         finishes -- which is what the campaign service streams live
         job progress from.  Like ``progress``, it observes and must not
         mutate campaign state.
+
+        With a ``sample_interval``, each simulated point's replication 0
+        (seed ``config.seed``) runs with a
+        :class:`~repro.core.hooks.TrajectoryObserver`, and its series is
+        written in the same ``put_many`` as the point, under
+        :func:`trajectory_key`.  Cache hits are not re-run.
         """
         note = progress if progress is not None else (lambda _msg: None)
         store = cache if cache is not None else global_cache()
@@ -890,7 +940,12 @@ class Campaign:
         batch_seeds: dict[PointSpec, tuple[int, ...]] = {}
         batch_got: dict[PointSpec, dict[int, dict[str, float]]] = {}
         batch_started: dict[PointSpec, float] = {}
+        series_got: dict[PointSpec, dict] = {}
         writes: list[tuple[str, dict]] = []
+
+        def observe(spec: PointSpec, seed: int) -> float | None:
+            # replication 0 carries the trajectory observer
+            return sample_interval if seed == spec.config.seed else None
 
         def submit_batch(spec: PointSpec) -> None:
             seeds = controllers[spec].next_seeds()
@@ -900,11 +955,12 @@ class Campaign:
             if spec.config.engine == "soa":
                 # one lockstep task per batch: the whole seed set
                 # advances together (repro.core.soa)
-                fut = exe.submit(_run_batch_task_raw, (spec, seeds))
-                inflight[fut] = (spec, _BATCH)
+                task = (spec, seeds, observe(spec, seeds[0]))
+                inflight[exe.submit(_run_batch_task_raw, task)] = (spec, _BATCH)
                 return
             for seed in seeds:
-                inflight[exe.submit(_run_task_raw, (spec, seed))] = (spec, seed)
+                task = (spec, seed, observe(spec, seed))
+                inflight[exe.submit(_run_task_raw, task)] = (spec, seed)
 
         def as_metrics(result) -> dict[str, float]:
             return {m: result.metric(m) for m in METRICS}
@@ -912,11 +968,14 @@ class Campaign:
         def process(fut: futures.Future, resubmit: bool = True) -> None:
             nonlocal done
             spec, seed = inflight.pop(fut)
+            result, series = fut.result()
+            if series is not None:
+                series_got[spec] = series
             if seed == _BATCH:
-                for s, r in zip(batch_seeds[spec], fut.result()):
+                for s, r in zip(batch_seeds[spec], result):
                     batch_got[spec][s] = as_metrics(r)
             else:
-                batch_got[spec][seed] = as_metrics(fut.result())
+                batch_got[spec][seed] = as_metrics(result)
             if len(batch_got[spec]) < len(batch_seeds[spec]):
                 return
             ctrl = controllers[spec]
@@ -938,6 +997,10 @@ class Campaign:
             rep = ctrl.result()
             out = PointResult.from_replication(rep)
             writes.append((spec.key(), out.to_payload()))
+            if spec in series_got:
+                writes.append(
+                    (trajectory_key(spec, sample_interval), series_got.pop(spec))
+                )
             results[spec] = out
             del controllers[spec]
             done += 1

@@ -14,12 +14,13 @@ result store, cross-figure dedup and ``-j N`` parallel execution all
 work unchanged, and an identity scenario (paper config, untransformed
 workload) hits exactly the same cache keys as the figure campaigns.
 
-When ``sample_interval`` is set, one extra replication per point runs
-with a :class:`~repro.core.hooks.TrajectoryObserver` attached and the
-queue-length/utilization/throughput series are returned alongside the
-aggregate metrics (trajectories are passive and re-use the first
-replication's seed, so they describe exactly the run that produced the
-metrics).
+When ``sample_interval`` is set, each point's replication 0 runs inside
+the campaign with a :class:`~repro.core.hooks.TrajectoryObserver`
+attached, and its queue-length/utilization/throughput series are
+returned alongside the aggregate metrics.  The series is that of the
+very run whose metrics entered the mean (observers are passive), and it
+persists in the result store under a key derived from the point's key
+and the interval, so a warm re-run simulates nothing.
 
 CLI: ``python -m repro scenario <file.json> [-j N] [--out out.json]``.
 """
@@ -30,7 +31,6 @@ import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass, field
-from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
@@ -38,17 +38,16 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.trajectory import SaturationScan
 
 from repro.core.config import PAPER_CONFIG, SimConfig, _is_finite_real
-from repro.core.hooks import TrajectoryObserver
 from repro.experiments.campaign import (
     METRICS,
     SCALES,
     Campaign,
     PointResult,
     PointSpec,
-    build_simulator,
-    make_executor,
+    run_observed_replication,
+    trajectory_key,
 )
-from repro.experiments.store import ResultCache
+from repro.experiments.store import ResultCache, global_cache
 from repro.workload.trace import TraceJob
 from repro.workload.transforms import canonical_workload
 from repro.experiments.report import summarize_point
@@ -220,14 +219,13 @@ class Scenario:
         auto-selects, see :meth:`Campaign.run`).  The choice never
         affects metrics or trajectories.
 
-        Trajectories are time series, not scalar means, so they are NOT
-        persisted in the result store: each ``run`` call re-simulates
-        one replication per point to record them.  With ``jobs > 1``
-        those runs fan out over a pool from
-        :func:`~repro.experiments.campaign.make_executor` (threads under
-        the ``thread`` executor, processes otherwise); trajectory runs
-        carry an observer, so they always take the GIL-bound reference
-        path.
+        Trajectories ride on the campaign itself: every simulated
+        point's replication 0 runs with the observer (on the reference
+        path, also under ``engine="soa"``), and its series is written to
+        the store beside the point.  Each point's series is then read
+        back through :func:`run_trajectory`, which simulates only for a
+        point whose metrics were stored without one (say, by a figure
+        campaign); a warm re-run simulates nothing.
 
         With ``auto_saturation=True`` a saturation scan
         (:func:`repro.experiments.trajectory.scan_saturation`) first
@@ -263,21 +261,19 @@ class Scenario:
                 run_scenario = dataclasses.replace(
                     self, loads=self.loads + (knee,)
                 )
+        store = cache if cache is not None else global_cache()
         campaign = run_scenario.campaign(trace)
+        interval = run_scenario.sample_interval
         results = campaign.run(
-            jobs=jobs, cache=cache, progress=progress, executor_kind=executor
+            jobs=jobs, cache=store, progress=progress, executor_kind=executor,
+            sample_interval=interval,
         )
         trajectories: dict[str, dict] = {}
-        if run_scenario.sample_interval is not None:
-            points = campaign.points
-            run_one = partial(
-                run_trajectory, sample_interval=run_scenario.sample_interval
-            )
-            with make_executor(
-                min(jobs, len(points)), executor or "process", points, trace
-            ) as pool:
-                series = list(pool.map(run_one, points))
-            trajectories = {spec.label(): s for spec, s in zip(points, series)}
+        if interval is not None:
+            trajectories = {
+                spec.label(): run_trajectory(spec, interval, store)
+                for spec in campaign.points
+            }
         return ScenarioResult(
             scenario=run_scenario,
             points=campaign.points,
@@ -287,20 +283,26 @@ class Scenario:
         )
 
 
-def run_trajectory(spec: PointSpec, sample_interval: float) -> dict:
-    """Re-run one point's first replication with a trajectory observer.
+def run_trajectory(
+    spec: PointSpec, sample_interval: float, cache: ResultCache
+) -> dict:
+    """One point's replication-0 trajectory, read from the store.
 
-    Uses the point's base seed (replication 0), so the time series
-    describes the same run whose metrics entered the campaign mean.
-    Module-level and pure (like the campaign work units), hence usable
-    from a process pool; an external trace resolves from the spec's
-    ``trace_source``, exactly as in
-    :func:`~repro.experiments.campaign._run_task_raw`.
+    A campaign run with the same ``sample_interval`` has already stored
+    it (:func:`~repro.experiments.campaign.trajectory_key`).  On a miss
+    -- a point whose metrics were written without a trajectory, say by a
+    figure campaign or the service -- replication 0 (seed
+    ``config.seed``) runs once in-process with the observer, and the
+    series is persisted, so each store fills a miss only once.
     """
-    cfg = spec.config
-    observer = TrajectoryObserver(sample_interval, processors=cfg.processors)
-    build_simulator(spec, cfg.seed, observers=(observer,)).run()
-    return observer.series()
+    key = trajectory_key(spec, sample_interval)
+    series = cache.get(key)
+    if series is None:
+        _, series = run_observed_replication(
+            spec, spec.config.seed, sample_interval
+        )
+        cache.put_many([(key, series)])
+    return series
 
 
 @dataclass(frozen=True)

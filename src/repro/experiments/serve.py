@@ -30,9 +30,10 @@ the missing points -- the campaign engine's cache-hit scan skips
 everything already on disk -- so a SIGKILL mid-campaign loses at most
 the round in flight and never recomputes a written point.
 
-Reports served while a job is mid-flight contain scalar metrics only;
-trajectory series are recorded by foreground ``repro scenario`` runs
-(they are not persisted in the result store).
+Reports served by the service contain scalar metrics only: its
+campaigns record no trajectories.  A later foreground ``repro
+scenario`` run on the same store reuses those metrics and simulates
+each point's replication 0 once to store its series.
 """
 
 from __future__ import annotations

@@ -247,8 +247,9 @@ class TestParallelEquivalence:
 
 
 #: run in a fresh interpreter per start method: an external-trace point
-#: and a scenario trajectory pass on a two-worker process pool must both
-#: equal the serial run (spawn and forkserver workers inherit nothing,
+#: and a trajectory scenario (whose observed replication-0 tasks run in
+#: the workers) on a two-worker process pool must both equal the serial
+#: run (spawn and forkserver workers inherit nothing,
 #: so the trace reaches them only through the pool initializer)
 _START_METHOD_PROBE = """
 import json, multiprocessing, sys

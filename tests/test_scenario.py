@@ -310,3 +310,133 @@ class TestScenarioCLI:
         )
         with pytest.raises(ValueError):
             dataclasses.replace(sc, scale="warp9")
+
+
+LOSSY_EXAMPLE = EXAMPLE.parent / "scenario_lossy.json"
+
+
+def _standalone_series(spec, interval):
+    """Replication 0 of ``spec`` run on its own with an observer."""
+    from repro.core.hooks import TrajectoryObserver
+    from repro.experiments.campaign import build_simulator
+
+    cfg = spec.config
+    observer = TrajectoryObserver(interval, processors=cfg.processors)
+    build_simulator(spec, cfg.seed, observers=(observer,)).run()
+    return observer.series()
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Count every simulator the campaign machinery builds in-process."""
+    from repro.experiments import campaign
+
+    calls = []
+    real = campaign.build_simulator
+
+    def counting(spec, seed, *args, **kwargs):
+        calls.append((spec, seed))
+        return real(spec, seed, *args, **kwargs)
+
+    monkeypatch.setattr(campaign, "build_simulator", counting)
+    return calls
+
+
+class TestTrajectoryPersistence:
+    """Trajectories come from the campaign's own replication 0 and
+    persist in the store under an interval-specific derived key."""
+
+    @pytest.mark.parametrize("executor,engine", [
+        ("serial", "reference"), ("thread", "reference"),
+        ("process", "reference"), ("serial", "soa"),
+    ])
+    def test_campaign_series_equals_standalone_run(
+        self, tmp_path, executor, engine
+    ):
+        sc = Scenario.from_dict({
+            **SMALL, "scale": "quick", "allocs": ["GABL", "MBS"],
+            "config": {**SMALL["config"], "engine": engine},
+            "sample_interval": 64.0,
+        })
+        res = sc.run(jobs=2, cache=ResultCache(tmp_path), executor=executor)
+        plain = Scenario.from_dict({**sc.to_dict(), "sample_interval": None})
+        bare = plain.run(cache=ResultCache(tmp_path / "bare"))
+        for spec in res.points:
+            assert res.trajectories[spec.label()] == _standalone_series(spec, 64.0)
+            assert res.metrics[spec] == bare.metrics[spec]
+
+    def test_smoke_example_on_soa_matches_standalone(self, tmp_path):
+        sc = Scenario.load(EXAMPLE)
+        sc = Scenario.from_dict(
+            {**sc.to_dict(), "config": {**sc.config, "engine": "soa"}}
+        )
+        res = sc.run(cache=ResultCache(tmp_path))
+        for spec in res.points:
+            assert res.trajectories[spec.label()] == _standalone_series(
+                spec, sc.sample_interval
+            )
+
+    def test_warm_lossy_rerun_builds_no_simulator(self, tmp_path, builds):
+        sc = Scenario.load(LOSSY_EXAMPLE)
+        cold = sc.run(cache=ResultCache(tmp_path))
+        assert len(builds) == sum(
+            cold.metrics[spec].replications for spec in cold.points
+        )
+        builds.clear()
+        warm = sc.run(cache=ResultCache(tmp_path))  # fresh store: disk reads
+        assert builds == []
+        assert warm == cold
+        assert warm.to_dict() == cold.to_dict()
+
+    def test_interval_shards_are_never_crossed(self, tmp_path, builds):
+        from repro.experiments.campaign import trajectory_key
+
+        base = {**SMALL, "allocs": ["GABL", "MBS"]}
+        at64 = Scenario.from_dict({**base, "sample_interval": 64.0})
+        at32 = Scenario.from_dict({**base, "sample_interval": 32})
+        r64 = at64.run(cache=ResultCache(tmp_path))
+        builds.clear()
+        r32 = at32.run(cache=ResultCache(tmp_path))
+        # metrics are hits, each 32-shard is a miss filled once per point
+        assert [spec for spec, _ in builds] == list(r32.points)
+        for spec in r32.points:
+            t32 = r32.trajectories[spec.label()]
+            assert t32 == _standalone_series(spec, 32.0)
+            assert t32 != r64.trajectories[spec.label()]
+            disk = ResultCache(tmp_path)
+            assert disk.get(trajectory_key(spec, 64.0)) == r64.trajectories[
+                spec.label()
+            ]
+            assert disk.get(trajectory_key(spec, 32)) == t32
+        assert trajectory_key(r32.points[0], 32) == trajectory_key(
+            r32.points[0], 32.0
+        )
+
+    def test_plain_campaign_store_fills_each_miss_once(self, tmp_path, builds):
+        sc = Scenario.from_dict({
+            **SMALL, "allocs": ["GABL", "MBS"], "sample_interval": 64.0,
+        })
+        sc.campaign().run(cache=ResultCache(tmp_path))
+        builds.clear()
+        first = sc.run(cache=ResultCache(tmp_path))
+        assert sorted(builds, key=repr) == sorted(
+            ((spec, spec.config.seed) for spec in first.points), key=repr
+        )
+        builds.clear()
+        second = sc.run(cache=ResultCache(tmp_path))
+        assert builds == []
+        assert second == first
+
+    def test_metric_shard_is_unchanged_by_sampling(self, tmp_path):
+        from repro.experiments.store import _shard_name
+
+        doc = {**SMALL, "scale": "quick"}
+        with_iv = Scenario.from_dict({**doc, "sample_interval": 64.0})
+        without = Scenario.from_dict(doc)
+        with_iv.run(cache=ResultCache(tmp_path / "a"))
+        without.run(cache=ResultCache(tmp_path / "b"))
+        for spec in without.campaign().points:
+            name = _shard_name(spec.key())
+            assert (tmp_path / "a" / name).read_bytes() == (
+                tmp_path / "b" / name
+            ).read_bytes()
