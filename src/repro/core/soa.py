@@ -88,6 +88,7 @@ def _run_native(probe: Simulator, seeds: list[int]) -> list[RunResult]:
         LaneState(probe.config, probe.workload, seed, alloc_kind, sched_kind)
         for seed in seeds
     ]
+    cells = probe.config.width * probe.config.length
     for lane in lanes:
         lane.feed()
     live = list(range(len(lanes)))
@@ -96,6 +97,14 @@ def _run_native(probe: Simulator, seeds: list[int]) -> list[RunResult]:
         for i in live:
             lane = lanes[i]
             rc = kernel.soa_advance(lane.ptable, lane.ci_ptr, lane.cf_ptr)
+            # every processor is free or busy between events: a lane that
+            # leaks cells would otherwise stall and refill without bound
+            free, busy = lane.I[native.I_FREE], lane.I[native.I_BUSY]
+            if free + busy != cells:
+                raise RuntimeError(
+                    f"soa lane lost track of processors: {free} free + "
+                    f"{busy} busy != {cells} ({_where(probe, lane)})"
+                )
             if rc == native.RC_DONE:
                 continue
             if rc == native.RC_NEED_JOBS:
@@ -103,10 +112,11 @@ def _run_native(probe: Simulator, seeds: list[int]) -> list[RunResult]:
                 nxt.append(i)
             else:
                 raise RuntimeError(
-                    f"soa kernel failed with code {rc} "
-                    f"(seed {lane.seed}, {probe.allocator.name}/"
-                    f"{probe.scheduler.name})"
+                    f"soa kernel failed with code {rc} ({_where(probe, lane)})"
                 )
         live = nxt
     return [lane.result() for lane in lanes]
 
+
+def _where(probe: Simulator, lane: LaneState) -> str:
+    return f"seed {lane.seed}, {probe.allocator.name}/{probe.scheduler.name}"

@@ -5,14 +5,20 @@ chain (every packet's reservation depends on the channel state left by
 the previous one).  When a C compiler is available, this module builds
 a small kernel that walks each packet's XY route and runs the exact
 same float64 recurrence as
-:meth:`repro.network.wormhole.FastBackend.transmit`, one whole launch
-(every round of a job's all-to-all exchange) per call.
+:meth:`repro.network.wormhole.FastBackend.transmit`.  It exports two
+entries: ``solve_rounds`` reserves one whole launch (every round of a
+job's all-to-all exchange) per call and returns its aggregate
+statistics; ``solve_round`` reserves one round and writes every
+packet's ``(t_inject, t_deliver, blocking)``, for a lossy launch whose
+fates are drawn in Python between rounds.
 
-``solve_rounds`` is the only C walk: the SoA lane driver
-(:mod:`repro.core._soa_native`) embeds this source and calls it too.
-The walk divides nowhere per packet.  Each launch converts its node ids
-to ``(x, y)`` once, into a scratch table of ``2 * n`` int64 the caller
-owns (so the kernel still allocates nothing); each round's offset is
+Both go through the same ``static inline`` helpers (``transmit``,
+``walk``, ``reserve``), which are the only C walk: the SoA lane driver
+(:mod:`repro.core._soa_native`) embeds this source and calls
+``solve_rounds`` too.  The walk divides nowhere per packet.  Each
+launch's node ids become ``(x, y)`` once, in a table of ``2 * n`` int64
+the caller owns (``solve_rounds`` fills it, ``solve_round`` reads it,
+so the kernel still allocates nothing); each round's offset is
 normalised once with Python's ``%`` semantics, so an offset of any sign
 or size picks the destination ``fast`` picks; and the hops step the
 channel index by 6 per x hop and ``6 * width`` per y hop.
@@ -141,15 +147,15 @@ static inline double walk(double *free_at, int64_t c, int64_t pos,
 /* One packet: whole-path reservation src -> dst, injected at t0, with
  * the endpoints given as node ids and (x, y) coordinates.  Returns the
  * ejection-channel service start; *t_inj_out gets the injection-channel
- * service start, *blk_out the per-hop blocking sum. */
-static inline double transmit(const double t0, const int64_t src,
-                              const int64_t sx, const int64_t sy,
-                              const int64_t dst, const int64_t dx,
-                              const int64_t dy, double *free_at,
-                              const double hop, const double occ,
-                              const int64_t width, const int64_t length,
-                              const int32_t wrap, double *t_inj_out,
-                              double *blk_out)
+ * service start, *blk_out the per-hop blocking sum.  Forced inline: with
+ * two callers (solve_rounds, solve_round) gcc -O2 would otherwise keep
+ * it as one out-of-line call per packet in both. */
+static inline __attribute__((always_inline))
+double transmit(const double t0, const int64_t src, const int64_t sx,
+                const int64_t sy, const int64_t dst, const int64_t dx,
+                const int64_t dy, double *free_at, const double hop,
+                const double occ, const int64_t width, const int64_t length,
+                const int32_t wrap, double *t_inj_out, double *blk_out)
 {
     int64_t cx, cy;
     const int64_t step_x = dim_step(sx, dx, width, wrap, &cx);
@@ -217,6 +223,38 @@ void solve_rounds(const int64_t *ids, int64_t n, const int64_t *offsets,
     out[1] = blocking_sum;
     out[2] = last;
 }
+
+/* One round of a launch, packet by packet: the cyclic permutation
+ * i -> (i + offset) mod n over the node ids (Python `%`), every packet
+ * queued at time t, reserved in source order through the same
+ * transmit as solve_rounds.  xy holds the nodes' (x, y), filled by the
+ * caller once per launch.  Per packet i it writes
+ *
+ * out[3 * i]     = t_inject  (injection-channel service start)
+ * out[3 * i + 1] = t_deliver (= t_eject + hop + drain)
+ * out[3 * i + 2] = blocking  (per-hop stall sum)
+ *
+ * the three fields of the reference loop's PathTiming. */
+void solve_round(const int64_t *ids, const int64_t *xy, int64_t n,
+                 int64_t offset, double t, double *free_at, double hop,
+                 double occ, double drain, int64_t width, int64_t length,
+                 int32_t wrap, double *out)
+{
+    if (n <= 0) return;
+    int64_t j = offset % n;
+    if (j < 0) j += n;
+    for (int64_t i = 0; i < n; i++) {
+        double t_inj, blocking;
+        const double t_ej = transmit(t, ids[i], xy[2 * i], xy[2 * i + 1],
+                                     ids[j], xy[2 * j], xy[2 * j + 1],
+                                     free_at, hop, occ, width, length, wrap,
+                                     &t_inj, &blocking);
+        out[3 * i] = t_inj;
+        out[3 * i + 1] = t_ej + hop + drain;
+        out[3 * i + 2] = blocking;
+        if (++j == n) j = 0;
+    }
+}
 """
 
 _memo = KernelMemo()
@@ -232,6 +270,13 @@ def _build() -> ctypes.CDLL | None:
         ctypes.c_double, ctypes.c_double, ctypes.c_void_p,
         ctypes.c_double, ctypes.c_double, ctypes.c_double,
         ctypes.c_int64, ctypes.c_int64, ctypes.c_int32, ctypes.c_void_p,
+        ctypes.c_void_p,
+    ]
+    lib.solve_round.restype = None
+    lib.solve_round.argtypes = [
+        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64,
+        ctypes.c_double, ctypes.c_void_p, ctypes.c_double, ctypes.c_double,
+        ctypes.c_double, ctypes.c_int64, ctypes.c_int64, ctypes.c_int32,
         ctypes.c_void_p,
     ]
     return lib

@@ -19,8 +19,11 @@ carry (``Allocation.nodes``) and use them as-is.
 Backends come in two families.  *Synchronous* backends
 (``synchronous = True``) resolve a whole launch of traffic rounds at
 injection time through :meth:`NetworkBackend.inject_rounds` and return
-aggregate :class:`RoundStats`; *event-driven* backends deliver each
-packet through the engine via :meth:`NetworkBackend.send` callbacks.
+aggregate :class:`RoundStats`, and serve a lossy launch through
+:meth:`NetworkBackend.round_reserver` (its original sends, a round at a
+time) and :meth:`NetworkBackend.transmit` (its retransmissions);
+*event-driven* backends deliver each packet through the engine via
+:meth:`NetworkBackend.send` callbacks.
 :class:`~repro.network.traffic.AllToAllTraffic` picks the path from the
 ``synchronous`` flag, so new backends plug in without touching the
 traffic generator.
@@ -32,7 +35,7 @@ with :func:`make_backend`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence, Type
+from typing import Callable, Iterable, NamedTuple, Sequence, Type
 
 from repro.core.engine import Engine
 from repro.network.routing import xy_route
@@ -54,6 +57,12 @@ class PathTiming(NamedTuple):
     def latency(self) -> float:
         """Paper's packet latency: injection to delivery."""
         return self.t_deliver - self.t_inject
+
+
+#: ``reserve(offset, now)``: one round of a launch, every node sending
+#: at ``now``, reserved in source order; the packets' ``(t_inject,
+#: t_deliver, blocking)`` in that order
+RoundReserver = Callable[[int, float], Iterable[tuple[float, float, float]]]
 
 
 @dataclass(frozen=True, slots=True)
@@ -116,6 +125,23 @@ class NetworkBackend:
         raise NotImplementedError(
             f"{self.mode!r} backend does not support synchronous transmit"
         )
+
+    def round_reserver(self, nodes: Sequence[int]) -> RoundReserver:
+        """Per-launch reserver of whole rounds over ``nodes``
+        (synchronous backends only): ``reserve(offset, now)`` sends round
+        ``i -> (i + offset) mod n`` at ``now`` as one :meth:`transmit`
+        per source, in source order, and returns the packets' timings in
+        that order.  ``batch`` overrides it with one compiled call per
+        round, held to this loop bit for bit."""
+        n = len(nodes)
+        transmit = self.transmit
+
+        def reserve(offset: int, now: float) -> list[PathTiming]:
+            return [
+                transmit(nodes[i], nodes[(i + offset) % n], now) for i in range(n)
+            ]
+
+        return reserve
 
     def send(
         self,

@@ -9,16 +9,22 @@ hands an entire launch (every round of a job's all-to-all exchange) to
 the compiled kernel in :mod:`repro.network._native`, which walks the XY
 routes and runs the reference recurrence at C speed in one call.
 
+A lossy launch cannot be resolved in one call: its fates are drawn in
+Python between rounds.  There ``round_reserver`` hands each round of
+original sends to the kernel's ``solve_round``, which writes every
+packet's timing, and retransmissions go through the inherited
+per-packet ``transmit``.
+
 With the kernel loaded, the reservation table ``free_at`` is an
 ``array('d')``: the kernel writes its contiguous float64 buffer in
-place, and the inherited per-packet ``transmit`` (the lossy-channel
-path) reads plain Python floats from it, not NumPy scalars.  When no
-kernel is available (no C compiler, ``REPRO_NATIVE=0``) the backend
-*is* the ``fast`` reference loop: the inherited list ``free_at`` and
-``inject_rounds``.  The kernel performs literally the same float64
-operations in the same order, so both paths are bit-identical to
-``fast`` for any float configuration -- enforced by
-``tests/test_network_backend_equivalence.py``.
+place, and ``transmit`` reads plain Python floats from it, not NumPy
+scalars.  When no kernel is available (no C compiler,
+``REPRO_NATIVE=0``) the backend *is* the ``fast`` reference loop: the
+inherited list ``free_at``, ``inject_rounds`` and ``round_reserver``.
+The kernel performs literally the same float64 operations in the same
+order, so both paths are bit-identical to ``fast`` for any float
+configuration -- enforced by ``tests/test_network_backend_equivalence.py``
+and ``tests/test_network_properties.py``.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ import numpy as np
 
 from repro.core.engine import Engine
 from repro.network import _native
-from repro.network.backend import RoundStats, register_backend
+from repro.network.backend import RoundReserver, RoundStats, register_backend
 from repro.network.topology import MeshTopology
 from repro.network.wormhole import FastBackend
 
@@ -106,3 +112,32 @@ class BatchBackend(FastBackend):
             blocking_sum=float(out[1]),
             last_delivery=float(out[2]),
         )
+
+    def round_reserver(self, nodes: Sequence[int]) -> RoundReserver:
+        """One ``solve_round`` kernel call per round.  The node ids and
+        their ``(x, y)`` are converted once here, per launch; each round
+        then reads its packets' timings back from one ``3 * n`` buffer."""
+        if self._kernel is None:
+            return super().round_reserver(nodes)
+        n = len(nodes)
+        topo = self.topology
+        width = topo.width
+        ids = array("q", nodes)
+        xy = array("q", [c for v in nodes for c in (v % width, v // width)])
+        out = array("d", bytes(24 * n))
+        solve = self._kernel.solve_round
+        head = (ids.buffer_info()[0], xy.buffer_info()[0], n)
+        tail = (
+            self.free_at.buffer_info()[0], self.hop_cost, self.occupancy,
+            self.drain, topo.width, topo.length, int(topo.wrap),
+            out.buffer_info()[0],
+        )
+
+        def reserve(offset: int, now: float, _own=(ids, xy)):
+            # _own keeps the buffers behind ``head`` alive with the closure
+            solve(*head, offset, now, *tail)
+            self.packets_sent += n
+            timings = iter(out.tolist())
+            return zip(timings, timings, timings)
+
+        return reserve

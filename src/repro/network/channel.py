@@ -48,13 +48,13 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.core.config import TIME_GRID
 from repro.network.arq import ARQ_PROTOCOLS, FlowArq
-from repro.network.backend import PathTiming, RoundStats
+from repro.network.backend import NetworkBackend, PathTiming, RoundStats
 
 #: sub-stream tag ("CHNL") keeping channel draws off the workload stream
 CHANNEL_STREAM = 0x43484E4C
@@ -292,7 +292,7 @@ _SEND, _ARRIVE, _FAIL = 0, 1, 2
 
 
 def resolve_launch(
-    transmit: Callable[[int, int, float], PathTiming],
+    network: NetworkBackend,
     model: ChannelModel,
     nodes: Sequence[int],
     offsets: Sequence[int],
@@ -301,13 +301,13 @@ def resolve_launch(
 ) -> LaunchResult:
     """Resolve a whole channelled launch over a synchronous backend.
 
-    Runs a small time-ordered event loop around per-packet ``transmit``
-    calls: original sends follow the application's round schedule
+    Runs a small time-ordered event loop around the backend's packet
+    reservations: original sends follow the application's round schedule
     (round-major, source-minor -- the same FIFO order as the lossless
     ``inject_rounds`` path), failed attempts surface as sender timeouts,
     and the ARQ protocol's retransmissions re-enter the send queue until
-    every flow's packets are accepted.  ``nodes`` are the job's node
-    ids, passed to ``transmit`` as-is.
+    every flow's packets are accepted.  ``network`` is a synchronous
+    backend; ``nodes`` are the job's node ids, passed to it as-is.
 
     The ``n * total`` original sends never enter the heap: a cursor
     streams them in schedule order beside it.  Their schedule indices
@@ -315,9 +315,22 @@ def resolve_launch(
     ``n * total``), so an original goes first whenever its send time is
     at most the heap's earliest -- the order one heap of every event
     would give.
+
+    Each round of originals is therefore one uninterrupted burst: its
+    ``n`` sends share one send time ``t``, an original wins a tie with
+    the heap, and no send pushes an event earlier than ``t`` (an arrival
+    at ``t_deliver + delay``, a timeout at ``t_inject + detect_delay``,
+    both at least ``t_inject >= t``).  So the whole round is reserved by
+    one call of the backend's ``round_reserver(nodes)`` (one compiled
+    ``solve_round`` call on ``batch``, one ``transmit`` per source
+    otherwise), and its results are walked in source order -- fates,
+    delays and pushes in the per-packet order.  Retransmissions reserve
+    through ``transmit`` one at a time.
     """
     n = len(nodes)
     total = len(offsets)
+    transmit = network.transmit
+    reserve_round = network.round_reserver(nodes)
     flows = [model.flow(total) for _ in range(n)]
     first_inject: list[dict[int, float]] = [{} for _ in range(n)]
     sampler = model.sampler
@@ -330,33 +343,47 @@ def resolve_launch(
 
     heap: list[tuple[float, int, int, int, int, float]] = []
     ctr = n * total
-    # cursor over the original sends: round next_k, source next_i
-    next_k = next_i = 0
+    # cursor over the original sends: round next_k, sent at next_t
+    next_k = 0
     next_t = now
 
     while True:
         if next_k < total and (not heap or next_t <= heap[0][0]):
-            t, kind, i, k = next_t, _SEND, next_i, next_k
-            next_i += 1
-            if next_i == n:
-                next_i = 0
-                next_k += 1
-                next_t = now + next_k * round_gap
-        elif heap:
-            t, _, kind, i, k, aux = heappop(heap)
-        else:
+            # one round of originals: a burst nothing interleaves with
+            k, t = next_k, next_t
+            next_k += 1
+            next_t = now + next_k * round_gap
+            attempts += n
+            timings = reserve_round(offsets[k], t)
+            for i, (t_inject, t_deliver, blocking) in enumerate(timings):
+                flow = flows[i]
+                # counts the attempt; an original is never accepted
+                # before it is sent, so it always goes out
+                sent = flow.should_send(k)
+                assert sent
+                first_inject[i][k] = t_inject
+                blocking_sum += blocking
+                ctr += 1
+                if fate():
+                    heappush(
+                        heap, (t_deliver + delay(), ctr, _ARRIVE, i, k, t_inject)
+                    )
+                else:
+                    heappush(
+                        heap, (t_inject + flow.detect_delay(k), ctr, _FAIL, i, k, 0.0)
+                    )
+            continue
+        if not heap:
             break
+        t, _, kind, i, k, aux = heappop(heap)
         flow = flows[i]
-        if kind == _SEND:
+        if kind == _SEND:  # a retransmission: k's original went first
             if not flow.should_send(k):
                 continue
             attempts += 1
             t_inject, t_deliver, blocking = transmit(
                 nodes[i], nodes[(i + offsets[k]) % n], t
             )
-            fi = first_inject[i]
-            if k not in fi:
-                fi[k] = t_inject
             blocking_sum += blocking
             if fate():
                 ctr += 1

@@ -30,8 +30,10 @@ ProcSimity's treatment of computation-only jobs.
 When the run has a non-trivial :class:`~repro.network.channel.ChannelModel`,
 launches detour through the lossy-channel drivers instead: the
 synchronous resolver (:func:`repro.network.channel.resolve_launch`)
-replays per-packet ``transmit`` calls with fates, timeouts and ARQ
-retransmission rounds, and event-driven backends get a per-launch
+reserves each round of original sends through the backend's
+``round_reserver`` and each retransmission through ``transmit``, with
+fates, timeouts and ARQ retransmission rounds, and event-driven
+backends get a per-launch
 :class:`~repro.network.channel.ChannelledEventLaunch`.
 """
 
@@ -167,7 +169,7 @@ class AllToAllTraffic:
         assert self.channel is not None
         if self.network.synchronous:
             result = resolve_launch(
-                self.network.transmit,
+                self.network,
                 self.channel,
                 nodes,
                 offsets,

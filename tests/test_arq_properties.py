@@ -2,7 +2,7 @@
 
 :class:`~repro.network.arq.FlowArq` is a pure state machine and
 :func:`~repro.network.channel.resolve_launch` is a pure function of its
-transmit callback and fate/delay sampler, so both are testable with a
+synchronous network and fate/delay sampler, so both are testable with a
 *stub* transport (fixed latency, no contention) and *scripted* channel
 fates -- hypothesis explores arbitrary drop/delay patterns and the
 invariants must hold for every one of them:
@@ -22,16 +22,21 @@ invariants must hold for every one of them:
 from hypothesis import given, settings, strategies as st
 
 from repro.network.arq import ARQ_PROTOCOLS, MAX_ATTEMPTS, FlowArq
-from repro.network.backend import PathTiming
+from repro.network.backend import NetworkBackend, PathTiming
 from repro.network.channel import ChannelModel, parse_channel, resolve_launch
 
 ROUND_GAP = 16.0
 STUB_LATENCY = 4.0
 
 
-def stub_transmit(src, dst, now):
+class StubNetwork:
     """Contention-free transport: inject immediately, fixed latency."""
-    return PathTiming(t_inject=now, t_deliver=now + STUB_LATENCY, blocking=0.0)
+
+    def transmit(self, src, dst, now):
+        return PathTiming(t_inject=now, t_deliver=now + STUB_LATENCY,
+                          blocking=0.0)
+
+    round_reserver = NetworkBackend.round_reserver
 
 
 class ScriptedSampler:
@@ -64,7 +69,7 @@ def scripted_model(protocol, fates=(), delays=()):
 
 def launch(protocol, n, total, fates=(), delays=()):
     return resolve_launch(
-        stub_transmit, scripted_model(protocol, fates, delays),
+        StubNetwork(), scripted_model(protocol, fates, delays),
         nodes=list(range(n)), offsets=[1] * total, now=0.0,
         round_gap=ROUND_GAP,
     )
@@ -162,7 +167,7 @@ class TestStopAndWaitThroughput:
                     seed=seed, p_len=16, round_gap=ROUND_GAP,
                 )
                 result = resolve_launch(
-                    stub_transmit, model, nodes=list(range(n)),
+                    StubNetwork(), model, nodes=list(range(n)),
                     offsets=[1] * total, now=0.0, round_gap=ROUND_GAP,
                 )
                 spans.append(result.stats.last_delivery)

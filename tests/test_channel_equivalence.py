@@ -17,9 +17,12 @@ Two tiers, per the channel layer's contract
   teeth.
 """
 
+import struct
+
 import pytest
 
 from repro.core.config import SimConfig
+from repro.core.engine import Engine
 from repro.experiments.campaign import (
     Campaign,
     PointSpec,
@@ -28,6 +31,11 @@ from repro.experiments.campaign import (
     run_spec_replication,
 )
 from repro.experiments.store import ResultCache
+from repro.network import _native
+from repro.network.arq import ARQ_PROTOCOLS
+from repro.network.backend import make_backend
+from repro.network.channel import ChannelModel, parse_channel, resolve_launch
+from repro.network.topology import MeshTopology
 from repro.stats.compare import MetricSummary
 from tests.statgate import assert_statistically_identical, replicate
 
@@ -82,6 +90,57 @@ class TestSameSeedBitExact:
         serial = run("serial", 1)
         other = run(executor_kind, 2)
         assert serial == other
+
+
+def _bits(v: float) -> bytes:
+    return struct.pack("<d", v)
+
+
+def _resolve_launches(mode: str, channel: str, arq: str) -> list:
+    """Three channelled all-to-all launches over one ``mode`` backend and
+    one channel model, each result (stats, acceptance times, attempts)
+    with every float as its IEEE-754 bytes, then the sampler's state."""
+    # an inexact router delay, so every sum rounds; back-to-back rounds,
+    # so packets contend for channels
+    backend = make_backend(mode, MeshTopology(8, 8), Engine(), t_s=0.3,
+                           p_len=8)
+    gap = 8.0
+    model = ChannelModel(parse_channel(channel), arq, seed=11, p_len=8,
+                         round_gap=gap)
+    out = []
+    for nodes, now in (([5, 17, 3, 40, 22, 63, 0, 9], 0.0),
+                       ([12, 13, 14, 15, 20, 21], 30.7),
+                       ([63, 0, 7, 56], 31.3)):
+        offsets = list(range(1, len(nodes)))
+        result = resolve_launch(backend, model, nodes, offsets, now, gap)
+        stats = result.stats
+        out.append((
+            stats.packets, _bits(stats.latency_sum),
+            _bits(stats.blocking_sum), _bits(stats.last_delivery),
+            [{k: _bits(t) for k, t in acc.items()} for acc in result.accepts],
+            result.attempts,
+        ))
+    sampler = model.sampler
+    out.append((sampler.rng.bit_generator.state, sampler._pos,
+                [_bits(f) for f in backend.free_at], backend.packets_sent))
+    return out
+
+
+@pytest.mark.parametrize("arq", ARQ_PROTOCOLS)
+@pytest.mark.parametrize("channel", [
+    "loss:0.2", "corrupt:0.2", "loss:0.1 + delay:exp:3",
+    "loss:0.1 + delay:fixed:2.5",
+])
+def test_resolve_launch_batch_kernel_equals_fast(channel, arq):
+    """``resolve_launch`` over ``batch`` (each round of originals one
+    ``solve_round`` call) equals ``resolve_launch`` over ``fast`` (one
+    ``transmit`` per packet) bit for bit, and leaves the channel sampler
+    in the same state: the same fates in the same order."""
+    if _native.load_kernel() is None:
+        pytest.skip("no compiled reservation kernel")
+    fast = _resolve_launches("fast", channel, arq)
+    assert all(attempts > packets for packets, *_, attempts in fast[:-1])
+    assert _resolve_launches("batch", channel, arq) == fast
 
 
 class TestDisjointSeedStatistics:

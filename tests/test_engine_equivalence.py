@@ -12,6 +12,7 @@ replication-controller batches).
 from __future__ import annotations
 
 import dataclasses
+import re
 import struct
 
 import pytest
@@ -154,6 +155,36 @@ class TestLockstepShapes:
         finally:
             monkeypatch.delenv("REPRO_NATIVE")
             native.reset_kernel_cache()
+
+    @pytest.mark.parametrize("alloc", ALLOCS)
+    def test_leaked_processor_raises_within_one_refill(self, alloc,
+                                                       monkeypatch):
+        # a lane whose free count drifts from its busy count must fail
+        # cleanly at the next soa_advance return, not refill forever
+        if native.load_kernel() is None:
+            pytest.skip("no compiled lane driver")
+        feeds = []
+
+        class LeakyLane(soa.LaneState):
+            def __init__(self, *args):
+                super().__init__(*args)
+                if self.seed == 2:
+                    self.I[native.I_FREE] -= 1
+
+            def feed(self):
+                feeds.append(self.seed)
+                super().feed()
+
+        monkeypatch.setattr(soa, "LaneState", LeakyLane)
+        with pytest.raises(RuntimeError, match=(
+            rf"lost track of processors: (\d+) free \+ (\d+) busy != 64 "
+            rf"\(seed 2, {re.escape(alloc)}/SSD\)"
+        )) as err:
+            _batch(_spec(alloc, "SSD"), [1, 2, 3])
+        free, busy = map(int, re.search(r"(\d+) free \+ (\d+) busy",
+                                        str(err.value)).groups())
+        assert free + busy == 63
+        assert feeds.count(2) <= 2  # the first feed and at most one refill
 
 
 class TestCampaignIntegration:

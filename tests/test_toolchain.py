@@ -241,9 +241,20 @@ static int launch(int64_t width, int64_t length, int32_t wrap,
     for (int k = 0; k < 2; k++)
         solve_rounds(ids, n, offsets, rounds, 10.0 + 7.3 * k, 1.7, free_at,
                      1.3, 7.1, 6.1, width, length, wrap, xy, out);
-    const int ok = out[0] > 0.0 && out[1] >= 0.0 && !signbit(out[1])
+    int ok = out[0] > 0.0 && out[1] >= 0.0 && !signbit(out[1])
         && out[2] > 10.0;
-    free(ids); free(offsets); free(xy); free(free_at);
+    /* then the same rounds one solve_round call each, on the same table,
+     * over the (x, y) solve_rounds left in xy */
+    double *timing = malloc(3 * n * sizeof *timing);
+    for (int64_t r = 0; r < rounds; r++) {
+        const double t = 30.0 + 1.7 * r;
+        solve_round(ids, xy, n, offsets[r], t, free_at, 1.3, 7.1, 6.1,
+                    width, length, wrap, timing);
+        for (int64_t i = 0; i < n; i++)
+            ok &= timing[3 * i] >= t && timing[3 * i + 1] > timing[3 * i]
+                && timing[3 * i + 2] >= 0.0 && !signbit(timing[3 * i + 2]);
+    }
+    free(ids); free(offsets); free(xy); free(free_at); free(timing);
     return ok ? 0 : 1;
 }
 
@@ -262,6 +273,7 @@ int main(void)
         rc |= launch(1, 9, wrap, line, 9, far, nfar);   /* 1 x N */
         rc |= launch(9, 1, wrap, line, 9, far, nfar);   /* N x 1 */
         rc |= launch(2, 2, wrap, square, 4, far, nfar); /* 2 x 2 */
+        rc |= launch(2, 2, wrap, square, 1, far, nfar); /* n = 1 */
         rc |= launch(16, 22, wrap, corners, 2, far, nfar);      /* n = 2 */
         rc |= launch(16, 22, wrap, every, 16 * 22, far, nfar);  /* all */
     }
@@ -376,9 +388,11 @@ def _run_sanitized(tmp_path, source: str) -> None:
 
 def test_reservation_kernel_is_sanitizer_clean(tmp_path):
     """ASan/UBSan build of the reservation kernel: 1 x N, N x 1 and
-    2 x 2 shapes (mesh and torus), two-node and whole-mesh launches,
-    and offsets far outside ``[0, n)``, without one sanitizer report;
-    every blocking sum keeps its sign bit clear."""
+    2 x 2 shapes (mesh and torus), one-node, two-node and whole-mesh
+    launches, and offsets far outside ``[0, n)`` of either sign, through
+    ``solve_rounds`` and then round by round through ``solve_round``,
+    without one sanitizer report; every blocking sum keeps its sign bit
+    clear."""
     _run_sanitized(tmp_path, network_native._SOURCE + SANITIZER_MAIN)
 
 
