@@ -68,8 +68,10 @@ class FlowArq:
 
     ``accepted`` maps sequence number to acceptance time once delivered;
     ``attempts[seq]`` counts the transmissions of ``seq`` so far (a list
-    of ``total`` ints), so a sequence number is in flight or was ever
-    sent exactly when its count is non-zero.
+    of ``total`` ints), so a sequence number that is not yet accepted is
+    in flight or was ever sent exactly when its count is non-zero.  A
+    resolver that accepts on send (:attr:`accepts_on_send`) may leave the
+    count of an original that survived at 0: nothing reads it again.
     """
 
     __slots__ = (
@@ -185,6 +187,29 @@ class FlowArq:
         # selective-repeat: resend exactly the failed packet
         self.pending.add(seq)
         return [(t_detect, seq)]
+
+    @property
+    def accepts_on_send(self) -> bool:
+        """True when a surviving attempt's acceptance is decided when it
+        is sent, so a resolver may record ``accepted[seq]`` (at the
+        attempt's arrival time) right away instead of waiting for an
+        arrival event.
+
+        This holds for stop-and-wait and selective-repeat, because at
+        most one attempt of a sequence number is ever in flight: the
+        original goes out once, and :meth:`on_failure` plans a resend
+        of ``seq`` only after its in-flight attempt failed, and never
+        while ``seq`` is pending.  Their receivers accept the first
+        intact arrival whatever the order, and no other sequence
+        number's handling reads ``accepted[seq]``.  A surviving attempt
+        is therefore the only attempt of its ``seq`` still in flight,
+        and it will be accepted on arrival.
+
+        Go-back-n's receiver accepts only the sequence number it expects
+        next, so its verdict depends on the order of arrivals: its
+        resolvers must keep one arrival event per surviving attempt.
+        """
+        return self.protocol != "go-back-n"
 
     # ---------------------------------------------------------- receiver
     def on_arrival(self, seq: int, t_arrive: float) -> bool:

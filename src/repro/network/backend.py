@@ -34,6 +34,7 @@ with :func:`make_backend`.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Sequence, Type
 
@@ -65,6 +66,49 @@ class PathTiming(NamedTuple):
 RoundReserver = Callable[[int, float], Iterable[tuple[float, float, float]]]
 
 
+#: XY route memos shared by every backend in the process, one per
+#: ``(width, length, wrap)``: channel-id tuples keyed ``src * nodes + dst``
+_ROUTE_MEMOS: dict[tuple[int, int, bool], dict[int, tuple[int, ...]]] = {}
+#: shapes whose memos stay registered; the oldest is dropped beyond this
+#: (a backend keeps the memo it was built with)
+_ROUTE_MEMO_SHAPES = 4
+#: one int object per channel id, shared by every memoised route
+_CHANNEL_IDS: list[int] = []
+#: guards memo creation and every route insertion, so a route is
+#: computed once however many threads miss on it together
+_ROUTE_LOCK = threading.Lock()
+
+
+def route_memo(topology: MeshTopology) -> dict[int, tuple[int, ...]]:
+    """The process-wide XY route memo of ``topology``'s shape.
+
+    Routes depend only on ``(width, length, wrap)``, so every backend
+    (every replication, every worker thread) of one shape shares one
+    memo.  Its routes are tuples, never mutated.  A memo holds at most
+    ``N * (N - 1)`` routes for ``N`` nodes, each at most ``W + L + 1``
+    channel ids; channel ids are shared ints, so the paper's 16 x 22
+    mesh tops out at about 27 MB with every pair routed.
+    """
+    shape = (topology.width, topology.length, bool(topology.wrap))
+    memo = _ROUTE_MEMOS.get(shape)
+    if memo is None:
+        with _ROUTE_LOCK:
+            memo = _ROUTE_MEMOS.get(shape)
+            if memo is None:
+                while len(_ROUTE_MEMOS) >= _ROUTE_MEMO_SHAPES:
+                    del _ROUTE_MEMOS[next(iter(_ROUTE_MEMOS))]
+                memo = _ROUTE_MEMOS[shape] = {}
+    return memo
+
+
+def _channel_ids(count: int) -> list[int]:
+    """Shared int objects for channel ids ``0 .. count - 1`` (call with
+    ``_ROUTE_LOCK`` held)."""
+    if len(_CHANNEL_IDS) < count:
+        _CHANNEL_IDS.extend(range(len(_CHANNEL_IDS), count))
+    return _CHANNEL_IDS
+
+
 @dataclass(frozen=True, slots=True)
 class RoundStats:
     """Aggregate outcome of one job's traffic rounds (bulk ingestion)."""
@@ -78,8 +122,9 @@ class RoundStats:
 class NetworkBackend:
     """Shared state and arithmetic of every transport backend.
 
-    Holds the channel reservation table (``free_at``), the static XY
-    route cache and the timing constants derived from ``t_s``/``p_len``:
+    Holds the channel reservation table (``free_at``), the shape's
+    shared XY route memo (:func:`route_memo`) and the timing constants
+    derived from ``t_s``/``p_len``:
     ``hop_cost`` (header advance per channel), ``occupancy`` (channel
     hold per packet) and ``drain`` (body drain after header ejection).
     """
@@ -106,17 +151,24 @@ class NetworkBackend:
         self.drain = float(p_len - 1)  #: body drain after header ejection
         self.free_at: list[float] = [0.0] * topology.channel_count
         self.packets_sent = 0
-        #: XY routes are static; cache them keyed by ``src * _node_count + dst``
-        self._route_cache: dict[int, list[int]] = {}
+        #: XY routes are static: the shape's shared memo, keyed by
+        #: ``src * _node_count + dst``
+        self._routes = route_memo(topology)
         self._node_count = topology.node_count
 
     # ------------------------------------------------------------- routing
-    def _route(self, src: int, dst: int) -> list[int]:
+    def _route(self, src: int, dst: int) -> tuple[int, ...]:
         key = src * self._node_count + dst
-        path = self._route_cache.get(key)
+        path = self._routes.get(key)
         if path is None:
-            path = xy_route(self.topology, src, dst)
-            self._route_cache[key] = path
+            with _ROUTE_LOCK:
+                path = self._routes.get(key)
+                if path is None:
+                    channels = _channel_ids(self.topology.channel_count)
+                    path = tuple(
+                        [channels[c] for c in xy_route(self.topology, src, dst)]
+                    )
+                    self._routes[key] = path
         return path
 
     # ------------------------------------------------------------ traffic

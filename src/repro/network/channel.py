@@ -126,16 +126,30 @@ class ChannelPolicy:
             return "loss:0"
         parts = []
         if self.loss:
-            parts.append(f"loss:{self.loss:g}")
+            parts.append(f"loss:{_spec_number(self.loss)}")
         if self.corrupt:
-            parts.append(f"corrupt:{self.corrupt:g}")
+            parts.append(f"corrupt:{_spec_number(self.corrupt)}")
         if self.delay:
             parts.append(
                 "delay:" + ":".join(
-                    [self.delay[0]] + [f"{v:g}" for v in self.delay[1:]]
+                    [self.delay[0]] + [_spec_number(v) for v in self.delay[1:]]
                 )
             )
         return "+".join(parts) if parts else "loss:0"
+
+
+def _spec_number(v: float) -> str:
+    """``v`` as a spec token that parses back to exactly ``v``.
+
+    The short ``:g`` form where it round-trips (``0.08``, ``2``), else
+    the shortest ``repr``; an exponent never carries a ``+``, which
+    would split the spec's terms (``2e+06`` -> ``2e6``).
+    """
+    text = f"{v:g}"
+    if float(text) != v:
+        text = repr(v)
+    mantissa, plus, exponent = text.partition("e+")
+    return f"{mantissa}e{int(exponent)}" if plus else text
 
 
 def parse_channel(spec: str) -> ChannelPolicy:
@@ -204,13 +218,17 @@ class ChannelSampler:
     delay the draws interleave and each fate is one scalar draw.
     """
 
-    __slots__ = ("policy", "rng", "_failure", "_ahead", "_block", "_pos")
+    __slots__ = (
+        "policy", "rng", "has_delay", "_failure", "_ahead", "_block", "_pos",
+    )
 
     def __init__(self, policy: ChannelPolicy, seed: int) -> None:
         self.policy = policy
         self.rng = np.random.default_rng((CHANNEL_STREAM, int(seed) % 2**63))
-        self._failure = policy.failure_rate
         delay = policy.delay
+        #: False when :meth:`delay` is always 0.0, so callers may skip it
+        self.has_delay = bool(delay)
+        self._failure = policy.failure_rate
         #: True when no delay draw interleaves with the fate draws
         self._ahead = not delay or delay[0] == "fixed"
         self._block: list[float] = []  #: drawn-ahead uniforms
@@ -326,16 +344,36 @@ def resolve_launch(
     otherwise), and its results are walked in source order -- fates,
     delays and pushes in the per-packet order.  Retransmissions reserve
     through ``transmit`` one at a time.
+
+    Under a protocol whose flows accept on send
+    (:attr:`FlowArq.accepts_on_send`: stop-and-wait, selective-repeat)
+    a surviving attempt is accepted when it is sent, at its arrival
+    time, and pushes no arrival event; a surviving original also skips
+    the flow's attempt count and first-injection record, which only a
+    failed one needs.  Go-back-n keeps one arrival event per surviving
+    attempt, because its receiver's verdict depends on arrival order.
+    Either way every attempt draws one fate, and a survivor one delay
+    (none when the sampler has no delay), in the same order.
+
+    Latencies are summed per flow in arrival order, ``(t_arrive,
+    counter)``, which is the order the arrival events would pop in:
+    each flow logs ``(t_arrive, counter, latency)`` per accepted packet
+    and the log is sorted once at the end.  Float addition does not
+    associate, so off the time grid another order moves the sum.
     """
     n = len(nodes)
     total = len(offsets)
     transmit = network.transmit
     reserve_round = network.round_reserver(nodes)
     flows = [model.flow(total) for _ in range(n)]
+    on_send = bool(flows) and flows[0].accepts_on_send
+    accepted = [flow.accepted for flow in flows]
     first_inject: list[dict[int, float]] = [{} for _ in range(n)]
+    #: per flow, ``(t_arrive, counter, latency)`` of each accepted packet
+    logs: list[list[tuple[float, int, float]]] = [[] for _ in range(n)]
     sampler = model.sampler
     fate = sampler.fate
-    delay = sampler.delay
+    delay = sampler.delay if sampler.has_delay else None
     heappush = heapq.heappush
     heappop = heapq.heappop
     blocking_sum = 0.0
@@ -355,6 +393,25 @@ def resolve_launch(
             next_t = now + next_k * round_gap
             attempts += n
             timings = reserve_round(offsets[k], t)
+            if on_send:
+                for i, (t_inject, t_deliver, blocking) in enumerate(timings):
+                    blocking_sum += blocking
+                    ctr += 1
+                    if fate():
+                        ta = t_deliver + delay() if delay else t_deliver
+                        accepted[i][k] = ta
+                        logs[i].append((ta, ctr, ta - t_inject))
+                    else:
+                        # only a failed original is read again: its
+                        # attempt count (backoff) and first injection
+                        flow = flows[i]
+                        flow.attempts[k] = 1
+                        first_inject[i][k] = t_inject
+                        heappush(
+                            heap,
+                            (t_inject + flow.detect_delay(k), ctr, _FAIL, i, k, 0.0),
+                        )
+                continue
             for i, (t_inject, t_deliver, blocking) in enumerate(timings):
                 flow = flows[i]
                 # counts the attempt; an original is never accepted
@@ -365,9 +422,8 @@ def resolve_launch(
                 blocking_sum += blocking
                 ctr += 1
                 if fate():
-                    heappush(
-                        heap, (t_deliver + delay(), ctr, _ARRIVE, i, k, t_inject)
-                    )
+                    ta = t_deliver + delay() if delay else t_deliver
+                    heappush(heap, (ta, ctr, _ARRIVE, i, k, t_inject))
                 else:
                     heappush(
                         heap, (t_inject + flow.detect_delay(k), ctr, _FAIL, i, k, 0.0)
@@ -375,7 +431,7 @@ def resolve_launch(
             continue
         if not heap:
             break
-        t, _, kind, i, k, aux = heappop(heap)
+        t, c, kind, i, k, aux = heappop(heap)
         flow = flows[i]
         if kind == _SEND:  # a retransmission: k's original went first
             if not flow.should_send(k):
@@ -385,19 +441,26 @@ def resolve_launch(
                 nodes[i], nodes[(i + offsets[k]) % n], t
             )
             blocking_sum += blocking
+            ctr += 1
             if fate():
-                ctr += 1
-                heappush(heap, (t_deliver + delay(), ctr, _ARRIVE, i, k, t_inject))
+                ta = t_deliver + delay() if delay else t_deliver
+                if on_send:
+                    accepted[i][k] = ta
+                    logs[i].append((ta, ctr, ta - first_inject[i][k]))
+                else:
+                    heappush(heap, (ta, ctr, _ARRIVE, i, k, t_inject))
             else:
-                ctr += 1
                 heappush(
                     heap, (t_inject + flow.detect_delay(k), ctr, _FAIL, i, k, 0.0)
                 )
-        elif kind == _ARRIVE:
-            if flow.on_arrival(k, t) or k in flow.accepted:
-                continue  # accepted now, or a duplicate of an earlier accept
-            # go-back-n out-of-order discard: the sender finds out via its
-            # own (cumulative-ack) timeout for this attempt
+        elif kind == _ARRIVE:  # go-back-n only
+            if flow.on_arrival(k, t):
+                logs[i].append((t, c, t - first_inject[i][k]))
+                continue
+            if k in flow.accepted:
+                continue  # a duplicate of an earlier accept
+            # out-of-order discard: the sender finds out via its own
+            # (cumulative-ack) timeout for this attempt
             td = aux + flow.detect_delay(k)
             ctr += 1
             heappush(heap, (td if td > t else t, ctr, _FAIL, i, k, 0.0))
@@ -414,11 +477,11 @@ def resolve_launch(
 
     latency_sum = 0.0
     last = now
-    for i, flow in enumerate(flows):
+    for flow, log in zip(flows, logs):
         assert flow.done, "channelled launch drained with undelivered packets"
-        fi = first_inject[i]
-        for k, ta in flow.accepted.items():
-            latency_sum += ta - fi[k]
+        log.sort()
+        for ta, _, latency in log:
+            latency_sum += latency
             if ta > last:
                 last = ta
     stats = RoundStats(
@@ -427,18 +490,21 @@ def resolve_launch(
         blocking_sum=blocking_sum,
         last_delivery=last,
     )
-    return LaunchResult(
-        stats=stats, accepts=[f.accepted for f in flows], attempts=attempts
-    )
+    return LaunchResult(stats=stats, accepts=accepted, attempts=attempts)
 
 
 class ChannelledEventLaunch:
     """Per-launch ARQ driver over an event-driven backend (causal/sfb).
 
-    Mirrors :func:`resolve_launch`, but the simulation engine is the
-    event loop: fates are drawn in each packet's delivery callback,
-    failures schedule sender-timeout events, and retransmissions go back
-    through ``network.send`` at their planned times.
+    Runs the same :class:`FlowArq` machines as :func:`resolve_launch`,
+    but the simulation engine is the event loop: fates are drawn in
+    each packet's delivery callback, failures schedule sender-timeout
+    events, and retransmissions go back through ``network.send`` at
+    their planned times.  Unlike :func:`resolve_launch` it does not
+    accept on send: every protocol's surviving attempt reaches
+    :meth:`FlowArq.on_arrival` at its arrival time (at once when there
+    is no extra delay), and the job records each packet as it is
+    accepted.
     """
 
     __slots__ = (

@@ -77,7 +77,7 @@ class FastBackend(NetworkBackend):
         The packet is queued at the source at time ``now``; channel
         reservations follow the deterministic call order.
         """
-        path = self._route_cache.get(src * self._node_count + dst)
+        path = self._routes.get(src * self._node_count + dst)
         if path is None:
             path = self._route(src, dst)
         free_at = self.free_at
@@ -320,7 +320,7 @@ class _Packet:
     __slots__ = ("path", "idx", "t_inject", "blocking", "on_delivered")
 
     def __init__(
-        self, path: list[int], on_delivered: Callable[[PathTiming], None]
+        self, path: tuple[int, ...], on_delivered: Callable[[PathTiming], None]
     ) -> None:
         self.path = path
         self.idx = 0
@@ -338,7 +338,7 @@ class _SFBWorm:
     )
 
     def __init__(
-        self, path: list[int], on_delivered: Callable[[PathTiming], None]
+        self, path: tuple[int, ...], on_delivered: Callable[[PathTiming], None]
     ) -> None:
         self.path = path
         self.idx = 0

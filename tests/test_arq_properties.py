@@ -15,6 +15,8 @@ invariants must hold for every one of them:
   follow the fixed round schedule, so failures only ever add work);
 * on a perfect channel the protocols never act: all three produce
   identical delivery schedules, attempt-for-attempt;
+* stop-and-wait and selective-repeat accept a surviving attempt when it
+  is sent, with the same results as waiting for its arrival event;
 * stop-and-wait throughput is monotone non-increasing in the loss rate
   (seed-averaged, on the real channel sampler).
 """
@@ -46,6 +48,9 @@ class ScriptedSampler:
     succeeds, zero extra delay), which bounds every run: any finite drop
     pattern terminates.
     """
+
+    #: the scripted delays must be drawn whatever the model's policy
+    has_delay = True
 
     def __init__(self, fates=(), delays=()):
         self._fates = list(fates)
@@ -151,6 +156,27 @@ class TestDeliveryInvariants:
         assert saw.accepts == sr.accepts
         assert saw.attempts == sr.attempts == n * total
         assert saw.stats == sr.stats
+
+    @given(protocol=st.sampled_from(["stop-and-wait", "selective-repeat"]),
+           n=st.integers(1, 4), total=st.integers(1, 6),
+           fates=fate_scripts, delays=delay_scripts)
+    @settings(max_examples=120, deadline=None)
+    def test_accept_on_send_equals_arrival_events(
+        self, protocol, n, total, fates, delays
+    ):
+        """Accepting at send time (these protocols' resolver path) and
+        accepting at one arrival event per surviving attempt (forced
+        here) agree on every acceptance, attempt and statistic."""
+        on_send = launch(protocol, n, total, fates, delays)
+        saved = FlowArq.accepts_on_send
+        FlowArq.accepts_on_send = property(lambda self: False)
+        try:
+            events = launch(protocol, n, total, fates, delays)
+        finally:
+            FlowArq.accepts_on_send = saved
+        assert on_send.accepts == events.accepts
+        assert on_send.attempts == events.attempts
+        assert on_send.stats == events.stats
 
 
 class TestStopAndWaitThroughput:

@@ -32,7 +32,7 @@ from repro.experiments.campaign import (
 )
 from repro.experiments.store import ResultCache
 from repro.network import _native
-from repro.network.arq import ARQ_PROTOCOLS
+from repro.network.arq import ARQ_PROTOCOLS, FlowArq
 from repro.network.backend import make_backend
 from repro.network.channel import ChannelModel, parse_channel, resolve_launch
 from repro.network.topology import MeshTopology
@@ -141,6 +141,22 @@ def test_resolve_launch_batch_kernel_equals_fast(channel, arq):
     fast = _resolve_launches("fast", channel, arq)
     assert all(attempts > packets for packets, *_, attempts in fast[:-1])
     assert _resolve_launches("batch", channel, arq) == fast
+
+
+@pytest.mark.parametrize("arq", ["stop-and-wait", "selective-repeat"])
+@pytest.mark.parametrize("channel", [
+    "loss:0.2", "loss:0.1 + delay:exp:3", "corrupt:0.2 + delay:uniform:0.5:3",
+    "loss:0.1 + delay:fixed:2.5",
+])
+def test_accept_on_send_equals_arrival_events(channel, arq, monkeypatch):
+    """Accepting a surviving attempt when it is sent gives, bit for bit,
+    what one arrival event per surviving attempt gives (the go-back-n
+    path, forced here for every protocol): the same fates and delays in
+    the same order, the same reservations, the same acceptance times and
+    the same latency sum, summed in arrival order."""
+    on_send = _resolve_launches("fast", channel, arq)
+    monkeypatch.setattr(FlowArq, "accepts_on_send", property(lambda self: False))
+    assert _resolve_launches("fast", channel, arq) == on_send
 
 
 class TestDisjointSeedStatistics:

@@ -21,6 +21,7 @@ from repro.experiments.diff import diff_reports, load_report
 GOLDEN = Path(__file__).resolve().parent / "golden"
 EXAMPLE = Path(__file__).resolve().parent.parent / "examples" / "scenario_smoke.json"
 LOSSY_CELL = GOLDEN / "lossy_cell.scenario.json"
+LOSSY_OFFGRID = GOLDEN / "lossy_offgrid.scenario.json"
 
 
 @pytest.fixture(autouse=True)
@@ -78,6 +79,21 @@ def test_scenario_lossy_cell_matches_golden(tmp_path):
     fresh = tmp_path / "fresh.json"
     assert main(["scenario", str(LOSSY_CELL), "--out", str(fresh)]) == 0
     golden = GOLDEN / "scenario_lossy_cell.json"
+    _assert_all_identical(golden, fresh)
+    assert main([
+        "diff", str(golden), str(fresh), "--trajectories", "--fail-on-regress",
+    ]) == 0
+    _assert_trajectories_identical(golden, fresh)
+
+
+def test_scenario_lossy_offgrid_matches_golden(tmp_path):
+    """``t_s = 0.3`` puts delivery times off the time grid, so a
+    per-packet latency sum taken in another order than arrival order
+    moves ``mean_packet_latency`` in its last bits; the grid-exact
+    lossy cell above cannot see that."""
+    fresh = tmp_path / "fresh.json"
+    assert main(["scenario", str(LOSSY_OFFGRID), "--out", str(fresh)]) == 0
+    golden = GOLDEN / "scenario_lossy_offgrid.json"
     _assert_all_identical(golden, fresh)
     assert main([
         "diff", str(golden), str(fresh), "--trajectories", "--fail-on-regress",

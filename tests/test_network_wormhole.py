@@ -1,10 +1,15 @@
 """Unit tests for the wormhole engine: latency formulas, contention,
 blocking accounting, and fast/causal mode agreement."""
 
+import threading
+import time
+
 import pytest
 
 from repro.core.engine import Engine
+from repro.network import backend as backend_module
 from repro.network.backend import make_backend
+from repro.network.routing import xy_route
 from repro.network.topology import MeshTopology
 from repro.network.wormhole import PathTiming
 
@@ -177,8 +182,94 @@ class TestStateManagement:
         with pytest.raises(ValueError):
             make_backend("warp", MeshTopology(4, 4), engine)
 
-    def test_route_cache_reused(self):
-        net, _ = make_net()
-        net.transmit(node(0, 0), node(3, 3), 0.0)
-        net.transmit(node(0, 0), node(3, 3), 10.0)
-        assert len(net._route_cache) == 1
+
+class TestRouteMemo:
+    """XY routes depend only on the mesh shape, so every backend of one
+    ``(width, length, wrap)`` in the process shares one route memo."""
+
+    @pytest.fixture(autouse=True)
+    def routed(self, monkeypatch):
+        """Fresh memos, and every ``xy_route`` computation recorded."""
+        monkeypatch.setattr(backend_module, "_ROUTE_MEMOS", {})
+        calls = []
+        real = backend_module.xy_route
+
+        def counting(topology, src, dst):
+            calls.append((topology.width, topology.length, topology.wrap,
+                          src, dst))
+            time.sleep(0)  # yield the GIL: racing threads interleave here
+            return real(topology, src, dst)
+
+        monkeypatch.setattr(backend_module, "xy_route", counting)
+        return calls
+
+    def test_two_backends_of_one_shape_compute_each_route_once(self, routed):
+        a, _ = make_net(w=4, l=4)
+        b, _ = make_net(mode="batch", w=4, l=4)
+        pairs = [(0, 15), (15, 0), (5, 6), (0, 15)]
+        for now in (0.0, 10.0):
+            for src, dst in pairs:
+                assert a.transmit(src, dst, now) == b.transmit(src, dst, now)
+        assert len(routed) == 3
+        assert a._routes is b._routes
+        path = a._routes[0 * 16 + 15]
+        assert isinstance(path, tuple)
+        assert list(path) == xy_route(MeshTopology(4, 4), 0, 15)
+
+    def test_other_shape_or_wrap_gets_its_own_routes(self, routed):
+        mesh, _ = make_net(w=4, l=4)
+        wider = make_backend("fast", MeshTopology(5, 4), Engine())
+        torus = make_backend("fast", MeshTopology(4, 4, wrap=True), Engine())
+        for net in (mesh, wider, torus):
+            net.transmit(0, 3, 0.0)
+        assert sorted(routed) == [(4, 4, False, 0, 3), (4, 4, True, 0, 3),
+                                  (5, 4, False, 0, 3)]
+        assert len({id(net._routes) for net in (mesh, wider, torus)}) == 3
+        # the torus wraps west in one hop; the mesh goes three hops east
+        assert len(torus._routes[3]) == 3
+        assert len(mesh._routes[3]) == 5
+
+    def test_registered_shapes_are_bounded(self, routed):
+        first, _ = make_net(w=2, l=2)
+        for w in range(3, 3 + backend_module._ROUTE_MEMO_SHAPES):
+            make_net(w=w, l=2)
+        assert len(backend_module._ROUTE_MEMOS) == backend_module._ROUTE_MEMO_SHAPES
+        assert (2, 2, False) not in backend_module._ROUTE_MEMOS
+        # a backend keeps routing through the memo it was built with
+        assert first.transmit(0, 3, 0.0).latency == pytest.approx(4 * 4 + 7)
+
+    def test_concurrent_transmit_on_one_shape(self, routed):
+        """Eight threads, one backend each on one shape, released
+        together: each sees the timings of a serial run, and every
+        route is computed exactly once."""
+        shape = (6, 5)
+        n = shape[0] * shape[1]
+        pairs = [(s, d) for s in range(n) for d in range(n) if s != d]
+
+        def run(net, order):
+            return [net.transmit(s, d, float(t)) for t, (s, d) in enumerate(order)]
+
+        orders = [pairs[::-1] if k % 2 else pairs for k in range(8)]
+        expected = [
+            run(make_backend("fast", MeshTopology(*shape), Engine()), order)
+            for order in orders[:2]
+        ]
+        backend_module._ROUTE_MEMOS.clear()
+        routed.clear()
+        nets = [make_backend("fast", MeshTopology(*shape), Engine())
+                for _ in range(8)]
+        barrier = threading.Barrier(8)
+        results = [None] * 8
+
+        def worker(k):
+            barrier.wait()
+            results[k] = run(nets[k], orders[k])
+
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        for k, result in enumerate(results):
+            assert result == expected[k % 2]
+        assert sorted(routed) == sorted((*shape, False, s, d) for s, d in pairs)
