@@ -27,7 +27,7 @@ caching and the ``REPRO_NATIVE=0`` switch live in
 :class:`ctypes.CDLL`, so the GIL is dropped for the entire duration of
 every call -- the whole event loop between two refills runs without the
 interpreter.  The pointer-table ABI confines every mutable word the
-driver touches to the per-lane flat arrays named in the ``P_*`` table
+driver touches to the per-lane flat arrays of the :data:`LANE` table
 below (plus the lane's ``CI``/``CF`` blocks); the C code reads and
 writes nothing else.  Lanes from *different* batches therefore advance
 concurrently from a thread pool with no shared state at all, which is
@@ -40,128 +40,221 @@ lazy first-use compile, serialises on
 from __future__ import annotations
 
 import ctypes
+import zlib
+from typing import NamedTuple
 
 from repro._toolchain import KernelMemo, build
 from repro.network._native import _SOURCE as _NETWORK_SOURCE
 
-#: pointer-table slots of ``soa_advance``'s first argument; must match
-#: the ``P_*`` enum in the C source below, slot for slot.
-P_F = 0          # f8 scalar block (see F_* below)
-P_I = 1          # i64 scalar block (see I_* below)
-P_ARR = 2        # f8[cap]  arrival times
-P_JW = 3         # i64[cap] request widths
-P_JL = 4         # i64[cap] request lengths
-P_JMSG = 5       # i64[cap] messages per processor
-P_JDEM = 6       # f8[cap]  SSD service-demand keys
-P_JAT = 7        # f8[cap]  allocation times
-P_JPK = 8        # i64[cap] delivered packets per job
-P_JLAT = 9       # f8[cap]  per-job packet latency sums
-P_JBLK = 10      # f8[cap]  per-job packet blocking sums
-P_JNS = 11       # i64[cap] fragment counts
-P_OWNER = 12     # i64[W*L] grid owner (-1 = free)
-P_FREEAT = 13    # f8[W*L*6] channel free-at times
-P_MEMO = 14      # u8[W*L]  failed-request memo, indexed (w-1)*L + (l-1)
-P_FCFS = 15      # i64[cap] FCFS queue storage
-P_SSDK = 16      # f8[cap]  SSD heap keys
-P_SSDS = 17      # i64[cap] SSD heap insertion sequence numbers
-P_SSDJ = 18      # i64[cap] SSD heap job indices
-P_REM = 19       # u8[cap]  SSD lazy-removal flags
-P_CT = 20        # f8[W*L+8]  completion-heap times
-P_CS = 21        # i64[W*L+8] completion-heap sequence numbers
-P_CJ = 22        # i64[W*L+8] completion-heap job indices
-P_IDS = 23       # i64[W*L] allocation coords scratch (node ids, in order)
-P_OFFS = 24      # i64[max_messages] destination-offset scratch
-P_PKK = 25       # f8[window]  scheduler peek scratch: keys
-P_PKS = 26       # i64[window] scheduler peek scratch: sequence numbers
-P_PKJ = 27       # i64[window] scheduler peek scratch: job indices
-P_HTS = 28       # i64[L*W] column-height scratch
-P_ERO = 29       # i64[L*W] width-erosion scratch
-P_SAT = 30       # i64[(W+1)*(L+1)] summed-area table; lfrb: per-row reach
-P_NK = 31        # i64[ncap] MBS node level k
-P_NX = 32        # i64[ncap] MBS node base x
-P_NY = 33        # i64[ncap] MBS node base y
-P_NPAR = 34      # i64[ncap] MBS node parent (-1 for roots)
-P_NCHILD = 35    # i64[ncap] MBS node first child (-1 = not yet split)
-P_NSTATE = 36    # u8[ncap]  MBS node state
-P_NEPOCH = 37    # i64[ncap] MBS node epoch
-P_NOWN = 38      # i64[ncap] MBS node owning job (-1)
-P_MHE = 39       # i64[heap arena] MBS free-heap entry epochs
-P_MHN = 40       # i64[heap arena] MBS free-heap entry node indices
-P_MHL = 41       # i64[max_k+1] MBS free-heap lengths per level
-P_MHOFF = 42     # i64[max_k+2] MBS free-heap arena offsets per level
-P_RK = 43        # i64[n_roots] MBS root cover: levels
-P_RX = 44        # i64[n_roots] MBS root cover: base x
-P_RY = 45        # i64[n_roots] MBS root cover: base y
-P_XY = 46        # i64[2*W*L] solve_rounds' per-launch (x, y) scratch
-P_LINK = 47      # i64[W*L] next cell of the same job's allocation (-1 = end)
-P_JHEAD = 48     # i64[cap] first cell of each job's allocation chain
-P_COUNT = 49
 
-#: f8 scalar slots (P_F)
-F_NOW = 0
-F_LASTCHANGE = 1
-F_BUSYINT = 2
-F_TURN = 3
-F_SERV = 4
-F_WAIT = 5
-F_LAT = 6
-F_BLK = 7
-F_PENDING = 8
-F_COUNT = 9
+class Lane(NamedTuple):
+    """One lane array: a ``SoaCtx`` pointer and a ``LaneState`` buffer."""
 
-#: i64 scalar slots (P_I)
-I_NEXT = 0       # next arrival index to consume
-I_HASPEND = 1    # a pending arrival event exists
-I_COMPLETED = 2
-I_MEASURED = 3
-I_PACKETS = 4
-I_FRAG = 5
-I_CONTIG = 6
-I_QPEAK = 7
-I_BUSY = 8
-I_SEQ = 9        # completion-event sequence counter
-I_SSEQ = 10      # scheduler insertion sequence counter
-I_FHEAD = 11     # FCFS queue head
-I_FLEN = 12      # FCFS queue length
-I_SLEN = 13      # SSD heap length (including stale entries)
-I_SSIZE = 14     # SSD live size
-I_CLEN = 15      # completion heap length
-I_FREE = 16      # free processors
-I_VERSION = 17   # grid version (bumped on every occupancy change)
-I_MEMOVER = 18   # grid version the failure memo was built against
-I_MBSINIT = 19   # MBS arena initialised
-I_NCNT = 20      # MBS nodes created
-I_COUNT = 21
+    #: ``SoaCtx`` member and ``LaneState`` attribute; pointer slot
+    #: ``P_<FIELD>``
+    field: str
+    #: element type as ``SoaCtx`` declares it (``const`` = read-only)
+    ctype: str
+    #: NumPy dtype of the buffer ``LaneState`` allocates; declared beside
+    #: the C type so ``tests/test_soa_layout.py`` can check they agree
+    dtype: str
+    #: length rule, a key of ``LaneState``'s size table: ``F``/``I`` (the
+    #: scalar blocks), ``jobs`` (job capacity, doubled on overflow),
+    #: ``cells`` (W*L), ``channels`` (6*W*L), ``xy`` (2*W*L), ``heap``
+    #: (processors + 8), ``sat`` ((W+1)*(L+1)), ``messages``, ``window``,
+    #: and for MBS lanes ``nodes``, ``arena``, ``levels``, ``offsets``,
+    #: ``roots`` (all 0 on other lanes)
+    size: str
+    meaning: str
 
-#: i64 parameter slots (third argument)
-CI_MAGIC = 0
-CI_W = 1
-CI_L = 2
-CI_WRAP = 3
-CI_ALLOC = 4     # 0 = GABL, 1 = Paging(0), 2 = MBS
-CI_SCHED = 5     # 0 = FCFS, 1 = SSD
-CI_WINDOW = 6
-CI_JOBS = 7
-CI_WARMUP = 8
-CI_NPROV = 9     # arrivals materialised so far
-CI_EXH = 10      # the workload iterator is exhausted
-CI_HASUNTIL = 11
-CI_NODECAP = 12
-CI_NROOTS = 13
-CI_MAXK = 14
-CI_COUNT = 15
 
-#: f8 parameter slots (fourth argument)
-CF_HOP = 0
-CF_OCC = 1
-CF_DRAIN = 2
-CF_GAP = 3
-CF_UNTIL = 4
-CF_COUNT = 5
+#: every array of one lane, in pointer-table order: ``soa_advance``'s
+#: first argument is one pointer per entry.  Adding a slot is one line
+#: here; the C enums, ``SoaCtx``, the unpacking in ``soa_advance``,
+#: ``LAYOUT_MAGIC`` and ``LaneState``'s buffers all follow from it.
+LANE = (
+    Lane("F", "double", "f8", "F", "f8 scalar block (F_*)"),
+    Lane("I", "int64_t", "i8", "I", "i64 scalar block (I_*)"),
+    Lane("arr", "const double", "f8", "jobs", "arrival times"),
+    Lane("jw", "const int64_t", "i8", "jobs", "request widths"),
+    Lane("jl", "const int64_t", "i8", "jobs", "request lengths"),
+    Lane("jmsg", "const int64_t", "i8", "jobs", "messages per processor"),
+    Lane("jdem", "const double", "f8", "jobs", "SSD service-demand keys"),
+    Lane("jat", "double", "f8", "jobs", "allocation times"),
+    Lane("jpk", "int64_t", "i8", "jobs", "delivered packets per job"),
+    Lane("jlat", "double", "f8", "jobs", "per-job packet latency sums"),
+    Lane("jblk", "double", "f8", "jobs", "per-job packet blocking sums"),
+    Lane("jns", "int64_t", "i8", "jobs", "fragment counts"),
+    Lane("owner", "int64_t", "i8", "cells", "grid owner (-1 = free)"),
+    Lane("free_at", "double", "f8", "channels", "channel free-at times"),
+    Lane("memo", "uint8_t", "u1", "cells",
+         "failed-request memo, indexed (w-1)*L + (l-1)"),
+    Lane("fcfs", "int64_t", "i8", "jobs", "FCFS queue storage"),
+    Lane("ssdk", "double", "f8", "jobs", "SSD heap keys"),
+    Lane("ssds", "int64_t", "i8", "jobs", "SSD heap insertion sequence"),
+    Lane("ssdj", "int64_t", "i8", "jobs", "SSD heap job indices"),
+    Lane("rem", "uint8_t", "u1", "jobs", "SSD lazy-removal flags"),
+    Lane("ct", "double", "f8", "heap", "completion-heap times"),
+    Lane("cs", "int64_t", "i8", "heap", "completion-heap sequence numbers"),
+    Lane("cj", "int64_t", "i8", "heap", "completion-heap job indices"),
+    Lane("ids", "int64_t", "i8", "cells", "allocation node ids, in order"),
+    Lane("offs", "int64_t", "i8", "messages", "destination-offset scratch"),
+    Lane("pkk", "double", "f8", "window", "scheduler peek scratch: keys"),
+    Lane("pks", "int64_t", "i8", "window", "peek scratch: sequence numbers"),
+    Lane("pkj", "int64_t", "i8", "window", "peek scratch: job indices"),
+    Lane("hts", "int64_t", "i8", "cells", "column-height scratch"),
+    Lane("ero", "int64_t", "i8", "cells", "width-erosion scratch"),
+    Lane("sat", "int64_t", "i8", "sat",
+         "summed-area table; lfrb: per-row reach"),
+    Lane("nk", "int64_t", "i8", "nodes", "MBS node level k"),
+    Lane("nx", "int64_t", "i8", "nodes", "MBS node base x"),
+    Lane("ny", "int64_t", "i8", "nodes", "MBS node base y"),
+    Lane("npar", "int64_t", "i8", "nodes", "MBS node parent (-1 = root)"),
+    Lane("nchild", "int64_t", "i8", "nodes",
+         "MBS node first child (-1 = not yet split)"),
+    Lane("nstate", "uint8_t", "u1", "nodes", "MBS node state (B_*)"),
+    Lane("nepoch", "int64_t", "i8", "nodes", "MBS node epoch"),
+    Lane("nown", "int64_t", "i8", "nodes", "MBS node owning job (-1)"),
+    Lane("mhe", "int64_t", "i8", "arena", "MBS free-heap entry epochs"),
+    Lane("mhn", "int64_t", "i8", "arena", "MBS free-heap entry nodes"),
+    Lane("mhl", "int64_t", "i8", "levels", "MBS free-heap length per level"),
+    Lane("mhoff", "int64_t", "i8", "offsets",
+         "MBS free-heap arena offset per level"),
+    Lane("rk", "const int64_t", "i8", "roots", "MBS root cover: levels"),
+    Lane("rx", "const int64_t", "i8", "roots", "MBS root cover: base x"),
+    Lane("ry", "const int64_t", "i8", "roots", "MBS root cover: base y"),
+    Lane("xy", "int64_t", "i8", "xy", "solve_rounds' (x, y) scratch"),
+    Lane("link", "int64_t", "i8", "cells",
+         "next cell of the same job's allocation (-1 = end)"),
+    Lane("jhead", "int64_t", "i8", "jobs",
+         "first cell of each job's allocation chain"),
+)
 
-#: pointer-table layout fingerprint, checked by the C entry point so a
-#: stale cached .so can never be driven with a mismatched layout
-LAYOUT_MAGIC = 20261027
+#: f8 scalar slots of the ``F`` block, ``F_<NAME>``
+F_SLOTS = (
+    "now",
+    "lastchange",
+    "busyint",       # busy-processor time integral
+    "turn",          # measured turnaround sum
+    "serv",          # measured service sum
+    "wait",          # measured wait sum
+    "lat",           # measured packet latency sum
+    "blk",           # measured packet blocking sum
+    "pending",       # time of the pending arrival event
+)
+
+#: i64 scalar slots of the ``I`` block, ``I_<NAME>``
+I_SLOTS = (
+    "next",          # next arrival index to consume
+    "haspend",       # a pending arrival event exists
+    "completed",
+    "measured",
+    "packets",
+    "frag",
+    "contig",
+    "qpeak",
+    "busy",
+    "seq",           # completion-event sequence counter
+    "sseq",          # scheduler insertion sequence counter
+    "fhead",         # FCFS queue head
+    "flen",          # FCFS queue length
+    "slen",          # SSD heap length (including stale entries)
+    "ssize",         # SSD live size
+    "clen",          # completion heap length
+    "free",          # free processors
+    "version",       # grid version (bumped on every occupancy change)
+    "memover",       # grid version the failure memo was built against
+    "mbsinit",       # MBS arena initialised
+    "ncnt",          # MBS nodes created
+)
+
+#: i64 parameters (``soa_advance``'s third argument), each copied into
+#: the ``SoaCtx`` member of the same name; slot ``CI_<NAME>``, after
+#: slot 0, ``CI_MAGIC``, which carries ``LAYOUT_MAGIC``
+CI_PARAMS = (
+    "W",
+    "L",
+    "wrap",
+    "alloc_kind",    # 0 = GABL, 1 = Paging(0), 2 = MBS
+    "sched_kind",    # 0 = FCFS, 1 = SSD
+    "window",
+    "jobs_target",
+    "warmup",
+    "n_prov",        # arrivals materialised so far
+    "exhausted",     # the workload iterator is exhausted
+    "has_until",
+    "node_cap",
+    "n_roots",
+    "max_k",
+)
+
+#: f8 parameters (fourth argument), like ``CI_PARAMS``; slot ``CF_<NAME>``
+CF_PARAMS = ("hop", "occ", "drain", "gap", "until")
+
+
+def _slot(prefix: str, name: str) -> str:
+    return f"{prefix}_{name.upper()}"
+
+
+#: the constants of each C enum, in slot order -- ``P_ARR``, ``F_NOW``,
+#: ``I_FREE``, ``CI_W``, ``CF_HOP``, ... and one ``<PREFIX>_COUNT`` per
+#: enum; the module exports each one under its own name
+_ENUMS = {
+    prefix: {
+        **{_slot(prefix, name): i for i, name in enumerate(names)},
+        f"{prefix}_COUNT": len(names),
+    }
+    for prefix, names in (
+        ("P", [lane.field for lane in LANE]),
+        ("F", F_SLOTS),
+        ("I", I_SLOTS),
+        ("CI", ("magic", *CI_PARAMS)),
+        ("CF", CF_PARAMS),
+    )
+}
+for _slots in _ENUMS.values():
+    globals().update(_slots)
+
+
+def _layout_source() -> str:
+    """The C declarations of the lane layout: one ``enum`` per table, the
+    ``SoaCtx`` struct and ``soa_unpack``, which fills it from
+    ``soa_advance``'s arguments."""
+    enums = ["enum { " + ", ".join(slots) + " };" for slots in _ENUMS.values()]
+    members = [
+        f"    {lane.ctype} *{lane.field};  /* {lane.meaning} */"
+        for lane in LANE
+    ]
+    members += [f"    int64_t {name};" for name in CI_PARAMS]
+    members += [f"    double {name};" for name in CF_PARAMS]
+    unpack = [
+        f"    c->{lane.field} = ({lane.ctype} *)P[{_slot('P', lane.field)}];"
+        for lane in LANE
+    ]
+    unpack += [f"    c->{n} = CI[{_slot('CI', n)}];" for n in CI_PARAMS]
+    unpack += [f"    c->{n} = CF[{_slot('CF', n)}];" for n in CF_PARAMS]
+    return "\n".join([
+        *enums,
+        "",
+        "typedef struct {",
+        *members,
+        "    int64_t ids_len, cur_nsub;  /* per-call allocation scratch */",
+        "} SoaCtx;",
+        "",
+        "static void soa_unpack(SoaCtx *c, void **P, const int64_t *CI,",
+        "                       const double *CF)",
+        "{",
+        *unpack,
+        "}",
+        "",
+    ])
+
+
+_LAYOUT_SOURCE = _layout_source()
+
+#: layout fingerprint, checked by the C entry point so a library built
+#: from another layout can never be driven with this one
+LAYOUT_MAGIC = zlib.crc32(_LAYOUT_SOURCE.encode()) & 0x7FFFFFFF
 
 #: ``soa_advance`` return codes
 RC_DONE = 1
@@ -172,76 +265,11 @@ _DRIVER_SOURCE = r"""
 
 #include <string.h>
 
-enum {
-    P_F = 0, P_I, P_ARR, P_JW, P_JL, P_JMSG, P_JDEM, P_JAT,
-    P_JPK, P_JLAT, P_JBLK, P_JNS,
-    P_OWNER, P_FREEAT, P_MEMO,
-    P_FCFS, P_SSDK, P_SSDS, P_SSDJ, P_REM,
-    P_CT, P_CS, P_CJ,
-    P_IDS, P_OFFS, P_PKK, P_PKS, P_PKJ,
-    P_HTS, P_ERO, P_SAT,
-    P_NK, P_NX, P_NY, P_NPAR, P_NCHILD, P_NSTATE, P_NEPOCH, P_NOWN,
-    P_MHE, P_MHN, P_MHL, P_MHOFF, P_RK, P_RX, P_RY,
-    P_XY, P_LINK, P_JHEAD,
-    P_COUNT
-};
-
-enum { F_NOW = 0, F_LASTCHANGE, F_BUSYINT, F_TURN, F_SERV, F_WAIT,
-       F_LAT, F_BLK, F_PENDING };
-
-enum { I_NEXT = 0, I_HASPEND, I_COMPLETED, I_MEASURED, I_PACKETS, I_FRAG,
-       I_CONTIG, I_QPEAK, I_BUSY, I_SEQ, I_SSEQ, I_FHEAD, I_FLEN, I_SLEN,
-       I_SSIZE, I_CLEN, I_FREE, I_VERSION, I_MEMOVER, I_MBSINIT, I_NCNT };
-
-enum { CI_MAGIC = 0, CI_W, CI_L, CI_WRAP, CI_ALLOC, CI_SCHED, CI_WINDOW,
-       CI_JOBS, CI_WARMUP, CI_NPROV, CI_EXH, CI_HASUNTIL, CI_NODECAP,
-       CI_NROOTS, CI_MAXK };
-
-enum { CF_HOP = 0, CF_OCC, CF_DRAIN, CF_GAP, CF_UNTIL };
-
-#define LAYOUT_MAGIC 20261027
-
 /* MBS block states (repro.alloc.mbs) */
 #define B_FREE 0
 #define B_ALLOC 1
 #define B_SPLIT 2
 #define B_ABSORBED 3
-
-typedef struct {
-    double *F;
-    int64_t *I;
-    const double *arr;
-    const int64_t *jw, *jl, *jmsg;
-    const double *jdem;
-    double *jat;
-    int64_t *jpk;
-    double *jlat, *jblk;
-    int64_t *jns;
-    int64_t *owner;
-    double *free_at;
-    uint8_t *memo;
-    int64_t *fcfs;
-    double *ssdk;
-    int64_t *ssds, *ssdj;
-    uint8_t *rem;
-    double *ct;
-    int64_t *cs, *cj;
-    int64_t *ids, *offs;
-    double *pkk;
-    int64_t *pks, *pkj;
-    int64_t *hts, *ero, *sat;
-    int64_t *nk, *nx, *ny, *npar, *nchild, *nepoch, *nown;
-    uint8_t *nstate;
-    int64_t *mhe, *mhn, *mhl, *mhoff;
-    const int64_t *rk, *rx, *ry;
-    int64_t *xy;
-    int64_t *link, *jhead;
-    int64_t W, L, alloc_kind, sched_kind, window, jobs_target, warmup;
-    int64_t n_prov, exhausted, has_until, node_cap, n_roots, max_k;
-    int32_t wrap;
-    double hop, occ, drain, gap, until;
-    int64_t ids_len, cur_nsub;
-} SoaCtx;
 
 /* ------------------------------------------------------------ metrics */
 
@@ -994,73 +1022,7 @@ int64_t soa_advance(void **P, const int64_t *CI, const double *CF)
 {
     if (CI[CI_MAGIC] != LAYOUT_MAGIC) return -99;
     SoaCtx ctx, *c = &ctx;
-    c->F = (double *)P[P_F];
-    c->I = (int64_t *)P[P_I];
-    c->arr = (const double *)P[P_ARR];
-    c->jw = (const int64_t *)P[P_JW];
-    c->jl = (const int64_t *)P[P_JL];
-    c->jmsg = (const int64_t *)P[P_JMSG];
-    c->jdem = (const double *)P[P_JDEM];
-    c->jat = (double *)P[P_JAT];
-    c->jpk = (int64_t *)P[P_JPK];
-    c->jlat = (double *)P[P_JLAT];
-    c->jblk = (double *)P[P_JBLK];
-    c->jns = (int64_t *)P[P_JNS];
-    c->owner = (int64_t *)P[P_OWNER];
-    c->free_at = (double *)P[P_FREEAT];
-    c->memo = (uint8_t *)P[P_MEMO];
-    c->fcfs = (int64_t *)P[P_FCFS];
-    c->ssdk = (double *)P[P_SSDK];
-    c->ssds = (int64_t *)P[P_SSDS];
-    c->ssdj = (int64_t *)P[P_SSDJ];
-    c->rem = (uint8_t *)P[P_REM];
-    c->ct = (double *)P[P_CT];
-    c->cs = (int64_t *)P[P_CS];
-    c->cj = (int64_t *)P[P_CJ];
-    c->ids = (int64_t *)P[P_IDS];
-    c->offs = (int64_t *)P[P_OFFS];
-    c->pkk = (double *)P[P_PKK];
-    c->pks = (int64_t *)P[P_PKS];
-    c->pkj = (int64_t *)P[P_PKJ];
-    c->hts = (int64_t *)P[P_HTS];
-    c->ero = (int64_t *)P[P_ERO];
-    c->sat = (int64_t *)P[P_SAT];
-    c->nk = (int64_t *)P[P_NK];
-    c->nx = (int64_t *)P[P_NX];
-    c->ny = (int64_t *)P[P_NY];
-    c->npar = (int64_t *)P[P_NPAR];
-    c->nchild = (int64_t *)P[P_NCHILD];
-    c->nstate = (uint8_t *)P[P_NSTATE];
-    c->nepoch = (int64_t *)P[P_NEPOCH];
-    c->nown = (int64_t *)P[P_NOWN];
-    c->mhe = (int64_t *)P[P_MHE];
-    c->mhn = (int64_t *)P[P_MHN];
-    c->mhl = (int64_t *)P[P_MHL];
-    c->mhoff = (int64_t *)P[P_MHOFF];
-    c->rk = (const int64_t *)P[P_RK];
-    c->rx = (const int64_t *)P[P_RX];
-    c->ry = (const int64_t *)P[P_RY];
-    c->xy = (int64_t *)P[P_XY];
-    c->link = (int64_t *)P[P_LINK];
-    c->jhead = (int64_t *)P[P_JHEAD];
-    c->W = CI[CI_W]; c->L = CI[CI_L];
-    c->wrap = (int32_t)CI[CI_WRAP];
-    c->alloc_kind = CI[CI_ALLOC];
-    c->sched_kind = CI[CI_SCHED];
-    c->window = CI[CI_WINDOW];
-    c->jobs_target = CI[CI_JOBS];
-    c->warmup = CI[CI_WARMUP];
-    c->n_prov = CI[CI_NPROV];
-    c->exhausted = CI[CI_EXH];
-    c->has_until = CI[CI_HASUNTIL];
-    c->node_cap = CI[CI_NODECAP];
-    c->n_roots = CI[CI_NROOTS];
-    c->max_k = CI[CI_MAXK];
-    c->hop = CF[CF_HOP];
-    c->occ = CF[CF_OCC];
-    c->drain = CF[CF_DRAIN];
-    c->gap = CF[CF_GAP];
-    c->until = CF[CF_UNTIL];
+    soa_unpack(c, P, CI, CF);
     c->ids_len = 0;
     c->cur_nsub = 0;
     if (c->max_k >= 48) return -98;
@@ -1139,8 +1101,12 @@ int64_t soa_advance(void **P, const int64_t *CI, const double *CF)
 """
 
 #: the full translation unit: the network reservation kernel first (the
-#: driver calls its ``solve_rounds`` directly), then the lane driver
-_SOURCE = _NETWORK_SOURCE + _DRIVER_SOURCE
+#: driver calls its ``solve_rounds`` directly), the generated layout,
+#: then the lane driver
+_SOURCE = (
+    _NETWORK_SOURCE + _LAYOUT_SOURCE
+    + f"#define LAYOUT_MAGIC {LAYOUT_MAGIC}\n" + _DRIVER_SOURCE
+)
 
 _memo = KernelMemo()
 

@@ -74,7 +74,6 @@ class Metrics(SimObserver):
         "busy_integral",
         "busy_procs",
         "last_change",
-        "measure_start",
         "queue_peak",
         "fragments_sum",
         "contiguous_jobs",
@@ -98,7 +97,6 @@ class Metrics(SimObserver):
         self.busy_integral = 0.0
         self.busy_procs = 0
         self.last_change = 0.0
-        self.measure_start = 0.0
         self.queue_peak = 0
         self.fragments_sum = 0
         self.contiguous_jobs = 0
@@ -117,12 +115,11 @@ class Metrics(SimObserver):
             )
 
     def utilization_at(self, now: float) -> float:
-        """Time-weighted mean utilization from measure_start to ``now``."""
-        span = now - self.measure_start
-        if span <= 0:
-            return 0.0
-        integral = self.busy_integral + self.busy_procs * (now - self.last_change)
-        return integral / (self.processors * span)
+        """Time-weighted mean utilization from time 0 to ``now``."""
+        return utilization(
+            self.processors, now, self.busy_integral, self.busy_procs,
+            self.last_change,
+        )
 
     # ----------------------------------------------------------- lifecycle
     def on_arrival(self, now: float, job: Job, queue_length: int) -> None:
@@ -156,30 +153,89 @@ class Metrics(SimObserver):
 
     # -------------------------------------------------------------- output
     def result(self, now: float) -> RunResult:
-        """Freeze the accumulators into a :class:`RunResult`.
-
-        **Zero-measured semantics:** a run can finish with ``measured ==
-        0`` (every completion fell inside the warm-up window, or a
-        ``max_time`` cut-off landed before the first measured
-        completion).  Every per-job mean -- turnaround, service, wait,
-        fragments, contiguity rate -- and every per-packet mean then
-        reports exactly ``0.0``, never ``nan`` or a division error:
-        downstream consumers (campaign cache files, replication CIs)
-        require all metric values to be finite and JSON-round-trippable.
-        """
-        n = max(self.measured, 1)  # all numerators are 0.0 when measured == 0
-        return RunResult(
-            completed_jobs=self.completed,
-            measured_jobs=self.measured,
-            mean_turnaround=self.turnaround_sum / n,
-            mean_service=self.service_sum / n,
-            mean_wait=self.wait_sum / n,
-            mean_packet_latency=self.latency_sum / max(self.packets, 1),
-            mean_packet_blocking=self.blocking_sum / max(self.packets, 1),
-            utilization=self.utilization_at(now),
-            sim_time=now,
-            packets_delivered=self.packets,
-            mean_fragments=self.fragments_sum / n,
-            contiguity_rate=self.contiguous_jobs / n,
+        """Freeze the accumulators into a :class:`RunResult` (see
+        :func:`run_result`)."""
+        return run_result(
+            self.processors, now,
+            completed=self.completed,
+            measured=self.measured,
+            turnaround_sum=self.turnaround_sum,
+            service_sum=self.service_sum,
+            wait_sum=self.wait_sum,
+            latency_sum=self.latency_sum,
+            blocking_sum=self.blocking_sum,
+            packets=self.packets,
+            busy_integral=self.busy_integral,
+            busy_procs=self.busy_procs,
+            last_change=self.last_change,
+            fragments_sum=self.fragments_sum,
+            contiguous_jobs=self.contiguous_jobs,
             queue_peak=self.queue_peak,
         )
+
+
+def utilization(
+    processors: int, now: float, busy_integral: float, busy_procs: int,
+    last_change: float,
+) -> float:
+    """Time-weighted mean utilization from time 0 to ``now``: the busy
+    integral closed at ``now``, over the processor-time available."""
+    if now <= 0:
+        return 0.0
+    integral = busy_integral + busy_procs * (now - last_change)
+    return integral / (processors * now)
+
+
+def run_result(
+    processors: int,
+    now: float,
+    *,
+    completed: int,
+    measured: int,
+    turnaround_sum: float,
+    service_sum: float,
+    wait_sum: float,
+    latency_sum: float,
+    blocking_sum: float,
+    packets: int,
+    busy_integral: float,
+    busy_procs: int,
+    last_change: float,
+    fragments_sum: int,
+    contiguous_jobs: int,
+    queue_peak: int,
+) -> RunResult:
+    """Freeze one run's accumulators into a :class:`RunResult`.
+
+    The one finaliser of both engines: :meth:`Metrics.result` and the
+    SoA lane's :meth:`repro.alloc.soa_state.LaneState.result` pass their
+    sums here, so their float operations are the same ones.
+
+    **Zero-measured semantics:** a run can finish with ``measured ==
+    0`` (every completion fell inside the warm-up window, or a
+    ``max_time`` cut-off landed before the first measured completion).
+    Every per-job mean -- turnaround, service, wait, fragments,
+    contiguity rate -- and every per-packet mean then reports exactly
+    ``0.0``, never ``nan`` or a division error: downstream consumers
+    (campaign cache files, replication CIs) require all metric values
+    to be finite and JSON-round-trippable.
+    """
+    n = max(measured, 1)  # all numerators are 0.0 when measured == 0
+    pk = max(packets, 1)
+    return RunResult(
+        completed_jobs=completed,
+        measured_jobs=measured,
+        mean_turnaround=turnaround_sum / n,
+        mean_service=service_sum / n,
+        mean_wait=wait_sum / n,
+        mean_packet_latency=latency_sum / pk,
+        mean_packet_blocking=blocking_sum / pk,
+        utilization=utilization(
+            processors, now, busy_integral, busy_procs, last_change
+        ),
+        sim_time=now,
+        packets_delivered=packets,
+        mean_fragments=fragments_sum / n,
+        contiguity_rate=contiguous_jobs / n,
+        queue_peak=queue_peak,
+    )

@@ -82,8 +82,10 @@ def campaign_report(
 ) -> dict:
     """The machine-readable report for a set of campaign points.
 
-    This is the ``sweep --out`` format; scenario reports embed the same
-    per-point payload (plus trajectories) so ``repro diff`` reads both.
+    This is the ``sweep --out`` format; a scenario report is this
+    document plus its ``scenario`` and ``fingerprint`` fields
+    (:meth:`~repro.experiments.scenario.ScenarioResult.to_dict`), so
+    ``repro diff`` reads both.
 
     Args:
         points: the report's point specs, in order.
@@ -91,7 +93,8 @@ def campaign_report(
         name: report name (shown in diff headers).
         kind: report kind tag (``campaign``/``figures``/...).
         trajectories: optional ``{spec.label(): series}`` trajectory
-            payloads to embed per point.
+            payloads; when given, every point embeds one (empty for a
+            label without a series).
         saturation: optional saturation-scan block(s)
             (:meth:`~repro.experiments.trajectory.SaturationScan.to_dict`).
 
@@ -101,7 +104,7 @@ def campaign_report(
     entries = []
     for spec in points:
         entry = point_payload(spec, results[spec])
-        if trajectories:
+        if trajectories is not None:
             entry["trajectory"] = dict(trajectories.get(spec.label(), {}))
         entries.append(entry)
     report = {

@@ -39,7 +39,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 from repro.core.config import PAPER_CONFIG, SimConfig, _is_finite_real
 from repro.experiments.campaign import (
-    METRICS,
     SCALES,
     Campaign,
     PointResult,
@@ -329,25 +328,17 @@ class ScenarioResult:
         auto-saturation scan, when one ran, lands in the top-level
         ``saturation`` block.
         """
-        from repro.experiments.diff import REPORT_SCHEMA, point_payload
+        from repro.experiments.diff import campaign_report
 
-        points = []
-        for spec in self.points:
-            entry = point_payload(spec, self.metrics[spec])
-            entry["trajectory"] = dict(self.trajectories.get(spec.label(), {}))
-            points.append(entry)
-        out = {
-            "schema": REPORT_SCHEMA,
-            "kind": "scenario",
-            "name": self.scenario.name,
-            "scenario": self.scenario.to_dict(),
-            "fingerprint": self.scenario.fingerprint(),
-            "points": points,
-            "metric_names": list(METRICS),
-        }
-        if self.saturation is not None:
-            out["saturation"] = self.saturation.to_dict()
-        return out
+        report = campaign_report(
+            self.points, self.metrics, name=self.scenario.name,
+            kind="scenario", trajectories=self.trajectories,
+            saturation=(None if self.saturation is None
+                        else self.saturation.to_dict()),
+        )
+        report["scenario"] = self.scenario.to_dict()
+        report["fingerprint"] = self.scenario.fingerprint()
+        return report
 
     def format(self) -> str:
         """Human-readable per-point summary table."""

@@ -18,7 +18,6 @@ from repro.network.backend import (
     NetworkBackend,
     PathTiming,
     RoundStats,
-    backend_modes,
     make_backend,
     register_backend,
 )
@@ -45,7 +44,6 @@ __all__ = [
     "NetworkBackend",
     "PathTiming",
     "RoundStats",
-    "backend_modes",
     "make_backend",
     "register_backend",
     "FastBackend",

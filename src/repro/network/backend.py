@@ -242,11 +242,6 @@ def register_backend(cls: Type[NetworkBackend]) -> Type[NetworkBackend]:
     return cls
 
 
-def backend_modes() -> tuple[str, ...]:
-    """Registered backend names, reference modes first."""
-    return tuple(BACKENDS)
-
-
 def make_backend(
     mode: str,
     topology: MeshTopology,

@@ -30,7 +30,6 @@ from repro.stats.series import (
     detect_saturation,
     diff_series,
     resample,
-    saturation_time,
     union_grid,
 )
 
@@ -55,6 +54,5 @@ __all__ = [
     "detect_saturation",
     "diff_series",
     "resample",
-    "saturation_time",
     "union_grid",
 ]

@@ -380,33 +380,6 @@ def detect_saturation(
             return None
 
 
-def saturation_time(
-    times: Sequence[float],
-    utilization: Sequence[float],
-    queue_length: Sequence[float] | None = None,
-    rel_tol: float = 0.03,
-    confirm: int = 2,
-) -> float | None:
-    """The timestamp of saturation onset in a trajectory, if any.
-
-    Args:
-        times: sample timestamps, parallel to ``utilization``.
-        utilization: utilization per sample.
-        queue_length: optional queue-length series for corroboration.
-        rel_tol: relative growth below which a step counts as flat.
-        confirm: consecutive flat steps required.
-
-    Returns:
-        ``times[i]`` for the detected onset index, or ``None``.
-    """
-    if len(times) != len(utilization):
-        raise ValueError("times and utilization must be parallel")
-    idx = detect_saturation(
-        utilization, queue_length, rel_tol=rel_tol, confirm=confirm
-    )
-    return None if idx is None else times[idx]
-
-
 def geometric_ladder(
     start: float, factor: float = 1.5, max_steps: int = 8
 ) -> list[float]:

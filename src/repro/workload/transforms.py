@@ -645,9 +645,11 @@ def parse_workload_spec(spec: str | dict) -> dict:
     """Parse a pipeline spec (grammar string or dict AST) into a
     validated, JSON-serializable AST."""
     if isinstance(spec, str):
-        terms = [t for t in (part.strip() for part in spec.split("+")) if t]
-        if not terms:
+        if not spec.strip():
             raise SpecError(f"empty workload spec {spec!r}")
+        terms = [part.strip() for part in spec.split("+")]
+        if not all(terms):
+            raise SpecError(f"empty merge term in {spec!r}")
         parsed = [_parse_term_str(t) for t in terms]
     elif isinstance(spec, dict):
         if "merge" in spec:
@@ -667,8 +669,13 @@ def parse_workload_spec(spec: str | dict) -> dict:
 def _fmt_arg(value) -> str:
     """Shortest round-trip rendering: repr() preserves every float bit
     (``%g`` would round to 6 significant digits and alias distinct
-    pipelines onto one canonical string / cache key)."""
-    return str(value) if isinstance(value, int) else repr(float(value))
+    pipelines onto one canonical string / cache key).  An exponent never
+    carries a ``+``, which would split the spec into merge terms
+    (``1e+16`` -> ``1e16``)."""
+    if isinstance(value, int):
+        return str(value)
+    mantissa, plus, exponent = repr(float(value)).partition("e+")
+    return f"{mantissa}e{exponent}" if plus else mantissa
 
 
 def _term_to_str(node: dict) -> str:

@@ -53,6 +53,25 @@ def test_point_rejects_bad_pipeline_spec(capsys):
     assert "bad point parameters" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("spec", ["uniform | jitter:1e16", "uniform*1e20"])
+def test_point_accepts_transform_arg_with_large_exponent(spec, capsys):
+    """The canonical spec writes ``1e16``, not ``1e+16``, whose ``+``
+    would split it into merge terms."""
+    rc = main(["point", "--workload", spec, "--load", "0.02",
+               "--scale", "smoke"])
+    assert rc == 0
+    assert capsys.readouterr().out.startswith(f"GABL(FCFS) {spec} load=")
+
+
+@pytest.mark.parametrize("spec", ["uniform++real", "+uniform", "uniform+"])
+def test_point_rejects_empty_merge_term(spec, capsys):
+    rc = main(["point", "--workload", spec, "--load", "0.02",
+               "--scale", "smoke"])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"bad point parameters: empty merge term in {spec!r}"]
+
+
 def test_point_rejects_out_of_range_transform_arg(capsys):
     rc = main([
         "point", "--workload", "uniform | thin:0", "--load", "0.02",

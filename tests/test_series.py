@@ -18,7 +18,6 @@ from repro.stats.series import (
     geometric_ladder,
     max_deviation,
     resample,
-    saturation_time,
     union_grid,
     worst_series_verdict,
 )
@@ -168,12 +167,6 @@ class TestSaturationDetection:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             detect_saturation([0.5], [1.0, 2.0])
-
-    def test_saturation_time_maps_index_to_timestamp(self):
-        times = [0.0, 10.0, 20.0, 30.0, 40.0]
-        utils = [0.3, 0.6, 0.73, 0.73, 0.73]
-        assert saturation_time(times, utils) == 40.0
-        assert saturation_time([0.0, 1.0], [0.1, 0.9]) is None
 
 
 class TestGeometricLadder:

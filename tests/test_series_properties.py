@@ -98,28 +98,6 @@ def test_band_verdict_monotone_in_band_width(sa, sb, atol, extra_a, rtol, extra_
     assert wide.area == narrow.area
 
 
-@given(
-    st.lists(
-        st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
-        min_size=2, max_size=32,
-    ),
-    st.floats(min_value=1e-3, max_value=1e3, allow_nan=False),
-)
-@settings(max_examples=200)
-def test_saturation_knee_invariant_under_time_rescaling(utils, scale):
-    """The knee is detected on values alone: rescaling the time axis by
-    any positive factor maps the onset timestamp exactly."""
-    times = [float(i) for i in range(len(utils))]
-    onset = S.saturation_time(times, utils)
-    rescaled = S.saturation_time([t * scale for t in times], utils)
-    if onset is None:
-        assert rescaled is None
-    else:
-        assert rescaled == onset * scale
-    # and the index-level detector agrees regardless of any axis
-    assert S.detect_saturation(utils) == S.detect_saturation(list(utils))
-
-
 @given(step_series(min_size=2))
 @settings(max_examples=100)
 def test_identical_series_diff_is_identical(series):

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from repro.core.config import TIME_GRID, SimConfig
 from repro.workload import (
+    SOURCES,
     Burstify,
     Jitter,
     LoadScale,
@@ -224,6 +225,65 @@ def test_spec_errors():
             {"op": "thin", "args": [0.5],
              "inner": {"merge": [{"source": "real"}, {"source": "uniform"}]}}
         )
+
+
+@pytest.mark.parametrize("spec, canonical", [
+    ("uniform | jitter:1e16", "uniform | jitter:1e16"),
+    ("real*1e20", "real | scale:1e20"),
+    ("uniform | burst:1e17", "uniform | burst:1e17"),
+    ("real | scale:1.5e300 + uniform", "real | scale:1.5e300 + uniform"),
+])
+def test_large_exponent_canonicalises_without_plus(spec, canonical):
+    """``repr`` writes ``1e+16``; the ``+`` would split the canonical
+    string into merge terms, so it is written ``1e16``."""
+    assert canonical_workload(spec) == canonical
+    assert parse_workload_spec(canonical) == parse_workload_spec(spec)
+
+
+@pytest.mark.parametrize("spec", [
+    "uniform++real", "+uniform", "uniform+", "uniform + + real", "real +",
+])
+def test_empty_merge_term_rejected(spec):
+    with pytest.raises(SpecError, match="empty merge term"):
+        parse_workload_spec(spec)
+
+
+_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+#: each transform's arguments, over the whole range its check accepts
+_ARGS = {
+    "scale": st.tuples(_POSITIVE),
+    "thin": st.tuples(st.floats(min_value=0.0, max_value=1.0,
+                                exclude_min=True)),
+    "jitter": st.tuples(st.floats(min_value=0.0, allow_infinity=False)),
+    "burst": st.tuples(_POSITIVE),
+    "clamp": st.tuples(st.integers(1, 10**9), st.integers(1, 10**9)),
+}
+
+
+@st.composite
+def pipeline_terms(draw):
+    node = {"source": draw(st.sampled_from(SOURCES))}
+    for op in draw(st.lists(st.sampled_from(sorted(_ARGS)), max_size=4)):
+        node = {"op": op, "args": list(draw(_ARGS[op])), "inner": node}
+    return node
+
+
+pipeline_asts = st.one_of(
+    pipeline_terms(),
+    st.builds(lambda terms: {"merge": terms},
+              st.lists(pipeline_terms(), min_size=2, max_size=4)),
+)
+
+
+@given(pipeline_asts)
+@settings(max_examples=300)
+def test_pipeline_ast_round_trips_through_canonical_string(ast):
+    text = spec_to_str(ast)
+    assert "e+" not in text
+    assert parse_workload_spec(text) == ast
+    canonical = canonical_workload(ast)
+    assert "e+" not in canonical
+    assert canonical_workload(canonical) == canonical
 
 
 @pytest.mark.parametrize("spec", [
