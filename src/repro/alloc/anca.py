@@ -32,8 +32,6 @@ class ANCAAllocator(Allocator):
         self.allow_rotation = allow_rotation
 
     def _allocate(self, job_id: int, w: int, l: int) -> Allocation | None:
-        if w * l > self.grid.free_count:
-            return None
         chunks: list[SubMesh] = []
         self._place(job_id, w, l, chunks)
         return Allocation(

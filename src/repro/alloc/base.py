@@ -94,7 +94,9 @@ class Allocator(abc.ABC):
     #: human-readable strategy name, e.g. ``"GABL"`` or ``"Paging(0)"``
     name: str = "abstract"
     #: True when allocation is guaranteed to succeed whenever
-    #: ``free >= w*l`` (holds for Paging(0), MBS, GABL and Random).
+    #: ``free >= w*l`` (holds for Paging(0), MBS, GABL, ANCA and Random).
+    #: :meth:`allocate` fails a complete strategy's ``w*l > free``
+    #: request itself, so ``_allocate`` only sees requests that fit.
     complete: bool = False
     #: True when ``_allocate`` is a pure function of the grid and the
     #: allocator's own state (everything except the randomised baseline).
@@ -130,6 +132,11 @@ class Allocator(abc.ABC):
         """
         self._validate_request(w, l)
         self.stats.attempts += 1
+        if self.complete and w * l > self.grid.free_count:
+            # too few free processors: every complete strategy fails
+            # here, so none of them searches first
+            self.stats.failures += 1
+            return None
         if self.deterministic:
             version = self.grid.version
             if version != self._failed_version:

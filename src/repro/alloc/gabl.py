@@ -47,8 +47,6 @@ class GABLAllocator(Allocator):
                 submeshes=(contiguous,),
                 nodes=self._nodes_of((contiguous,)),
             )
-        if w * l > self.grid.free_count:
-            return None
         chunks = self._greedy_decompose(job_id, w, l)
         return Allocation(
             job_id=job_id,
@@ -70,9 +68,9 @@ class GABLAllocator(Allocator):
         bound_w, bound_l = w, l
         while remaining > 0:
             chunk = self._largest_within(bound_w, bound_l, remaining)
-            # a free processor always exists while remaining > 0 because the
-            # caller verified free >= w*l and chunks consume free processors
-            # one-for-one with `remaining`
+            # a free processor always exists while remaining > 0 because
+            # Allocator.allocate verified free >= w*l and chunks consume
+            # free processors one-for-one with `remaining`
             assert chunk is not None, "GABL invariant violated: no free chunk"
             self.grid.allocate_submesh(chunk, job_id)
             chunks.append(chunk)

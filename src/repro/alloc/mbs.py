@@ -206,8 +206,6 @@ class MBSAllocator(Allocator):
     # ---------------------------------------------------------- allocation
     def _allocate(self, job_id: int, w: int, l: int) -> Allocation | None:
         p = w * l
-        if p > self.grid.free_count:
-            return None
         # needs[i] = blocks of level i still required, seeded by the base-4
         # factorisation of p
         digits = base4_digits(p)

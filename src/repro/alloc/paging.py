@@ -20,8 +20,6 @@ list and the traffic generator's notion of locality honest.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.alloc.base import Allocation, Allocator
 from repro.alloc.indexing import scheme
 from repro.mesh.geometry import Coord, SubMesh
@@ -56,9 +54,9 @@ class PagingAllocator(Allocator):
         self.pages_l = length // self.page_side
         #: page bases in allocation order
         self._order: list[Coord] = scheme(indexing)(self.pages_w, self.pages_l)
-        #: page free flags, indexed [page_y][page_x]
-        self._page_free = np.ones((self.pages_l, self.pages_w), dtype=bool)
-        self._free_pages = self.pages_w * self.pages_l
+        #: ``_page_free[i]``: whether page ``_order[i]`` is free
+        self._page_free = [True] * len(self._order)
+        self._free_pages = len(self._order)
 
     # ------------------------------------------------------------ allocation
     def pages_needed(self, w: int, l: int) -> int:
@@ -70,39 +68,38 @@ class PagingAllocator(Allocator):
         need = self.pages_needed(w, l)
         if need > self._free_pages:
             return None
-        taken: list[Coord] = []
-        for page in self._order:
-            if self._page_free[page.y, page.x]:
-                taken.append(page)
-                if len(taken) == need:
-                    break
-        assert len(taken) == need, "free-page counter out of sync"
-        for page in taken:
-            self._page_free[page.y, page.x] = False
+        free = self._page_free
+        positions: list[int] = []
+        pos = -1
+        for _ in range(need):
+            # the first free page after the last one taken, in index order
+            pos = free.index(True, pos + 1)
+            free[pos] = False
+            positions.append(pos)
         self._free_pages -= need
-        submeshes = self._merge_pages(taken)
+        submeshes = self._merge_pages([self._order[p] for p in positions])
         for s in submeshes:
             self.grid.allocate_submesh(s, job_id)
         return Allocation(
             job_id=job_id,
             submeshes=tuple(submeshes),
             nodes=self._nodes_of(submeshes),
-            token=tuple(taken),
+            token=tuple(positions),
         )
 
     def _release(self, allocation: Allocation) -> None:
         super()._release(allocation)
-        pages: tuple[Coord, ...] = allocation.token
-        for page in pages:
-            if self._page_free[page.y, page.x]:
-                raise ValueError(f"page {page} already free")
-            self._page_free[page.y, page.x] = True
-        self._free_pages += len(pages)
+        positions: tuple[int, ...] = allocation.token
+        for pos in positions:
+            if self._page_free[pos]:
+                raise ValueError(f"page {self._order[pos]} already free")
+            self._page_free[pos] = True
+        self._free_pages += len(positions)
 
     def reset(self) -> None:
         super().reset()
-        self._page_free[:] = True
-        self._free_pages = self.pages_w * self.pages_l
+        self._page_free = [True] * len(self._order)
+        self._free_pages = len(self._order)
 
     # -------------------------------------------------------------- helpers
     def _merge_pages(self, pages: list[Coord]) -> list[SubMesh]:

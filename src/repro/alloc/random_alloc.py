@@ -50,8 +50,6 @@ class RandomAllocator(Allocator):
 
     def _allocate(self, job_id: int, w: int, l: int) -> Allocation | None:
         p = w * l
-        if p > self.grid.free_count:
-            return None
         free = self.grid.free_mask()
         ys, xs = np.nonzero(free)
         picks = self._rng.choice(len(ys), size=p, replace=False)

@@ -6,9 +6,10 @@ processor is addressed by a coordinate pair ``(x, y)`` with ``0 <= x < W`` and
 
 * :mod:`repro.mesh.geometry` -- coordinates and sub-mesh rectangles
   (Definitions 1-4 of the paper).
-* :mod:`repro.mesh.grid` -- the mutable occupancy state of the mesh.
-* :mod:`repro.mesh.rectfind` -- free-rectangle search engines used by the
-  contiguous attempt of GABL and by the contiguous baselines.
+* :mod:`repro.mesh.grid` -- the mutable occupancy state of the mesh, one
+  free-cell bitmask per row plus an owner list.
+* :mod:`repro.mesh.rectfind` -- free-rectangle searches on those bit rows,
+  used by GABL, ANCA and the contiguous baselines.
 """
 
 from repro.mesh.geometry import Coord, SubMesh

@@ -6,10 +6,13 @@ Allocators mutate it through :meth:`MeshGrid.allocate_submesh` /
 mutation keeps the free-processor count and an owner map consistent, which
 the test-suite leans on heavily.
 
-Internally the state is a NumPy ``int32`` owner array of shape ``(L, W)``
-(row ``y``, column ``x``) where ``-1`` means *free*; a boolean free mask is
-derived lazily for the vectorised rectangle searches in
-:mod:`repro.mesh.rectfind`.
+The free state is one Python-int bitmask per row: bit ``x`` of
+``rows[y]`` is set iff processor ``(x, y)`` is free.  The rectangle
+searches of :mod:`repro.mesh.rectfind` AND and shift these rows, so a
+query on a small mesh is a few dozen integer operations.  Beside them the
+grid keeps a flat row-major owner list (index ``y * W + x``, ``-1`` for
+*free*); :meth:`free_mask` builds a NumPy view only for the callers that
+want an array.
 """
 
 from __future__ import annotations
@@ -26,22 +29,19 @@ FREE = -1
 class MeshGrid:
     """Occupancy grid of a ``width x length`` 2D mesh."""
 
-    __slots__ = (
-        "width", "length", "_owner", "_free_count", "_version", "rect_scratch",
-    )
+    __slots__ = ("width", "length", "rows", "_owner", "_free_count", "_version")
 
     def __init__(self, width: int, length: int) -> None:
         if width <= 0 or length <= 0:
             raise ValueError(f"mesh dimensions must be positive, got {width}x{length}")
         self.width = int(width)
         self.length = int(length)
-        self._owner = np.full((self.length, self.width), FREE, dtype=np.int32)
+        #: bit ``x`` of ``rows[y]`` is set iff ``(x, y)`` is free; mutate
+        #: only through the grid's own methods
+        self.rows = [(1 << self.width) - 1] * self.length
+        self._owner = [FREE] * (self.width * self.length)
         self._free_count = self.width * self.length
         self._version = 0  # bumped on every mutation; used for cache invalidation
-        #: version-tagged scratch space owned by repro.mesh.rectfind (the
-        #: free-rectangle geometry derived from the current occupancy);
-        #: invalidated implicitly by the version counter
-        self.rect_scratch: dict | None = None
 
     # ------------------------------------------------------------------ state
     @property
@@ -65,26 +65,25 @@ class MeshGrid:
         return self._version
 
     def free_mask(self) -> np.ndarray:
-        """Boolean ``(L, W)`` array, ``True`` where the processor is free.
-
-        The caller must not mutate the returned array.
-        """
-        return self._owner == FREE
+        """Boolean ``(L, W)`` array, ``True`` where the processor is free."""
+        owner = np.array(self._owner, dtype=np.int64)
+        return (owner == FREE).reshape(self.length, self.width)
 
     def owner_at(self, c: Coord) -> int:
         """Owner job id at coordinate ``c`` (``FREE`` if unallocated)."""
         self._check_coord(c)
-        return int(self._owner[c.y, c.x])
+        return self._owner[c.y * self.width + c.x]
 
     def is_free(self, c: Coord) -> bool:
         """Whether the processor at ``c`` is free."""
         self._check_coord(c)
-        return self._owner[c.y, c.x] == FREE
+        return bool(self.rows[c.y] >> c.x & 1)
 
     def submesh_free(self, s: SubMesh) -> bool:
         """Definition 3: whether all processors of ``s`` are free."""
         self._check_submesh(s)
-        return bool((self._owner[s.y1 : s.y2 + 1, s.x1 : s.x2 + 1] == FREE).all())
+        mask = ((1 << (s.x2 - s.x1 + 1)) - 1) << s.x1
+        return all(r & mask == mask for r in self.rows[s.y1 : s.y2 + 1])
 
     def in_bounds(self, s: SubMesh) -> bool:
         """Whether ``s`` lies entirely inside the mesh."""
@@ -98,54 +97,80 @@ class MeshGrid:
         allocators are required to never double-allocate.
         """
         self._check_submesh(s)
-        view = self._owner[s.y1 : s.y2 + 1, s.x1 : s.x2 + 1]
-        if (view != FREE).any():
-            raise ValueError(f"double allocation of {s} for job {job_id}")
-        view[:] = job_id
-        self._free_count -= s.area
+        x1, y1, x2, y2 = s.x1, s.y1, s.x2 + 1, s.y2 + 1
+        mask = ((1 << (x2 - x1)) - 1) << x1
+        rows = self.rows
+        for y in range(y1, y2):
+            if rows[y] & mask != mask:
+                raise ValueError(f"double allocation of {s} for job {job_id}")
+        owner, width = self._owner, self.width
+        run = [job_id] * (x2 - x1)
+        for y in range(y1, y2):
+            rows[y] ^= mask
+            owner[y * width + x1 : y * width + x2] = run
+        self._free_count -= (x2 - x1) * (y2 - y1)
         self._version += 1
 
     def release_submesh(self, s: SubMesh, job_id: int) -> None:
         """Free every processor of ``s`` (must be owned by ``job_id``)."""
         self._check_submesh(s)
-        view = self._owner[s.y1 : s.y2 + 1, s.x1 : s.x2 + 1]
-        if (view != job_id).any():
-            raise ValueError(f"release of {s} not owned by job {job_id}")
-        view[:] = FREE
-        self._free_count += s.area
+        x1, y1, x2, y2 = s.x1, s.y1, s.x2 + 1, s.y2 + 1
+        owner, width = self._owner, self.width
+        run = [job_id] * (x2 - x1)
+        for y in range(y1, y2):
+            if owner[y * width + x1 : y * width + x2] != run:
+                raise ValueError(f"release of {s} not owned by job {job_id}")
+        mask = ((1 << (x2 - x1)) - 1) << x1
+        rows = self.rows
+        free_run = [FREE] * (x2 - x1)
+        for y in range(y1, y2):
+            rows[y] |= mask
+            owner[y * width + x1 : y * width + x2] = free_run
+        self._free_count += (x2 - x1) * (y2 - y1)
         self._version += 1
 
     def allocate_nodes(self, nodes: Iterable[Coord], job_id: int) -> None:
         """Mark an arbitrary set of processors as owned by ``job_id``."""
         nodes = list(nodes)
         for c in nodes:
-            self._check_coord(c)
-            if self._owner[c.y, c.x] != FREE:
+            if not self.is_free(c):
                 raise ValueError(f"double allocation of {c} for job {job_id}")
         for c in nodes:
-            self._owner[c.y, c.x] = job_id
+            self.rows[c.y] &= ~(1 << c.x)
+            self._owner[c.y * self.width + c.x] = job_id
         self._free_count -= len(nodes)
         self._version += 1
 
     def reset(self) -> None:
         """Free the entire mesh (used between simulation replications)."""
-        self._owner[:] = FREE
+        self.rows = [(1 << self.width) - 1] * self.length
+        self._owner = [FREE] * self.size
         self._free_count = self.size
         self._version += 1
 
     # ----------------------------------------------------------- validation
     def validate(self) -> None:
         """Internal consistency check (tests call this after every step)."""
-        actual_free = int((self._owner == FREE).sum())
+        actual_free = self._owner.count(FREE)
         if actual_free != self._free_count:
             raise AssertionError(
                 f"free-count drift: counter={self._free_count} actual={actual_free}"
             )
+        for y, row in enumerate(self.rows):
+            owners = self._owner[y * self.width : (y + 1) * self.width]
+            expect = sum(1 << x for x, o in enumerate(owners) if o == FREE)
+            if row != expect:
+                raise AssertionError(
+                    f"row {y} drift: rows={row:#x} owner map={expect:#x}"
+                )
 
     def owned_by(self, job_id: int) -> list[Coord]:
         """All coordinates currently owned by ``job_id`` (row-major order)."""
-        ys, xs = np.nonzero(self._owner == job_id)
-        return [Coord(int(x), int(y)) for y, x in zip(ys, xs)]
+        return [
+            Coord(i % self.width, i // self.width)
+            for i, o in enumerate(self._owner)
+            if o == job_id
+        ]
 
     # ------------------------------------------------------------- plumbing
     def _check_coord(self, c: Coord) -> None:
@@ -158,15 +183,12 @@ class MeshGrid:
 
     def ascii_art(self, free_char: str = ".", busy_char: str = "#") -> str:
         """Render the grid for debugging/examples, row ``L-1`` on top."""
-        rows = []
-        for y in range(self.length - 1, -1, -1):
-            rows.append(
-                "".join(
-                    free_char if self._owner[y, x] == FREE else busy_char
-                    for x in range(self.width)
-                )
+        return "\n".join(
+            "".join(
+                free_char if row >> x & 1 else busy_char for x in range(self.width)
             )
-        return "\n".join(rows)
+            for row in reversed(self.rows)
+        )
 
 
 def submeshes_disjoint(submeshes: Sequence[SubMesh]) -> bool:

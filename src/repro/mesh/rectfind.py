@@ -10,67 +10,41 @@ Three queries drive every allocator in this repository:
   decomposition: "the largest free sub-mesh that can fit inside S(a, b)".)
 * *all suitable bases* -- every admissible base node (Best-Fit baseline).
 
-The suitability query is vectorised with a summed-area table (O(W*L) NumPy
-work); the bounded largest-rectangle query is vectorised over a column-
-height tensor.  Both queries run against *version-tagged scratch space*
-cached on the grid (``MeshGrid.rect_scratch``): the summed-area table,
-the column-height matrix and its width-erosion stack depend only on the
-occupancy state, so consecutive queries against an unchanged mesh -- the
-two orientations of a request, or the successive chunk searches of a
-GABL decomposition against each intermediate state -- reuse them instead
-of recomputing from the free mask.
+All three run on the grid's bit rows (``MeshGrid.rows``: bit ``x`` of
+``rows[y]`` is set iff ``(x, y)`` is free).  The AND of rows ``y .. y+l-1``
+has bit ``x`` set iff column ``x`` is free over those ``l`` rows, and
+``runs(m, w)`` -- ``m &= m >> s`` with doubling shifts -- keeps bit ``x``
+iff bits ``x .. x+w-1`` of ``m`` are all set, i.e. iff a free ``w x l``
+sub-mesh is based at ``(x, y)``.  Bits past the mesh width are never set,
+so bases whose window would leave the mesh drop out on their own.
 
-The bounded query considers every anchor ``(x, y, w)``: the tallest free
-column block of width ``w`` whose bottom row is ``y`` (the erosion
-tensor entry), carved down to the side/area bounds.  This evaluates the
-same candidate set as the classic monotone-stack sweep over maximal
-rectangles -- every maximal rectangle's carve is dominated by the anchor
-at its left edge, and every anchor's carve is dominated by the maximal
-rectangle of its exact height -- and the deterministic tie-break
-(largest area, then lowest base row, then lowest base column, then
-widest shape) is encoded into one integer key per anchor, so the argmax
-reproduces the stack sweep's choice exactly (oracle-tested against a
-reference implementation).
+The bounded largest-rectangle query walks base row x height over the
+running row-AND.  For each pair it takes the widest admissible run (the
+width capped at ``max_area // h``) at its lowest column, and keeps the
+deterministic choice order: largest area, then lowest base row, then
+lowest base column, then widest shape.  Rows and heights whose area
+bound cannot beat the best so far are skipped.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from repro.mesh.geometry import Coord, SubMesh
 from repro.mesh.grid import MeshGrid
 
 
-def _scratch(grid: MeshGrid) -> dict:
-    """Version-tagged geometry scratch: rebuilt on occupancy change."""
-    cache = grid.rect_scratch
-    if cache is None or cache["version"] != grid.version:
-        cache = {"version": grid.version, "free": grid.free_mask(),
-                 "sat": None, "heights": None, "erosion": None}
-        grid.rect_scratch = cache
-    return cache
+def _runs(m: int, w: int) -> int:
+    """Bits ``x`` of ``m`` that start a run of at least ``w`` set bits."""
+    done = 1
+    while done < w:
+        step = min(done, w - done)
+        m &= m >> step
+        done += step
+    return m
 
 
-def _sat(grid: MeshGrid) -> np.ndarray:
-    """Summed-area table of the free mask (cached per grid version)."""
-    cache = _scratch(grid)
-    sat = cache["sat"]
-    if sat is None:
-        free = cache["free"]
-        sat = np.zeros((free.shape[0] + 1, free.shape[1] + 1), dtype=np.int32)
-        np.cumsum(np.cumsum(free, axis=0), axis=1, out=sat[1:, 1:])
-        cache["sat"] = sat
-    return sat
-
-
-def _window_counts(grid: MeshGrid, w: int, l: int) -> np.ndarray:
-    """Number of free processors in every ``w x l`` window.
-
-    Returns an array of shape ``(L - l + 1, W - w + 1)`` whose ``[y, x]``
-    entry counts free cells in the window based at ``(x, y)``.
-    """
-    sat = _sat(grid)
-    return sat[l:, w:] - sat[:-l, w:] - sat[l:, :-w] + sat[:-l, :-w]
+def _check_sides(w: int, l: int) -> None:
+    if w <= 0 or l <= 0:
+        raise ValueError(f"request sides must be positive, got {w}x{l}")
 
 
 def find_suitable_submesh(grid: MeshGrid, w: int, l: int) -> SubMesh | None:
@@ -79,124 +53,38 @@ def find_suitable_submesh(grid: MeshGrid, w: int, l: int) -> SubMesh | None:
     Row-major means scanning bases ``(0,0), (1,0), ..., (W-w,0), (0,1), ...``
     exactly like the free-list scans in the literature [2, 19].
     """
-    if w <= 0 or l <= 0:
-        raise ValueError(f"request sides must be positive, got {w}x{l}")
-    if w > grid.width or l > grid.length:
+    _check_sides(w, l)
+    if w > grid.width or l > grid.length or w * l > grid.free_count:
         return None
-    counts = _window_counts(grid, w, l)
-    hits = counts == w * l
-    flat = int(np.argmax(hits))  # first True in row-major base order
-    if not hits.flat[flat]:
-        return None
-    y, x = divmod(flat, hits.shape[1])
-    return SubMesh.from_base(x, y, w, l)
+    rows = grid.rows
+    for y in range(grid.length - l + 1):
+        m = rows[y]
+        for r in rows[y + 1 : y + l]:
+            m &= r
+        if m:
+            m = _runs(m, w)
+            if m:
+                return SubMesh.from_base((m & -m).bit_length() - 1, y, w, l)
+    return None
 
 
 def all_suitable_bases(grid: MeshGrid, w: int, l: int) -> list[Coord]:
     """Every base node of a free ``w x l`` sub-mesh, row-major order."""
-    if w <= 0 or l <= 0:
-        raise ValueError(f"request sides must be positive, got {w}x{l}")
+    _check_sides(w, l)
     if w > grid.width or l > grid.length:
         return []
-    counts = _window_counts(grid, w, l)
-    ys, xs = np.nonzero(counts == w * l)
-    return [Coord(int(x), int(y)) for y, x in zip(ys, xs)]
-
-
-#: per-(width, length) constants of the packed tie-break key (see
-#: largest_free_rect_bounded): radices, the carve multiplier ``D`` and
-#: the position constant ``C``, all occupancy-independent
-_KEY_CONSTANTS: dict[tuple[int, int], dict] = {}
-
-
-def _key_constants(width: int, length: int) -> dict:
-    consts = _KEY_CONSTANTS.get((width, length))
-    if consts is None:
-        y_radix = length + 2
-        x_radix = width + 1
-        w_radix = width + 1
-        w_col = np.arange(1, width + 1, dtype=np.int64)[:, None, None]
-        x_term = np.arange(width, 0, -1, dtype=np.int64)[None, None, :]
-        consts = {
-            "y_radix": y_radix,
-            "xw_radix": x_radix * w_radix,
-            # key = area * D + y_term * (x_radix * w_radix) + C
-            "carve_mult": w_col * (y_radix * x_radix * w_radix),
-            "position": x_term * w_radix + w_col,
-        }
-        _KEY_CONSTANTS[(width, length)] = consts
-    return consts
-
-
-def _height_erosions(grid: MeshGrid, max_w: int) -> tuple[np.ndarray, np.ndarray]:
-    """Column-height tensor eroded to every width up to ``max_w``.
-
-    Entry ``[w - 1, y, x]`` is the tallest run of free rows ending at row
-    ``y`` across all of columns ``x .. x + w - 1`` -- i.e. the height of
-    the tallest free rectangle of width exactly spanning those columns
-    whose bottom row is ``y``.  Entries at ``x > W - w`` (bases whose
-    window leaves the mesh) are zero.  Cached per grid version and
-    extended lazily to wider widths on demand, together with the
-    matching slab of the packed tie-break key's base-position term.
-    """
-    cache = _scratch(grid)
-    heights = cache["heights"]
-    if heights is None:
-        free = cache["free"]
-        length, width = free.shape
-        rows = np.arange(length)[:, None]
-        # last busy row at or above each cell (-1 when none)
-        last_busy = np.maximum.accumulate(np.where(free, -1, rows), axis=0)
-        heights = (rows - last_busy) * free
-        cache["heights"] = heights
-        cache["erosion"] = np.zeros(
-            (width, length, width), dtype=np.int64
-        )
-        cache["erosion"][0] = heights
-        cache["key_base"] = np.zeros_like(cache["erosion"])
-        #: y_term = length - base_y = erosion + (length - 1 - row)
-        cache["y_offset"] = np.arange(
-            length - 1, -1, -1, dtype=np.int64
-        )[None, :, None]
-        consts = _key_constants(width, length)
-        np.multiply(
-            heights + cache["y_offset"][0], consts["xw_radix"],
-            out=cache["key_base"][0],
-        )
-        cache["key_base"][0] += consts["position"][0]
-        cache["erosion_built"] = 1
-        #: widths above this have no free block at all (None = unknown);
-        #: lets the query skip provably empty tensor slices
-        cache["max_block_width"] = 0 if not heights.any() else None
-    erosion = cache["erosion"]
-    key_base = cache["key_base"]
-    width = erosion.shape[0]
-    built = cache["erosion_built"]
-    block_cap = cache["max_block_width"]
-    consts = _key_constants(width, erosion.shape[1])
-    while built < max_w:
-        if block_cap is not None and built >= block_cap:
-            built = width  # remaining slices are all zero already
-            break
-        valid = width - built  # valid bases for width built + 1
-        np.minimum(
-            erosion[built - 1, :, :valid],
-            cache["heights"][:, built:],
-            out=erosion[built, :, :valid],
-        )
-        if not erosion[built].any():
-            block_cap = built
-            cache["max_block_width"] = block_cap
-            built = width
-            break
-        np.multiply(
-            erosion[built] + cache["y_offset"][0], consts["xw_radix"],
-            out=key_base[built],
-        )
-        key_base[built] += consts["position"][built]
-        built += 1
-    cache["erosion_built"] = built
-    return erosion, key_base
+    rows = grid.rows
+    out: list[Coord] = []
+    for y in range(grid.length - l + 1):
+        m = rows[y]
+        for r in rows[y + 1 : y + l]:
+            m &= r
+        m = _runs(m, w) if m else 0
+        while m:
+            low = m & -m
+            out.append(Coord(low.bit_length() - 1, y))
+            m ^= low
+    return out
 
 
 def largest_free_rect_bounded(
@@ -207,14 +95,11 @@ def largest_free_rect_bounded(
 ) -> SubMesh | None:
     """Largest-area free sub-mesh with bounded sides and area.
 
-    Evaluates, fully vectorised, every anchor ``(x, y, w)`` -- the
-    tallest free block of width ``w`` based at column ``x`` with bottom
-    row ``y`` -- carved down to the bounds, and takes the argmax of the
-    deterministic candidate key (area, then lowest base row, then lowest
-    base column, then widest shape).  The result is identical to carving
-    the best admissible sub-rectangle out of every maximal free
-    rectangle of a monotone-stack histogram sweep, the reference
-    implementation the oracle tests compare against.
+    Among every free sub-mesh no wider than ``max_w``, no longer than
+    ``max_l`` and with area at most ``max_area``, returns the one with
+    the largest area, then the lowest base row, then the lowest base
+    column, then the widest shape.  The oracle tests compare it with a
+    monotone-stack histogram sweep over maximal free rectangles.
 
     Returns ``None`` when no admissible rectangle exists (mesh full or a
     bound is non-positive).
@@ -225,39 +110,64 @@ def largest_free_rect_bounded(
     max_area = width * length if max_area is None else max_area
     if max_w <= 0 or max_l <= 0 or max_area <= 0:
         return None
-    max_w = min(max_w, max_area)  # a wider shape could not have area >= w
-
-    full_erosion, full_key_base = _height_erosions(grid, max_w)
-    cache = grid.rect_scratch
-    block_cap = cache["max_block_width"]
-    if block_cap is not None:
-        if block_cap == 0:
-            return None  # mesh full
-        max_w = min(max_w, block_cap)
-    erosion = full_erosion[:max_w]
-    consts = _key_constants(width, length)
-    w_col = consts["carve_mult"][:max_w]  # w * (product of the radices)
-    # carve: the tallest block, clipped to the side and area bounds
-    caps = np.minimum(
-        max_l,
-        max_area // np.arange(1, max_w + 1, dtype=np.int64)[:, None, None],
-    )
-    carved = np.minimum(erosion, caps)
-    # tie-break key, packed so the flat argmax resolves (area, -base_y,
-    # -base_x, w) lexicographically; dimension-sized radices keep every
-    # component in range for any mesh.  The base-position term (row,
-    # column, width) is version-cached alongside the erosion tensor.
-    key = carved * w_col
-    key += full_key_base[:max_w]
-    flat = int(np.argmax(key))
-    w_idx, y, x = np.unravel_index(flat, key.shape)
-    best_l = int(carved[w_idx, y, x])
-    if best_l <= 0:
+    # no admissible rectangle can have a larger area than this
+    ceiling = min(max_area, max_w * max_l, grid.free_count)
+    # caps[h - 1]: the widest admissible rectangle of height h
+    caps = [
+        max_w if max_w * h <= max_area else max_area // h
+        for h in range(1, max_l + 1)
+    ]
+    rows = grid.rows
+    best_area = 0
+    best: tuple[int, int, int, int] | None = None
+    for y in range(length):
+        if best_area >= ceiling:
+            break  # a later base row would need a strictly larger area
+        tall = max_l if max_l < length - y else length - y
+        m = rows[y]
+        # a later row must beat the best strictly, and no rectangle based
+        # here is wider than the row's free-cell count
+        free = m.bit_count()
+        if tall * (free if free < max_w else max_w) <= best_area:
+            continue
+        for h in range(1, tall + 1):
+            if h > 1:
+                m &= rows[y + h - 1]
+                if not m:
+                    break
+            cap = caps[h - 1]
+            if not cap:
+                break
+            need = -(-best_area // h) or 1  # narrowest width to tie the best
+            if need > cap:
+                continue
+            free = m.bit_count()
+            if free < need:
+                if tall * free < best_area:
+                    break  # m only shrinks as h grows
+                continue
+            r = _runs(m, need)
+            if not r:
+                continue
+            w = need
+            while w < cap:
+                wider = r & (r >> 1)
+                if not wider:
+                    break
+                r = wider
+                w += 1
+            x = (r & -r).bit_length() - 1
+            area = w * h
+            # area >= best_area here; a tie wins only within the best's
+            # own base row, on a lower column and then on a wider shape
+            if area > best_area or (
+                best[1] == y and (x < best[0] or x == best[0] and w > best[2])
+            ):
+                best_area = area
+                best = (x, y, w, h)
+    if best is None:
         return None
-    w = int(w_idx) + 1
-    return SubMesh.from_base(
-        int(x), int(y - erosion[w_idx, y, x] + 1), w, best_l
-    )
+    return SubMesh.from_base(*best)
 
 
 def largest_free_rect(grid: MeshGrid) -> SubMesh | None:

@@ -249,18 +249,19 @@ class TestCampaignIntegration:
 
 
 @st.composite
-def gabl_points(draw):
-    """A GABL point on a generated mesh: shapes 1..6 x 1..6 (1 x N and
-    N x 1 included), where uniform and exponential request sides hit the
-    mesh bounds often, at loads 2**-9 .. 2**-1 -- for these meshes the
-    queue starts to grow (the saturation knee) near 2**-6."""
+def lane_points(draw):
+    """A point of any lane allocator (GABL, Paging(0), MBS) on a
+    generated mesh: shapes 1..6 x 1..6 (1 x N and N x 1 included), where
+    uniform and exponential request sides hit the mesh bounds often, at
+    loads 2**-9 .. 2**-1 -- for these meshes the queue starts to grow
+    (the saturation knee) near 2**-6."""
     config = SimConfig(
         width=draw(st.integers(1, 6)), length=draw(st.integers(1, 6)),
         topology=draw(st.sampled_from(("mesh", "torus"))),
         jobs=30, seed=1,
     )
     return _spec(
-        "GABL", draw(st.sampled_from(SCHEDS)),
+        draw(st.sampled_from(ALLOCS)), draw(st.sampled_from(SCHEDS)),
         draw(st.sampled_from(("uniform", "exponential"))),
         load=2.0 ** draw(st.integers(-9, -1)), config=config,
         scale=Scale("gen", jobs=30, min_replications=1, max_replications=1,
@@ -269,13 +270,14 @@ def gabl_points(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(gabl_points(), st.lists(st.integers(0, 2**16), min_size=1, max_size=3,
+@given(lane_points(), st.lists(st.integers(0, 2**16), min_size=1, max_size=3,
                                unique=True))
-def test_generated_gabl_points_equal_reference(spec, seeds):
-    """Reference == soa for GABL under FCFS and SSD, bit for bit on
-    every ``RunResult`` field, over generated meshes, sides and loads:
-    the lane driver's one-sweep search for both orientations must pick
-    the rectangles ``repro.mesh.rectfind`` picks."""
+def test_generated_lane_points_equal_reference(spec, seeds):
+    """Reference == soa for GABL, Paging(0) and MBS under FCFS and SSD,
+    bit for bit on every ``RunResult`` field, over generated meshes,
+    sides and loads: the lane driver's allocators must pick the cells
+    ``repro.alloc`` picks -- for GABL, the rectangles the bit-row
+    searches of ``repro.mesh.rectfind`` find."""
     if native.load_kernel() is not None:
         assert soa.native_supported(build_simulator(spec, seeds[0]))
     ref = [result_bits(r) for r in _reference(spec, seeds)]

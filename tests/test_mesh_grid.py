@@ -141,6 +141,22 @@ class TestAllocateRelease:
         assert grid8.version == v0
         assert grid8.owned_by(2) == [] and grid8.owned_by(3) == []
 
+    def test_validate_checks_rows_against_owner_map(self, grid8):
+        """A bit row that disagrees with the owner map is drift, even
+        when the free count still matches."""
+        grid8.allocate_submesh(SubMesh.from_base(1, 2, 3, 2), 4)
+        grid8.validate()
+        grid8.rows[2] ^= 0b11  # (0,2) now busy, (1,2) free: count unchanged
+        with pytest.raises(AssertionError, match="row 2 drift"):
+            grid8.validate()
+
+    def test_rows_are_free_bitmasks(self, grid8):
+        grid8.allocate_submesh(SubMesh.from_base(2, 1, 3, 2), 5)
+        assert grid8.rows[0] == 0xFF
+        assert grid8.rows[1] == grid8.rows[2] == 0xFF & ~0b11100
+        grid8.release_submesh(SubMesh.from_base(2, 1, 3, 2), 5)
+        assert grid8.rows == [0xFF] * 8
+
     def test_coordinate_queries_bounds_checked(self, grid8):
         for c in (Coord(8, 0), Coord(0, 8)):
             with pytest.raises(ValueError, match="outside"):

@@ -1,21 +1,27 @@
-"""Oracle test: the vectorised bounded-rectangle query must reproduce
-the monotone-stack histogram sweep it replaced, choice-for-choice.
+"""Oracle tests: the bit-row rectangle queries of ``repro.mesh.rectfind``
+must reproduce independent formulations, choice for choice.
 
-The reference below is the pre-vectorisation implementation (enumerate
-every maximal free rectangle, carve the best bounded sub-rectangle out
-of each, tie-break by (area, -base_y, -base_x, w)).  The production
-query evaluates anchors instead of maximal rectangles; the two
-candidate sets dominate each other, so the argmax must be identical --
-this suite fuzzes that equivalence across densities, bounds and the
-version-cache reuse pattern of a GABL decomposition.
+The bounded largest-rectangle reference below is a monotone-stack
+histogram sweep over the grid's owner map (``free_mask``): enumerate every
+maximal free rectangle, carve the best bounded sub-rectangle out of each,
+tie-break by (area, -base_y, -base_x, w).  The production query walks
+base row x height over AND-ed bit rows instead; the two candidate sets
+dominate each other, so the choice must be identical.  Suitability and
+the list of suitable bases are checked against a brute-force window scan
+of the same owner map.  Meshes up to 80 wide run past one 64-bit word.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.mesh.geometry import Coord, SubMesh
 from repro.mesh.grid import MeshGrid
-from repro.mesh.rectfind import largest_free_rect_bounded
+from repro.mesh.rectfind import (
+    all_suitable_bases,
+    find_suitable_submesh,
+    largest_free_rect_bounded,
+)
 
 
 def reference_sweep(grid, max_w=None, max_l=None, max_area=None):
@@ -100,9 +106,9 @@ def test_matches_reference_on_random_grids(seed):
         assert largest_free_rect_bounded(grid) == reference_sweep(grid)
 
 
-def test_decomposition_pattern_reuses_version_cache():
+def test_decomposition_pattern_tracks_mutations():
     """Interleave queries and mutations exactly like a GABL decompose:
-    the version-tagged scratch must never serve stale geometry."""
+    each query must see the bit rows of the grid's current state."""
     rng = np.random.default_rng(1234)
     grid = random_grid(rng, 16, 22, 0.45)
     for _ in range(30):
@@ -113,7 +119,8 @@ def test_decomposition_pattern_reuses_version_cache():
         got = largest_free_rect_bounded(grid, bound_w, bound_l, area)
         assert got == expect
         if got is not None:
-            grid.allocate_submesh(got, 7)  # mutate: version bump
+            grid.allocate_submesh(got, 7)
+            grid.validate()
         elif grid.free_count < grid.size:
             # free everything and continue fuzzing from a fresh board
             grid.reset()
@@ -126,3 +133,67 @@ def test_full_and_empty_meshes():
     assert largest_free_rect_bounded(grid) is None
     assert largest_free_rect_bounded(MeshGrid(3, 3), max_area=0) is None
     assert largest_free_rect_bounded(MeshGrid(3, 3), max_w=0) is None
+
+
+def brute_force_bases(grid, w, l):
+    """Every ``(x, y)`` whose ``w x l`` window of the owner map is free."""
+    free = grid.free_mask()
+    return [
+        Coord(x, y)
+        for y in range(grid.length - l + 1)
+        for x in range(grid.width - w + 1)
+        if free[y : y + l, x : x + w].all()
+    ]
+
+
+@st.composite
+def churned_grids(draw):
+    """A mesh up to 80 wide after interleaved allocations and releases.
+
+    Each step either allocates a random rectangle (skipped when it is
+    not free) or releases one live job, so the rows see both set and
+    cleared bits in every word.
+    """
+    width = draw(st.integers(1, 80))
+    length = draw(st.integers(1, 12))
+    grid = MeshGrid(width, length)
+    live: dict[int, SubMesh] = {}
+    for job in range(draw(st.integers(0, 24))):
+        if live and draw(st.booleans()):
+            victim = draw(st.sampled_from(sorted(live)))
+            grid.release_submesh(live.pop(victim), victim)
+        else:
+            x = draw(st.integers(0, width - 1))
+            y = draw(st.integers(0, length - 1))
+            s = SubMesh.from_base(
+                x, y,
+                draw(st.integers(1, width - x)),
+                draw(st.integers(1, length - y)),
+            )
+            if grid.submesh_free(s):
+                grid.allocate_submesh(s, job)
+                live[job] = s
+        grid.validate()
+    return grid
+
+
+@settings(max_examples=60, deadline=None)
+@given(churned_grids(), st.data())
+def test_bit_row_queries_match_oracles(grid, data):
+    """All three queries agree with brute force and the stack sweep."""
+    for _ in range(3):
+        w = data.draw(st.integers(1, grid.width + 1))
+        l = data.draw(st.integers(1, grid.length + 1))
+        bases = brute_force_bases(grid, w, l)
+        assert all_suitable_bases(grid, w, l) == bases
+        first = find_suitable_submesh(grid, w, l)
+        assert first == (
+            SubMesh.from_base(bases[0].x, bases[0].y, w, l) if bases else None
+        )
+        max_w = data.draw(st.none() | st.integers(1, grid.width + 2))
+        max_l = data.draw(st.none() | st.integers(1, grid.length + 2))
+        max_area = data.draw(st.none() | st.integers(1, grid.size + 2))
+        got = largest_free_rect_bounded(grid, max_w, max_l, max_area)
+        assert got == reference_sweep(grid, max_w, max_l, max_area)
+        if got is not None:
+            assert grid.submesh_free(got)
