@@ -22,6 +22,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 EXAMPLE = Path(__file__).resolve().parent.parent / "examples" / "scenario_smoke.json"
 LOSSY_CELL = GOLDEN / "lossy_cell.scenario.json"
 LOSSY_OFFGRID = GOLDEN / "lossy_offgrid.scenario.json"
+LOSSY_EVENT = GOLDEN / "lossy_event.scenario.json"
 
 
 @pytest.fixture(autouse=True)
@@ -94,6 +95,20 @@ def test_scenario_lossy_offgrid_matches_golden(tmp_path):
     fresh = tmp_path / "fresh.json"
     assert main(["scenario", str(LOSSY_OFFGRID), "--out", str(fresh)]) == 0
     golden = GOLDEN / "scenario_lossy_offgrid.json"
+    _assert_all_identical(golden, fresh)
+    assert main([
+        "diff", str(golden), str(fresh), "--trajectories", "--fail-on-regress",
+    ]) == 0
+    _assert_trajectories_identical(golden, fresh)
+
+
+def test_scenario_lossy_event_matches_golden(tmp_path):
+    """The event-driven lossy path (``ChannelledEventLaunch`` on the
+    ``causal`` backend) under every ARQ protocol, with block-drawn fates
+    and with fates interleaved with exp delays, bit for bit."""
+    fresh = tmp_path / "fresh.json"
+    assert main(["scenario", str(LOSSY_EVENT), "--out", str(fresh)]) == 0
+    golden = GOLDEN / "scenario_lossy_event.json"
     _assert_all_identical(golden, fresh)
     assert main([
         "diff", str(golden), str(fresh), "--trajectories", "--fail-on-regress",
