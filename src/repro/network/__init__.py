@@ -23,7 +23,7 @@ from repro.network.backend import (
 )
 from repro.network.wormhole import CausalBackend, FastBackend, SFBBackend
 from repro.network.batch import BatchBackend
-from repro.network.arq import ARQ_PROTOCOLS, FlowArq
+from repro.network.arq import ARQ_PROTOCOLS, LaunchArq
 from repro.network.channel import (
     ChannelModel,
     ChannelPolicy,
@@ -54,7 +54,7 @@ __all__ = [
     "destination_offsets",
     "destination_schedule",
     "ARQ_PROTOCOLS",
-    "FlowArq",
+    "LaunchArq",
     "ChannelModel",
     "ChannelPolicy",
     "canonical_channel",

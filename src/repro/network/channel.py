@@ -47,13 +47,13 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from repro.core.config import TIME_GRID
-from repro.network.arq import ARQ_PROTOCOLS, FlowArq
+from repro.network.arq import ARQ_PROTOCOLS, NOT_YET, LaunchArq
 from repro.network.backend import NetworkBackend, PathTiming, RoundStats
 
 #: sub-stream tag ("CHNL") keeping channel draws off the workload stream
@@ -290,20 +290,16 @@ class ChannelModel:
         self.timeout = 2.0 * round_gap
         self.spacing = float(p_len)
 
-    def flow(self, total: int) -> FlowArq:
-        """New per-source flow state machine for a launch of ``total`` rounds."""
-        return FlowArq(self.arq, total, self.timeout, self.spacing)
-
 
 @dataclass(slots=True)
 class LaunchResult:
     """Resolved outcome of one channelled launch (synchronous path)."""
 
     stats: RoundStats
-    #: per-flow acceptance times: ``accepts[i][seq]``
-    accepts: list[dict[int, float]] = field(default_factory=list)
+    #: acceptance time of packet ``(i, k)`` at ``accepts[i * total + k]``
+    accepts: list[float]
     #: total physical transmission attempts (originals + resends)
-    attempts: int = 0
+    attempts: int
 
 
 _SEND, _ARRIVE, _FAIL = 0, 1, 2
@@ -345,32 +341,33 @@ def resolve_launch(
     delays and pushes in the per-packet order.  Retransmissions reserve
     through ``transmit`` one at a time.
 
-    Under a protocol whose flows accept on send
-    (:attr:`FlowArq.accepts_on_send`: stop-and-wait, selective-repeat)
+    Under a protocol that accepts on send
+    (:attr:`LaunchArq.accepts_on_send`: stop-and-wait, selective-repeat)
     a surviving attempt is accepted when it is sent, at its arrival
     time, and pushes no arrival event; a surviving original also skips
-    the flow's attempt count and first-injection record, which only a
-    failed one needs.  Go-back-n keeps one arrival event per surviving
+    its attempt count and first-injection record, which only a failed
+    one needs.  Go-back-n keeps one arrival event per surviving
     attempt, because its receiver's verdict depends on arrival order.
     Either way every attempt draws one fate, and a survivor one delay
     (none when the sampler has no delay), in the same order.
 
-    Latencies are summed per flow in arrival order, ``(t_arrive,
-    counter)``, which is the order the arrival events would pop in:
-    each flow logs ``(t_arrive, counter, latency)`` per accepted packet
-    and the log is sorted once at the end.  Float addition does not
+    Latencies are summed flow by flow, each in arrival order,
+    ``(t_arrive, counter)``, which is the order the arrival events would
+    pop in: one log of ``(i, t_arrive, counter, latency)`` per accepted
+    packet is sorted once at the end.  Float addition does not
     associate, so off the time grid another order moves the sum.
+    Draining with a packet undelivered raises ``RuntimeError``.
     """
     n = len(nodes)
     total = len(offsets)
     transmit = network.transmit
     reserve_round = network.round_reserver(nodes)
-    flows = [model.flow(total) for _ in range(n)]
-    on_send = bool(flows) and flows[0].accepts_on_send
-    accepted = [flow.accepted for flow in flows]
-    first_inject: list[dict[int, float]] = [{} for _ in range(n)]
-    #: per flow, ``(t_arrive, counter, latency)`` of each accepted packet
-    logs: list[list[tuple[float, int, float]]] = [[] for _ in range(n)]
+    arq = LaunchArq(model.arq, n, total, model.timeout, model.spacing)
+    on_send = arq.accepts_on_send
+    accepted = arq.accepted
+    first_inject = arq.first_inject
+    #: ``(i, t_arrive, counter, latency)`` of each accepted packet
+    log: list[tuple[int, float, int, float]] = []
     sampler = model.sampler
     fate = sampler.fate
     delay = sampler.delay if sampler.has_delay else None
@@ -399,26 +396,25 @@ def resolve_launch(
                     ctr += 1
                     if fate():
                         ta = t_deliver + delay() if delay else t_deliver
-                        accepted[i][k] = ta
-                        logs[i].append((ta, ctr, ta - t_inject))
+                        accepted[i * total + k] = ta
+                        log.append((i, ta, ctr, ta - t_inject))
                     else:
                         # only a failed original is read again: its
                         # attempt count (backoff) and first injection
-                        flow = flows[i]
-                        flow.attempts[k] = 1
-                        first_inject[i][k] = t_inject
+                        j = i * total + k
+                        arq.attempts[j] = 1
+                        first_inject[j] = t_inject
                         heappush(
                             heap,
-                            (t_inject + flow.detect_delay(k), ctr, _FAIL, i, k, 0.0),
+                            (t_inject + arq.detect_delay(i, k), ctr, _FAIL, i, k, 0.0),
                         )
                 continue
             for i, (t_inject, t_deliver, blocking) in enumerate(timings):
-                flow = flows[i]
-                # counts the attempt; an original is never accepted
-                # before it is sent, so it always goes out
-                sent = flow.should_send(k)
-                assert sent
-                first_inject[i][k] = t_inject
+                # counts the attempt; nothing accepts a packet before
+                # its original is sent
+                if not arq.should_send(i, k):
+                    raise RuntimeError(f"(flow {i}, seq {k}) accepted before sent")
+                first_inject[i * total + k] = t_inject
                 blocking_sum += blocking
                 ctr += 1
                 if fate():
@@ -426,15 +422,14 @@ def resolve_launch(
                     heappush(heap, (ta, ctr, _ARRIVE, i, k, t_inject))
                 else:
                     heappush(
-                        heap, (t_inject + flow.detect_delay(k), ctr, _FAIL, i, k, 0.0)
+                        heap, (t_inject + arq.detect_delay(i, k), ctr, _FAIL, i, k, 0.0)
                     )
             continue
         if not heap:
             break
         t, c, kind, i, k, aux = heappop(heap)
-        flow = flows[i]
         if kind == _SEND:  # a retransmission: k's original went first
-            if not flow.should_send(k):
+            if not arq.should_send(i, k):
                 continue
             attempts += 1
             t_inject, t_deliver, blocking = transmit(
@@ -445,45 +440,49 @@ def resolve_launch(
             if fate():
                 ta = t_deliver + delay() if delay else t_deliver
                 if on_send:
-                    accepted[i][k] = ta
-                    logs[i].append((ta, ctr, ta - first_inject[i][k]))
+                    j = i * total + k
+                    accepted[j] = ta
+                    log.append((i, ta, ctr, ta - first_inject[j]))
                 else:
                     heappush(heap, (ta, ctr, _ARRIVE, i, k, t_inject))
             else:
                 heappush(
-                    heap, (t_inject + flow.detect_delay(k), ctr, _FAIL, i, k, 0.0)
+                    heap, (t_inject + arq.detect_delay(i, k), ctr, _FAIL, i, k, 0.0)
                 )
         elif kind == _ARRIVE:  # go-back-n only
-            if flow.on_arrival(k, t):
-                logs[i].append((t, c, t - first_inject[i][k]))
+            j = i * total + k
+            if arq.on_arrival(i, k, t):
+                log.append((i, t, c, t - first_inject[j]))
                 continue
-            if k in flow.accepted:
+            if accepted[j] != NOT_YET:
                 continue  # a duplicate of an earlier accept
             # out-of-order discard: the sender finds out via its own
             # (cumulative-ack) timeout for this attempt
-            td = aux + flow.detect_delay(k)
+            td = aux + arq.detect_delay(i, k)
             ctr += 1
             heappush(heap, (td if td > t else t, ctr, _FAIL, i, k, 0.0))
         else:  # _FAIL
-            for t_send, s in flow.on_failure(k, t):
+            for t_send, s in arq.on_failure(i, k, t):
                 ctr += 1
                 heappush(heap, (t_send, ctr, _SEND, i, s, 0.0))
-            if k not in flow.accepted and k not in flow.pending:
+            j = i * total + k
+            if accepted[j] == NOT_YET and not arq.pending[j]:
                 # still unrecovered but outside the current resend window
                 # (go-back-n): the retransmission timer re-arms until the
                 # window slides over it
                 ctr += 1
-                heappush(heap, (t + flow.detect_delay(k), ctr, _FAIL, i, k, 0.0))
+                heappush(heap, (t + arq.detect_delay(i, k), ctr, _FAIL, i, k, 0.0))
 
+    if not arq.done:
+        i, k = divmod(accepted.index(NOT_YET), total)
+        raise RuntimeError(f"launch drained with (flow {i}, seq {k}) undelivered")
+    log.sort()
     latency_sum = 0.0
     last = now
-    for flow, log in zip(flows, logs):
-        assert flow.done, "channelled launch drained with undelivered packets"
-        log.sort()
-        for ta, _, latency in log:
-            latency_sum += latency
-            if ta > last:
-                last = ta
+    for _, ta, _, latency in log:
+        latency_sum += latency
+        if ta > last:
+            last = ta
     stats = RoundStats(
         packets=n * total,
         latency_sum=latency_sum,
@@ -496,21 +495,20 @@ def resolve_launch(
 class ChannelledEventLaunch:
     """Per-launch ARQ driver over an event-driven backend (causal/sfb).
 
-    Runs the same :class:`FlowArq` machines as :func:`resolve_launch`,
-    but the simulation engine is the event loop: fates are drawn in
-    each packet's delivery callback, failures schedule sender-timeout
-    events, and retransmissions go back through ``network.send`` at
-    their planned times.  Unlike :func:`resolve_launch` it does not
-    accept on send: every protocol's surviving attempt reaches
-    :meth:`FlowArq.on_arrival` at its arrival time (at once when there
+    Runs the same :class:`LaunchArq` as :func:`resolve_launch`, but the
+    simulation engine is the event loop: fates are drawn in each
+    packet's delivery callback, failures schedule sender-timeout events,
+    and retransmissions go back through ``network.send`` at their
+    planned times.  Unlike :func:`resolve_launch` it does not accept on
+    send: every protocol's surviving attempt reaches
+    :meth:`LaunchArq.on_arrival` at its arrival time (at once when there
     is no extra delay), and the job records each packet as it is
     accepted.
     """
 
     __slots__ = (
         "network", "engine", "model", "job", "nodes", "offsets",
-        "on_complete", "flows", "first_inject", "blocking", "remaining",
-        "priority",
+        "on_complete", "arq", "blocking", "priority",
     )
 
     def __init__(
@@ -519,6 +517,7 @@ class ChannelledEventLaunch:
         round_gap: float, on_complete, priority,
     ) -> None:
         n = len(nodes)
+        total = len(offsets)
         self.network = network
         self.engine = engine
         self.model = model
@@ -526,13 +525,11 @@ class ChannelledEventLaunch:
         self.nodes = nodes
         self.offsets = list(offsets)
         self.on_complete = on_complete
-        self.flows = [model.flow(len(offsets)) for _ in range(n)]
-        self.first_inject: list[dict[int, float]] = [{} for _ in range(n)]
-        self.blocking: list[dict[int, float]] = [{} for _ in range(n)]
-        self.remaining = n * len(offsets)
-        job.pending_packets = self.remaining
+        self.arq = LaunchArq(model.arq, n, total, model.timeout, model.spacing)
+        self.blocking = [0.0] * (n * total)  #: stalls of all attempts, per packet
+        job.pending_packets = n * total
         self.priority = priority
-        for k in range(len(offsets)):
+        for k in range(total):
             if k == 0:
                 self._send_round(0)
             else:
@@ -545,8 +542,7 @@ class ChannelledEventLaunch:
             self._send(i, k)
 
     def _send(self, i: int, k: int) -> None:
-        flow = self.flows[i]
-        if not flow.should_send(k):
+        if not self.arq.should_send(i, k):
             return
         nodes = self.nodes
         self.network.send(
@@ -557,11 +553,11 @@ class ChannelledEventLaunch:
         )
 
     def _delivered(self, i: int, k: int, timing: PathTiming) -> None:
-        fi = self.first_inject[i]
-        if k not in fi:
-            fi[k] = timing.t_inject
-        blk = self.blocking[i]
-        blk[k] = blk.get(k, 0.0) + timing.blocking
+        arq = self.arq
+        j = i * arq.total + k
+        if arq.first_inject[j] == NOT_YET:
+            arq.first_inject[j] = timing.t_inject
+        self.blocking[j] += timing.blocking
         sampler = self.model.sampler
         if sampler.fate():
             extra = sampler.delay()
@@ -574,7 +570,7 @@ class ChannelledEventLaunch:
             else:
                 self._arrive(i, k, timing.t_inject)
         else:
-            td = timing.t_inject + self.flows[i].detect_delay(k)
+            td = timing.t_inject + arq.detect_delay(i, k)
             now = self.engine.now
             self.engine.schedule_at(
                 td if td > now else now,
@@ -583,35 +579,34 @@ class ChannelledEventLaunch:
             )
 
     def _arrive(self, i: int, k: int, t_inject: float) -> None:
-        flow = self.flows[i]
+        arq = self.arq
+        j = i * arq.total + k
         now = self.engine.now
-        if flow.on_arrival(k, now):
-            self.job.record_packet(
-                now - self.first_inject[i][k], self.blocking[i][k]
-            )
+        if arq.on_arrival(i, k, now):
+            self.job.record_packet(now - arq.first_inject[j], self.blocking[j])
             self.job.pending_packets -= 1
-            self.remaining -= 1
-            if self.remaining == 0:
+            if self.job.pending_packets == 0:
                 self.on_complete(self.job)
             return
-        if k in flow.accepted:
+        if arq.accepted[j] != NOT_YET:
             return  # duplicate
-        td = t_inject + flow.detect_delay(k)
+        td = t_inject + arq.detect_delay(i, k)
         if td > now:
             self.engine.schedule_at(td, self._fail, i, k, priority=self.priority)
         else:
             self._fail(i, k)
 
     def _fail(self, i: int, k: int) -> None:
-        flow = self.flows[i]
+        arq = self.arq
         now = self.engine.now
-        for t_send, s in flow.on_failure(k, now):
+        for t_send, s in arq.on_failure(i, k, now):
             self.engine.schedule_at(
                 t_send, self._send, i, s, priority=self.priority
             )
-        if k not in flow.accepted and k not in flow.pending:
+        j = i * arq.total + k
+        if arq.accepted[j] == NOT_YET and not arq.pending[j]:
             # go-back-n: timer re-arms until the window covers this seq
             self.engine.schedule_at(
-                now + flow.detect_delay(k), self._fail, i, k,
+                now + arq.detect_delay(i, k), self._fail, i, k,
                 priority=self.priority,
             )

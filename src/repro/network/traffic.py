@@ -34,7 +34,11 @@ reserves each round of original sends through the backend's
 ``round_reserver`` and each retransmission through ``transmit``, with
 fates, timeouts and ARQ retransmission rounds, and event-driven
 backends get a per-launch
-:class:`~repro.network.channel.ChannelledEventLaunch`.
+:class:`~repro.network.channel.ChannelledEventLaunch`.  Both drivers
+keep the launch's ARQ state in one
+:class:`~repro.network.arq.LaunchArq`: flat lists over the launch's
+``n * total`` packets, packet ``(i, k)`` (source ``i``, round ``k``) at
+index ``i * total + k``.
 """
 
 from __future__ import annotations

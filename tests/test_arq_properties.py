@@ -1,6 +1,6 @@
 """Property-based tests (hypothesis) of the ARQ protocols.
 
-:class:`~repro.network.arq.FlowArq` is a pure state machine and
+:class:`~repro.network.arq.LaunchArq` is a pure state machine and
 :func:`~repro.network.channel.resolve_launch` is a pure function of its
 synchronous network and fate/delay sampler, so both are testable with a
 *stub* transport (fixed latency, no contention) and *scripted* channel
@@ -18,14 +18,30 @@ invariants must hold for every one of them:
 * stop-and-wait and selective-repeat accept a surviving attempt when it
   is sent, with the same results as waiting for its arrival event;
 * stop-and-wait throughput is monotone non-increasing in the loss rate
-  (seed-averaged, on the real channel sampler).
+  (seed-averaged, on the real channel sampler);
+* a launch that drains with a packet undelivered raises instead of
+  returning a short latency sum.
+
+:class:`~repro.network.channel.ChannelledEventLaunch`, the driver of the
+event-driven backends, runs on a real :class:`~repro.core.engine.Engine`
+over a stub transport that delivers each send ``STUB_LATENCY`` later:
+under any drop/delay script it records every packet on the job exactly
+once, go-back-n accepts in sequence order, and the launch completes.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.network.arq import ARQ_PROTOCOLS, MAX_ATTEMPTS, FlowArq
+from repro.core.engine import Engine
+from repro.core.events import Priority
+from repro.network.arq import ARQ_PROTOCOLS, MAX_ATTEMPTS, NOT_YET, LaunchArq
 from repro.network.backend import NetworkBackend, PathTiming
-from repro.network.channel import ChannelModel, parse_channel, resolve_launch
+from repro.network.channel import (
+    ChannelledEventLaunch,
+    ChannelModel,
+    parse_channel,
+    resolve_launch,
+)
 
 ROUND_GAP = 16.0
 STUB_LATENCY = 4.0
@@ -39,6 +55,36 @@ class StubNetwork:
                           blocking=0.0)
 
     round_reserver = NetworkBackend.round_reserver
+
+
+class StubEventNetwork:
+    """Contention-free event-driven transport: each send is delivered
+    ``STUB_LATENCY`` after it is sent, through the engine."""
+
+    synchronous = False
+
+    def __init__(self, engine):
+        self.engine = engine
+
+    def send(self, src, dst, now, callback):
+        timing = PathTiming(t_inject=now, t_deliver=now + STUB_LATENCY,
+                            blocking=0.0)
+        self.engine.schedule_at(timing.t_deliver, callback, timing,
+                                priority=Priority.NETWORK)
+
+
+class RecordingJob:
+    """The job side of an event-driven launch: logs when each packet is
+    recorded."""
+
+    def __init__(self, engine):
+        self.engine = engine
+        self.pending_packets = 0
+        self.record_times = []
+
+    def record_packet(self, latency, blocking):
+        assert latency >= STUB_LATENCY
+        self.record_times.append(self.engine.now)
 
 
 class ScriptedSampler:
@@ -80,6 +126,21 @@ def launch(protocol, n, total, fates=(), delays=()):
     )
 
 
+def event_launch(protocol, n, total, fates=(), delays=()):
+    """Run one :class:`ChannelledEventLaunch` to completion; return it,
+    its job and the jobs its completion callback received."""
+    engine = Engine()
+    job = RecordingJob(engine)
+    completed = []
+    driver = ChannelledEventLaunch(
+        StubEventNetwork(engine), engine,
+        scripted_model(protocol, fates, delays), job, list(range(n)),
+        [1] * total, 0.0, ROUND_GAP, completed.append, Priority.NETWORK,
+    )
+    engine.run()
+    return driver, job, completed
+
+
 protocols = st.sampled_from(ARQ_PROTOCOLS)
 fate_scripts = st.lists(st.booleans(), max_size=64)
 delay_scripts = st.lists(
@@ -97,8 +158,8 @@ class TestDeliveryInvariants:
     ):
         result = launch(protocol, n, total, fates, delays)
         assert result.stats.packets == n * total
-        for accepts in result.accepts:
-            assert sorted(accepts) == list(range(total))
+        assert len(result.accepts) == n * total
+        assert NOT_YET not in result.accepts
         # attempts cover at least one physical send per packet, and a
         # resend for (at least) every scripted drop that was consumed
         assert result.attempts >= n * total
@@ -108,8 +169,8 @@ class TestDeliveryInvariants:
     @settings(max_examples=120, deadline=None)
     def test_go_back_n_accepts_in_order(self, n, total, fates, delays):
         result = launch("go-back-n", n, total, fates, delays)
-        for accepts in result.accepts:
-            times = [accepts[k] for k in range(total)]
+        for i in range(n):
+            times = result.accepts[i * total:(i + 1) * total]
             assert all(a <= b for a, b in zip(times, times[1:]))
 
     @given(protocol=protocols, n=st.integers(1, 3), total=st.integers(1, 5),
@@ -168,15 +229,59 @@ class TestDeliveryInvariants:
         accepting at one arrival event per surviving attempt (forced
         here) agree on every acceptance, attempt and statistic."""
         on_send = launch(protocol, n, total, fates, delays)
-        saved = FlowArq.accepts_on_send
-        FlowArq.accepts_on_send = property(lambda self: False)
+        saved = LaunchArq.accepts_on_send
+        LaunchArq.accepts_on_send = property(lambda self: False)
         try:
             events = launch(protocol, n, total, fates, delays)
         finally:
-            FlowArq.accepts_on_send = saved
+            LaunchArq.accepts_on_send = saved
         assert on_send.accepts == events.accepts
         assert on_send.attempts == events.attempts
         assert on_send.stats == events.stats
+
+    @pytest.mark.parametrize("protocol", ARQ_PROTOCOLS)
+    def test_undelivered_packet_raises(self, protocol, monkeypatch):
+        """A protocol that marks a failed packet pending but never
+        resends it leaves the launch to drain with that packet
+        undelivered: the resolver names it instead of returning a
+        latency sum short of it."""
+        def never_resend(arq, i, k, t_detect):
+            arq.pending[i * arq.total + k] = 1
+            return []
+
+        monkeypatch.setattr(LaunchArq, "on_failure", never_resend)
+        with pytest.raises(RuntimeError, match=r"\(flow 1, seq 0\) undelivered"):
+            launch(protocol, n=2, total=3, fates=[True, False])
+
+
+class TestEventLaunchInvariants:
+    @given(protocol=protocols, n=st.integers(1, 4), total=st.integers(1, 6),
+           fates=fate_scripts, delays=delay_scripts)
+    @settings(max_examples=120, deadline=None)
+    def test_every_packet_recorded_once(
+        self, protocol, n, total, fates, delays
+    ):
+        driver, job, completed = event_launch(
+            protocol, n, total, fates, delays
+        )
+        accepted = driver.arq.accepted
+        assert NOT_YET not in accepted
+        # one record per accepted packet, made when it was accepted
+        assert sorted(job.record_times) == sorted(accepted)
+        assert job.pending_packets == 0
+        assert completed == [job]
+
+    @given(n=st.integers(1, 3), total=st.integers(2, 6),
+           fates=fate_scripts, delays=delay_scripts)
+    @settings(max_examples=120, deadline=None)
+    def test_go_back_n_accepts_in_order(self, n, total, fates, delays):
+        driver, _, completed = event_launch("go-back-n", n, total, fates,
+                                            delays)
+        assert len(completed) == 1
+        accepted = driver.arq.accepted
+        for i in range(n):
+            times = accepted[i * total:(i + 1) * total]
+            assert all(a <= b for a, b in zip(times, times[1:]))
 
 
 class TestStopAndWaitThroughput:
@@ -204,68 +309,72 @@ class TestStopAndWaitThroughput:
         assert makespans[0] < makespans[-1]
 
 
-class TestFlowArqStateMachine:
+class TestLaunchArqStateMachine:
     @given(protocol=protocols, seq=st.integers(0, 7))
     @settings(max_examples=40, deadline=None)
     def test_duplicate_arrival_rejected(self, protocol, seq):
-        flow = FlowArq(protocol, total=8, timeout=32.0, spacing=16.0)
+        arq = LaunchArq(protocol, n=1, total=8, timeout=32.0, spacing=16.0)
         if protocol == "go-back-n":
             for s in range(seq + 1):
-                assert flow.on_arrival(s, float(s))
+                assert arq.on_arrival(0, s, float(s))
         else:
-            assert flow.on_arrival(seq, 1.0)
-        t_first = flow.accepted[seq]
-        assert not flow.on_arrival(seq, t_first + 99.0)
-        assert flow.accepted[seq] == t_first
+            assert arq.on_arrival(0, seq, 1.0)
+        t_first = arq.accepted[seq]
+        assert not arq.on_arrival(0, seq, t_first + 99.0)
+        assert arq.accepted[seq] == t_first
 
     def test_go_back_n_discards_out_of_order(self):
-        flow = FlowArq("go-back-n", total=3, timeout=32.0, spacing=16.0)
-        assert not flow.on_arrival(2, 1.0)  # ahead of the cursor: dropped
-        assert flow.on_arrival(0, 2.0)
-        assert flow.on_arrival(1, 3.0)
-        assert flow.on_arrival(2, 4.0)  # cursor caught up
-        assert flow.done
+        arq = LaunchArq("go-back-n", n=1, total=3, timeout=32.0, spacing=16.0)
+        assert not arq.on_arrival(0, 2, 1.0)  # ahead of the cursor: dropped
+        assert arq.on_arrival(0, 0, 2.0)
+        assert arq.on_arrival(0, 1, 3.0)
+        assert arq.on_arrival(0, 2, 4.0)  # cursor caught up
+        assert arq.done
 
     def test_go_back_n_resends_only_sent_seqs(self):
         """A go-back-n wave covers the window from the cursor, but only
         the seqs actually sent so far -- never one still unsent."""
-        flow = FlowArq("go-back-n", total=8, timeout=32.0, spacing=16.0)
+        arq = LaunchArq("go-back-n", n=1, total=8, timeout=32.0, spacing=16.0)
         for seq in range(3):
-            assert flow.should_send(seq)
-        resends = flow.on_failure(0, 100.0)
+            assert arq.should_send(0, seq)
+        resends = arq.on_failure(0, 0, 100.0)
         assert resends == [(100.0, 0), (116.0, 1), (132.0, 2)]
 
     def test_send_suppressed_after_accept(self):
-        flow = FlowArq("selective-repeat", total=2, timeout=32.0, spacing=16.0)
-        assert flow.should_send(0)
-        assert flow.on_arrival(0, 5.0)
-        assert not flow.should_send(0)
+        arq = LaunchArq("selective-repeat", n=1, total=2, timeout=32.0,
+                        spacing=16.0)
+        assert arq.should_send(0, 0)
+        assert arq.on_arrival(0, 0, 5.0)
+        assert not arq.should_send(0, 0)
 
     def test_stop_and_wait_paces_resends(self):
-        flow = FlowArq("stop-and-wait", total=4, timeout=32.0, spacing=16.0)
+        arq = LaunchArq("stop-and-wait", n=1, total=4, timeout=32.0,
+                        spacing=16.0)
         for seq in range(4):
-            flow.should_send(seq)
-        sends = [flow.on_failure(seq, 100.0)[0][0] for seq in range(4)]
+            arq.should_send(0, seq)
+        sends = [arq.on_failure(0, seq, 100.0)[0][0] for seq in range(4)]
         gaps = [b - a for a, b in zip(sends, sends[1:])]
-        assert all(g >= flow.timeout for g in gaps)
+        assert all(g >= arq.timeout for g in gaps)
 
     def test_backoff_doubles_and_caps(self):
-        flow = FlowArq("selective-repeat", total=1, timeout=8.0, spacing=16.0)
+        arq = LaunchArq("selective-repeat", n=1, total=1, timeout=8.0,
+                        spacing=16.0)
         delays = []
         for _ in range(14):
-            flow.should_send(0)
-            flow.pending.discard(0)
-            delays.append(flow.detect_delay(0))
+            arq.should_send(0, 0)
+            arq.pending[0] = 0
+            delays.append(arq.detect_delay(0, 0))
         assert delays[0] == 8.0
         assert delays[1] == 16.0
         assert delays[-1] == delays[-2]  # capped
 
     def test_attempt_cap_raises(self):
-        flow = FlowArq("selective-repeat", total=1, timeout=1.0, spacing=1.0)
+        arq = LaunchArq("selective-repeat", n=1, total=1, timeout=1.0,
+                        spacing=1.0)
         try:
             for _ in range(MAX_ATTEMPTS + 1):
-                flow.should_send(0)
-                flow.pending.discard(0)
+                arq.should_send(0, 0)
+                arq.pending[0] = 0
         except RuntimeError as exc:
             assert "exceeded" in str(exc)
         else:

@@ -32,7 +32,7 @@ from repro.experiments.campaign import (
 )
 from repro.experiments.store import ResultCache
 from repro.network import _native
-from repro.network.arq import ARQ_PROTOCOLS, FlowArq
+from repro.network.arq import ARQ_PROTOCOLS, LaunchArq
 from repro.network.backend import make_backend
 from repro.network.channel import ChannelModel, parse_channel, resolve_launch
 from repro.network.topology import MeshTopology
@@ -117,7 +117,7 @@ def _resolve_launches(mode: str, channel: str, arq: str) -> list:
         out.append((
             stats.packets, _bits(stats.latency_sum),
             _bits(stats.blocking_sum), _bits(stats.last_delivery),
-            [{k: _bits(t) for k, t in acc.items()} for acc in result.accepts],
+            [_bits(t) for t in result.accepts],
             result.attempts,
         ))
     sampler = model.sampler
@@ -155,7 +155,7 @@ def test_accept_on_send_equals_arrival_events(channel, arq, monkeypatch):
     the same order, the same reservations, the same acceptance times and
     the same latency sum, summed in arrival order."""
     on_send = _resolve_launches("fast", channel, arq)
-    monkeypatch.setattr(FlowArq, "accepts_on_send", property(lambda self: False))
+    monkeypatch.setattr(LaunchArq, "accepts_on_send", property(lambda self: False))
     assert _resolve_launches("fast", channel, arq) == on_send
 
 
