@@ -8,20 +8,39 @@ same float64 recurrence as
 :meth:`repro.network.wormhole.FastBackend.transmit`.  It exports two
 entries: ``solve_rounds`` reserves one whole launch (every round of a
 job's all-to-all exchange) per call and returns its aggregate
-statistics; ``solve_round`` reserves one round and writes every
-packet's ``(t_inject, t_deliver, blocking)``, for a lossy launch whose
-fates are drawn in Python between rounds.
+statistics; ``resolve_launch`` resolves one lossy launch -- its event
+loop, heap, ARQ protocol and reservations -- for
+:func:`repro.network.channel.resolve_launch`, driven through
+:class:`LaunchResolve`.
 
 Both go through the same ``static inline`` helpers (``transmit``,
 ``walk``, ``reserve``), which are the only C walk: the SoA lane driver
 (:mod:`repro.core._soa_native`) embeds this source and calls
 ``solve_rounds`` too.  The walk divides nowhere per packet.  Each
 launch's node ids become ``(x, y)`` once, in a table of ``2 * n`` int64
-the caller owns (``solve_rounds`` fills it, ``solve_round`` reads it,
-so the kernel still allocates nothing); each round's offset is
-normalised once with Python's ``%`` semantics, so an offset of any sign
-or size picks the destination ``fast`` picks; and the hops step the
-channel index by 6 per x hop and ``6 * width`` per y hop.
+the caller owns (both entries fill it, so the kernel still allocates
+nothing); each round's offset is normalised once with Python's ``%``
+semantics, so an offset of any sign or size picks the destination
+``fast`` picks; and the hops step the channel index by 6 per x hop and
+``6 * width`` per y hop.
+
+**The lossy resolver and its draw handshake.**  ``resolve_launch`` is
+the Python resolver's loop in C: the originals cursor beside a binary
+heap keyed ``(t, ctr)`` with the Python counter sequence, the ports of
+:class:`repro.network.arq.LaunchArq`'s flat arrays and protocols
+(accept on send, backoff, go-back-n's windows and arrival events), and
+the latency sum flow by flow in ``(t_arrive, ctr)`` order.  It draws no
+random number.  Fates and delays stay in Python, drawn through
+:class:`repro.network.channel.ChannelSampler`, so the channel stream
+keeps one implementation, and every caller that reads or wraps the
+sampler -- the trace's attempt counts, the sampler state after a
+launch -- sees the draws it always saw.  Attempt ``m`` of a launch takes
+outcome ``m`` whichever packet it is (a fate does not depend on the
+packet), so Python can draw outcomes ahead as long as C is certain to
+use them: when C runs out, it returns the number of attempts certain to
+come, and Python draws exactly that many.  All its state lives in the
+caller's buffers (:data:`RESOLVE_INTS`, :data:`RESOLVE_FLOATS`, the
+heap), so a call can stop at any step and the next one resume there.
 
 Each channel reservation is branch-free: the service start is a select,
 ``s = max(free_at[c], t)``, and the wait ``s - t`` is added to the
@@ -53,11 +72,59 @@ the ``REPRO_NATIVE=0`` switch live in :mod:`repro._toolchain`.
 from __future__ import annotations
 
 import ctypes
+from array import array
+from typing import Sequence
 
 from repro._toolchain import KernelMemo, build
+from repro.network.arq import (
+    BACKOFF_CAP,
+    DEFAULT_WINDOW,
+    GO_BACK_N,
+    MAX_ATTEMPTS,
+    STOP_AND_WAIT,
+)
 
-_SOURCE = r"""
-#include <stdint.h>
+#: ``resolve_launch``'s int64 header, one word each: the launch's
+#: constants, the outcomes handed in, then the state one call leaves
+#: for the next (``err`` names the packet behind an error code)
+RESOLVE_INTS = (
+    "n", "total", "width", "length", "wrap", "protocol", "cap",
+    "ndraws", "pos",
+    "ctr", "next_k", "next_i", "heap_len", "attempts", "err",
+)
+#: its float64 header: the launch's constants, then its sums
+RESOLVE_FLOATS = (
+    "now", "gap", "timeout", "spacing", "hop", "occ", "drain",
+    "blocking", "latency", "last",
+)
+#: ``resolve_launch`` return codes other than a positive need
+RESOLVE_DONE, RESOLVE_GROW, RESOLVE_EXCEEDED, RESOLVE_UNDELIVERED = 0, -1, -2, -3
+#: int64-sized words per heap event (``ArqEvent``)
+EVENT_WORDS = 5
+
+_I = {name: index for index, name in enumerate(RESOLVE_INTS)}
+_F = {name: index for index, name in enumerate(RESOLVE_FLOATS)}
+
+
+def _enum(prefix: str, names: Sequence[str]) -> str:
+    slots = ", ".join(f"{prefix}_{name.upper()}" for name in names)
+    return f"enum {{ {slots}, {prefix}_WORDS }};\n"
+
+
+_SOURCE = (
+    "#include <math.h>\n#include <stdint.h>\n\n"
+    f"#define ARQ_WINDOW {DEFAULT_WINDOW}\n"
+    f"#define ARQ_MAX_ATTEMPTS {MAX_ATTEMPTS}\n"
+    f"#define ARQ_BACKOFF_CAP {BACKOFF_CAP}\n"
+    f"#define ARQ_STOP_AND_WAIT {STOP_AND_WAIT}\n"
+    f"#define ARQ_GO_BACK_N {GO_BACK_N}\n"
+    f"#define ARQ_EVENT_WORDS {EVENT_WORDS}\n"
+    f"#define RESOLVE_DONE {RESOLVE_DONE}\n"
+    f"#define RESOLVE_GROW ({RESOLVE_GROW})\n"
+    f"#define RESOLVE_EXCEEDED ({RESOLVE_EXCEEDED})\n"
+    f"#define RESOLVE_UNDELIVERED ({RESOLVE_UNDELIVERED})\n"
+    + _enum("RI", RESOLVE_INTS) + _enum("RF", RESOLVE_FLOATS)
+) + r"""
 
 /* XY wormhole whole-path reservation, one packet at a time in exactly
  * the order and arithmetic of the Python reference loop
@@ -148,8 +215,8 @@ static inline double walk(double *free_at, int64_t c, int64_t pos,
  * the endpoints given as node ids and (x, y) coordinates.  Returns the
  * ejection-channel service start; *t_inj_out gets the injection-channel
  * service start, *blk_out the per-hop blocking sum.  Forced inline: with
- * two callers (solve_rounds, solve_round) gcc -O2 would otherwise keep
- * it as one out-of-line call per packet in both. */
+ * two callers (solve_rounds, resolve_launch) gcc -O2 would otherwise
+ * keep it as one out-of-line call per packet in both. */
 static inline __attribute__((always_inline))
 double transmit(const double t0, const int64_t src, const int64_t sx,
                 const int64_t sy, const int64_t dst, const int64_t dx,
@@ -224,36 +291,308 @@ void solve_rounds(const int64_t *ids, int64_t n, const int64_t *offsets,
     out[2] = last;
 }
 
-/* One round of a launch, packet by packet: the cyclic permutation
- * i -> (i + offset) mod n over the node ids (Python `%`), every packet
- * queued at time t, reserved in source order through the same
- * transmit as solve_rounds.  xy holds the nodes' (x, y), filled by the
- * caller once per launch.  Per packet i it writes
+/* ------------------------------------------- lossy launch resolver */
+
+/* A channelled launch (repro.network.channel.resolve_launch), resolved
+ * in the order and arithmetic of the Python resolver: the original
+ * sends stream from a (next_k, next_i) cursor beside a binary heap of
+ * resends (SEND), go-back-n arrivals (ARRIVE) and sender timeouts
+ * (FAIL), keyed (t, ctr) with the Python resolver's counter sequence,
+ * so the pop order is that of its heapq.  The ARQ protocols are ports
+ * of repro.network.arq.LaunchArq over the same flat arrays, packet
+ * (i, k) at j = i * total + k.
  *
- * out[3 * i]     = t_inject  (injection-channel service start)
- * out[3 * i + 1] = t_deliver (= t_eject + hop + drain)
- * out[3 * i + 2] = blocking  (per-hop stall sum)
+ * Fates and delays are not drawn here.  Attempt m of a launch takes
+ * outcome m of the draws the caller hands in: -1.0 for a failed
+ * attempt, else the surviving attempt's extra delay (0.0 without one).
+ * When the next attempt finds no outcome left, the call saves its
+ * state and returns how many attempts are certain to come -- every
+ * unaccepted packet with no surviving attempt in flight needs one, and
+ * the next attempt is one -- and the caller calls again with that many
+ * new outcomes, so none is ever drawn and left unused.
  *
- * the three fields of the reference loop's PathTiming. */
-void solve_round(const int64_t *ids, const int64_t *xy, int64_t n,
-                 int64_t offset, double t, double *free_at, double hop,
-                 double occ, double drain, int64_t width, int64_t length,
-                 int32_t wrap, double *out)
+ * All state lives in the caller's buffers: the int64 words iv and the
+ * float64 words fv (a header laid out by the RI_ and RF_ enums, then
+ * the arrays below), the heap of cap events, and the reservation table
+ * free_at.  Returns RESOLVE_DONE, a positive need, RESOLVE_GROW (the
+ * heap may overflow in the next step, or cannot hold one flow for the
+ * final sort: the caller grows it and calls again with the same
+ * draws), RESOLVE_EXCEEDED (packet iv[RI_ERR] would exceed
+ * ARQ_MAX_ATTEMPTS attempts) or RESOLVE_UNDELIVERED (the launch drained
+ * with packet iv[RI_ERR] unaccepted).
+ *
+ * Arrays after the headers, n flows of total packets, size = n * total:
+ *   iv: ids[n] offsets[total] xy[2n] expected[n] waves[n] mark[n]
+ *       attempts[size] log_ctr[size] inflight[size] pending[size]
+ *   fv: busy[n] last_wave[n] accepted[size] first[size] log_lat[size]
+ */
+
+#define NOT_YET INFINITY
+
+enum { SEND, ARRIVE, FAIL };
+
+typedef struct {
+    double t;      /* event time */
+    int64_t ctr;   /* tie-break counter, unique per event */
+    int64_t kind;  /* SEND, ARRIVE or FAIL */
+    int64_t j;     /* packet index */
+    double aux;    /* ARRIVE: the attempt's injection time */
+} ArqEvent;
+
+_Static_assert(sizeof(ArqEvent) == 8 * ARQ_EVENT_WORDS, "event layout");
+
+static inline int arq_before(const ArqEvent *a, const ArqEvent *b)
 {
-    if (n <= 0) return;
-    int64_t j = offset % n;
-    if (j < 0) j += n;
-    for (int64_t i = 0; i < n; i++) {
-        double t_inj, blocking;
-        const double t_ej = transmit(t, ids[i], xy[2 * i], xy[2 * i + 1],
-                                     ids[j], xy[2 * j], xy[2 * j + 1],
-                                     free_at, hop, occ, width, length, wrap,
-                                     &t_inj, &blocking);
-        out[3 * i] = t_inj;
-        out[3 * i + 1] = t_ej + hop + drain;
-        out[3 * i + 2] = blocking;
-        if (++j == n) j = 0;
+    return a->t < b->t || (a->t == b->t && a->ctr < b->ctr);
+}
+
+static inline void arq_push(ArqEvent *heap, int64_t *len, double t,
+                            int64_t ctr, int64_t kind, int64_t j, double aux)
+{
+    const ArqEvent e = {t, ctr, kind, j, aux};
+    int64_t i = (*len)++;
+    while (i > 0) {
+        const int64_t p = (i - 1) / 2;
+        if (!arq_before(&e, &heap[p])) break;
+        heap[i] = heap[p];
+        i = p;
     }
+    heap[i] = e;
+}
+
+static inline ArqEvent arq_pop(ArqEvent *heap, int64_t *len)
+{
+    const ArqEvent top = heap[0];
+    const int64_t n = --(*len);
+    const ArqEvent last = heap[n];
+    int64_t i = 0;
+    for (;;) {
+        int64_t c = 2 * i + 1;
+        if (c >= n) break;
+        if (c + 1 < n && arq_before(&heap[c + 1], &heap[c])) c++;
+        if (!arq_before(&heap[c], &last)) break;
+        heap[i] = heap[c];
+        i = c;
+    }
+    heap[i] = last;
+    return top;
+}
+
+/* LaunchArq.detect_delay: timeout doubled per attempt, capped */
+static inline double arq_detect(double timeout, int64_t attempts)
+{
+    const int64_t e = attempts > 1 ? attempts - 1 : 0;
+    return timeout * (double)((int64_t)1 << (e < ARQ_BACKOFF_CAP
+                                             ? e : ARQ_BACKOFF_CAP));
+}
+
+int64_t resolve_launch(int64_t *iv, double *fv, double *free_at,
+                       ArqEvent *heap, const double *draws)
+{
+    const int64_t n = iv[RI_N], total = iv[RI_TOTAL], size = n * total;
+    const double now = fv[RF_NOW];
+    if (size == 0) {
+        fv[RF_LATENCY] = 0.0;
+        fv[RF_LAST] = now;
+        return RESOLVE_DONE;
+    }
+    const int64_t width = iv[RI_WIDTH], length = iv[RI_LENGTH];
+    const int32_t wrap = (int32_t)iv[RI_WRAP];
+    const int64_t protocol = iv[RI_PROTOCOL], cap = iv[RI_CAP];
+    const int64_t ndraws = iv[RI_NDRAWS];
+    const int on_send = protocol != ARQ_GO_BACK_N;
+    const double gap = fv[RF_GAP], timeout = fv[RF_TIMEOUT];
+    const double spacing = fv[RF_SPACING], hop = fv[RF_HOP];
+    const double occ = fv[RF_OCC], drain = fv[RF_DRAIN];
+    int64_t *ids = iv + RI_WORDS, *offsets = ids + n, *xy = offsets + total;
+    int64_t *expected = xy + 2 * n, *waves = expected + n, *mark = waves + n;
+    int64_t *attempts = mark + n, *log_ctr = attempts + size;
+    int64_t *inflight = log_ctr + size, *pending = inflight + size;
+    double *busy = fv + RF_WORDS, *last_wave = busy + n;
+    double *accepted = last_wave + n, *first = accepted + size;
+    double *log_lat = first + size;
+
+    int64_t ctr = iv[RI_CTR];
+    if (ctr == 0) {  /* first call: the heap counter starts at size */
+        ctr = size;
+        for (int64_t i = 0; i < n; i++) {
+            xy[2 * i] = ids[i] % width;
+            xy[2 * i + 1] = ids[i] / width;
+            last_wave[i] = -INFINITY;
+        }
+        for (int64_t k = 0; k < total; k++) {  /* Python `%` */
+            offsets[k] %= n;
+            if (offsets[k] < 0) offsets[k] += n;
+        }
+        for (int64_t j = 0; j < size; j++) accepted[j] = first[j] = NOT_YET;
+    }
+    int64_t next_k = iv[RI_NEXT_K], next_i = iv[RI_NEXT_I];
+    int64_t len = iv[RI_HEAP_LEN], pos = iv[RI_POS], sent = iv[RI_ATTEMPTS];
+    double blocking_sum = fv[RF_BLOCKING];
+    int64_t rc = RESOLVE_DONE;
+    int starved = 0;  /* the next attempt found no outcome left */
+
+    for (;;) {
+        /* a step pops at most one event and pushes at most a window of
+         * resends plus a re-armed timeout */
+        if (len + ARQ_WINDOW + 1 > cap) { rc = RESOLVE_GROW; break; }
+        int64_t j;
+        double t;
+        if (next_k < total && (next_i > 0 || len == 0
+                               || now + (double)next_k * gap <= heap[0].t)) {
+            /* an original: a round is one burst nothing interleaves with */
+            if (pos == ndraws) { starved = 1; break; }
+            j = next_i * total + next_k;
+            t = now + (double)next_k * gap;
+            if (++next_i == n) { next_i = 0; next_k++; }
+        } else if (len == 0) {
+            break;
+        } else if (heap[0].kind == SEND) {  /* k's original went first */
+            j = heap[0].j;
+            if (accepted[j] == NOT_YET) {
+                if (attempts[j] >= ARQ_MAX_ATTEMPTS) {
+                    iv[RI_ERR] = j;
+                    rc = RESOLVE_EXCEEDED;
+                    break;
+                }
+                if (pos == ndraws) { starved = 1; break; }
+            }
+            t = arq_pop(heap, &len).t;
+            pending[j] = 0;
+            if (accepted[j] != NOT_YET) continue;  /* a stale resend */
+        } else if (heap[0].kind == ARRIVE) {  /* go-back-n only */
+            const ArqEvent e = arq_pop(heap, &len);
+            j = e.j;
+            inflight[j]--;
+            if (accepted[j] != NOT_YET) continue;  /* a duplicate */
+            const int64_t i = j / total;
+            if (j - i * total == expected[i]) {
+                expected[i]++;
+                accepted[j] = e.t;
+                log_ctr[j] = e.ctr;
+                log_lat[j] = e.t - first[j];
+                continue;
+            }
+            /* out-of-order discard: the sender finds out via its own
+             * (cumulative-ack) timeout for this attempt */
+            const double td = e.aux + arq_detect(timeout, attempts[j]);
+            arq_push(heap, &len, td > e.t ? td : e.t, ++ctr, FAIL, j, 0.0);
+            continue;
+        } else {  /* FAIL */
+            const ArqEvent e = arq_pop(heap, &len);
+            j = e.j;
+            t = e.t;
+            const int64_t i = j / total;
+            if (accepted[j] == NOT_YET && !pending[j]) {
+                if (on_send) {  /* resend exactly the failed packet */
+                    double ts = t;
+                    if (protocol == ARQ_STOP_AND_WAIT) {
+                        ts = busy[i] > t ? busy[i] : t;
+                        busy[i] = ts + timeout;
+                    }
+                    pending[j] = 1;
+                    arq_push(heap, &len, ts, ++ctr, SEND, j, 0.0);
+                } else {  /* go-back-n: one wave per flow timer epoch */
+                    const int64_t cursor = expected[i];
+                    if (cursor > mark[i]) waves[i] = 0;
+                    const double interval = timeout * (double)(
+                        (int64_t)1 << (waves[i] < ARQ_BACKOFF_CAP
+                                       ? waves[i] : ARQ_BACKOFF_CAP));
+                    if (!(t < last_wave[i] + interval)) {
+                        int64_t stop = cursor + ARQ_WINDOW, count = 0;
+                        if (stop > total) stop = total;
+                        for (int64_t s = i * total + cursor;
+                             s < i * total + stop; s++) {
+                            /* only packets in flight: sent, unacked */
+                            if (accepted[s] != NOT_YET || pending[s]
+                                || !attempts[s])
+                                continue;
+                            pending[s] = 1;
+                            arq_push(heap, &len, t + (double)count * spacing,
+                                     ++ctr, SEND, s, 0.0);
+                            count++;
+                        }
+                        if (count) {
+                            last_wave[i] = t;
+                            mark[i] = cursor;
+                            waves[i]++;
+                        }
+                    }
+                }
+            }
+            if (accepted[j] == NOT_YET && !pending[j])  /* timer re-arms */
+                arq_push(heap, &len, t + arq_detect(timeout, attempts[j]),
+                         ++ctr, FAIL, j, 0.0);
+            continue;
+        }
+
+        /* one attempt of packet j, sent at t */
+        const int64_t i = j / total, k = j - i * total;
+        int64_t d = i + offsets[k];
+        if (d >= n) d -= n;
+        double t_inj, blocking;
+        const double t_deliver = transmit(t, ids[i], xy[2 * i], xy[2 * i + 1],
+                                          ids[d], xy[2 * d], xy[2 * d + 1],
+                                          free_at, hop, occ, width, length,
+                                          wrap, &t_inj, &blocking)
+            + hop + drain;
+        sent++;
+        if (attempts[j]++ == 0) first[j] = t_inj;
+        blocking_sum += blocking;
+        ctr++;
+        const double extra = draws[pos++];
+        if (extra < 0.0) {
+            arq_push(heap, &len, t_inj + arq_detect(timeout, attempts[j]),
+                     ctr, FAIL, j, 0.0);
+        } else if (on_send) {  /* LaunchArq.accepts_on_send */
+            const double ta = t_deliver + extra;
+            accepted[j] = ta;
+            log_ctr[j] = ctr;
+            log_lat[j] = ta - first[j];
+        } else {
+            arq_push(heap, &len, t_deliver + extra, ctr, ARRIVE, j, t_inj);
+            inflight[j]++;
+        }
+    }
+
+    if (starved) {  /* count the attempts certain to come */
+        rc = 0;
+        for (int64_t j = 0; j < size; j++)
+            rc += accepted[j] == NOT_YET && !inflight[j];
+        if (rc == 0) rc = 1;
+    }
+    iv[RI_CTR] = ctr;
+    iv[RI_NEXT_K] = next_k;
+    iv[RI_NEXT_I] = next_i;
+    iv[RI_HEAP_LEN] = len;
+    iv[RI_POS] = pos;
+    iv[RI_ATTEMPTS] = sent;
+    fv[RF_BLOCKING] = blocking_sum;
+    if (rc != RESOLVE_DONE) return rc;
+
+    for (int64_t j = 0; j < size; j++) {
+        if (accepted[j] == NOT_YET) {
+            iv[RI_ERR] = j;
+            return RESOLVE_UNDELIVERED;
+        }
+    }
+    /* latencies summed flow by flow in (t_arrive, ctr) order, the order
+     * the arrival events would pop in: a heap sort of each flow */
+    if (total > cap) return RESOLVE_GROW;
+    double latency = 0.0, last = now;
+    for (int64_t i = 0; i < n; i++) {
+        for (int64_t j = i * total; j < (i + 1) * total; j++)
+            arq_push(heap, &len, accepted[j], log_ctr[j], ARRIVE, j,
+                     log_lat[j]);
+        while (len > 0) {
+            const ArqEvent e = arq_pop(heap, &len);
+            latency += e.aux;
+            if (e.t > last) last = e.t;
+        }
+    }
+    fv[RF_LATENCY] = latency;
+    fv[RF_LAST] = last;
+    return RESOLVE_DONE;
 }
 """
 
@@ -272,13 +611,8 @@ def _build() -> ctypes.CDLL | None:
         ctypes.c_int64, ctypes.c_int64, ctypes.c_int32, ctypes.c_void_p,
         ctypes.c_void_p,
     ]
-    lib.solve_round.restype = None
-    lib.solve_round.argtypes = [
-        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64,
-        ctypes.c_double, ctypes.c_void_p, ctypes.c_double, ctypes.c_double,
-        ctypes.c_double, ctypes.c_int64, ctypes.c_int64, ctypes.c_int32,
-        ctypes.c_void_p,
-    ]
+    lib.resolve_launch.restype = ctypes.c_int64
+    lib.resolve_launch.argtypes = [ctypes.c_void_p] * 5
     return lib
 
 
@@ -291,3 +625,90 @@ def load_kernel() -> ctypes.CDLL | None:
 def reset_kernel_cache() -> None:
     """Forget the memoised kernel (tests toggling ``REPRO_NATIVE``)."""
     _memo.reset()
+
+
+class LaunchResolve:
+    """One channelled launch in the buffers of the compiled
+    ``resolve_launch``, over a ``batch`` backend with a loaded kernel.
+
+    Lays out the launch's int64 and float64 words (the ``RESOLVE_INTS``
+    and ``RESOLVE_FLOATS`` headers, then the arrays the C comment lists)
+    and a heap with room for every packet's event plus one step;
+    :meth:`run` then feeds the kernel one buffer of attempt outcomes at a
+    time.  ``protocol`` is an index of
+    :data:`repro.network.arq.ARQ_PROTOCOLS`.
+    """
+
+    __slots__ = ("network", "size", "ints", "floats", "heap")
+
+    def __init__(
+        self, network, nodes: Sequence[int], offsets: Sequence[int],
+        now: float, round_gap: float, protocol: int, timeout: float,
+        spacing: float,
+    ) -> None:
+        n, total = len(nodes), len(offsets)
+        size = n * total
+        topo = network.topology
+        ints = dict.fromkeys(RESOLVE_INTS, 0)
+        ints.update(
+            n=n, total=total, width=topo.width, length=topo.length,
+            wrap=int(topo.wrap), protocol=protocol,
+            cap=size + DEFAULT_WINDOW + 1,
+        )
+        floats = dict.fromkeys(RESOLVE_FLOATS, 0.0)
+        floats.update(
+            now=now, gap=round_gap, timeout=timeout, spacing=spacing,
+            hop=network.hop_cost, occ=network.occupancy, drain=network.drain,
+        )
+        self.network = network
+        self.size = size
+        self.ints = array("q", ints.values())
+        self.ints.extend(nodes)
+        self.ints.extend(offsets)
+        self.ints.frombytes(bytes(8 * (5 * n + 4 * size)))
+        self.floats = array("d", floats.values())
+        self.floats.frombytes(bytes(8 * (2 * n + 3 * size)))
+        self.heap = array("q", bytes(8 * EVENT_WORDS * ints["cap"]))
+
+    def run(self, outcomes: array) -> int:
+        """Continue the launch with ``outcomes`` (an ``array('d')``, one
+        per attempt: ``-1.0`` failed, else the survivor's extra delay),
+        growing the heap as the kernel asks, until the launch is done
+        (:data:`RESOLVE_DONE`), fails (an error code, the packet in
+        :attr:`error_packet`) or needs more outcomes: the returned
+        count, every one of which the next call will use."""
+        ints = self.ints
+        ints[_I["ndraws"]] = len(outcomes)
+        ints[_I["pos"]] = 0
+        network = self.network
+        args = (ints.buffer_info()[0], self.floats.buffer_info()[0],
+                network.free_at.buffer_info()[0])
+        while True:
+            code = network.kernel.resolve_launch(
+                *args, self.heap.buffer_info()[0], outcomes.buffer_info()[0]
+            )
+            if code != RESOLVE_GROW:
+                return code
+            self.heap.frombytes(bytes(8 * len(self.heap)))
+            ints[_I["cap"]] = len(self.heap) // EVENT_WORDS
+
+    @property
+    def attempts(self) -> int:
+        """Transmission attempts so far, originals and resends."""
+        return self.ints[_I["attempts"]]
+
+    @property
+    def error_packet(self) -> int:
+        """Index ``i * total + k`` of the packet an error code names."""
+        return self.ints[_I["err"]]
+
+    def sums(self) -> tuple[float, float, float]:
+        """``(latency_sum, blocking_sum, last_delivery)`` of a done launch."""
+        floats = self.floats
+        return (floats[_F["latency"]], floats[_F["blocking"]],
+                floats[_F["last"]])
+
+    def accepts(self) -> list[float]:
+        """Acceptance time of each packet, ``i * total + k`` order."""
+        start = len(RESOLVE_FLOATS) + 2 * self.ints[_I["n"]]
+        return self.floats[start:start + self.size].tolist()

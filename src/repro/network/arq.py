@@ -58,6 +58,15 @@ NOT_YET = float("inf")
 STOP_AND_WAIT, GO_BACK_N, SELECTIVE_REPEAT = range(len(ARQ_PROTOCOLS))
 
 
+def attempts_exceeded(protocol: str, i: int, k: int) -> RuntimeError:
+    """The error of packet ``(i, k)`` reaching :data:`MAX_ATTEMPTS`
+    under ``protocol``, one message for every resolver."""
+    return RuntimeError(
+        f"ARQ {protocol}: packet (flow {i}, seq {k}) exceeded "
+        f"{MAX_ATTEMPTS} attempts (loss rate too close to 1?)"
+    )
+
+
 class LaunchArq:
     """Sender + receiver ARQ state of every flow of one launch.
 
@@ -132,10 +141,7 @@ class LaunchArq:
             return False
         attempts = self.attempts[j] + 1
         if attempts > MAX_ATTEMPTS:
-            raise RuntimeError(
-                f"ARQ {ARQ_PROTOCOLS[self.kind]}: packet (flow {i}, seq {k}) "
-                f"exceeded {MAX_ATTEMPTS} attempts (loss rate too close to 1?)"
-            )
+            raise attempts_exceeded(ARQ_PROTOCOLS[self.kind], i, k)
         self.attempts[j] = attempts
         return True
 

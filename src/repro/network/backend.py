@@ -19,9 +19,11 @@ carry (``Allocation.nodes``) and use them as-is.
 Backends come in two families.  *Synchronous* backends
 (``synchronous = True``) resolve a whole launch of traffic rounds at
 injection time through :meth:`NetworkBackend.inject_rounds` and return
-aggregate :class:`RoundStats`, and serve a lossy launch through
-:meth:`NetworkBackend.round_reserver` (its original sends, a round at a
-time) and :meth:`NetworkBackend.transmit` (its retransmissions);
+aggregate :class:`RoundStats`, and serve a lossy launch's Python
+resolver through :meth:`NetworkBackend.round_reserver` (its original
+sends, a round at a time) and :meth:`NetworkBackend.transmit` (its
+retransmissions), or ``batch`` with a kernel through its compiled
+resolver;
 *event-driven* backends deliver each packet through the engine via
 :meth:`NetworkBackend.send` callbacks.
 :class:`~repro.network.traffic.AllToAllTraffic` picks the path from the
@@ -183,8 +185,7 @@ class NetworkBackend:
         (synchronous backends only): ``reserve(offset, now)`` sends round
         ``i -> (i + offset) mod n`` at ``now`` as one :meth:`transmit`
         per source, in source order, and returns the packets' timings in
-        that order.  ``batch`` overrides it with one compiled call per
-        round, held to this loop bit for bit."""
+        that order."""
         n = len(nodes)
         transmit = self.transmit
 

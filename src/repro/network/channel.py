@@ -31,6 +31,17 @@ stream's only draws (no delay, or ``delay:fixed``), the sampler takes
 them ``FATE_BLOCK`` uniforms at a time: the draw order is unchanged,
 the generator merely runs ahead of the last fate handed out.
 
+**Fates stay in Python.**  On a ``batch`` backend with a loaded
+kernel, :func:`resolve_launch` runs the launch's event loop, ARQ
+protocol and reservations in C (:mod:`repro.network._native`), but the
+C side draws nothing: it takes one outcome per attempt from buffers this
+module fills through :meth:`ChannelSampler.fate` and
+:meth:`ChannelSampler.delay`, in the per-attempt order above, and asks
+for exactly as many outcomes as the attempts certain to come.  The
+channel stream thus has one implementation, and the sampler's draws
+-- their number, order and the generator's state after each launch --
+are the same on every resolver.
+
 **Trivial policies.**  ``"loss:0"`` (and any policy with zero failure
 probability and no delay) is *trivial*: the simulator skips the channel
 machinery entirely, so it is bit-identical to running with no channel at
@@ -47,13 +58,20 @@ from __future__ import annotations
 
 import heapq
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from repro.core.config import TIME_GRID
-from repro.network.arq import ARQ_PROTOCOLS, NOT_YET, LaunchArq
+from repro.network import _native
+from repro.network.arq import (
+    ARQ_PROTOCOLS,
+    NOT_YET,
+    LaunchArq,
+    attempts_exceeded,
+)
 from repro.network.backend import NetworkBackend, PathTiming, RoundStats
 
 #: sub-stream tag ("CHNL") keeping channel draws off the workload stream
@@ -323,6 +341,88 @@ def resolve_launch(
     every flow's packets are accepted.  ``network`` is a synchronous
     backend; ``nodes`` are the job's node ids, passed to it as-is.
 
+    A ``batch`` backend with a loaded kernel resolves the launch in C
+    (:func:`_resolve_compiled`); every other backend -- ``fast``,
+    ``batch`` under ``REPRO_NATIVE=0``, a test's stub -- runs the Python
+    loop (:func:`_resolve_python`).  Both draw every fate and delay
+    through the run's :class:`ChannelSampler`, in the same order and the
+    same number of times, and return the same result bit for bit.
+    Draining with a packet undelivered, or a packet reaching
+    :data:`~repro.network.arq.MAX_ATTEMPTS`, raises ``RuntimeError``.
+    """
+    if getattr(network, "kernel", None) is not None:
+        return _resolve_compiled(network, model, nodes, offsets, now, round_gap)
+    return _resolve_python(network, model, nodes, offsets, now, round_gap)
+
+
+def _undelivered(i: int, k: int) -> RuntimeError:
+    return RuntimeError(f"launch drained with (flow {i}, seq {k}) undelivered")
+
+
+def _resolve_compiled(
+    network, model: ChannelModel, nodes: Sequence[int],
+    offsets: Sequence[int], now: float, round_gap: float,
+) -> LaunchResult:
+    """:func:`resolve_launch` on the compiled resolver
+    (:class:`repro.network._native.LaunchResolve`).
+
+    C runs the event loop, the heap, the ARQ protocol and the
+    reservations; the fates and delays are still drawn here, through
+    :meth:`ChannelSampler.fate` and :meth:`ChannelSampler.delay`, as a
+    handshake.  Attempt ``m`` of the launch takes outcome ``m``,
+    whichever packet it is: ``-1.0`` for a failed attempt, else the
+    survivor's delay, drawn right after its fate.  The first buffer
+    holds one outcome per packet, since every original is sent; when C
+    runs out, it returns how many attempts are certain to come, and
+    exactly that many are drawn next.  A launch is therefore one C call
+    per generation of failures, and the sampler ends it in the state the
+    Python loop leaves.
+    """
+    total = len(offsets)
+    launch = _native.LaunchResolve(
+        network, nodes, offsets, now, round_gap,
+        ARQ_PROTOCOLS.index(model.arq), model.timeout, model.spacing,
+    )
+    sampler = model.sampler
+    fate = sampler.fate
+    delay = sampler.delay if sampler.has_delay else None
+    need = launch.size
+    while True:
+        if delay is None:
+            outcomes = [0.0 if fate() else -1.0 for _ in range(need)]
+        else:
+            outcomes = [delay() if fate() else -1.0 for _ in range(need)]
+        code = launch.run(array("d", outcomes))
+        if code <= 0:
+            break
+        need = code
+    network.packets_sent += launch.attempts
+    if code != _native.RESOLVE_DONE:
+        i, k = divmod(launch.error_packet, total)
+        if code == _native.RESOLVE_EXCEEDED:
+            raise attempts_exceeded(model.arq, i, k)
+        raise _undelivered(i, k)
+    latency_sum, blocking_sum, last = launch.sums()
+    stats = RoundStats(
+        packets=launch.size,
+        latency_sum=latency_sum,
+        blocking_sum=blocking_sum,
+        last_delivery=last,
+    )
+    return LaunchResult(stats=stats, accepts=launch.accepts(),
+                        attempts=launch.attempts)
+
+
+def _resolve_python(
+    network: NetworkBackend,
+    model: ChannelModel,
+    nodes: Sequence[int],
+    offsets: Sequence[int],
+    now: float,
+    round_gap: float,
+) -> LaunchResult:
+    """:func:`resolve_launch` as a Python loop over ``network.transmit``.
+
     The ``n * total`` original sends never enter the heap: a cursor
     streams them in schedule order beside it.  Their schedule indices
     are the lowest tie-break counters (heap entries count on from
@@ -335,11 +435,10 @@ def resolve_launch(
     the heap, and no send pushes an event earlier than ``t`` (an arrival
     at ``t_deliver + delay``, a timeout at ``t_inject + detect_delay``,
     both at least ``t_inject >= t``).  So the whole round is reserved by
-    one call of the backend's ``round_reserver(nodes)`` (one compiled
-    ``solve_round`` call on ``batch``, one ``transmit`` per source
-    otherwise), and its results are walked in source order -- fates,
-    delays and pushes in the per-packet order.  Retransmissions reserve
-    through ``transmit`` one at a time.
+    one call of the backend's ``round_reserver(nodes)`` (one
+    ``transmit`` per source), and its results are walked in source order
+    -- fates, delays and pushes in the per-packet order.
+    Retransmissions reserve through ``transmit`` one at a time.
 
     Under a protocol that accepts on send
     (:attr:`LaunchArq.accepts_on_send`: stop-and-wait, selective-repeat)
@@ -356,7 +455,6 @@ def resolve_launch(
     pop in: one log of ``(i, t_arrive, counter, latency)`` per accepted
     packet is sorted once at the end.  Float addition does not
     associate, so off the time grid another order moves the sum.
-    Draining with a packet undelivered raises ``RuntimeError``.
     """
     n = len(nodes)
     total = len(offsets)
@@ -474,8 +572,7 @@ def resolve_launch(
                 heappush(heap, (t + arq.detect_delay(i, k), ctr, _FAIL, i, k, 0.0))
 
     if not arq.done:
-        i, k = divmod(accepted.index(NOT_YET), total)
-        raise RuntimeError(f"launch drained with (flow {i}, seq {k}) undelivered")
+        raise _undelivered(*divmod(accepted.index(NOT_YET), total))
     log.sort()
     latency_sum = 0.0
     last = now

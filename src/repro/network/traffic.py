@@ -30,10 +30,10 @@ ProcSimity's treatment of computation-only jobs.
 When the run has a non-trivial :class:`~repro.network.channel.ChannelModel`,
 launches detour through the lossy-channel drivers instead: the
 synchronous resolver (:func:`repro.network.channel.resolve_launch`)
-reserves each round of original sends through the backend's
-``round_reserver`` and each retransmission through ``transmit``, with
-fates, timeouts and ARQ retransmission rounds, and event-driven
-backends get a per-launch
+runs fates, timeouts and ARQ retransmission rounds over the backend's
+reservations (in C on ``batch`` with a kernel, else through
+``round_reserver`` and ``transmit``), and event-driven backends get a
+per-launch
 :class:`~repro.network.channel.ChannelledEventLaunch`.  Both drivers
 keep the launch's ARQ state in one
 :class:`~repro.network.arq.LaunchArq`: flat lists over the launch's

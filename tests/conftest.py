@@ -8,6 +8,8 @@ import pytest
 from repro.core.config import SimConfig
 from repro.mesh.geometry import Coord, SubMesh
 from repro.mesh.grid import MeshGrid
+from repro.network import _native
+from repro.network.wormhole import FastBackend
 
 
 @pytest.fixture
@@ -26,6 +28,46 @@ def grid_paper() -> MeshGrid:
 def tiny_config() -> SimConfig:
     """Small, fast configuration for integration tests."""
     return SimConfig(width=8, length=8, jobs=40, seed=7)
+
+
+class ResolverCalls:
+    """Counts calls into the compiled ``resolve_launch`` entry and into
+    the Python per-packet ``transmit``, so a test can tell which
+    resolver ran: an equivalence test that silently fell back to Python
+    would compare Python with Python."""
+
+    def __init__(self, monkeypatch) -> None:
+        self.kernel = 0
+        self.transmit = 0
+        kernel = _native.load_kernel()
+        if kernel is not None:
+            resolve = kernel.resolve_launch
+
+            def counted_resolve(*args):
+                self.kernel += 1
+                return resolve(*args)
+
+            monkeypatch.setattr(kernel, "resolve_launch", counted_resolve)
+        transmit = FastBackend.transmit
+
+        def counted_transmit(backend, *args):
+            self.transmit += 1
+            return transmit(backend, *args)
+
+        monkeypatch.setattr(FastBackend, "transmit", counted_transmit)
+
+    def take(self) -> tuple[int, int]:
+        """``(kernel calls, transmit calls)`` since the last take."""
+        counts = (self.kernel, self.transmit)
+        self.kernel = self.transmit = 0
+        return counts
+
+
+@pytest.fixture
+def resolver_calls(monkeypatch) -> ResolverCalls:
+    """Counts of compiled ``resolve_launch`` and Python ``transmit``
+    calls for the test's duration."""
+    return ResolverCalls(monkeypatch)
 
 
 def brute_force_suitable(grid: MeshGrid, w: int, l: int) -> SubMesh | None:

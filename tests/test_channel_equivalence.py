@@ -20,6 +20,8 @@ Two tiers, per the channel layer's contract
 import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import SimConfig
 from repro.core.engine import Engine
@@ -38,6 +40,11 @@ from repro.network.channel import ChannelModel, parse_channel, resolve_launch
 from repro.network.topology import MeshTopology
 from repro.stats.compare import MetricSummary
 from tests.statgate import assert_statistically_identical, replicate
+from tests.test_arq_properties import (
+    ScriptedSampler,
+    delay_scripts,
+    fate_scripts,
+)
 
 LOSSY = SimConfig(
     width=8, length=8, jobs=40, seed=3,
@@ -131,16 +138,177 @@ def _resolve_launches(mode: str, channel: str, arq: str) -> list:
     "loss:0.2", "corrupt:0.2", "loss:0.1 + delay:exp:3",
     "loss:0.1 + delay:fixed:2.5",
 ])
-def test_resolve_launch_batch_kernel_equals_fast(channel, arq):
-    """``resolve_launch`` over ``batch`` (each round of originals one
-    ``solve_round`` call) equals ``resolve_launch`` over ``fast`` (one
-    ``transmit`` per packet) bit for bit, and leaves the channel sampler
-    in the same state: the same fates in the same order."""
+def test_resolve_launch_batch_kernel_equals_fast(channel, arq, resolver_calls):
+    """``resolve_launch`` over ``batch`` (the compiled resolver) equals
+    ``resolve_launch`` over ``fast`` (the Python loop, one ``transmit``
+    per attempt) bit for bit, and leaves the channel sampler in the same
+    state: the same fates in the same order."""
     if _native.load_kernel() is None:
         pytest.skip("no compiled reservation kernel")
     fast = _resolve_launches("fast", channel, arq)
     assert all(attempts > packets for packets, *_, attempts in fast[:-1])
+    assert resolver_calls.take()[0] == 0
     assert _resolve_launches("batch", channel, arq) == fast
+    kernel_calls, transmits = resolver_calls.take()
+    assert kernel_calls >= 3 and transmits == 0
+
+
+def test_resolve_launch_batch_without_kernel_runs_python(
+    resolver_calls, monkeypatch
+):
+    """Under ``REPRO_NATIVE=0`` a ``batch`` backend has no kernel, and
+    its lossy launches run the Python loop over ``transmit``."""
+    kernel = _native.load_kernel()
+    monkeypatch.setenv("REPRO_NATIVE", "0")
+    _native.reset_kernel_cache()
+    try:
+        result = _resolve_launches("batch", "loss:0.2", "go-back-n")
+    finally:
+        monkeypatch.delenv("REPRO_NATIVE")
+        _native.reset_kernel_cache()
+    kernel_calls, transmits = resolver_calls.take()
+    assert kernel_calls == 0
+    assert transmits == sum(attempts for *_, attempts in result[:-1])
+    if kernel is not None:
+        assert result == _resolve_launches("batch", "loss:0.2", "go-back-n")
+
+
+@pytest.mark.parametrize("arq", ARQ_PROTOCOLS)
+def test_attempt_cap_raises_alike(arq):
+    """A channel that fails every attempt drives a packet to
+    ``MAX_ATTEMPTS``: both resolvers raise one error naming the same
+    packet, after the same transmissions and the same draws."""
+    seen = []
+    for mode in ("fast", "batch"):
+        backend = make_backend(mode, MeshTopology(4, 4), Engine())
+        model = ChannelModel(parse_channel("loss:0.5"), arq, seed=5,
+                             p_len=8, round_gap=8.0)
+        model.sampler._failure = 1.0
+        with pytest.raises(RuntimeError, match="exceeded") as error:
+            resolve_launch(backend, model, [0, 5], [1], 0.0, 8.0)
+        sampler = model.sampler
+        seen.append((str(error.value), backend.packets_sent, sampler._pos,
+                     sampler.rng.bit_generator.state))
+    assert "(flow 0, seq 0)" in seen[0][0]
+    assert seen[0] == seen[1]
+
+
+@pytest.mark.parametrize("arq", ARQ_PROTOCOLS)
+def test_undelivered_code_raises_like_python(arq, monkeypatch):
+    """The compiled resolver reports a launch that drained with a packet
+    unaccepted as an error code naming the packet; ``resolve_launch``
+    raises it as the Python loop raises its own."""
+    def never_resend(state, i, k, t_detect):
+        state.pending[i * state.total + k] = 1
+        return []
+
+    monkeypatch.setattr(LaunchArq, "on_failure", never_resend)
+    model = ChannelModel(parse_channel("loss:0.5"), arq, seed=0, p_len=8,
+                         round_gap=8.0)
+    model.sampler = ScriptedSampler([True, False])
+    with pytest.raises(RuntimeError) as python:
+        resolve_launch(make_backend("fast", MeshTopology(4, 4), Engine()),
+                       model, [0, 5], [1, 1, 1], 0.0, 8.0)
+
+    def drained(launch, outcomes):
+        launch.ints[_native.RESOLVE_INTS.index("err")] = 3  # (flow 1, seq 0)
+        return _native.RESOLVE_UNDELIVERED
+
+    monkeypatch.setattr(_native.LaunchResolve, "run", drained)
+    backend = make_backend("batch", MeshTopology(4, 4), Engine())
+    if backend.kernel is None:
+        pytest.skip("no compiled reservation kernel")
+    with pytest.raises(RuntimeError) as compiled:
+        resolve_launch(backend, model, [0, 5], [1, 1, 1], 0.0, 8.0)
+    assert str(compiled.value) == str(python.value)
+    assert "(flow 1, seq 0) undelivered" in str(python.value)
+
+
+def tenths(lo: int, hi: int):
+    return st.integers(lo, hi).map(lambda v: v / 10)
+
+
+@st.composite
+def channelled_launches(draw):
+    """A mesh or torus of 1..9 x 1..9, a channel sampler -- a real policy
+    or fate and delay scripts -- and a few launches sharing the mesh's
+    reservation table: node lists repeat a shuffled subset up to three
+    times, and offsets (none, for an empty launch) have any sign or size
+    but never name the sender itself."""
+    width = draw(st.integers(1, 9))
+    length = draw(st.integers(1 if width > 1 else 2, 9))
+    topo = MeshTopology(width, length, wrap=draw(st.booleans()))
+    node_id = st.integers(0, topo.node_count - 1)
+    launches = []
+    now = 0.0
+    for _ in range(draw(st.integers(1, 3))):
+        base = draw(st.lists(node_id, min_size=2, max_size=6, unique=True))
+        nodes = base * draw(st.integers(1, 3))
+        m = len(base)
+        # q * m + r with 0 < r < m: any sign, up to about 2**61
+        offsets = draw(st.lists(
+            st.builds(lambda q, r: q * m + r,
+                      st.integers(-(2**58), 2**58), st.integers(1, m - 1)),
+            min_size=0, max_size=4))
+        now += draw(tenths(0, 400))
+        launches.append((nodes, offsets, now))
+    scripted = draw(st.booleans())
+    if scripted:
+        channel = (draw(fate_scripts), draw(delay_scripts))
+    else:
+        terms = [f"{draw(st.sampled_from(['loss', 'corrupt']))}:"
+                 f"{draw(st.sampled_from([0.05, 0.2, 0.45]))}"]
+        terms += draw(st.sampled_from(
+            [[], ["delay:exp:2"], ["delay:fixed:1.5"],
+             ["delay:uniform:0.5:3"]]))
+        channel = "+".join(terms)
+    return (topo, draw(tenths(0, 60)), draw(st.integers(1, 24)),
+            draw(tenths(1, 200)), draw(st.sampled_from(ARQ_PROTOCOLS)),
+            channel, launches)
+
+
+def _resolve_case(mode: str, case) -> list:
+    """Run a :func:`channelled_launches` case over one ``mode`` backend:
+    each launch's stats, accepts and attempts with every float as its
+    bytes, then the table, the packet count and the sampler's state."""
+    topo, t_s, p_len, gap, arq, channel, launches = case
+    backend = make_backend(mode, topo, Engine(), t_s=t_s, p_len=p_len)
+    spec = "loss:0.5" if isinstance(channel, tuple) else channel
+    model = ChannelModel(parse_channel(spec), arq, seed=7, p_len=p_len,
+                         round_gap=gap)
+    if isinstance(channel, tuple):
+        model.sampler = ScriptedSampler(*channel)
+    out = []
+    for nodes, offsets, now in launches:
+        result = resolve_launch(backend, model, nodes, offsets, now, gap)
+        stats = result.stats
+        out.append((
+            stats.packets, _bits(stats.latency_sum),
+            _bits(stats.blocking_sum), _bits(stats.last_delivery),
+            [_bits(t) for t in result.accepts], result.attempts,
+        ))
+    sampler = model.sampler
+    if isinstance(sampler, ScriptedSampler):
+        state = (sampler._fates, sampler._delays)
+    else:
+        state = (sampler.rng.bit_generator.state, sampler._pos)
+    out.append(([_bits(f) for f in backend.free_at], backend.packets_sent,
+                state))
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(channelled_launches())
+def test_compiled_resolve_equals_python(case):
+    """The compiled resolver (``batch`` with a kernel) equals the Python
+    loop (``fast``) bit for bit on generated meshes, tori, node lists
+    with repeats, offsets of any sign, all three protocols and both real
+    and scripted channels: every statistic, acceptance time, attempt
+    count and reservation, and the sampler left in the same state.  A
+    scripted sampler works because C draws nothing itself."""
+    if _native.load_kernel() is None:
+        pytest.skip("no compiled reservation kernel")
+    assert _resolve_case("batch", case) == _resolve_case("fast", case)
 
 
 @pytest.mark.parametrize("arq", ["stop-and-wait", "selective-repeat"])

@@ -87,6 +87,38 @@ def test_scenario_lossy_cell_matches_golden(tmp_path):
     _assert_trajectories_identical(golden, fresh)
 
 
+@pytest.mark.parametrize("native", ["1", "0"])
+def test_scenario_lossy_cell_resolver_path(
+    tmp_path, monkeypatch, resolver_calls, native
+):
+    """The lossy cell's launches run the compiled resolver when the
+    kernel is built (kernel calls, no Python ``transmit``) and the
+    Python loop under ``REPRO_NATIVE=0`` (``transmit`` calls, no kernel
+    call); both match the golden master."""
+    from repro.network import _native
+
+    if native == "1" and _native.load_kernel() is None:
+        pytest.skip("no compiled reservation kernel")
+    fresh = tmp_path / "fresh.json"
+    if native == "1":  # the counted kernel is the memoised one
+        assert main(["scenario", str(LOSSY_CELL), "--out", str(fresh)]) == 0
+    else:
+        monkeypatch.setenv("REPRO_NATIVE", "0")
+        _native.reset_kernel_cache()
+        try:
+            assert main(["scenario", str(LOSSY_CELL), "--out", str(fresh)]) == 0
+        finally:
+            monkeypatch.delenv("REPRO_NATIVE")
+            _native.reset_kernel_cache()
+    kernel_calls, transmits = resolver_calls.take()
+    if native == "1":
+        assert kernel_calls > 0 and transmits == 0
+    else:
+        assert kernel_calls == 0 and transmits > 0
+    _assert_all_identical(GOLDEN / "scenario_lossy_cell.json", fresh)
+    _assert_trajectories_identical(GOLDEN / "scenario_lossy_cell.json", fresh)
+
+
 def test_scenario_lossy_offgrid_matches_golden(tmp_path):
     """``t_s = 0.3`` puts delivery times off the time grid, so a
     per-packet latency sum taken in another order than arrival order

@@ -108,7 +108,7 @@ def launch_pair(n: int, messages: int, seeds: int, solver: str,
     fast = make_backend("fast", topo, Engine())
     if solver == "native":
         batch = make_backend("batch", topo, Engine())
-        if batch._kernel is None:
+        if batch.kernel is None:
             pytest.skip("no C compiler available")
     else:
         # the real fallback: a backend built with the kernel disabled
@@ -119,7 +119,7 @@ def launch_pair(n: int, messages: int, seeds: int, solver: str,
         finally:
             monkeypatch.undo()
             _native.reset_kernel_cache()
-        assert batch._kernel is None
+        assert batch.kernel is None
     rng = np.random.default_rng(seeds)
     now = 0.0
     for _ in range(seeds % 3 + 2):
@@ -155,7 +155,7 @@ class TestKernelRouteWalk:
         topo = MeshTopology(*dims, wrap=wrap)
         fast = make_backend("fast", topo, Engine())
         batch = make_backend("batch", topo, Engine())
-        if batch._kernel is None:
+        if batch.kernel is None:
             pytest.skip("compiled kernel unavailable")
         now = 0.0
         for src in range(topo.node_count):
@@ -183,7 +183,7 @@ class TestReservationTable:
         floats, not NumPy scalars."""
         topo = MeshTopology(8, 8)
         batch = make_backend("batch", topo, Engine())
-        if batch._kernel is None:
+        if batch.kernel is None:
             pytest.skip("compiled kernel unavailable")
         batch.inject_rounds(list(range(16)), [1, 5], 0.0, 16.0)
         timing = batch.transmit(0, 63, 4.0)
@@ -290,7 +290,7 @@ class TestNativeGating:
         _native.reset_kernel_cache()
         try:
             backend = BatchBackend(MeshTopology(4, 4), Engine())
-            assert backend._kernel is None
+            assert backend.kernel is None
             stats = backend.inject_rounds(
                 [0, 1, 2], destination_offsets(3, 2), 0.0, 16.0
             )

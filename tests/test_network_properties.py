@@ -199,64 +199,5 @@ def test_repeated_nodes_launch_equals_fast():
     assert batch.inject_rounds(nodes, [1, 3, -1], 0.0, 16.0) == \
         fast.inject_rounds(nodes, [1, 3, -1], 0.0, 16.0)
     assert np.array_equal(np.asarray(fast.free_at), np.asarray(batch.free_at))
-    if batch._kernel is not None:
+    if batch.kernel is not None:
         assert len(batch._xy) >= 2 * len(nodes)
-
-
-@st.composite
-def round_sequences(draw):
-    """A mesh or torus of 1..9 x 1..9 and a few launches sharing its
-    reservation table, each reserving rounds one call at a time with
-    single-packet ``transmit`` calls between them (the pattern of a
-    lossy launch's resends): node lists repeat a shuffled subset up to
-    three times, and offsets have any sign or size but never name the
-    sender itself."""
-    width = draw(st.integers(1, 9))
-    length = draw(st.integers(1 if width > 1 else 2, 9))
-    topo = MeshTopology(width, length, wrap=draw(st.booleans()))
-    node_id = st.integers(0, topo.node_count - 1)
-    launches = []
-    for _ in range(draw(st.integers(1, 3))):
-        base = draw(st.lists(node_id, min_size=2, max_size=8, unique=True))
-        nodes = base * draw(st.integers(1, 3))
-        m = len(base)
-        steps = draw(st.lists(st.one_of(
-            st.tuples(st.just("round"),
-                      st.integers(-(2**63), 2**63 - 1).filter(
-                          lambda o: o % m != 0),
-                      tenths(0, 900)),
-            st.tuples(st.just("send"), node_id, node_id, tenths(0, 900))
-            .filter(lambda step: step[1] != step[2]),
-        ), min_size=1, max_size=8))
-        launches.append((nodes, steps))
-    return topo, draw(tenths(0, 60)), draw(tenths(10, 160)), launches
-
-
-def timing_bits(timings):
-    return [struct.pack("<d", v) for timing in timings for v in timing]
-
-
-@settings(max_examples=150, deadline=None)
-@given(round_sequences())
-def test_batch_rounds_equal_fast_rounds(case):
-    """``batch.round_reserver`` (one ``solve_round`` call per round,
-    when built) gives every packet's ``(t_inject, t_deliver, blocking)``
-    bits that ``fast``'s per-packet ``transmit`` loop gives, with
-    single-packet transmits interleaved on the same table."""
-    topo, t_s, p_len, launches = case
-    fast = make_backend("fast", topo, Engine(), t_s=t_s, p_len=p_len)
-    batch = make_backend("batch", topo, Engine(), t_s=t_s, p_len=p_len)
-    for nodes, steps in launches:
-        rounds = (fast.round_reserver(nodes), batch.round_reserver(nodes))
-        for step in steps:
-            if step[0] == "round":
-                _, offset, now = step
-                got = [timing_bits(r(offset, now)) for r in rounds]
-                assert len(got[0]) == 3 * len(nodes)
-            else:
-                _, src, dst, now = step
-                got = [timing_bits([b.transmit(src, dst, now)])
-                       for b in (fast, batch)]
-            assert got[0] == got[1]
-    assert np.array_equal(np.asarray(fast.free_at), np.asarray(batch.free_at))
-    assert batch.packets_sent == fast.packets_sent

@@ -219,12 +219,61 @@ class TestNativeGate:
                 module.reset_kernel_cache()
 
 
-#: drives ``solve_rounds`` over edge launches, every buffer heap-allocated
+#: drives ``solve_rounds`` over edge launches, then ``resolve_launch``
+#: (every protocol, on the same table, the heap starting at one event so
+#: it grows, outcomes handed in as asked), every buffer heap-allocated
 #: at its exact size so AddressSanitizer sees any out-of-bounds access
 SANITIZER_MAIN = r"""
 #include <math.h>
 #include <stdlib.h>
 #include <string.h>
+
+/* one lossy launch through resolve_launch; outcomes follow a fixed
+ * pseudo-random pattern failing one attempt in `fail_one_in` (every one
+ * when 1), surviving ones delayed 0, 0.5, 1 or 1.5; `stuck` marks every
+ * packet pending a resend at the start, so none is ever resent.
+ * Returns the final code; iv and fv are left for the caller. */
+static int64_t lossy(int64_t width, int64_t length, int32_t wrap,
+                     const int64_t *ids, int64_t n, const int64_t *offsets,
+                     int64_t rounds, int64_t protocol, int64_t fail_one_in,
+                     int stuck, double *free_at, int64_t *iv, double *fv)
+{
+    const int64_t size = n * rounds;
+    iv[RI_N] = n; iv[RI_TOTAL] = rounds; iv[RI_WIDTH] = width;
+    iv[RI_LENGTH] = length; iv[RI_WRAP] = wrap; iv[RI_PROTOCOL] = protocol;
+    iv[RI_CAP] = 1;
+    memcpy(iv + RI_WORDS, ids, n * sizeof *iv);
+    memcpy(iv + RI_WORDS + n, offsets, rounds * sizeof *iv);
+    if (stuck) {
+        int64_t *pending = iv + RI_WORDS + n + rounds + 5 * n + 3 * size;
+        for (int64_t j = 0; j < size; j++) pending[j] = 1;
+    }
+    fv[RF_NOW] = 50.0; fv[RF_GAP] = 1.7; fv[RF_TIMEOUT] = 3.4;
+    fv[RF_SPACING] = 7.1; fv[RF_HOP] = 1.3; fv[RF_OCC] = 7.1;
+    fv[RF_DRAIN] = 6.1;
+    ArqEvent *heap = malloc(sizeof *heap);
+    uint64_t x = 88172645463325252ULL;
+    int64_t need = size, code;
+    for (;;) {
+        double *draws = malloc((need ? need : 1) * sizeof *draws);
+        for (int64_t m = 0; m < need; m++) {
+            x ^= x << 13; x ^= x >> 7; x ^= x << 17;
+            draws[m] = x % fail_one_in == 0 ? -1.0 : 0.5 * (double)(x % 4);
+        }
+        iv[RI_NDRAWS] = need;
+        iv[RI_POS] = 0;
+        while ((code = resolve_launch(iv, fv, free_at, heap, draws))
+               == RESOLVE_GROW) {
+            iv[RI_CAP] *= 2;
+            heap = realloc(heap, iv[RI_CAP] * sizeof *heap);
+        }
+        free(draws);
+        if (code <= 0) break;
+        need = code;
+    }
+    free(heap);
+    return code;
+}
 
 static int launch(int64_t width, int64_t length, int32_t wrap,
                   const int64_t *nodes, int64_t n,
@@ -243,18 +292,47 @@ static int launch(int64_t width, int64_t length, int32_t wrap,
                      1.3, 7.1, 6.1, width, length, wrap, xy, out);
     int ok = out[0] > 0.0 && out[1] >= 0.0 && !signbit(out[1])
         && out[2] > 10.0;
-    /* then the same rounds one solve_round call each, on the same table,
-     * over the (x, y) solve_rounds left in xy */
-    double *timing = malloc(3 * n * sizeof *timing);
-    for (int64_t r = 0; r < rounds; r++) {
-        const double t = 30.0 + 1.7 * r;
-        solve_round(ids, xy, n, offsets[r], t, free_at, 1.3, 7.1, 6.1,
-                    width, length, wrap, timing);
-        for (int64_t i = 0; i < n; i++)
-            ok &= timing[3 * i] >= t && timing[3 * i + 1] > timing[3 * i]
-                && timing[3 * i + 2] >= 0.0 && !signbit(timing[3 * i + 2]);
+    /* then one lossy launch per protocol on the same table */
+    const int64_t size = n * rounds;
+    const int64_t words = RI_WORDS + n + rounds + 5 * n + 4 * size;
+    const int64_t floats = RF_WORDS + 2 * n + 3 * size;
+    for (int64_t protocol = 0; protocol < 3; protocol++) {
+        int64_t *iv = calloc(words, sizeof *iv);
+        double *fv = calloc(floats, sizeof *fv);
+        const int64_t code = lossy(width, length, wrap, ids, n, offsets,
+                                   rounds, protocol, 3, 0, free_at, iv, fv);
+        ok &= code == RESOLVE_DONE && iv[RI_POS] == iv[RI_NDRAWS]
+            && iv[RI_ATTEMPTS] > size && fv[RF_LATENCY] > 0.0
+            && fv[RF_LAST] > 50.0 && !signbit(fv[RF_BLOCKING]);
+        const double *accepted = fv + RF_WORDS + 2 * n;
+        for (int64_t j = 0; j < size; j++)
+            ok &= isfinite(accepted[j]) && accepted[j] > 50.0;
+        free(iv); free(fv);
     }
-    free(ids); free(offsets); free(xy); free(free_at); free(timing);
+    free(ids); free(offsets); free(xy); free(free_at);
+    return ok ? 0 : 1;
+}
+
+/* the two error codes: a channel failing every attempt, and a launch
+ * whose packets are never resent */
+static int errors(void)
+{
+    static const int64_t ids[] = {0, 3};
+    static const int64_t offsets[] = {1};
+    double *free_at = calloc(2 * 2 * 6, sizeof *free_at);
+    int ok = 1;
+    for (int64_t protocol = 0; protocol < 3; protocol++) {
+        for (int stuck = 0; stuck < 2; stuck++) {
+            int64_t *iv = calloc(RI_WORDS + 2 + 1 + 10 + 8, sizeof *iv);
+            double *fv = calloc(RF_WORDS + 4 + 6, sizeof *fv);
+            const int64_t code = lossy(2, 2, 0, ids, 2, offsets, 1, protocol,
+                                       1, stuck, free_at, iv, fv);
+            ok &= code == (stuck ? RESOLVE_UNDELIVERED : RESOLVE_EXCEEDED)
+                && iv[RI_ERR] == 0;
+            free(iv); free(fv);
+        }
+    }
+    free(free_at);
     return ok ? 0 : 1;
 }
 
@@ -268,7 +346,7 @@ int main(void)
     static const int64_t corners[] = {351, 0};
     int64_t every[16 * 22];
     for (int64_t i = 0; i < 16 * 22; i++) every[i] = 16 * 22 - 1 - i;
-    int rc = 0;
+    int rc = errors();
     for (int32_t wrap = 0; wrap < 2; wrap++) {
         rc |= launch(1, 9, wrap, line, 9, far, nfar);   /* 1 x N */
         rc |= launch(9, 1, wrap, line, 9, far, nfar);   /* N x 1 */
@@ -390,9 +468,10 @@ def test_reservation_kernel_is_sanitizer_clean(tmp_path):
     """ASan/UBSan build of the reservation kernel: 1 x N, N x 1 and
     2 x 2 shapes (mesh and torus), one-node, two-node and whole-mesh
     launches, and offsets far outside ``[0, n)`` of either sign, through
-    ``solve_rounds`` and then round by round through ``solve_round``,
-    without one sanitizer report; every blocking sum keeps its sign bit
-    clear."""
+    ``solve_rounds`` and then a lossy launch per ARQ protocol through
+    ``resolve_launch`` (growing its heap from one event, and both error
+    codes), without one sanitizer report; every blocking sum keeps its
+    sign bit clear."""
     _run_sanitized(tmp_path, network_native._SOURCE + SANITIZER_MAIN)
 
 
