@@ -110,24 +110,17 @@ class PagingAllocator(Allocator):
         list of sub-meshes.
         """
         ps = self.page_side
-        by_row: dict[int, list[int]] = {}
-        for p in pages:
-            by_row.setdefault(p.y, []).append(p.x)
         out: list[SubMesh] = []
-        for py in sorted(by_row):
-            xs = sorted(by_row[py])
-            run_start = prev = xs[0]
-            for x in xs[1:]:
-                if x == prev + 1:
-                    prev = x
-                    continue
-                out.append(
-                    SubMesh(run_start * ps, py * ps, (prev + 1) * ps - 1, (py + 1) * ps - 1)
-                )
-                run_start = prev = x
-            out.append(
-                SubMesh(run_start * ps, py * ps, (prev + 1) * ps - 1, (py + 1) * ps - 1)
-            )
+        row = first = last = -2  # the open run: page row, first..last page column
+        for y, x in sorted([(p.y, p.x) for p in pages]):
+            if y == row and x == last + 1:
+                last = x
+                continue
+            if first >= 0:
+                out.append(SubMesh(first * ps, row * ps, (last + 1) * ps - 1, (row + 1) * ps - 1))
+            row, first, last = y, x, x
+        if first >= 0:
+            out.append(SubMesh(first * ps, row * ps, (last + 1) * ps - 1, (row + 1) * ps - 1))
         return out
 
     @property

@@ -28,9 +28,12 @@ semantics, so an offset of any sign or size picks the destination
 the Python resolver's loop in C: the originals cursor beside a binary
 heap keyed ``(t, ctr)`` with the Python counter sequence, the ports of
 :class:`repro.network.arq.LaunchArq`'s flat arrays and protocols
-(accept on send, backoff, go-back-n's windows and arrival events), and
-the latency sum flow by flow in ``(t_arrive, ctr)`` order.  It draws no
-random number.  Fates and delays stay in Python, drawn through
+(backoff, go-back-n's windows and arrival events), and the latency sum
+flow by flow in ``(t_arrive, ctr)`` order.  It takes two shortcuts the
+Python reference loop does not, each with the loop's result: a round of
+originals goes out as one burst, and stop-and-wait and selective-repeat
+accept a surviving attempt when it is sent (the C comment gives why
+both hold).  It draws no random number.  Fates and delays stay in Python, drawn through
 :class:`repro.network.channel.ChannelSampler`, so the channel stream
 keeps one implementation, and every caller that reads or wraps the
 sampler -- the trace's attempt counts, the sampler state after a
@@ -302,6 +305,14 @@ void solve_rounds(const int64_t *ids, int64_t n, const int64_t *offsets,
  * of repro.network.arq.LaunchArq over the same flat arrays, packet
  * (i, k) at j = i * total + k.
  *
+ * Two shortcuts leave the result unchanged.  A round of originals is
+ * one burst: its n sends share a send time t, an original wins a time
+ * tie, and no attempt pushes an event earlier than t (arrivals land at
+ * t_deliver + delay, timeouts at t_inject + detect delay), so once a
+ * round starts no heap event can come between its sends.  And
+ * stop-and-wait and selective-repeat accept a survivor when it is sent
+ * (see the attempt below), so they push no ARRIVE.
+ *
  * Fates and delays are not drawn here.  Attempt m of a launch takes
  * outcome m of the draws the caller hands in: -1.0 for a failed
  * attempt, else the surviving attempt's extra delay (0.0 without one).
@@ -544,7 +555,20 @@ int64_t resolve_launch(int64_t *iv, double *fv, double *free_at,
         if (extra < 0.0) {
             arq_push(heap, &len, t_inj + arq_detect(timeout, attempts[j]),
                      ctr, FAIL, j, 0.0);
-        } else if (on_send) {  /* LaunchArq.accepts_on_send */
+        } else if (on_send) {
+            /* accept on send: under stop-and-wait and selective-repeat
+             * at most one attempt of a packet is ever in flight -- the
+             * original goes out once, and a resend of j is planned only
+             * after its in-flight attempt failed, never while one is
+             * pending.  Their receivers accept the first intact arrival
+             * in any order, and no other packet's handling reads
+             * accepted[j].  So this survivor is the only attempt of j in
+             * flight and will be accepted on arrival: record it now, at
+             * its arrival time and with this ctr, as the Python loop's
+             * ARRIVE would.  Go-back-n's receiver accepts only the
+             * sequence number it expects next, so its verdict depends on
+             * the order of arrivals and it keeps one ARRIVE per
+             * survivor. */
             const double ta = t_deliver + extra;
             accepted[j] = ta;
             log_ctr[j] = ctr;

@@ -75,8 +75,7 @@ class LaunchArq:
     per-flow state is indexed by ``i``.  ``accepted[j]`` is the
     acceptance time, :data:`NOT_YET` until then; ``attempts[j]`` counts
     transmissions, so a packet not yet accepted is in flight or was ever
-    sent exactly when it is non-zero.  A resolver that accepts on send
-    may leave a surviving original's count at 0: nothing reads it again.
+    sent exactly when it is non-zero.
 
     The driver feeds it transport events and executes the actions it
     returns:
@@ -192,29 +191,6 @@ class LaunchArq:
             self.progress_mark[i] = expected
             self.waves_since_progress[i] += 1
         return out
-
-    @property
-    def accepts_on_send(self) -> bool:
-        """True when a surviving attempt's acceptance is decided when it
-        is sent, so a resolver may record ``accepted[j]`` (at the
-        attempt's arrival time) right away instead of waiting for an
-        arrival event.
-
-        This holds for stop-and-wait and selective-repeat, because at
-        most one attempt of a packet is ever in flight: the original
-        goes out once, and :meth:`on_failure` plans a resend of ``(i,
-        k)`` only after its in-flight attempt failed, and never while
-        it is pending.  Their receivers accept the first intact arrival
-        whatever the order, and no other packet's handling reads its
-        ``accepted`` entry.  A surviving attempt is therefore the only
-        attempt of its packet still in flight, and it will be accepted
-        on arrival.
-
-        Go-back-n's receiver accepts only the sequence number it expects
-        next, so its verdict depends on the order of arrivals: its
-        resolvers must keep one arrival event per surviving attempt.
-        """
-        return self.kind != GO_BACK_N
 
     # ---------------------------------------------------------- receiver
     def on_arrival(self, i: int, k: int, t_arrive: float) -> bool:

@@ -20,10 +20,8 @@ Backends come in two families.  *Synchronous* backends
 (``synchronous = True``) resolve a whole launch of traffic rounds at
 injection time through :meth:`NetworkBackend.inject_rounds` and return
 aggregate :class:`RoundStats`, and serve a lossy launch's Python
-resolver through :meth:`NetworkBackend.round_reserver` (its original
-sends, a round at a time) and :meth:`NetworkBackend.transmit` (its
-retransmissions), or ``batch`` with a kernel through its compiled
-resolver;
+resolver through :meth:`NetworkBackend.transmit`, one call per
+attempt (``batch`` with a kernel runs its compiled resolver instead);
 *event-driven* backends deliver each packet through the engine via
 :meth:`NetworkBackend.send` callbacks.
 :class:`~repro.network.traffic.AllToAllTraffic` picks the path from the
@@ -38,7 +36,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, Sequence, Type
+from typing import Callable, NamedTuple, Sequence, Type
 
 from repro.core.engine import Engine
 from repro.network.routing import xy_route
@@ -60,12 +58,6 @@ class PathTiming(NamedTuple):
     def latency(self) -> float:
         """Paper's packet latency: injection to delivery."""
         return self.t_deliver - self.t_inject
-
-
-#: ``reserve(offset, now)``: one round of a launch, every node sending
-#: at ``now``, reserved in source order; the packets' ``(t_inject,
-#: t_deliver, blocking)`` in that order
-RoundReserver = Callable[[int, float], Iterable[tuple[float, float, float]]]
 
 
 #: XY route memos shared by every backend in the process, one per
@@ -179,22 +171,6 @@ class NetworkBackend:
         raise NotImplementedError(
             f"{self.mode!r} backend does not support synchronous transmit"
         )
-
-    def round_reserver(self, nodes: Sequence[int]) -> RoundReserver:
-        """Per-launch reserver of whole rounds over ``nodes``
-        (synchronous backends only): ``reserve(offset, now)`` sends round
-        ``i -> (i + offset) mod n`` at ``now`` as one :meth:`transmit`
-        per source, in source order, and returns the packets' timings in
-        that order."""
-        n = len(nodes)
-        transmit = self.transmit
-
-        def reserve(offset: int, now: float) -> list[PathTiming]:
-            return [
-                transmit(nodes[i], nodes[(i + offset) % n], now) for i in range(n)
-            ]
-
-        return reserve
 
     def send(
         self,

@@ -421,51 +421,36 @@ def _resolve_python(
     now: float,
     round_gap: float,
 ) -> LaunchResult:
-    """:func:`resolve_launch` as a Python loop over ``network.transmit``.
+    """:func:`resolve_launch` as a plain discrete-event loop over
+    ``network.transmit``: the reference the compiled resolver must match.
 
     The ``n * total`` original sends never enter the heap: a cursor
-    streams them in schedule order beside it.  Their schedule indices
-    are the lowest tie-break counters (heap entries count on from
-    ``n * total``), so an original goes first whenever its send time is
-    at most the heap's earliest -- the order one heap of every event
-    would give.
+    streams them in schedule order (round-major, source-minor) beside
+    it.  Their schedule indices are the lowest tie-break counters (heap
+    entries count on from ``n * total``), so an original goes first
+    whenever its send time is at most the heap's earliest -- the order
+    one heap of every event would give.
 
-    Each round of originals is therefore one uninterrupted burst: its
-    ``n`` sends share one send time ``t``, an original wins a tie with
-    the heap, and no send pushes an event earlier than ``t`` (an arrival
-    at ``t_deliver + delay``, a timeout at ``t_inject + detect_delay``,
-    both at least ``t_inject >= t``).  So the whole round is reserved by
-    one call of the backend's ``round_reserver(nodes)`` (one
-    ``transmit`` per source), and its results are walked in source order
-    -- fates, delays and pushes in the per-packet order.
-    Retransmissions reserve through ``transmit`` one at a time.
+    Originals and retransmissions take one attempt path: the protocol's
+    :meth:`LaunchArq.should_send` gate, one ``transmit``, the packet's
+    first-injection record, one fate draw, then an arrival event (at
+    ``t_deliver`` plus a delay draw, when the sampler has a delay) for a
+    survivor or a sender timeout for a failure.  Every protocol accepts
+    in :meth:`LaunchArq.on_arrival`.
 
-    Under a protocol that accepts on send
-    (:attr:`LaunchArq.accepts_on_send`: stop-and-wait, selective-repeat)
-    a surviving attempt is accepted when it is sent, at its arrival
-    time, and pushes no arrival event; a surviving original also skips
-    its attempt count and first-injection record, which only a failed
-    one needs.  Go-back-n keeps one arrival event per surviving
-    attempt, because its receiver's verdict depends on arrival order.
-    Either way every attempt draws one fate, and a survivor one delay
-    (none when the sampler has no delay), in the same order.
-
-    Latencies are summed flow by flow, each in arrival order,
-    ``(t_arrive, counter)``, which is the order the arrival events would
-    pop in: one log of ``(i, t_arrive, counter, latency)`` per accepted
-    packet is sorted once at the end.  Float addition does not
-    associate, so off the time grid another order moves the sum.
+    Arrival events pop in ``(t_arrive, counter)`` order, so each flow's
+    latencies are summed in that order, flow by flow.  Float addition
+    does not associate, so off the time grid another order moves the
+    sum.
     """
     n = len(nodes)
     total = len(offsets)
     transmit = network.transmit
-    reserve_round = network.round_reserver(nodes)
     arq = LaunchArq(model.arq, n, total, model.timeout, model.spacing)
-    on_send = arq.accepts_on_send
     accepted = arq.accepted
     first_inject = arq.first_inject
-    #: ``(i, t_arrive, counter, latency)`` of each accepted packet
-    log: list[tuple[int, float, int, float]] = []
+    #: each flow's accepted latencies, in arrival order
+    latencies: list[list[float]] = [[] for _ in range(n)]
     sampler = model.sampler
     fate = sampler.fate
     delay = sampler.delay if sampler.has_delay else None
@@ -476,115 +461,75 @@ def _resolve_python(
 
     heap: list[tuple[float, int, int, int, int, float]] = []
     ctr = n * total
-    # cursor over the original sends: round next_k, sent at next_t
-    next_k = 0
+    # cursor over the original sends: packet (next_i, next_k), sent at next_t
+    next_i = next_k = 0
     next_t = now
 
     while True:
         if next_k < total and (not heap or next_t <= heap[0][0]):
-            # one round of originals: a burst nothing interleaves with
-            k, t = next_k, next_t
-            next_k += 1
-            next_t = now + next_k * round_gap
-            attempts += n
-            timings = reserve_round(offsets[k], t)
-            if on_send:
-                for i, (t_inject, t_deliver, blocking) in enumerate(timings):
-                    blocking_sum += blocking
-                    ctr += 1
-                    if fate():
-                        ta = t_deliver + delay() if delay else t_deliver
-                        accepted[i * total + k] = ta
-                        log.append((i, ta, ctr, ta - t_inject))
-                    else:
-                        # only a failed original is read again: its
-                        # attempt count (backoff) and first injection
-                        j = i * total + k
-                        arq.attempts[j] = 1
-                        first_inject[j] = t_inject
-                        heappush(
-                            heap,
-                            (t_inject + arq.detect_delay(i, k), ctr, _FAIL, i, k, 0.0),
-                        )
-                continue
-            for i, (t_inject, t_deliver, blocking) in enumerate(timings):
-                # counts the attempt; nothing accepts a packet before
-                # its original is sent
-                if not arq.should_send(i, k):
-                    raise RuntimeError(f"(flow {i}, seq {k}) accepted before sent")
-                first_inject[i * total + k] = t_inject
-                blocking_sum += blocking
-                ctr += 1
-                if fate():
-                    ta = t_deliver + delay() if delay else t_deliver
-                    heappush(heap, (ta, ctr, _ARRIVE, i, k, t_inject))
-                else:
-                    heappush(
-                        heap, (t_inject + arq.detect_delay(i, k), ctr, _FAIL, i, k, 0.0)
-                    )
-            continue
-        if not heap:
+            i, k, t = next_i, next_k, next_t  # an original
+            next_i += 1
+            if next_i == n:
+                next_i = 0
+                next_k += 1
+                next_t = now + next_k * round_gap
+        elif not heap:
             break
-        t, c, kind, i, k, aux = heappop(heap)
-        if kind == _SEND:  # a retransmission: k's original went first
-            if not arq.should_send(i, k):
+        else:
+            t, _, kind, i, k, aux = heappop(heap)
+            if kind == _ARRIVE:
+                j = i * total + k
+                if arq.on_arrival(i, k, t):
+                    latencies[i].append(t - first_inject[j])
+                elif accepted[j] == NOT_YET:
+                    # out-of-order discard (go-back-n): the sender finds
+                    # out via its own (cumulative-ack) timeout
+                    td = aux + arq.detect_delay(i, k)
+                    ctr += 1
+                    heappush(heap, (td if td > t else t, ctr, _FAIL, i, k, 0.0))
                 continue
-            attempts += 1
-            t_inject, t_deliver, blocking = transmit(
-                nodes[i], nodes[(i + offsets[k]) % n], t
-            )
-            blocking_sum += blocking
-            ctr += 1
-            if fate():
-                ta = t_deliver + delay() if delay else t_deliver
-                if on_send:
-                    j = i * total + k
-                    accepted[j] = ta
-                    log.append((i, ta, ctr, ta - first_inject[j]))
-                else:
-                    heappush(heap, (ta, ctr, _ARRIVE, i, k, t_inject))
-            else:
-                heappush(
-                    heap, (t_inject + arq.detect_delay(i, k), ctr, _FAIL, i, k, 0.0)
-                )
-        elif kind == _ARRIVE:  # go-back-n only
-            j = i * total + k
-            if arq.on_arrival(i, k, t):
-                log.append((i, t, c, t - first_inject[j]))
+            if kind == _FAIL:
+                for t_send, s in arq.on_failure(i, k, t):
+                    ctr += 1
+                    heappush(heap, (t_send, ctr, _SEND, i, s, 0.0))
+                j = i * total + k
+                if accepted[j] == NOT_YET and not arq.pending[j]:
+                    # still unrecovered but outside the current resend
+                    # window (go-back-n): the retransmission timer re-arms
+                    # until the window slides over it
+                    ctr += 1
+                    heappush(heap, (t + arq.detect_delay(i, k), ctr, _FAIL, i, k, 0.0))
                 continue
-            if accepted[j] != NOT_YET:
-                continue  # a duplicate of an earlier accept
-            # out-of-order discard: the sender finds out via its own
-            # (cumulative-ack) timeout for this attempt
-            td = aux + arq.detect_delay(i, k)
-            ctr += 1
-            heappush(heap, (td if td > t else t, ctr, _FAIL, i, k, 0.0))
-        else:  # _FAIL
-            for t_send, s in arq.on_failure(i, k, t):
-                ctr += 1
-                heappush(heap, (t_send, ctr, _SEND, i, s, 0.0))
-            j = i * total + k
-            if accepted[j] == NOT_YET and not arq.pending[j]:
-                # still unrecovered but outside the current resend window
-                # (go-back-n): the retransmission timer re-arms until the
-                # window slides over it
-                ctr += 1
-                heappush(heap, (t + arq.detect_delay(i, k), ctr, _FAIL, i, k, 0.0))
+            # _SEND: a retransmission, after k's original
+        # one attempt of packet (i, k), sent at t
+        if not arq.should_send(i, k):
+            continue  # accepted while the resend waited
+        attempts += 1
+        t_inject, t_deliver, blocking = transmit(
+            nodes[i], nodes[(i + offsets[k]) % n], t
+        )
+        j = i * total + k
+        if first_inject[j] == NOT_YET:
+            first_inject[j] = t_inject
+        blocking_sum += blocking
+        ctr += 1
+        if fate():
+            ta = t_deliver + delay() if delay else t_deliver
+            heappush(heap, (ta, ctr, _ARRIVE, i, k, t_inject))
+        else:
+            heappush(heap, (t_inject + arq.detect_delay(i, k), ctr, _FAIL, i, k, 0.0))
 
     if not arq.done:
         raise _undelivered(*divmod(accepted.index(NOT_YET), total))
-    log.sort()
     latency_sum = 0.0
-    last = now
-    for _, ta, _, latency in log:
-        latency_sum += latency
-        if ta > last:
-            last = ta
+    for flow in latencies:
+        for latency in flow:
+            latency_sum += latency
     stats = RoundStats(
         packets=n * total,
         latency_sum=latency_sum,
         blocking_sum=blocking_sum,
-        last_delivery=last,
+        last_delivery=max([now, *accepted]),
     )
     return LaunchResult(stats=stats, accepts=accepted, attempts=attempts)
 
@@ -596,11 +541,10 @@ class ChannelledEventLaunch:
     simulation engine is the event loop: fates are drawn in each
     packet's delivery callback, failures schedule sender-timeout events,
     and retransmissions go back through ``network.send`` at their
-    planned times.  Unlike :func:`resolve_launch` it does not accept on
-    send: every protocol's surviving attempt reaches
-    :meth:`LaunchArq.on_arrival` at its arrival time (at once when there
-    is no extra delay), and the job records each packet as it is
-    accepted.
+    planned times.  As in the Python resolver, every protocol's surviving
+    attempt reaches :meth:`LaunchArq.on_arrival` at its arrival time (at
+    once when there is no extra delay), and the job records each packet
+    as it is accepted.
     """
 
     __slots__ = (

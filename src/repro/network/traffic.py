@@ -31,9 +31,8 @@ When the run has a non-trivial :class:`~repro.network.channel.ChannelModel`,
 launches detour through the lossy-channel drivers instead: the
 synchronous resolver (:func:`repro.network.channel.resolve_launch`)
 runs fates, timeouts and ARQ retransmission rounds over the backend's
-reservations (in C on ``batch`` with a kernel, else through
-``round_reserver`` and ``transmit``), and event-driven backends get a
-per-launch
+reservations (in C on ``batch`` with a kernel, else through one
+``transmit`` per attempt), and event-driven backends get a per-launch
 :class:`~repro.network.channel.ChannelledEventLaunch`.  Both drivers
 keep the launch's ARQ state in one
 :class:`~repro.network.arq.LaunchArq`: flat lists over the launch's

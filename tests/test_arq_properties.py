@@ -15,8 +15,6 @@ invariants must hold for every one of them:
   follow the fixed round schedule, so failures only ever add work);
 * on a perfect channel the protocols never act: all three produce
   identical delivery schedules, attempt-for-attempt;
-* stop-and-wait and selective-repeat accept a surviving attempt when it
-  is sent, with the same results as waiting for its arrival event;
 * stop-and-wait throughput is monotone non-increasing in the loss rate
   (seed-averaged, on the real channel sampler);
 * a launch that drains with a packet undelivered raises instead of
@@ -35,7 +33,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.engine import Engine
 from repro.core.events import Priority
 from repro.network.arq import ARQ_PROTOCOLS, MAX_ATTEMPTS, NOT_YET, LaunchArq
-from repro.network.backend import NetworkBackend, PathTiming
+from repro.network.backend import PathTiming
 from repro.network.channel import (
     ChannelledEventLaunch,
     ChannelModel,
@@ -53,8 +51,6 @@ class StubNetwork:
     def transmit(self, src, dst, now):
         return PathTiming(t_inject=now, t_deliver=now + STUB_LATENCY,
                           blocking=0.0)
-
-    round_reserver = NetworkBackend.round_reserver
 
 
 class StubEventNetwork:
@@ -217,27 +213,6 @@ class TestDeliveryInvariants:
         assert saw.accepts == sr.accepts
         assert saw.attempts == sr.attempts == n * total
         assert saw.stats == sr.stats
-
-    @given(protocol=st.sampled_from(["stop-and-wait", "selective-repeat"]),
-           n=st.integers(1, 4), total=st.integers(1, 6),
-           fates=fate_scripts, delays=delay_scripts)
-    @settings(max_examples=120, deadline=None)
-    def test_accept_on_send_equals_arrival_events(
-        self, protocol, n, total, fates, delays
-    ):
-        """Accepting at send time (these protocols' resolver path) and
-        accepting at one arrival event per surviving attempt (forced
-        here) agree on every acceptance, attempt and statistic."""
-        on_send = launch(protocol, n, total, fates, delays)
-        saved = LaunchArq.accepts_on_send
-        LaunchArq.accepts_on_send = property(lambda self: False)
-        try:
-            events = launch(protocol, n, total, fates, delays)
-        finally:
-            LaunchArq.accepts_on_send = saved
-        assert on_send.accepts == events.accepts
-        assert on_send.attempts == events.attempts
-        assert on_send.stats == events.stats
 
     @pytest.mark.parametrize("protocol", ARQ_PROTOCOLS)
     def test_undelivered_packet_raises(self, protocol, monkeypatch):

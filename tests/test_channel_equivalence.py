@@ -136,7 +136,7 @@ def _resolve_launches(mode: str, channel: str, arq: str) -> list:
 @pytest.mark.parametrize("arq", ARQ_PROTOCOLS)
 @pytest.mark.parametrize("channel", [
     "loss:0.2", "corrupt:0.2", "loss:0.1 + delay:exp:3",
-    "loss:0.1 + delay:fixed:2.5",
+    "corrupt:0.2 + delay:uniform:0.5:3", "loss:0.1 + delay:fixed:2.5",
 ])
 def test_resolve_launch_batch_kernel_equals_fast(channel, arq, resolver_calls):
     """``resolve_launch`` over ``batch`` (the compiled resolver) equals
@@ -309,22 +309,6 @@ def test_compiled_resolve_equals_python(case):
     if _native.load_kernel() is None:
         pytest.skip("no compiled reservation kernel")
     assert _resolve_case("batch", case) == _resolve_case("fast", case)
-
-
-@pytest.mark.parametrize("arq", ["stop-and-wait", "selective-repeat"])
-@pytest.mark.parametrize("channel", [
-    "loss:0.2", "loss:0.1 + delay:exp:3", "corrupt:0.2 + delay:uniform:0.5:3",
-    "loss:0.1 + delay:fixed:2.5",
-])
-def test_accept_on_send_equals_arrival_events(channel, arq, monkeypatch):
-    """Accepting a surviving attempt when it is sent gives, bit for bit,
-    what one arrival event per surviving attempt gives (the go-back-n
-    path, forced here for every protocol): the same fates and delays in
-    the same order, the same reservations, the same acceptance times and
-    the same latency sum, summed in arrival order."""
-    on_send = _resolve_launches("fast", channel, arq)
-    monkeypatch.setattr(LaunchArq, "accepts_on_send", property(lambda self: False))
-    assert _resolve_launches("fast", channel, arq) == on_send
 
 
 class TestDisjointSeedStatistics:

@@ -38,25 +38,38 @@ node = st.integers(0, WIDTH * LENGTH - 1)
 packet = st.tuples(node, node).filter(lambda sd: sd[0] != sd[1])
 
 
-def staggered_times(n: int) -> list[float]:
-    """Injection times spaced by one worst-case header flight.
+def staggered_times(packets: list[tuple[int, int]]) -> list[float]:
+    """Injection times at which every earlier header has finished.
 
-    ``(max_hops + 2) * hop_cost`` bounds how long any header needs to
-    finish all its channel crossings, so packet ``i + 1`` is always
-    injected after packet ``i``'s reservations are physically decided --
+    Packet ``i + 1`` is injected when packet ``i``'s header finishes its
+    final channel crossing (``t_deliver - drain`` on ``fast``, source
+    queueing included), by which time every earlier header has finished
+    too, so every reservation is physically decided before the next
+    packet asks for a channel --
     while channels stay occupied for ``P_LEN`` cycles, far longer, so
-    later packets still block on earlier ones.
+    later packets still block on earlier ones.  A fixed spacing of one
+    uncontended flight is not enough: a packet that queues at its
+    source can still be routing its header when the next one starts.
     """
-    flight = (WIDTH + LENGTH + 2) * (T_S + 1.0)
-    return [i * flight for i in range(n)]
+    fast = make_backend("fast", MeshTopology(WIDTH, LENGTH), Engine(),
+                        t_s=T_S, p_len=P_LEN)
+    times = []
+    at = 0.0
+    for src, dst in packets:
+        times.append(at)
+        at = fast.transmit(src, dst, at).t_deliver - fast.drain
+    return times
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(packet, min_size=1, max_size=14))
+# packet 3 queues at its source until t=132 and routes its header until
+# t=152: a fixed stagger injected packet 4 at t=144, mid-route
+@example(packets=[(3, 0), (2, 0), (2, 0), (2, 1), (0, 1)])
 def test_fast_equals_causal_on_staggered_injections(packets):
     topo = MeshTopology(WIDTH, LENGTH)
     fast = make_backend("fast", topo, Engine(), t_s=T_S, p_len=P_LEN)
-    times = staggered_times(len(packets))
+    times = staggered_times(packets)
     fast_timings = [
         fast.transmit(src, dst, at)
         for (src, dst), at in zip(packets, times)
@@ -87,7 +100,7 @@ def test_batch_equals_fast_on_staggered_injections(packets):
     topo = MeshTopology(WIDTH, LENGTH)
     fast = make_backend("fast", topo, Engine(), t_s=T_S, p_len=P_LEN)
     batch = make_backend("batch", topo, Engine(), t_s=T_S, p_len=P_LEN)
-    times = staggered_times(len(packets))
+    times = staggered_times(packets)
     for (src, dst), at in zip(packets, times):
         assert batch.transmit(src, dst, at) == fast.transmit(src, dst, at)
 
