@@ -15,6 +15,9 @@ invariants must hold for every one of them:
   follow the fixed round schedule, so failures only ever add work);
 * on a perfect channel the protocols never act: all three produce
   identical delivery schedules, attempt-for-attempt;
+* stop-and-wait and selective-repeat accepted when a surviving attempt
+  is sent (the compiled resolver) give the same results as accepted at
+  its arrival event (the Python loop), on a contended mesh;
 * stop-and-wait throughput is monotone non-increasing in the loss rate
   (seed-averaged, on the real channel sampler);
 * a launch that drains with a packet undelivered raises instead of
@@ -33,13 +36,15 @@ from hypothesis import given, settings, strategies as st
 from repro.core.engine import Engine
 from repro.core.events import Priority
 from repro.network.arq import ARQ_PROTOCOLS, MAX_ATTEMPTS, NOT_YET, LaunchArq
-from repro.network.backend import PathTiming
+from repro.network import _native
+from repro.network.backend import PathTiming, make_backend
 from repro.network.channel import (
     ChannelledEventLaunch,
     ChannelModel,
     parse_channel,
     resolve_launch,
 )
+from repro.network.topology import MeshTopology
 
 ROUND_GAP = 16.0
 STUB_LATENCY = 4.0
@@ -213,6 +218,34 @@ class TestDeliveryInvariants:
         assert saw.accepts == sr.accepts
         assert saw.attempts == sr.attempts == n * total
         assert saw.stats == sr.stats
+
+    @given(protocol=st.sampled_from(["stop-and-wait", "selective-repeat"]),
+           n=st.integers(2, 4), total=st.integers(1, 6),
+           fates=fate_scripts, delays=delay_scripts)
+    @settings(max_examples=120, deadline=None)
+    def test_accept_on_send_equals_arrival_events(
+        self, protocol, n, total, fates, delays
+    ):
+        """The compiled resolver accepts a surviving attempt of these
+        protocols when it is sent; the Python loop accepts it at its
+        arrival event.  Over one contended 2 x 2 mesh ring, the two agree
+        on every acceptance, attempt and statistic."""
+        if _native.load_kernel() is None:
+            pytest.skip("no compiled reservation kernel")
+
+        def run(mode):
+            backend = make_backend(mode, MeshTopology(2, 2), Engine(),
+                                   t_s=0.3, p_len=16)
+            return resolve_launch(
+                backend, scripted_model(protocol, fates, delays),
+                nodes=list(range(n)), offsets=[1] * total, now=0.0,
+                round_gap=ROUND_GAP,
+            )
+
+        on_send, events = run("batch"), run("fast")
+        assert on_send.accepts == events.accepts
+        assert on_send.attempts == events.attempts
+        assert on_send.stats == events.stats
 
     @pytest.mark.parametrize("protocol", ARQ_PROTOCOLS)
     def test_undelivered_packet_raises(self, protocol, monkeypatch):

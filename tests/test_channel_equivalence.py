@@ -311,6 +311,24 @@ def test_compiled_resolve_equals_python(case):
     assert _resolve_case("batch", case) == _resolve_case("fast", case)
 
 
+@pytest.mark.parametrize("arq", ["stop-and-wait", "selective-repeat"])
+@pytest.mark.parametrize("channel", [
+    "loss:0.2", "loss:0.1 + delay:exp:3", "corrupt:0.2 + delay:uniform:0.5:3",
+    "loss:0.1 + delay:fixed:2.5",
+])
+def test_accept_on_send_equals_arrival_events(channel, arq):
+    """The compiled resolver accepts a surviving attempt of these
+    protocols when it is sent; the Python loop waits for one arrival
+    event per surviving attempt.  Both give, bit for bit, the same fates
+    and delays in the same order, the same reservations, the same
+    acceptance times and the same latency sum, summed in arrival order."""
+    if _native.load_kernel() is None:
+        pytest.skip("no compiled reservation kernel")
+    events = _resolve_launches("fast", channel, arq)
+    assert all(attempts > packets for packets, *_, attempts in events[:-1])
+    assert _resolve_launches("batch", channel, arq) == events
+
+
 class TestDisjointSeedStatistics:
     def test_reference_vs_soa_fallback_statistically(self):
         """Fed *disjoint* seed sets, the two engines are independent
