@@ -39,7 +39,6 @@ import ctypes
 import hashlib
 import os
 import shutil
-import subprocess
 import tempfile
 import threading
 from pathlib import Path
@@ -98,6 +97,8 @@ def cache_dir() -> Path | None:
 def _compile(cc: str, source: str, link: Sequence[Path],
              directory: Path, lib_path: Path) -> bool:
     """Compile ``source`` into ``lib_path`` through private temp files."""
+    import subprocess  # only a cache miss compiles; a warm run never loads it
+
     fd, src = tempfile.mkstemp(suffix=".c", dir=directory)
     with os.fdopen(fd, "w") as fh:
         fh.write(source)

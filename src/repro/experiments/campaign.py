@@ -53,7 +53,6 @@ import dataclasses
 import hashlib
 import json
 import math
-import multiprocessing
 import os
 import threading
 import time
@@ -76,13 +75,7 @@ from repro.stats.replication import ReplicationController, ReplicationResult
 from repro.workload.sdsc import synthesize_sdsc_trace
 from repro.workload.stochastic import StochasticWorkload
 from repro.workload.trace import TraceJob, TraceWorkload
-from repro.workload.transforms import (
-    SOURCES,
-    build_pipeline,
-    canonical_workload,
-    is_pipeline_spec,
-    spec_is_deterministic,
-)
+from repro.workload.sources import SOURCES, is_pipeline_spec
 
 #: metrics recorded for every point (RunResult attribute names)
 METRICS = (
@@ -292,6 +285,8 @@ def make_workload(
         jobs = trace if trace is not None else sdsc_trace(scale.trace_max_jobs)
         return TraceWorkload(config, jobs, load, max_jobs=scale.trace_max_jobs)
     if is_pipeline_spec(workload):
+        from repro.workload.transforms import build_pipeline
+
         return build_pipeline(
             workload,
             lambda name: make_workload(name, config, load, scale, trace=trace),
@@ -342,6 +337,8 @@ class PointSpec:
         # spec fails here rather than inside a worker) and the scale
         # pins the job count
         if is_pipeline_spec(self.workload):
+            from repro.workload.transforms import canonical_workload
+
             object.__setattr__(
                 self, "workload", canonical_workload(self.workload)
             )
@@ -387,11 +384,13 @@ class PointSpec:
         consume the replication seed (pure-``real`` sources with only
         deterministic transforms such as ``scale``/``burst``/``clamp``).
         """
-        if self.workload == "real" or (
-            is_pipeline_spec(self.workload)
-            and spec_is_deterministic(self.workload)
-        ):
+        if self.workload == "real":
             return (1, 1)
+        if is_pipeline_spec(self.workload):
+            from repro.workload.transforms import spec_is_deterministic
+
+            if spec_is_deterministic(self.workload):
+                return (1, 1)
         return (self.scale.min_replications, self.scale.max_replications)
 
     def key(self) -> str:
@@ -701,6 +700,8 @@ def make_executor(
         return futures.ThreadPoolExecutor(
             max_workers=max(1, jobs), thread_name_prefix="repro-campaign"
         )
+    import multiprocessing
+
     if multiprocessing.get_start_method() == "fork":
         _prime_fork_state(specs, trace)
     if trace is None:

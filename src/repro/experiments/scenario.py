@@ -47,9 +47,8 @@ from repro.experiments.campaign import (
     trajectory_key,
 )
 from repro.experiments.store import ResultCache, global_cache
+from repro.workload.sources import SOURCES
 from repro.workload.trace import TraceJob
-from repro.workload.transforms import canonical_workload
-from repro.experiments.report import summarize_point
 
 #: keys accepted by a scenario dict/JSON document
 _SCENARIO_KEYS = frozenset({
@@ -91,7 +90,10 @@ class Scenario:
         # with a traceback from deep inside a (possibly remote) worker
         if not self.name:
             raise ValueError("scenario needs a non-empty name")
-        self.workload = canonical_workload(self.workload)
+        if not (isinstance(self.workload, str) and self.workload in SOURCES):
+            from repro.workload.transforms import canonical_workload
+
+            self.workload = canonical_workload(self.workload)
         self.loads = tuple(float(x) for x in self.loads)
         if not self.loads:
             raise ValueError("scenario needs at least one load")
@@ -342,6 +344,8 @@ class ScenarioResult:
 
     def format(self) -> str:
         """Human-readable per-point summary table."""
+        from repro.experiments.report import summarize_point
+
         lines = [
             f"SCENARIO {self.scenario.name} "
             f"[{self.scenario.fingerprint()}] "

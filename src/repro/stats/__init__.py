@@ -3,9 +3,12 @@
 The paper: "Simulation results are averaged over enough independent runs
 so that the confidence level is 95% and the relative errors do not exceed
 5%."  :class:`~repro.stats.replication.ReplicationController` is the one
-driver of that stopping rule.
+driver of that stopping rule.  The series helpers
+(:mod:`repro.stats.series`), which only trajectory analysis and the diff
+layer call, load on first use of one of their names.
 """
 
+from repro._lazy import lazy_exports
 from repro.stats.ci import mean_confidence_interval, relative_error
 from repro.stats.compare import (
     HIGHER_IS_BETTER,
@@ -24,14 +27,17 @@ from repro.stats.replication import (
     ReplicationController,
     ReplicationResult,
 )
-from repro.stats.series import (
-    SeriesDiff,
-    detect_plateau,
-    detect_saturation,
-    diff_series,
-    resample,
-    union_grid,
-)
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.stats.series": (
+        "SeriesDiff",
+        "detect_plateau",
+        "detect_saturation",
+        "diff_series",
+        "resample",
+        "union_grid",
+    ),
+})
 
 __all__ = [
     "mean_confidence_interval",

@@ -15,8 +15,13 @@ stream, described either programmatically or through a spec string such
 as ``"real*0.5 | thin:0.8 + uniform"`` (see :func:`parse_workload_spec`
 for the grammar).  Every transform preserves the dyadic arrival-time
 grid and non-decreasing arrival order.
+
+The pipeline grammar and the SWF parser load on first use of one of
+their names (:func:`repro._lazy.lazy_exports`): a run of plain source
+names never compiles them.
 """
 
+from repro._lazy import lazy_exports
 from repro.workload.base import Workload, quantize_time
 from repro.workload.columnar import (
     DEFAULT_BLOCK,
@@ -31,26 +36,28 @@ from repro.workload.columnar import (
 )
 from repro.workload.stochastic import StochasticWorkload
 from repro.workload.trace import TraceJob, TraceStats, TraceWorkload, trace_stats
-from repro.workload.transforms import (
-    SOURCES,
-    TRANSFORMS,
-    Burstify,
-    Jitter,
-    LoadScale,
-    Merge,
-    ShapeClamp,
-    SpecError,
-    Thin,
-    WorkloadTransform,
-    build_pipeline,
-    canonical_workload,
-    is_pipeline_spec,
-    parse_workload_spec,
-    spec_is_deterministic,
-    spec_to_str,
-)
+from repro.workload.sources import SOURCES, is_pipeline_spec
 from repro.workload.sdsc import synthesize_sdsc_trace, SDSC_PUBLISHED
-from repro.workload.swf import load_swf, parse_swf_line
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.workload.transforms": (
+        "TRANSFORMS",
+        "Burstify",
+        "Jitter",
+        "LoadScale",
+        "Merge",
+        "ShapeClamp",
+        "SpecError",
+        "Thin",
+        "WorkloadTransform",
+        "build_pipeline",
+        "canonical_workload",
+        "parse_workload_spec",
+        "spec_is_deterministic",
+        "spec_to_str",
+    ),
+    "repro.workload.swf": ("load_swf", "parse_swf_line"),
+})
 
 __all__ = [
     "Workload",

@@ -247,7 +247,13 @@ class TraceWorkload(Workload):
                 f"({arrival[i + 1]} < {arrival[i]})"
             )
         sizes = np.minimum(self._sizes, cfg.processors)
-        uniq = np.unique(sizes)
+        # sorted distinct sizes, as np.unique gives them, without its
+        # first-use import of numpy.ma
+        ordered = np.sort(sizes)
+        distinct = np.empty(ordered.size, dtype=bool)
+        distinct[:1] = True
+        np.not_equal(ordered[1:], ordered[:-1], out=distinct[1:])
+        uniq = ordered[distinct]
         shapes = [shape_for_size(int(s), cfg.width, cfg.length) for s in uniq]
         idx = np.searchsorted(uniq, sizes)
         width = np.array([s[0] for s in shapes], dtype=np.int64)[idx]

@@ -52,10 +52,8 @@ from repro.core.config import TIME_GRID
 from repro.core.job import Job
 from repro.workload.base import Workload, quantize_time
 from repro.workload.columnar import DEFAULT_BLOCK, JobBlock, open_stream
-
-#: base workload names a pipeline source may name (resolution to concrete
-#: Workload objects is the caller's job, see ``build_pipeline``)
-SOURCES = ("real", "uniform", "exponential")
+# ``is_pipeline_spec`` is re-exported: the grammar's public surface
+from repro.workload.sources import SOURCES, is_pipeline_spec  # noqa: F401
 
 
 def _op_code(op: str) -> int:
@@ -705,17 +703,6 @@ def canonical_workload(spec: str | dict) -> str:
     if isinstance(spec, str) and spec in SOURCES:
         return spec
     return spec_to_str(parse_workload_spec(spec))
-
-
-def is_pipeline_spec(workload: str) -> bool:
-    """True when ``workload`` is a pipeline spec rather than a base name.
-
-    A string without any pipeline syntax (``|``, ``+``, ``*``, ``:``)
-    that is not a known source is *not* a pipeline -- callers keep their
-    historical unknown-name error paths for plain strings.
-    """
-    return (isinstance(workload, str) and workload not in SOURCES
-            and any(c in workload for c in "|+*:"))
 
 
 def spec_is_deterministic(spec: str | dict) -> bool:

@@ -28,14 +28,30 @@ event-driven backends, runs on a real :class:`~repro.core.engine.Engine`
 over a stub transport that delivers each send ``STUB_LATENCY`` later:
 under any drop/delay script it records every packet on the job exactly
 once, go-back-n accepts in sequence order, and the launch completes.
+
+Every scripted launch runs under a :class:`LaunchBudget`: both stub
+transports charge it per send, and each sender timer armed (a
+:meth:`LaunchArq.detect_delay` call) is charged too, so a protocol that
+livelocks -- resending for ever, or re-arming a timer whose window never
+covers the lost packet -- fails its example within a few thousand steps
+instead of hanging the suite.
 """
+
+from contextlib import contextmanager
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.engine import Engine
 from repro.core.events import Priority
-from repro.network.arq import ARQ_PROTOCOLS, MAX_ATTEMPTS, NOT_YET, LaunchArq
+from repro.network.arq import (
+    ARQ_PROTOCOLS,
+    DEFAULT_WINDOW,
+    MAX_ATTEMPTS,
+    NOT_YET,
+    LaunchArq,
+)
 from repro.network import _native
 from repro.network.backend import PathTiming, make_backend
 from repro.network.channel import (
@@ -50,10 +66,47 @@ ROUND_GAP = 16.0
 STUB_LATENCY = 4.0
 
 
+class LaunchBudget:
+    """Sends and armed sender timers a correct protocol stays under, for
+    ``n`` flows of ``total`` packets and ``script`` scripted fates and
+    delays: two go-back-n windows per original or scripted event.
+    Searches with hypothesis ``target`` that maximised the steps (20 000
+    examples, up to 12 packets a flow) reached under a quarter of it;
+    one step past it fails the example as a livelock."""
+
+    def __init__(self, n, total, script=0):
+        self.limit = 2 * (n * total + script) * DEFAULT_WINDOW
+        self.steps = 0
+
+    def spend(self):
+        self.steps += 1
+        if self.steps > self.limit:
+            raise AssertionError(
+                f"more than {self.limit} sends and timer arms: "
+                f"the ARQ protocol livelocks"
+            )
+
+    @contextmanager
+    def timers(self):
+        """Charge every sender timer armed inside the block."""
+        detect_delay = LaunchArq.detect_delay
+
+        def charged(arq, i, k):
+            self.spend()
+            return detect_delay(arq, i, k)
+
+        with mock.patch.object(LaunchArq, "detect_delay", charged):
+            yield
+
+
 class StubNetwork:
     """Contention-free transport: inject immediately, fixed latency."""
 
+    def __init__(self, budget):
+        self.budget = budget
+
     def transmit(self, src, dst, now):
+        self.budget.spend()
         return PathTiming(t_inject=now, t_deliver=now + STUB_LATENCY,
                           blocking=0.0)
 
@@ -64,10 +117,12 @@ class StubEventNetwork:
 
     synchronous = False
 
-    def __init__(self, engine):
+    def __init__(self, engine, budget):
         self.engine = engine
+        self.budget = budget
 
     def send(self, src, dst, now, callback):
+        self.budget.spend()
         timing = PathTiming(t_inject=now, t_deliver=now + STUB_LATENCY,
                             blocking=0.0)
         self.engine.schedule_at(timing.t_deliver, callback, timing,
@@ -120,11 +175,13 @@ def scripted_model(protocol, fates=(), delays=()):
 
 
 def launch(protocol, n, total, fates=(), delays=()):
-    return resolve_launch(
-        StubNetwork(), scripted_model(protocol, fates, delays),
-        nodes=list(range(n)), offsets=[1] * total, now=0.0,
-        round_gap=ROUND_GAP,
-    )
+    budget = LaunchBudget(n, total, len(fates) + len(delays))
+    with budget.timers():
+        return resolve_launch(
+            StubNetwork(budget), scripted_model(protocol, fates, delays),
+            nodes=list(range(n)), offsets=[1] * total, now=0.0,
+            round_gap=ROUND_GAP,
+        )
 
 
 def event_launch(protocol, n, total, fates=(), delays=()):
@@ -133,12 +190,14 @@ def event_launch(protocol, n, total, fates=(), delays=()):
     engine = Engine()
     job = RecordingJob(engine)
     completed = []
-    driver = ChannelledEventLaunch(
-        StubEventNetwork(engine), engine,
-        scripted_model(protocol, fates, delays), job, list(range(n)),
-        [1] * total, 0.0, ROUND_GAP, completed.append, Priority.NETWORK,
-    )
-    engine.run()
+    budget = LaunchBudget(n, total, len(fates) + len(delays))
+    with budget.timers():
+        driver = ChannelledEventLaunch(
+            StubEventNetwork(engine, budget), engine,
+            scripted_model(protocol, fates, delays), job, list(range(n)),
+            [1] * total, 0.0, ROUND_GAP, completed.append, Priority.NETWORK,
+        )
+        engine.run()
     return driver, job, completed
 
 
@@ -306,7 +365,8 @@ class TestStopAndWaitThroughput:
                     seed=seed, p_len=16, round_gap=ROUND_GAP,
                 )
                 result = resolve_launch(
-                    StubNetwork(), model, nodes=list(range(n)),
+                    StubNetwork(LaunchBudget(n, total)), model,
+                    nodes=list(range(n)),
                     offsets=[1] * total, now=0.0, round_gap=ROUND_GAP,
                 )
                 spans.append(result.stats.last_delivery)

@@ -91,7 +91,7 @@ class TestBuild:
             raise AssertionError("must not compile or load")
 
         monkeypatch.setattr(os, "stat", stat)
-        monkeypatch.setattr(_toolchain.subprocess, "run", never)
+        monkeypatch.setattr(subprocess, "run", never)
         monkeypatch.setattr(_toolchain.ctypes, "CDLL", never)
         assert _toolchain.build("t", SOURCE) is None
 
@@ -115,7 +115,7 @@ class TestBuild:
             seen.append((cmd, [Path(s).read_text() for s in sources]))
             raise subprocess.CalledProcessError(1, cmd)
 
-        monkeypatch.setattr(_toolchain.subprocess, "run", record)
+        monkeypatch.setattr(subprocess, "run", record)
         assert _toolchain.build("t", SOURCE) is None
         [(cmd, texts)] = seen
         shared = str(cache / _so_name("t", SOURCE)[:-3]) + ".c"
@@ -207,7 +207,7 @@ class TestNativeGate:
             raise AssertionError("compiler invoked under REPRO_NATIVE=0")
 
         monkeypatch.setenv("REPRO_NATIVE", "0")
-        monkeypatch.setattr(_toolchain.subprocess, "run", never)
+        monkeypatch.setattr(subprocess, "run", never)
         monkeypatch.setattr(_toolchain, "compiler", never)
         for module in KERNEL_MODULES:
             module.reset_kernel_cache()
