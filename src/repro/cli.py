@@ -46,13 +46,9 @@ from typing import Sequence
 
 from repro import __version__
 from repro.core.config import ENGINES, NETWORK_MODES, PAPER_CONFIG
-from repro.experiments.campaign import Campaign
+from repro.experiments.campaign import SCALES, Campaign, default_scale
 from repro.experiments.figures import FIGURES
-from repro.experiments.report import ascii_plot, format_figure, summarize_point
-from repro.experiments.runner import SCALES, default_scale, run_figure, run_point
 from repro.network.arq import ARQ_PROTOCOLS
-from repro.workload.swf import SWFError, load_swf
-from repro.workload.transforms import SpecError
 
 
 #: per-target contracts: report schema written by --out and exit codes.
@@ -670,6 +666,7 @@ def _run_auto_saturation_figures(
     from pathlib import Path
 
     from repro.experiments.diff import campaign_report
+    from repro.experiments.report import ascii_plot, format_figure
     from repro.experiments.trajectory import run_saturation_figure
 
     all_points: dict = {}
@@ -729,11 +726,14 @@ def _run_sweep(args, scale, config, trace) -> int:
             scale=scale, config=config, trace=trace,
             channels=channels, arqs=arqs,
         )
-    except SpecError as exc:
-        print(f"bad workload spec: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
-        print(f"bad sweep parameters: {exc}", file=sys.stderr)
+        # a pipeline spec error comes from the grammar, loaded by then
+        from repro.workload.transforms import SpecError
+
+        if isinstance(exc, SpecError):
+            print(f"bad workload spec: {exc}", file=sys.stderr)
+        else:
+            print(f"bad sweep parameters: {exc}", file=sys.stderr)
         return 2
     print(f"sweep: {len(campaign.points)} unique points, "
           f"scale={scale}, jobs={args.jobs}")
@@ -742,6 +742,8 @@ def _run_sweep(args, scale, config, trace) -> int:
         jobs=args.jobs, progress=_progress, executor_kind=args.executor
     )
     dt = time.perf_counter() - t0
+    from repro.experiments.report import summarize_point
+
     for spec in campaign.points:
         print(f"{spec.label()}: {summarize_point(results[spec])}")
     print(f"[sweep: {len(campaign.points)} points, {dt:.1f}s]")
@@ -792,6 +794,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     trace = None
     if args.swf:
+        from repro.workload.swf import SWFError, load_swf
+
         try:
             trace = load_swf(args.swf, max_size=PAPER_CONFIG.processors)
         except (OSError, SWFError) as exc:
@@ -945,6 +949,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             if args.workload is None or args.load is None:
                 print("point requires --workload and --load", file=sys.stderr)
                 return 2
+            from repro.experiments.report import summarize_point
+            from repro.experiments.runner import run_point
+
             t0 = time.perf_counter()
             try:
                 point = run_point(
@@ -964,6 +971,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         if target not in FIGURES:
             print(f"unknown target {target!r}", file=sys.stderr)
             return 2
+        from repro.experiments.report import ascii_plot, format_figure
+        from repro.experiments.runner import run_figure
+
         t0 = time.perf_counter()
         result = run_figure(target, scale=scale, config=config, trace=trace)
         dt = time.perf_counter() - t0

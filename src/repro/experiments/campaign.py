@@ -44,7 +44,8 @@ re-parsing.  Batch futures hand back the engine's ``RunResult`` values
 directly (for native lanes, built straight from ``LaneState.result()``
 arrays), and finished points persist through the store's coalesced
 :meth:`~repro.experiments.store.ResultCache.put_many` path -- one fsync
-per drained batch, not one per point.
+per drained batch, not one per point, written by a background
+:class:`~repro.experiments.store.ShardWriter` while the next batch runs.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ import threading
 import time
 from collections.abc import Mapping as _MappingABC
 from concurrent import futures
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.alloc import make_allocator
@@ -68,7 +69,7 @@ from repro.core.hooks import TrajectoryObserver
 from repro.core.simulator import Simulator
 from repro.core.soa import run_point_batch
 from repro.experiments.figures import FIGURES
-from repro.experiments.store import ResultCache, global_cache
+from repro.experiments.store import ResultCache, ShardWriter, global_cache
 from repro.sched import make_scheduler
 from repro.stats.compare import MetricSummary
 from repro.stats.replication import ReplicationController, ReplicationResult
@@ -330,6 +331,10 @@ class PointSpec:
     scale: Scale
     config: SimConfig = PAPER_CONFIG
     trace_source: str = "sdsc"  #: "sdsc" or an external-trace fingerprint
+    #: :meth:`key`, computed on first use (a pure function of the fields)
+    _key: str | None = field(
+        default=None, init=False, repr=False, compare=False, hash=False
+    )
 
     def __post_init__(self) -> None:
         # normalise so equality/hashing/key() agree: pipeline specs
@@ -397,6 +402,16 @@ class PointSpec:
         """Stable structured store key: JSON of every outcome-affecting
         field.  Unlike a joined string, a field value containing a
         separator or drifting float repr cannot alias another point."""
+        if self._key is None:
+            object.__setattr__(self, "_key", self._compute_key())
+        return self._key
+
+    def __hash__(self) -> int:
+        # the key's string hash is cached, so a spec hashes in O(1);
+        # equal specs have equal keys
+        return hash(self.key())
+
+    def _compute_key(self) -> str:
         lo, hi = self.replication_bounds
         cfg = dataclasses.asdict(self.config)
         # the execution engine never affects results (bit-identical by
@@ -732,6 +747,9 @@ class _CostModel:
 
     def __init__(self) -> None:
         self._rates: dict[tuple[str, str, str], float] = {}
+        #: the rate of an unobserved class: the mean known rate
+        self._mean_rate = 1.0
+        self._bases: dict[PointSpec, float] = {}
 
     @staticmethod
     def _class_key(spec: PointSpec) -> tuple[str, str, str]:
@@ -744,21 +762,22 @@ class _CostModel:
         return spec.config.jobs
 
     def base(self, spec: PointSpec) -> float:
-        """The a-priori per-point work estimate (arbitrary units)."""
-        lo, hi = spec.replication_bounds
-        reps = (lo + hi) / 2.0
-        return max(spec.load, 1e-9) * reps * self._stream_length(spec)
+        """The a-priori per-point work estimate (arbitrary units),
+        computed once per spec."""
+        base = self._bases.get(spec)
+        if base is None:
+            lo, hi = spec.replication_bounds
+            reps = (lo + hi) / 2.0
+            base = max(spec.load, 1e-9) * reps * self._stream_length(spec)
+            self._bases[spec] = base
+        return base
 
     def estimate(self, spec: PointSpec) -> float:
         """Estimated wall-clock cost (base units scaled by the observed
         per-class rate; unobserved classes use the mean known rate)."""
-        rate = self._rates.get(self._class_key(spec))
-        if rate is None:
-            rate = (
-                sum(self._rates.values()) / len(self._rates)
-                if self._rates else 1.0
-            )
-        return self.base(spec) * rate
+        return self.base(spec) * self._rates.get(
+            self._class_key(spec), self._mean_rate
+        )
 
     def observe(self, spec: PointSpec, seconds: float, seeds: int) -> None:
         """Fold one completed batch's wall time into the class rate."""
@@ -775,6 +794,9 @@ class _CostModel:
         self._rates[key] = (
             rate if old is None else old + self.ALPHA * (rate - old)
         )
+        # summed afresh, in insertion order, so the mean is the same
+        # float the per-estimate sum gave
+        self._mean_rate = sum(self._rates.values()) / len(self._rates)
 
 
 # ----------------------------------------------------------------- campaign
@@ -904,6 +926,17 @@ class Campaign:
         :class:`~repro.core.hooks.TrajectoryObserver`, and its series is
         written in the same ``put_many`` as the point, under
         :func:`trajectory_key`.  Cache hits are not re-run.
+
+        Durability: each drained round is encoded here and written, with
+        one directory fsync, by one background
+        :class:`~repro.experiments.store.ShardWriter` thread per run
+        while the next batch runs; a round waits for the previous one to
+        land.  A crash loses at most the round being written plus the
+        round being drained.  Every finished point is on disk when
+        ``run`` returns or raises (the teardown flushes, then waits for
+        the writer, then shuts the executor down).  An ``OSError`` while
+        writing leaves the store memory-only, as it always has; any
+        other write failure is raised from ``run``.
         """
         note = progress if progress is not None else (lambda _msg: None)
         store = cache if cache is not None else global_cache()
@@ -928,8 +961,9 @@ class Campaign:
         exe = make_executor(jobs, executor_kind, controllers, self.trace)
 
         # completion-driven drain: finished points flush to the store in
-        # coalesced batches (one directory fsync per drained round), so
-        # an interrupted campaign loses at most the rounds in flight,
+        # coalesced batches (one directory fsync per drained round,
+        # written in the background), so an interrupted campaign loses
+        # at most the round being written and the one being drained,
         # and unconverged points resubmit seeds without waiting on
         # unrelated cells.  New work dispatches longest-estimated-first
         # from a single pending queue, topped up whenever the in-flight
@@ -1019,10 +1053,13 @@ class Campaign:
                 submit_batch(nxt)
 
         def flush() -> None:
+            # encodes the round here; the writer thread writes it while
+            # the next batch runs
             if writes:
-                store.put_many(writes)
+                store.put_many(writes, writer)
                 writes.clear()
 
+        writer = ShardWriter(store)
         try:
             while pending or inflight:
                 top_up()
@@ -1045,6 +1082,11 @@ class Campaign:
                     process(fut, resubmit=False)
                 except BaseException:  # noqa: BLE001 - teardown best-effort
                     continue
-            flush()
-            exe.shutdown()
+            try:
+                flush()
+            finally:
+                try:
+                    writer.close()  # every finished point is on disk
+                finally:
+                    exe.shutdown()
         return results

@@ -5,8 +5,9 @@ scenario/sweep JSON documents are submitted over HTTP and executed
 through the existing cost-aware campaign engine, which writes their
 finished points to the sharded
 :class:`~repro.experiments.store.ResultCache` the same way a foreground
-run does: one coalesced ``put_many`` (one directory fsync) per drain
-round of :meth:`~repro.experiments.campaign.Campaign.run`.
+run does: one coalesced ``put_many`` (one directory fsync, written in
+the background) per drain round of
+:meth:`~repro.experiments.campaign.Campaign.run`.
 
 Endpoints (all JSON, bound to localhost by default):
 
@@ -24,11 +25,12 @@ Endpoints (all JSON, bound to localhost by default):
 
 Durability contract: every submitted job writes an atomic manifest
 under ``<shards>/jobs/``, and every finished point reaches the shard
-directory at the end of the drain round it finished in.  On boot the
-service reconciles manifests against shard contents and requeues only
-the missing points -- the campaign engine's cache-hit scan skips
+directory while the next drain round runs.  On boot the service
+reconciles manifests against shard contents and requeues only the
+missing points -- the campaign engine's cache-hit scan skips
 everything already on disk -- so a SIGKILL mid-campaign loses at most
-the round in flight and never recomputes a written point.
+the round being written plus the round being drained, and never
+recomputes a written point.
 
 Reports served by the service contain scalar metrics only: its
 campaigns record no trajectories.  A later foreground ``repro

@@ -8,6 +8,14 @@ campaign runs -- can populate the same cache directory without ever
 producing a torn or corrupt file: distinct keys land in distinct files,
 and concurrent writes of the same key resolve to one complete winner.
 
+Durability: :meth:`ResultCache.put_many` is the only write path, and
+one batch costs one directory fsync.  A campaign run hands its batches
+(one per drained round) to a :class:`ShardWriter`, whose thread writes
+and fsyncs a round while the next batch runs; at most one round is in
+flight.  So a crash loses at most the round being written plus the
+round being drained, and every finished point is on disk when
+``Campaign.run`` returns.
+
 Set ``REPRO_CACHE=0`` to keep results in memory only;
 ``REPRO_CACHE_DIR`` relocates the on-disk cache: shards live in
 ``<REPRO_CACHE_DIR>/results.shards/`` (default
@@ -20,6 +28,7 @@ import hashlib
 import json
 import os
 import tempfile
+import threading
 import time
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -69,25 +78,58 @@ class ResultCache:
             self._mem[key] = value
         return value
 
-    def put_many(self, items: Iterable[tuple[str, Mapping]]) -> None:
+    def put_many(
+        self,
+        items: Iterable[tuple[str, Mapping]],
+        writer: "ShardWriter | None" = None,
+    ) -> None:
         """Store a batch of ``(key, value)`` pairs with coalesced disk I/O.
 
-        Each shard is still written atomically (tempfile + ``rename``),
-        but instead of leaving every entry's durability to the next
-        metadata flush, the *directory* is fsynced **once per batch**
-        after all renames land -- so a whole drained campaign round
-        costs one fsync, not one per point, and a crash loses at most
-        the final batch.  This is the store's only write path.
+        Every value lands in memory at once, and each shard is encoded
+        here.  Each shard is still written atomically (tempfile +
+        ``rename``), but instead of leaving every entry's durability to
+        the next metadata flush, the *directory* is fsynced **once per
+        batch** after all renames land -- so a whole drained campaign
+        round costs one fsync, not one per point.  This is the store's
+        only write path.
+
+        Without a ``writer`` the batch is on disk when this returns.
+        With one (a campaign run's :class:`ShardWriter`), the writes and
+        the fsync run on the writer's thread while the caller goes on;
+        the writer's ``close`` makes every batch durable.
+        """
+        shards: list[tuple[str, bytes]] = []
+        for key, value in items:
+            value = self._mem[key] = dict(value)
+            if self.disk:
+                shards.append((
+                    _shard_name(key),
+                    json.dumps({"key": key, "value": value}).encode(),
+                ))
+        if not shards:
+            return
+        if writer is None:
+            self._write_round(shards)
+        else:
+            writer.submit(shards)
+
+    def _write_round(self, shards: list[tuple[str, bytes]]) -> None:
+        """Write encoded shards, then fsync the directory once.
+
+        An ``OSError`` (a read-only or full filesystem) switches the
+        cache to memory-only for good; the rest of the round is not
+        written.
         """
         wrote = False
-        for key, value in items:
-            self._mem[key] = dict(value)
-            if self.disk:
-                try:
-                    self._write_shard(key, self._mem[key])
-                    wrote = True
-                except OSError:
-                    self.disk = False  # read-only filesystem: stay in memory
+        try:
+            self.path.mkdir(parents=True, exist_ok=True)
+            for name, data in shards:
+                if not self.disk:
+                    break
+                self._write_shard(name, data)
+                wrote = True
+        except OSError:
+            self.disk = False  # read-only filesystem: stay in memory
         if wrote:
             self._sync_dir()
 
@@ -142,19 +184,99 @@ class ResultCache:
         value = payload.get("value")
         return dict(value) if isinstance(value, dict) else None
 
-    def _write_shard(self, key: str, value: Mapping) -> None:
-        self.path.mkdir(parents=True, exist_ok=True)
+    def _write_shard(self, name: str, data: bytes) -> None:
         fd, tmp = tempfile.mkstemp(dir=self.path, suffix=".tmp")
         try:
-            with os.fdopen(fd, "w") as f:
-                json.dump({"key": key, "value": dict(value)}, f)
-            os.replace(tmp, self.path / _shard_name(key))
+            try:
+                view = memoryview(data)
+                while view:
+                    view = view[os.write(fd, view):]
+            finally:
+                os.close(fd)
+            os.replace(tmp, self.path / name)
         except BaseException:
             try:
                 os.unlink(tmp)
             except OSError:
                 pass
             raise
+
+
+class ShardWriter:
+    """Writes a campaign run's shard rounds on one background thread.
+
+    :meth:`submit` hands over one encoded round (see
+    :meth:`ResultCache.put_many`) and returns at once; the thread writes
+    its shards and fsyncs the directory while the caller drains the next
+    round.  At most one round is in flight: a submit first waits for the
+    previous round to land.  The thread starts on the first submit, so a
+    run with nothing to write starts none.
+
+    An ``OSError`` switches the cache to memory-only, as a synchronous
+    write does.  Any other failure is kept and raised by the next
+    :meth:`submit` or by :meth:`close`, in the caller's thread.
+    """
+
+    def __init__(self, cache: ResultCache) -> None:
+        self._cache = cache
+        self._cond = threading.Condition()
+        self._round: list[tuple[str, bytes]] | None = None
+        self._busy = False  #: a round is submitted and not yet written
+        self._closed = False
+        self._error: BaseException | None = None
+        self._thread: threading.Thread | None = None
+
+    def submit(self, shards: list[tuple[str, bytes]]) -> None:
+        """Write ``shards`` in the background, after the previous round."""
+        if self._thread is None:
+            thread = threading.Thread(
+                target=self._loop, name="repro-store-writer", daemon=True
+            )
+            thread.start()
+            self._thread = thread
+        with self._cond:
+            self._wait_idle()
+            self._round = shards
+            self._busy = True
+            self._cond.notify_all()
+
+    def close(self) -> None:
+        """Wait until every submitted round is on disk, then stop the
+        thread; raise a failure the thread kept."""
+        with self._cond:
+            self._closed = True
+            self._cond.notify_all()
+        if self._thread is not None:
+            self._thread.join()
+            self._thread = None
+        with self._cond:
+            self._wait_idle()
+
+    def _wait_idle(self) -> None:
+        # caller holds self._cond
+        while self._busy:
+            self._cond.wait()
+        if self._error is not None:
+            error, self._error = self._error, None
+            raise error
+
+    def _loop(self) -> None:
+        while True:
+            with self._cond:
+                while self._round is None and not self._closed:
+                    self._cond.wait()
+                shards, self._round = self._round, None
+            if shards is None:
+                return
+            error = None
+            try:
+                self._cache._write_round(shards)
+            except BaseException as exc:  # noqa: BLE001 - raised by the caller
+                error = exc
+            with self._cond:
+                self._error = self._error or error
+                self._busy = False
+                self._cond.notify_all()
 
 
 _GLOBAL_CACHE: ResultCache | None = None

@@ -84,6 +84,7 @@ from repro.network.arq import (
     DEFAULT_WINDOW,
     GO_BACK_N,
     MAX_ATTEMPTS,
+    IDLE_REARMS,
     STOP_AND_WAIT,
 )
 
@@ -93,7 +94,8 @@ from repro.network.arq import (
 RESOLVE_INTS = (
     "n", "total", "width", "length", "wrap", "protocol", "cap",
     "ndraws", "pos",
-    "ctr", "next_k", "next_i", "heap_len", "attempts", "err",
+    "ctr", "next_k", "next_i", "heap_len", "attempts", "timers", "idle",
+    "err",
 )
 #: its float64 header: the launch's constants, then its sums
 RESOLVE_FLOATS = (
@@ -102,6 +104,7 @@ RESOLVE_FLOATS = (
 )
 #: ``resolve_launch`` return codes other than a positive need
 RESOLVE_DONE, RESOLVE_GROW, RESOLVE_EXCEEDED, RESOLVE_UNDELIVERED = 0, -1, -2, -3
+RESOLVE_REARMS = -4
 #: int64-sized words per heap event (``ArqEvent``)
 EVENT_WORDS = 5
 
@@ -118,6 +121,7 @@ _SOURCE = (
     "#include <math.h>\n#include <stdint.h>\n\n"
     f"#define ARQ_WINDOW {DEFAULT_WINDOW}\n"
     f"#define ARQ_MAX_ATTEMPTS {MAX_ATTEMPTS}\n"
+    f"#define ARQ_IDLE_REARMS {IDLE_REARMS}\n"
     f"#define ARQ_BACKOFF_CAP {BACKOFF_CAP}\n"
     f"#define ARQ_STOP_AND_WAIT {STOP_AND_WAIT}\n"
     f"#define ARQ_GO_BACK_N {GO_BACK_N}\n"
@@ -126,6 +130,7 @@ _SOURCE = (
     f"#define RESOLVE_GROW ({RESOLVE_GROW})\n"
     f"#define RESOLVE_EXCEEDED ({RESOLVE_EXCEEDED})\n"
     f"#define RESOLVE_UNDELIVERED ({RESOLVE_UNDELIVERED})\n"
+    f"#define RESOLVE_REARMS ({RESOLVE_REARMS})\n"
     + _enum("RI", RESOLVE_INTS) + _enum("RF", RESOLVE_FLOATS)
 ) + r"""
 
@@ -300,8 +305,8 @@ void solve_rounds(const int64_t *ids, int64_t n, const int64_t *offsets,
  * in the order and arithmetic of the Python resolver: the original
  * sends stream from a (next_k, next_i) cursor beside a binary heap of
  * resends (SEND), go-back-n arrivals (ARRIVE) and sender timeouts
- * (FAIL), keyed (t, ctr) with the Python resolver's counter sequence,
- * so the pop order is that of its heapq.  The ARQ protocols are ports
+ * (FAIL, or REARM once re-armed), keyed (t, ctr) with the Python
+ * resolver's counter sequence, so the pop order is that of its heapq.  The ARQ protocols are ports
  * of repro.network.arq.LaunchArq over the same flat arrays, packet
  * (i, k) at j = i * total + k.
  *
@@ -329,8 +334,11 @@ void solve_rounds(const int64_t *ids, int64_t n, const int64_t *offsets,
  * heap may overflow in the next step, or cannot hold one flow for the
  * final sort: the caller grows it and calls again with the same
  * draws), RESOLVE_EXCEEDED (packet iv[RI_ERR] would exceed
- * ARQ_MAX_ATTEMPTS attempts) or RESOLVE_UNDELIVERED (the launch drained
- * with packet iv[RI_ERR] unaccepted).
+ * ARQ_MAX_ATTEMPTS attempts), RESOLVE_REARMS (re-arming packet
+ * iv[RI_ERR]'s timer in an idle launch would exceed ARQ_IDLE_REARMS per
+ * packet and attempt since the last send, LaunchArq.rearm_idle) or
+ * RESOLVE_UNDELIVERED (the launch drained with packet iv[RI_ERR]
+ * unaccepted).
  *
  * Arrays after the headers, n flows of total packets, size = n * total:
  *   iv: ids[n] offsets[total] xy[2n] expected[n] waves[n] mark[n]
@@ -340,12 +348,12 @@ void solve_rounds(const int64_t *ids, int64_t n, const int64_t *offsets,
 
 #define NOT_YET INFINITY
 
-enum { SEND, ARRIVE, FAIL };
+enum { SEND, ARRIVE, FAIL, REARM };
 
 typedef struct {
     double t;      /* event time */
     int64_t ctr;   /* tie-break counter, unique per event */
-    int64_t kind;  /* SEND, ARRIVE or FAIL */
+    int64_t kind;  /* SEND, ARRIVE, FAIL or REARM (a re-armed FAIL) */
     int64_t j;     /* packet index */
     double aux;    /* ARRIVE: the attempt's injection time */
 } ArqEvent;
@@ -439,6 +447,10 @@ int64_t resolve_launch(int64_t *iv, double *fv, double *free_at,
     }
     int64_t next_k = iv[RI_NEXT_K], next_i = iv[RI_NEXT_I];
     int64_t len = iv[RI_HEAP_LEN], pos = iv[RI_POS], sent = iv[RI_ATTEMPTS];
+    /* the REARM events in the heap, and the idle re-arms since the last
+     * attempt: with no original left and only REARMs in the heap,
+     * nothing but a re-armed timer is to come */
+    int64_t timers = iv[RI_TIMERS], idle = iv[RI_IDLE];
     double blocking_sum = fv[RF_BLOCKING];
     int64_t rc = RESOLVE_DONE;
     int starved = 0;  /* the next attempt found no outcome left */
@@ -489,10 +501,11 @@ int64_t resolve_launch(int64_t *iv, double *fv, double *free_at,
             const double td = e.aux + arq_detect(timeout, attempts[j]);
             arq_push(heap, &len, td > e.t ? td : e.t, ++ctr, FAIL, j, 0.0);
             continue;
-        } else {  /* FAIL */
+        } else {  /* FAIL or REARM */
             const ArqEvent e = arq_pop(heap, &len);
             j = e.j;
             t = e.t;
+            if (e.kind == REARM) timers--;
             const int64_t i = j / total;
             if (accepted[j] == NOT_YET && !pending[j]) {
                 if (on_send) {  /* resend exactly the failed packet */
@@ -531,9 +544,17 @@ int64_t resolve_launch(int64_t *iv, double *fv, double *free_at,
                     }
                 }
             }
-            if (accepted[j] == NOT_YET && !pending[j])  /* timer re-arms */
+            if (accepted[j] == NOT_YET && !pending[j]) {  /* timer re-arms */
+                if (next_k == total && len == timers
+                    && ++idle > ARQ_IDLE_REARMS * (size + sent)) {
+                    iv[RI_ERR] = j;
+                    rc = RESOLVE_REARMS;
+                    break;
+                }
+                timers++;
                 arq_push(heap, &len, t + arq_detect(timeout, attempts[j]),
-                         ++ctr, FAIL, j, 0.0);
+                         ++ctr, REARM, j, 0.0);
+            }
             continue;
         }
 
@@ -548,6 +569,7 @@ int64_t resolve_launch(int64_t *iv, double *fv, double *free_at,
                                           wrap, &t_inj, &blocking)
             + hop + drain;
         sent++;
+        idle = 0;
         if (attempts[j]++ == 0) first[j] = t_inj;
         blocking_sum += blocking;
         ctr++;
@@ -591,6 +613,8 @@ int64_t resolve_launch(int64_t *iv, double *fv, double *free_at,
     iv[RI_HEAP_LEN] = len;
     iv[RI_POS] = pos;
     iv[RI_ATTEMPTS] = sent;
+    iv[RI_TIMERS] = timers;
+    iv[RI_IDLE] = idle;
     fv[RF_BLOCKING] = blocking_sum;
     if (rc != RESOLVE_DONE) return rc;
 

@@ -51,6 +51,20 @@ MAX_ATTEMPTS = 10_000
 #: duplicates
 BACKOFF_CAP = 10
 
+#: cap on a launch's *idle* sender-timer re-arms between two sends, per
+#: packet and transmission of the launch.  Go-back-n re-arms the timer
+#: of a failed packet outside the resend window, with no send, until the
+#: window slides over it.  While any attempt, resend or original of the
+#: launch is still to come, that event bounds the wait, however long a
+#: channel delay is.  Once only re-armed timers are left (the launch is
+#: *idle*), a correct protocol sends again within one backed-off wave
+#: interval plus one backed-off detection delay, at most
+#: ``2 * 2**BACKOFF_CAP`` timeouts, and each timer chain (at most one per
+#: transmission) re-arms at most once per timeout in that span; the cap
+#: is twice that.  A receiver whose window never slides over a lost
+#: packet re-arms for ever with no send.
+IDLE_REARMS = 2 ** (BACKOFF_CAP + 2)
+
 #: sentinel time of an acceptance or first injection not yet happened
 NOT_YET = float("inf")
 
@@ -67,6 +81,16 @@ def attempts_exceeded(protocol: str, i: int, k: int) -> RuntimeError:
     )
 
 
+def rearms_exceeded(protocol: str, i: int, k: int) -> RuntimeError:
+    """The error of an idle launch re-arming past its
+    :data:`IDLE_REARMS` cap, naming the packet ``(i, k)`` re-armed
+    last, one message for every resolver."""
+    return RuntimeError(
+        f"ARQ {protocol}: packet (flow {i}, seq {k}) exceeded the idle "
+        f"timer re-arm cap with no send (a window that never slides?)"
+    )
+
+
 class LaunchArq:
     """Sender + receiver ARQ state of every flow of one launch.
 
@@ -75,7 +99,9 @@ class LaunchArq:
     per-flow state is indexed by ``i``.  ``accepted[j]`` is the
     acceptance time, :data:`NOT_YET` until then; ``attempts[j]`` counts
     transmissions, so a packet not yet accepted is in flight or was ever
-    sent exactly when it is non-zero.
+    sent exactly when it is non-zero.  ``sent`` counts the launch's
+    transmissions and ``idle_rearms`` its idle re-arms since the last
+    one (:meth:`rearm_idle`).
 
     The driver feeds it transport events and executes the actions it
     returns:
@@ -87,7 +113,10 @@ class LaunchArq:
       duplicate;
     * :meth:`on_failure` -- a loss/corruption/discard was detected at
       ``t_detect``; returns the flow's ``(send_time, seq)``
-      retransmissions to schedule.
+      retransmissions to schedule;
+    * :meth:`rearm_idle` -- the driver re-arms the timer of a failed
+      packet left unrecovered (go-back-n) while nothing but re-armed
+      timers is left of the launch.
     """
 
     __slots__ = (
@@ -104,6 +133,8 @@ class LaunchArq:
         "last_wave",
         "waves_since_progress",
         "progress_mark",
+        "sent",
+        "idle_rearms",
     )
 
     def __init__(
@@ -125,6 +156,8 @@ class LaunchArq:
         self.last_wave = [float("-inf")] * n
         self.waves_since_progress = [0] * n
         self.progress_mark = [0] * n
+        self.sent = 0
+        self.idle_rearms = 0
 
     # ------------------------------------------------------------ sender
     def should_send(self, i: int, k: int) -> bool:
@@ -142,7 +175,17 @@ class LaunchArq:
         if attempts > MAX_ATTEMPTS:
             raise attempts_exceeded(ARQ_PROTOCOLS[self.kind], i, k)
         self.attempts[j] = attempts
+        self.sent += 1
+        self.idle_rearms = 0
         return True
+
+    def rearm_idle(self, i: int, k: int) -> None:
+        """Count one re-arm of ``(i, k)``'s sender timer made while the
+        launch is idle; raise past :data:`IDLE_REARMS` per packet and
+        transmission since the last send."""
+        self.idle_rearms += 1
+        if self.idle_rearms > IDLE_REARMS * (len(self.attempts) + self.sent):
+            raise rearms_exceeded(ARQ_PROTOCOLS[self.kind], i, k)
 
     def detect_delay(self, i: int, k: int) -> float:
         """Loss-detection delay of ``(i, k)``'s latest attempt (with backoff)."""

@@ -71,6 +71,7 @@ from repro.network.arq import (
     NOT_YET,
     LaunchArq,
     attempts_exceeded,
+    rearms_exceeded,
 )
 from repro.network.backend import NetworkBackend, PathTiming, RoundStats
 
@@ -320,7 +321,7 @@ class LaunchResult:
     attempts: int
 
 
-_SEND, _ARRIVE, _FAIL = 0, 1, 2
+_SEND, _ARRIVE, _FAIL, _REARM = 0, 1, 2, 3
 
 
 def resolve_launch(
@@ -347,8 +348,10 @@ def resolve_launch(
     loop (:func:`_resolve_python`).  Both draw every fate and delay
     through the run's :class:`ChannelSampler`, in the same order and the
     same number of times, and return the same result bit for bit.
-    Draining with a packet undelivered, or a packet reaching
-    :data:`~repro.network.arq.MAX_ATTEMPTS`, raises ``RuntimeError``.
+    Draining with a packet undelivered, a packet reaching
+    :data:`~repro.network.arq.MAX_ATTEMPTS`, or an idle launch re-arming
+    its timers past :data:`~repro.network.arq.IDLE_REARMS` raises
+    ``RuntimeError``.
     """
     if getattr(network, "kernel", None) is not None:
         return _resolve_compiled(network, model, nodes, offsets, now, round_gap)
@@ -401,6 +404,8 @@ def _resolve_compiled(
         i, k = divmod(launch.error_packet, total)
         if code == _native.RESOLVE_EXCEEDED:
             raise attempts_exceeded(model.arq, i, k)
+        if code == _native.RESOLVE_REARMS:
+            raise rearms_exceeded(model.arq, i, k)
         raise _undelivered(i, k)
     latency_sum, blocking_sum, last = launch.sums()
     stats = RoundStats(
@@ -457,9 +462,9 @@ def _resolve_python(
     heappush = heapq.heappush
     heappop = heapq.heappop
     blocking_sum = 0.0
-    attempts = 0
 
     heap: list[tuple[float, int, int, int, int, float]] = []
+    timers = 0  #: the re-armed timeouts in the heap
     ctr = n * total
     # cursor over the original sends: packet (next_i, next_k), sent at next_t
     next_i = next_k = 0
@@ -488,7 +493,9 @@ def _resolve_python(
                     ctr += 1
                     heappush(heap, (td if td > t else t, ctr, _FAIL, i, k, 0.0))
                 continue
-            if kind == _FAIL:
+            if kind != _SEND:  # a sender timeout, first or re-armed
+                if kind == _REARM:
+                    timers -= 1
                 for t_send, s in arq.on_failure(i, k, t):
                     ctr += 1
                     heappush(heap, (t_send, ctr, _SEND, i, s, 0.0))
@@ -497,14 +504,16 @@ def _resolve_python(
                     # still unrecovered but outside the current resend
                     # window (go-back-n): the retransmission timer re-arms
                     # until the window slides over it
+                    if next_k == total and len(heap) == timers:
+                        arq.rearm_idle(i, k)  # nothing else is to come
+                    timers += 1
                     ctr += 1
-                    heappush(heap, (t + arq.detect_delay(i, k), ctr, _FAIL, i, k, 0.0))
+                    heappush(heap, (t + arq.detect_delay(i, k), ctr, _REARM, i, k, 0.0))
                 continue
             # _SEND: a retransmission, after k's original
         # one attempt of packet (i, k), sent at t
         if not arq.should_send(i, k):
             continue  # accepted while the resend waited
-        attempts += 1
         t_inject, t_deliver, blocking = transmit(
             nodes[i], nodes[(i + offsets[k]) % n], t
         )
@@ -531,7 +540,7 @@ def _resolve_python(
         blocking_sum=blocking_sum,
         last_delivery=max([now, *accepted]),
     )
-    return LaunchResult(stats=stats, accepts=accepted, attempts=attempts)
+    return LaunchResult(stats=stats, accepts=accepted, attempts=arq.sent)
 
 
 class ChannelledEventLaunch:
@@ -545,11 +554,16 @@ class ChannelledEventLaunch:
     attempt reaches :meth:`LaunchArq.on_arrival` at its arrival time (at
     once when there is no extra delay), and the job records each packet
     as it is accepted.
+
+    ``live`` counts the launch's events still to come -- rounds of
+    originals, resends, deliveries, arrivals and first timeouts -- but
+    not its re-armed timers, so ``live == 0`` at a re-arm means the
+    launch is idle (:meth:`LaunchArq.rearm_idle`).
     """
 
     __slots__ = (
         "network", "engine", "model", "job", "nodes", "offsets",
-        "on_complete", "arq", "blocking", "priority",
+        "on_complete", "arq", "blocking", "priority", "live",
     )
 
     def __init__(
@@ -570,13 +584,23 @@ class ChannelledEventLaunch:
         self.blocking = [0.0] * (n * total)  #: stalls of all attempts, per packet
         job.pending_packets = n * total
         self.priority = priority
+        self.live = 0
         for k in range(total):
             if k == 0:
                 self._send_round(0)
             else:
-                engine.schedule_at(
-                    now + k * round_gap, self._send_round, k, priority=priority
-                )
+                self._at(now + k * round_gap, self._send_round, k)
+
+    def _at(self, t: float, callback, *args) -> None:
+        """Schedule ``callback(*args)`` at ``t`` as a live event."""
+        self.live += 1
+        self.engine.schedule_at(
+            t, self._fire, callback, *args, priority=self.priority
+        )
+
+    def _fire(self, callback, *args) -> None:
+        self.live -= 1
+        callback(*args)
 
     def _send_round(self, k: int) -> None:
         for i in range(len(self.nodes)):
@@ -586,6 +610,7 @@ class ChannelledEventLaunch:
         if not self.arq.should_send(i, k):
             return
         nodes = self.nodes
+        self.live += 1  # the delivery callback
         self.network.send(
             nodes[i],
             nodes[(i + self.offsets[k]) % len(nodes)],
@@ -594,6 +619,7 @@ class ChannelledEventLaunch:
         )
 
     def _delivered(self, i: int, k: int, timing: PathTiming) -> None:
+        self.live -= 1
         arq = self.arq
         j = i * arq.total + k
         if arq.first_inject[j] == NOT_YET:
@@ -603,21 +629,14 @@ class ChannelledEventLaunch:
         if sampler.fate():
             extra = sampler.delay()
             if extra > 0.0:
-                self.engine.schedule_at(
-                    timing.t_deliver + extra,
-                    self._arrive, i, k, timing.t_inject,
-                    priority=self.priority,
-                )
+                self._at(timing.t_deliver + extra,
+                         self._arrive, i, k, timing.t_inject)
             else:
                 self._arrive(i, k, timing.t_inject)
         else:
             td = timing.t_inject + arq.detect_delay(i, k)
             now = self.engine.now
-            self.engine.schedule_at(
-                td if td > now else now,
-                self._fail, i, k,
-                priority=self.priority,
-            )
+            self._at(td if td > now else now, self._fail, i, k)
 
     def _arrive(self, i: int, k: int, t_inject: float) -> None:
         arq = self.arq
@@ -633,7 +652,7 @@ class ChannelledEventLaunch:
             return  # duplicate
         td = t_inject + arq.detect_delay(i, k)
         if td > now:
-            self.engine.schedule_at(td, self._fail, i, k, priority=self.priority)
+            self._at(td, self._fail, i, k)
         else:
             self._fail(i, k)
 
@@ -641,12 +660,12 @@ class ChannelledEventLaunch:
         arq = self.arq
         now = self.engine.now
         for t_send, s in arq.on_failure(i, k, now):
-            self.engine.schedule_at(
-                t_send, self._send, i, s, priority=self.priority
-            )
+            self._at(t_send, self._send, i, s)
         j = i * arq.total + k
         if arq.accepted[j] == NOT_YET and not arq.pending[j]:
             # go-back-n: timer re-arms until the window covers this seq
+            if self.live == 0:
+                arq.rearm_idle(i, k)  # nothing else is to come
             self.engine.schedule_at(
                 now + arq.detect_delay(i, k), self._fail, i, k,
                 priority=self.priority,

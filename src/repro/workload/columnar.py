@@ -272,15 +272,20 @@ class BlockStream:
     would interleave RNG draws and corrupt the stream -- so it runs
     under a per-stream lock; reads of already-materialised blocks are
     lock-free (the list is append-only).
+
+    A stream held by a :class:`BlockCache` (``cache``) reports each new
+    block's bytes to it, so the cache keeps a running total.
     """
 
     def __init__(self, workload: "Workload", seed: int,
-                 count: int = DEFAULT_BLOCK) -> None:
+                 count: int = DEFAULT_BLOCK,
+                 cache: "BlockCache | None" = None) -> None:
         self._it = workload.blocks(seed, count)
         self._lock = threading.Lock()
         self.blocks: list[JobBlock] = []
         self.exhausted = False
         self.nbytes = 0
+        self.cache = cache
 
     def block(self, i: int) -> JobBlock | None:
         """Block ``i`` of the stream, or ``None`` past the end."""
@@ -292,7 +297,10 @@ class BlockStream:
                         self.exhausted = True
                     elif len(blk):
                         self.blocks.append(blk)
-                        self.nbytes += blk.nbytes
+                        if self.cache is None:
+                            self.nbytes += blk.nbytes
+                        else:
+                            self.cache._grew(self, blk.nbytes)
         return self.blocks[i] if i < len(self.blocks) else None
 
 
@@ -354,6 +362,8 @@ class BlockCache:
         self._streams: OrderedDict[tuple, BlockStream] = OrderedDict()
         self._budget = budget
         self._lock = threading.Lock()
+        #: the summed ``nbytes`` of the cached streams
+        self._nbytes = 0
 
     @property
     def budget(self) -> int:
@@ -366,23 +376,35 @@ class BlockCache:
         with self._lock:
             stream = self._streams.get(key)
             if stream is None:
-                stream = BlockStream(workload, seed, count)
+                stream = BlockStream(workload, seed, count, cache=self)
                 self._streams[key] = stream
             self._streams.move_to_end(key)
             self._trim()
             return stream
 
+    def _grew(self, stream: BlockStream, nbytes: int) -> None:
+        """``stream`` materialised ``nbytes`` more (called under the
+        stream's lock; the total counts only streams still cached)."""
+        with self._lock:
+            stream.nbytes += nbytes
+            if stream.cache is self:
+                self._nbytes += nbytes
+
     def _trim(self) -> None:
         # caller holds self._lock
-        while len(self._streams) > 1:
-            total = sum(s.nbytes for s in self._streams.values())
-            if total <= self.budget:
-                break
-            self._streams.popitem(last=False)
+        while len(self._streams) > 1 and self._nbytes > self.budget:
+            self._evict(self._streams.popitem(last=False)[1])
+
+    def _evict(self, stream: BlockStream) -> None:
+        # caller holds self._lock
+        stream.cache = None
+        self._nbytes -= stream.nbytes
 
     def clear(self) -> None:
         """Drop every cached stream (tests and memory pressure)."""
         with self._lock:
+            for stream in self._streams.values():
+                self._evict(stream)
             self._streams.clear()
 
 

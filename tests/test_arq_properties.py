@@ -29,6 +29,11 @@ over a stub transport that delivers each send ``STUB_LATENCY`` later:
 under any drop/delay script it records every packet on the job exactly
 once, go-back-n accepts in sequence order, and the launch completes.
 
+A go-back-n receiver whose window never slides over a lost packet
+(:func:`skipping_receiver`) re-arms its timer with no send; every
+resolver, the compiled one included, stops it at the idle re-arm cap
+without any test budget (:class:`TestIdleRearmCap`).
+
 Every scripted launch runs under a :class:`LaunchBudget`: both stub
 transports charge it per send, and each sender timer armed (a
 :meth:`LaunchArq.detect_delay` call) is charged too, so a protocol that
@@ -37,6 +42,8 @@ covers the lost packet -- fails its example within a few thousand steps
 instead of hanging the suite.
 """
 
+import math
+import time
 from contextlib import contextmanager
 from unittest import mock
 
@@ -45,9 +52,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.engine import Engine
 from repro.core.events import Priority
+from repro import _toolchain
 from repro.network.arq import (
     ARQ_PROTOCOLS,
     DEFAULT_WINDOW,
+    GO_BACK_N,
     MAX_ATTEMPTS,
     NOT_YET,
     LaunchArq,
@@ -447,3 +456,84 @@ class TestLaunchArqStateMachine:
             assert "exceeded" in str(exc)
         else:
             raise AssertionError("MAX_ATTEMPTS cap never tripped")
+
+
+def skipping_receiver(arq, i, k, t_arrive):
+    """A broken go-back-n receiver: it rejects only ``k < expected``, so
+    a packet past a lost one jumps the cursor over it and the resend
+    window never covers the lost packet again."""
+    j = i * arq.total + k
+    if arq.accepted[j] != NOT_YET:
+        return False
+    if arq.kind == GO_BACK_N:
+        if k < arq.expected[i]:
+            return False
+        arq.expected[i] = k + 1
+    arq.accepted[j] = t_arrive
+    return True
+
+
+#: the C resolver with :func:`skipping_receiver`'s receiver
+SKIPPING_SOURCE = _native._SOURCE.replace(
+    """            if (j - i * total == expected[i]) {
+                expected[i]++;""",
+    """            if (j - i * total >= expected[i]) {
+                expected[i] = j - i * total + 1;""",
+)
+
+
+class TestIdleRearmCap:
+    """A launch whose go-back-n window never slides over a lost packet
+    re-arms that packet's timer for ever with no send.  The program
+    itself stops it (no :class:`LaunchBudget` here): one flow of three
+    packets whose first fate is a loss."""
+
+    #: the stubs charge a budget; this one never runs out
+    UNBOUNDED = LaunchBudget(0, 0)
+    UNBOUNDED.limit = math.inf
+
+    @pytest.fixture(autouse=True)
+    def skipping(self, monkeypatch):
+        monkeypatch.setattr(LaunchArq, "on_arrival", skipping_receiver)
+
+    def test_python_resolver_raises(self):
+        t0 = time.perf_counter()
+        with pytest.raises(RuntimeError, match=r"\(flow 0, seq 0\).*re-arm"):
+            resolve_launch(
+                StubNetwork(self.UNBOUNDED), scripted_model("go-back-n", [False]),
+                nodes=[0], offsets=[1, 1, 1], now=0.0, round_gap=ROUND_GAP,
+            )
+        assert time.perf_counter() - t0 < 1.0
+
+    def test_event_launch_raises(self):
+        engine = Engine()
+        job = RecordingJob(engine)
+        t0 = time.perf_counter()
+        with pytest.raises(RuntimeError, match=r"\(flow 0, seq 0\).*re-arm"):
+            ChannelledEventLaunch(
+                StubEventNetwork(engine, self.UNBOUNDED), engine,
+                scripted_model("go-back-n", [False]), job, [0], [1, 1, 1],
+                0.0, ROUND_GAP, lambda job: None, Priority.NETWORK,
+            )
+            engine.run()
+        assert time.perf_counter() - t0 < 1.0
+
+    def test_compiled_resolver_raises_like_python(self):
+        """The same receiver compiled into the C resolver stops at the
+        same re-arm, after the same transmissions."""
+        backend = make_backend("batch", MeshTopology(4, 4), Engine())
+        if backend.kernel is None:
+            pytest.skip("the network kernel is not available")
+        kernel = _toolchain.build("reserve-skipping", SKIPPING_SOURCE)
+        assert kernel is not None
+        kernel.resolve_launch.restype = backend.kernel.resolve_launch.restype
+        kernel.resolve_launch.argtypes = backend.kernel.resolve_launch.argtypes
+        seen = []
+        for kernel in (kernel, None):
+            backend = make_backend("batch", MeshTopology(4, 4), Engine())
+            backend.kernel = kernel
+            with pytest.raises(RuntimeError, match="re-arm") as error:
+                resolve_launch(backend, scripted_model("go-back-n", [False]),
+                               [0, 5], [1, 1, 1], 0.0, ROUND_GAP)
+            seen.append((str(error.value), backend.packets_sent))
+        assert seen[0] == seen[1]

@@ -17,11 +17,13 @@ Nor is any module that a campaign of plain source names never calls
 parser, the pipeline grammar, ``multiprocessing`` (the process pool
 only), ``subprocess`` (a kernel compile only) and ``numpy.ma``.  Each
 run is a fresh interpreter that compiles what it imports, so such a
-module would cost every cold start without being used.
+module would cost every cold start without being used.  The CLI, too,
+imports each command's modules inside that command.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -157,3 +159,49 @@ def test_run_path_leaves_deferred_modules_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "none"
+
+
+CLI_SCRIPT = textwrap.dedent(
+    """
+    import json
+    import sys
+
+    from repro.cli import main
+
+    argv, deferred = json.loads(sys.argv[1])
+    try:
+        rc = main(argv)
+    except SystemExit as exc:  # argparse's --version
+        rc = exc.code
+    print(rc, " ".join(sorted(set(deferred) & sys.modules.keys())) or "none")
+    """
+)
+
+
+def cli_loads(argv: list[str]) -> str:
+    """Run ``repro ARGV`` in a fresh interpreter: the exit code and the
+    :data:`DEFERRED` modules it loaded, on one line."""
+    env = dict(os.environ, PYTHONPATH=str(SRC), REPRO_CACHE="0")
+    # a cold kernel cache would compile, which loads subprocess
+    subprocess.run([sys.executable, "-c", CHILD_IMPORTS], env=env,
+                   check=True, timeout=120)
+    proc = subprocess.run(
+        [sys.executable, "-c", CLI_SCRIPT, json.dumps([argv, DEFERRED])],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip().splitlines()[-1]
+
+
+def test_cli_version_loads_no_deferred_module():
+    """``import repro.cli`` defers every command's own modules."""
+    assert cli_loads(["--version"]) == "0 none"
+
+
+def test_cli_point_loads_only_what_it_runs():
+    """``repro point`` runs through the runner and prints through the
+    report layer, and loads nothing else of :data:`DEFERRED`."""
+    assert cli_loads([
+        "point", "--workload", "uniform", "--load", "0.02",
+        "--scale", "smoke",
+    ]) == "0 repro.experiments.report repro.experiments.runner"
