@@ -87,7 +87,7 @@ class LaneState:
             "channels": 6 * cells,
             "xy": 2 * cells,
             "heap": self.processors + 8,
-            "sat": (W + 1) * (L + 1),
+            "length": L,
             "messages": max(config.max_messages, 1),
             "window": window,
             "nodes": node_cap,

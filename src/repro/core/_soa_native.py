@@ -61,7 +61,7 @@ class Lane(NamedTuple):
     #: length rule, a key of ``LaneState``'s size table: ``F``/``I`` (the
     #: scalar blocks), ``jobs`` (job capacity, doubled on overflow),
     #: ``cells`` (W*L), ``channels`` (6*W*L), ``xy`` (2*W*L), ``heap``
-    #: (processors + 8), ``sat`` ((W+1)*(L+1)), ``messages``, ``window``,
+    #: (processors + 8), ``length`` (L), ``messages``, ``window``,
     #: and for MBS lanes ``nodes``, ``arena``, ``levels``, ``offsets``,
     #: ``roots`` (all 0 on other lanes)
     size: str
@@ -102,10 +102,8 @@ LANE = (
     Lane("pkk", "double", "f8", "window", "scheduler peek scratch: keys"),
     Lane("pks", "int64_t", "i8", "window", "peek scratch: sequence numbers"),
     Lane("pkj", "int64_t", "i8", "window", "peek scratch: job indices"),
-    Lane("hts", "int64_t", "i8", "cells", "column-height scratch"),
-    Lane("ero", "int64_t", "i8", "cells", "width-erosion scratch"),
-    Lane("sat", "int64_t", "i8", "sat",
-         "summed-area table; lfrb: per-row reach"),
+    Lane("rows", "uint64_t", "u8", "length",
+         "GABL free-cell bit rows: bit x of rows[y] set iff (x, y) free"),
     Lane("nk", "int64_t", "i8", "nodes", "MBS node level k"),
     Lane("nx", "int64_t", "i8", "nodes", "MBS node base x"),
     Lane("ny", "int64_t", "i8", "nodes", "MBS node base y"),
@@ -427,157 +425,119 @@ static void sched_remove(SoaCtx *c, int64_t j)
     }
 }
 
-/* ------------------------------------------------ contiguous searches */
+/* ------------------------------------------------- rectangle searches */
 
-/* summed-area table of the free cells, (W+1) x (L+1); one per
- * allocation attempt serves both orientations' find_suitable */
-static void build_sat(SoaCtx *c)
+/* GABL's two queries of repro.mesh.rectfind, ported line for line onto
+ * the lane's bit rows: bit x of rows[y] is set iff (x, y) is free.
+ * W <= 64 (soa_advance refuses wider GABL lanes), so a row is one
+ * word and bits past the mesh width are never set. */
+
+/* rows from the owner grid, the one source of truth; once per GABL
+ * attempt that passes the free-count gate */
+static void build_rows(SoaCtx *c)
 {
-    const int64_t W = c->W, L = c->L, W1 = W + 1;
-    for (int64_t x = 0; x <= W; x++) c->sat[x] = 0;
-    for (int64_t y = 1; y <= L; y++) {
-        c->sat[y * W1] = 0;
-        for (int64_t x = 1; x <= W; x++) {
-            int64_t f = c->owner[(y - 1) * W + (x - 1)] < 0;
-            c->sat[y * W1 + x] = c->sat[(y - 1) * W1 + x]
-                + c->sat[y * W1 + x - 1] - c->sat[(y - 1) * W1 + x - 1] + f;
-        }
+    const int64_t W = c->W;
+    for (int64_t y = 0; y < c->L; y++) {
+        const int64_t *o = c->owner + y * W;
+        uint64_t m = 0;
+        for (int64_t x = 0; x < W; x++)
+            m |= (uint64_t)(o[x] < 0) << x;
+        c->rows[y] = m;
     }
 }
 
-/* find_suitable_submesh: first free w x l base in row-major order,
- * read off the table build_sat left */
+/* rectfind._runs: bits x of m that start a run of at least w set bits */
+static uint64_t runs(uint64_t m, int64_t w)
+{
+    for (int64_t done = 1; done < w;) {
+        const int64_t step = done < w - done ? done : w - done;
+        m &= m >> step;
+        done += step;
+    }
+    return m;
+}
+
+/* find_suitable_submesh: first free w x l base in row-major order (the
+ * caller has applied the w * l > free gate) */
 static int find_suitable(SoaCtx *c, int64_t w, int64_t l,
                          int64_t *bx, int64_t *by)
 {
-    const int64_t W = c->W, L = c->L, W1 = W + 1;
-    if (w > W || l > L) return 0;
-    const int64_t want = w * l;
-    for (int64_t y = 0; y + l <= L; y++)
-        for (int64_t x = 0; x + w <= W; x++) {
-            int64_t cnt = c->sat[(y + l) * W1 + x + w]
-                - c->sat[y * W1 + x + w] - c->sat[(y + l) * W1 + x]
-                + c->sat[y * W1 + x];
-            if (cnt == want) { *bx = x; *by = y; return 1; }
+    if (w > c->W || l > c->L) return 0;
+    const uint64_t *rows = c->rows;
+    for (int64_t y = 0; y + l <= c->L; y++) {
+        uint64_t m = rows[y];
+        for (int64_t r = 1; r < l && m; r++) m &= rows[y + r];
+        if (m) {
+            m = runs(m, w);
+            if (m) {
+                *bx = __builtin_ctzll(m); *by = y;
+                return 1;
+            }
         }
+    }
     return 0;
 }
 
-/* largest_free_rect_bounded for both orientations of a bw x bl cap in
- * one erosion sweep, then GABL's choice between them: the transpose
- * (bl x bw) wins only with a strictly larger area.
- *
- * Orientation o is the erosion-tensor argmax of repro.mesh.rectfind
- * with width cap mw[o] and length cap ml[o]: a strictly-greater scan in
- * (w, y, x) order over the packed key carved * w * R3 + tail, where the
- * tie-break tail (top row, then x, then w) is < R3, so a smaller area
- * always means a smaller key.  Both orientations read the same column
- * heights and the same erosion at each width, so one sweep to the
- * larger width cap scores both.  Anchors with erosion 0 carve nothing
- * and are never scored (the caps are >= 1 because mw[o] <= max_area).
- *
- * The sweep skips work that cannot move a best key, always by a strict
- * test, since an equal key would not replace the best either:
- * - a row is scored for o only if its largest possible key -- its
- *   largest erosion rmax carved to o's caps, with the tie-break fields
- *   at their maxima -- beats o's best;
- * - erosion never grows with w, and a row has positive erosion only up
- *   to the width of its widest run of free cells (reach), so once
- *   min(mw[o], reach) * min(rmax, ml[o]), capped at max_area, is below
- *   o's best area for every o, no wider anchor in the row can win: the
- *   row is dropped (reach 0), and the sweep ends when every row is.
- * reach borrows the summed-area scratch, which find_suitable is done
- * with by then. */
-static int lfrb(SoaCtx *c, int64_t bw, int64_t bl, int64_t max_area,
+/* largest_free_rect_bounded: largest area, then lowest base row, then
+ * lowest base column, then widest, with rectfind's prunes */
+static int lfrb(SoaCtx *c, int64_t max_w, int64_t max_l, int64_t max_area,
                 int64_t *ox, int64_t *oy, int64_t *ow, int64_t *ol)
 {
     const int64_t W = c->W, L = c->L;
-    if (max_area <= 0) return 0;
-    const int no = bw != bl ? 2 : 1;
-    int64_t mw[2] = {bw, bl}, ml[2] = {bl, bw}, top = 0;
-    for (int o = 0; o < no; o++) {
-        if (mw[o] > W) mw[o] = W;
-        if (mw[o] > max_area) mw[o] = max_area;
-        if (ml[o] > L) ml[o] = L;
-        if (mw[o] <= 0 || ml[o] <= 0) mw[o] = 0;  /* no rectangle */
-        if (mw[o] > top) top = mw[o];
-    }
-    if (top == 0) return 0;
-    const int64_t R1 = W + 1, R2 = R1 * R1, R3 = (L + 2) * R2;
-    int64_t *reach = c->sat;
+    if (max_w > W) max_w = W;
+    if (max_l > L) max_l = L;
+    if (max_w <= 0 || max_l <= 0 || max_area <= 0) return 0;
+    /* no admissible rectangle can have a larger area than this */
+    int64_t ceiling = max_w * max_l < max_area ? max_w * max_l : max_area;
+    if (c->I[I_FREE] < ceiling) ceiling = c->I[I_FREE];
+    const uint64_t *rows = c->rows;
+    int64_t best_area = 0, bx = -1, by = -1, bw = 0, bh = 0;
     for (int64_t y = 0; y < L; y++) {
-        int64_t run = 0, widest = 0;
-        for (int64_t x = 0; x < W; x++) {
-            const int64_t i = y * W + x;
-            const int64_t h = c->owner[i] >= 0 ? 0
-                : y > 0 ? c->hts[i - W] + 1 : 1;
-            c->hts[i] = c->ero[i] = h;
-            run = h > 0 ? run + 1 : 0;
-            if (run > widest) widest = run;
-        }
-        reach[y] = widest;
-    }
-    int64_t best[2] = {-1, -1}, area[2] = {0, 0};
-    int64_t bx[2] = {0, 0}, by[2] = {0, 0}, bwd[2] = {0, 0};
-    int64_t bln[2] = {0, 0}, be[2] = {0, 0};
-    int more = 1;
-    for (int64_t w = 1; w <= top && more; w++) {
-        int live[2];
-        int64_t caps[2];
-        for (int o = 0; o < 2; o++) {
-            live[o] = o < no && w <= mw[o];
-            caps[o] = max_area / w;
-            if (caps[o] > ml[o]) caps[o] = ml[o];
-        }
-        more = 0;
-        for (int64_t y = 0; y < L; y++) {
-            if (reach[y] < w) continue;
-            /* erode row y to width w (a no-op at w = 1) */
-            int64_t *er = c->ero + y * W;
-            const int64_t *hr = c->hts + y * W + w - 1;
-            int64_t rmax = 0;
-            for (int64_t x = 0; x + w <= W; x++) {
-                const int64_t e = hr[x] < er[x] ? hr[x] : er[x];
-                er[x] = e;
-                if (e > rmax) rmax = e;
+        if (best_area >= ceiling)
+            break;  /* a later base row would need a strictly larger area */
+        const int64_t tall = max_l < L - y ? max_l : L - y;
+        uint64_t m = rows[y];
+        /* a later row must beat the best strictly, and no rectangle
+         * based here is wider than the row's free-cell count */
+        int64_t free = __builtin_popcountll(m);
+        if (tall * (free < max_w ? free : max_w) <= best_area) continue;
+        for (int64_t h = 1; h <= tall; h++) {
+            if (h > 1) {
+                m &= rows[y + h - 1];
+                if (!m) break;
             }
-            const int64_t top_tail = (rmax + (L - 1 - y)) * R2 + W * R1 + w;
-            int scan[2];
-            for (int o = 0; o < 2; o++)
-                scan[o] = live[o] && (rmax < caps[o] ? rmax : caps[o]) * w
-                    * R3 + top_tail > best[o];
-            if (scan[0] || scan[1])
-                for (int64_t x = 0; x + w <= W; x++) {
-                    const int64_t e = er[x];
-                    if (e <= 0) continue;
-                    const int64_t tail = (e + (L - 1 - y)) * R2
-                        + (W - x) * R1 + w;
-                    for (int o = 0; o < 2; o++) {
-                        if (!scan[o]) continue;
-                        const int64_t carved = e < caps[o] ? e : caps[o];
-                        const int64_t key = carved * w * R3 + tail;
-                        if (key > best[o]) {
-                            best[o] = key; area[o] = carved * w;
-                            bx[o] = x; by[o] = y; bwd[o] = w;
-                            bln[o] = carved; be[o] = e;
-                        }
-                    }
-                }
-            int keep = 0;
-            for (int o = 0; o < 2; o++) {
-                const int64_t wide = mw[o] < reach[y] ? mw[o] : reach[y];
-                if (!live[o] || wide <= w) continue;
-                int64_t bound = wide * (rmax < ml[o] ? rmax : ml[o]);
-                if (bound > max_area) bound = max_area;
-                keep |= bound >= area[o];
+            /* the widest admissible rectangle of height h */
+            const int64_t cap = max_w * h <= max_area ? max_w : max_area / h;
+            if (!cap) break;
+            /* narrowest width to tie the best */
+            const int64_t need = best_area ? (best_area + h - 1) / h : 1;
+            if (need > cap) continue;
+            free = __builtin_popcountll(m);
+            if (free < need) {
+                if (tall * free < best_area) break;  /* m only shrinks */
+                continue;
             }
-            if (!keep) reach[y] = 0;
-            more |= keep;
+            uint64_t r = runs(m, need);
+            if (!r) continue;
+            int64_t w = need;
+            while (w < cap) {
+                const uint64_t wider = r & (r >> 1);
+                if (!wider) break;
+                r = wider;
+                w++;
+            }
+            const int64_t x = __builtin_ctzll(r), area = w * h;
+            /* area >= best_area here; a tie wins only within the best's
+             * own base row, on a lower column and then on a wider shape */
+            if (area > best_area
+                || (by == y && (x < bx || (x == bx && w > bw)))) {
+                best_area = area;
+                bx = x; by = y; bw = w; bh = h;
+            }
         }
     }
-    const int o = best[1] >= 0 && (best[0] < 0 || area[1] > area[0]) ? 1 : 0;
-    if (best[o] < 0) return 0;
-    *ox = bx[o]; *oy = by[o] - be[o] + 1; *ow = bwd[o]; *ol = bln[o];
+    if (bx < 0) return 0;
+    *ox = bx; *oy = by; *ow = bw; *ol = bh;
     return 1;
 }
 
@@ -602,7 +562,7 @@ static int alloc_gabl(SoaCtx *c, int64_t j, int64_t w, int64_t l)
     /* no w x l free submesh (nor a decomposition) fits in fewer free
      * cells, so the gate may run before the contiguous attempt */
     if (w * l > c->I[I_FREE]) return 0;
-    build_sat(c);
+    build_rows(c);
     if (find_suitable(c, w, l, &bx, &by)) {
         take_rect(c, j, bx, by, w, l);
         c->cur_nsub = 1;
@@ -613,13 +573,26 @@ static int alloc_gabl(SoaCtx *c, int64_t j, int64_t w, int64_t l)
         c->cur_nsub = 1;
         return 1;
     }
-    /* greedy largest-first decomposition */
+    /* greedy largest-first decomposition; each chunk is the larger of
+     * the two frame orientations' searches, the transpose winning only
+     * with a strictly larger area (GABLAllocator._largest_within) */
     int64_t remaining = w * l, bw = w, bl = l, nsub = 0;
     while (remaining > 0) {
-        int64_t x1, y1, w1, l1;
-        if (!lfrb(c, bw, bl, remaining, &x1, &y1, &w1, &l1))
+        int64_t x1, y1, w1, l1, x2, y2, w2, l2;
+        int found = lfrb(c, bw, bl, remaining, &x1, &y1, &w1, &l1);
+        if (bw != bl && lfrb(c, bl, bw, remaining, &x2, &y2, &w2, &l2)
+            && (!found || w2 * l2 > w1 * l1)) {
+            x1 = x2; y1 = y2; w1 = w2; l1 = l2;
+            found = 1;
+        }
+        if (!found)
             return -1;  /* invariant: free >= remaining */
         take_rect(c, j, x1, y1, w1, l1);
+        /* the chunk's cells leave the rows too (w1 = 64 is the whole
+         * word: a 64-bit shift by 64 is undefined) */
+        const uint64_t mask = w1 < 64 ? ((UINT64_C(1) << w1) - 1) << x1
+                                      : ~UINT64_C(0);
+        for (int64_t y = y1; y < y1 + l1; y++) c->rows[y] &= ~mask;
         nsub++;
         remaining -= w1 * l1;
         bw = w1; bl = l1;
@@ -1026,6 +999,7 @@ int64_t soa_advance(void **P, const int64_t *CI, const double *CF)
     c->ids_len = 0;
     c->cur_nsub = 0;
     if (c->max_k >= 48) return -98;
+    if (c->alloc_kind == 0 && c->W > 64) return -97;  /* one word a row */
 
     double *F = c->F;
     int64_t *I = c->I;

@@ -41,7 +41,10 @@ def native_supported(sim: Simulator) -> bool:
     rotation disabled, non-row-major paging, extra observers, per-job
     records) falls back to per-seed reference runs.  An active lossy
     channel (``config.channel``) always falls back: ARQ retransmissions
-    run only through the reference per-packet path.
+    run only through the reference per-packet path.  GABL on a mesh
+    wider than 64 falls back too: the driver's rectangle search keeps
+    one 64-bit word per mesh row (any length is fine), so each seed
+    runs through the reference engine with the same results.
     """
     if native.load_kernel() is None:
         return False
@@ -54,7 +57,9 @@ def native_supported(sim: Simulator) -> bool:
     alloc = sim.allocator
     if alloc.name not in ALLOC_KINDS:
         return False
-    if alloc.name == "GABL" and not getattr(alloc, "allow_rotation", False):
+    if alloc.name == "GABL" and (
+        not getattr(alloc, "allow_rotation", False) or alloc.width > 64
+    ):
         return False
     if alloc.name == "Paging(0)" and alloc.indexing != "row-major":
         return False

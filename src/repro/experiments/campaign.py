@@ -664,7 +664,7 @@ def _prime_fork_state(
     before a fork-started pool spins up.
 
     The memo caches involved (:func:`sdsc_trace`'s trace memo,
-    :class:`~repro.workload.trace.TraceWorkload`'s column memo and
+    :class:`~repro.workload.trace.TraceWorkload`'s raw and column memos and
     the columnar block cache) are module globals, so fork children
     inherit the parsed state instead of every worker re-parsing the
     trace from scratch on its first task.

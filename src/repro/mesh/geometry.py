@@ -77,15 +77,6 @@ class SubMesh:
         """Whether node ``c`` lies inside this sub-mesh."""
         return self.x1 <= c.x <= self.x2 and self.y1 <= c.y <= self.y2
 
-    def contains_submesh(self, other: "SubMesh") -> bool:
-        """Whether ``other`` lies entirely inside this sub-mesh."""
-        return (
-            self.x1 <= other.x1
-            and self.y1 <= other.y1
-            and other.x2 <= self.x2
-            and other.y2 <= self.y2
-        )
-
     def overlaps(self, other: "SubMesh") -> bool:
         """Whether the two rectangles share at least one processor."""
         return (
@@ -102,18 +93,6 @@ class SubMesh:
             row = y * width
             out.extend(range(row + self.x1, row + self.x2 + 1))
         return out
-
-    def fits_in(self, w: int, l: int) -> bool:
-        """Whether this sub-mesh fits inside a ``w x l`` frame as-is."""
-        return self.width <= w and self.length <= l
-
-    def suits(self, w: int, l: int) -> bool:
-        """Definition 4: a *suitable* sub-mesh for a ``S(w, l)`` request.
-
-        True when this sub-mesh is at least as wide and as long as the
-        request (rotation is handled by callers that permit it).
-        """
-        return self.width >= w and self.length >= l
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"S({self.x1},{self.y1},{self.x2},{self.y2})[{self.width}x{self.length}]"

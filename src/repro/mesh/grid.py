@@ -17,7 +17,7 @@ want an array.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -55,11 +55,6 @@ class MeshGrid:
         return self._free_count
 
     @property
-    def busy_count(self) -> int:
-        """Number of currently allocated processors."""
-        return self.size - self._free_count
-
-    @property
     def version(self) -> int:
         """Monotone counter bumped on every mutation (for caches)."""
         return self._version
@@ -69,21 +64,10 @@ class MeshGrid:
         owner = np.array(self._owner, dtype=np.int64)
         return (owner == FREE).reshape(self.length, self.width)
 
-    def owner_at(self, c: Coord) -> int:
-        """Owner job id at coordinate ``c`` (``FREE`` if unallocated)."""
-        self._check_coord(c)
-        return self._owner[c.y * self.width + c.x]
-
     def is_free(self, c: Coord) -> bool:
         """Whether the processor at ``c`` is free."""
         self._check_coord(c)
         return bool(self.rows[c.y] >> c.x & 1)
-
-    def submesh_free(self, s: SubMesh) -> bool:
-        """Definition 3: whether all processors of ``s`` are free."""
-        self._check_submesh(s)
-        mask = ((1 << (s.x2 - s.x1 + 1)) - 1) << s.x1
-        return all(r & mask == mask for r in self.rows[s.y1 : s.y2 + 1])
 
     def in_bounds(self, s: SubMesh) -> bool:
         """Whether ``s`` lies entirely inside the mesh."""
@@ -164,14 +148,6 @@ class MeshGrid:
                     f"row {y} drift: rows={row:#x} owner map={expect:#x}"
                 )
 
-    def owned_by(self, job_id: int) -> list[Coord]:
-        """All coordinates currently owned by ``job_id`` (row-major order)."""
-        return [
-            Coord(i % self.width, i // self.width)
-            for i, o in enumerate(self._owner)
-            if o == job_id
-        ]
-
     # ------------------------------------------------------------- plumbing
     def _check_coord(self, c: Coord) -> None:
         if not (0 <= c.x < self.width and 0 <= c.y < self.length):
@@ -190,11 +166,3 @@ class MeshGrid:
             for row in reversed(self.rows)
         )
 
-
-def submeshes_disjoint(submeshes: Sequence[SubMesh]) -> bool:
-    """Whether no two sub-meshes in the sequence overlap (test helper)."""
-    for i, a in enumerate(submeshes):
-        for b in submeshes[i + 1 :]:
-            if a.overlaps(b):
-                return False
-    return True

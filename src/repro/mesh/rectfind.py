@@ -24,6 +24,13 @@ width capped at ``max_area // h``) at its lowest column, and keeps the
 deterministic choice order: largest area, then lowest base row, then
 lowest base column, then widest shape.  Rows and heights whose area
 bound cannot beat the best so far are skipped.
+
+The compiled SoA lane driver (:mod:`repro.core._soa_native`) carries a
+line-for-line C twin of ``_runs``, :func:`find_suitable_submesh` and
+:func:`largest_free_rect_bounded` over one 64-bit word per row, so a
+change here is a change there: the engine-equivalence tests hold the
+twin to this module bit for bit, and the oracle tests hold this module
+to a brute-force scan and a monotone-stack sweep.
 """
 
 from __future__ import annotations
@@ -174,7 +181,3 @@ def largest_free_rect(grid: MeshGrid) -> SubMesh | None:
     """Largest-area free sub-mesh with no bounds (``None`` if mesh full)."""
     return largest_free_rect_bounded(grid)
 
-
-def free_submesh_exists(grid: MeshGrid, w: int, l: int) -> bool:
-    """Whether any free ``w x l`` sub-mesh exists (no base reported)."""
-    return find_suitable_submesh(grid, w, l) is not None

@@ -56,6 +56,15 @@ _DERIVED_MEMO: dict[tuple, tuple[TraceStats, tuple[int, ...]]] = {}
 #: serialises derivation under concurrent first use, like _COLUMN_LOCK
 _DERIVED_LOCK = threading.Lock()
 
+#: the raw replay columns of one trace object -- ``(trace, replayed
+#: prefix, arrivals, sizes, runtimes, digest)`` -- keyed by
+#: ``(id(trace), len(trace), max_jobs)`` and used only when the stored
+#: trace ``is`` the caller's, so a different trace can never hit (the
+#: entry keeps the trace alive, so its id is never reused).  The campaign
+#: replays one memoised list per trace at every load and for every probe
+#: simulator; a trace must not be edited in place once replayed.
+_RAW_MEMO: dict[tuple, tuple] = {}
+
 
 @dataclass(frozen=True, slots=True)
 class TraceJob:
@@ -107,6 +116,28 @@ def trace_stats(jobs: Sequence[TraceJob]) -> TraceStats:
     )
 
 
+def _raw_columns(trace: Sequence[TraceJob], max_jobs: int | None) -> tuple:
+    """The replayed prefix, its arrival/size/runtime columns (read-only)
+    and their content digest, built once per trace object."""
+    key = (id(trace), len(trace), max_jobs)
+    hit = _RAW_MEMO.get(key)
+    if hit is not None and hit[0] is trace:
+        return hit[1:]
+    prefix = list(trace[:max_jobs]) if max_jobs else list(trace)
+    if len(prefix) < 2:
+        raise ValueError("trace replay needs at least two jobs")
+    arrivals = np.array([tj.arrival for tj in prefix])
+    sizes = np.array([tj.size for tj in prefix], dtype=np.int64)
+    runtimes = np.array([tj.runtime for tj in prefix])
+    h = hashlib.sha256()
+    for col in (arrivals, sizes, runtimes):
+        h.update(col.tobytes())
+        col.flags.writeable = False
+    raw = (prefix, arrivals, sizes, runtimes, h.hexdigest()[:24])
+    _RAW_MEMO[key] = (trace, *raw)
+    return raw
+
+
 class TraceWorkload(Workload):
     """Replay a trace at a chosen system load."""
 
@@ -122,20 +153,11 @@ class TraceWorkload(Workload):
             raise ValueError(f"load must be positive, got {load}")
         if not trace:
             raise ValueError("empty trace")
-        self.trace = list(trace[:max_jobs]) if max_jobs else list(trace)
-        if len(self.trace) < 2:
-            raise ValueError("trace replay needs at least two jobs")
+        (self.trace, self._arrivals, self._sizes, self._runtimes,
+         self._digest) = _raw_columns(trace, max_jobs)
         self.load = load
         #: mean per-processor message count (DESIGN.md section 2.3)
         self.mean_messages = config.num_mes * config.trace_demand_multiplier
-        self._arrivals = np.array([tj.arrival for tj in self.trace])
-        self._sizes = np.array([tj.size for tj in self.trace], dtype=np.int64)
-        self._runtimes = np.array([tj.runtime for tj in self.trace])
-        h = hashlib.sha256()
-        h.update(self._arrivals.tobytes())
-        h.update(self._sizes.tobytes())
-        h.update(self._runtimes.tobytes())
-        self._digest = h.hexdigest()[:24]
         self.stats, self._messages = self._derived()
         #: the paper's arrival-time multiplier f.  A burst trace (all
         #: arrivals simultaneous) has no inter-arrival scale to stretch,

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 import pytest
 
@@ -70,15 +72,48 @@ def resolver_calls(monkeypatch) -> ResolverCalls:
     return ResolverCalls(monkeypatch)
 
 
+def owner_at(grid: MeshGrid, c: Coord) -> int:
+    """Owner job id at ``c`` (``FREE`` if unallocated), off the grid's
+    owner list."""
+    return grid._owner[c.y * grid.width + c.x]
+
+
+def owned_by(grid: MeshGrid, job_id: int) -> list[Coord]:
+    """Every coordinate ``job_id`` owns, row-major, off the owner list."""
+    return [
+        Coord(i % grid.width, i // grid.width)
+        for i, o in enumerate(grid._owner)
+        if o == job_id
+    ]
+
+
+def submesh_free(grid: MeshGrid, s: SubMesh) -> bool:
+    """Definition 3 -- every processor of ``s`` is free -- read off the
+    owner-derived free mask, not the bit rows the searches use."""
+    assert grid.in_bounds(s), s
+    return bool(grid.free_mask()[s.y1 : s.y2 + 1, s.x1 : s.x2 + 1].all())
+
+
+def submeshes_disjoint(submeshes: Sequence[SubMesh]) -> bool:
+    """Whether no processor belongs to two of the sub-meshes."""
+    cells = [
+        (x, y)
+        for s in submeshes
+        for y in range(s.y1, s.y2 + 1)
+        for x in range(s.x1, s.x2 + 1)
+    ]
+    return len(cells) == len(set(cells))
+
+
 def brute_force_suitable(grid: MeshGrid, w: int, l: int) -> SubMesh | None:
     """Reference: first free w x l sub-mesh by exhaustive scan."""
     if w > grid.width or l > grid.length:
         return None
+    free = grid.free_mask()
     for y in range(grid.length - l + 1):
         for x in range(grid.width - w + 1):
-            s = SubMesh.from_base(x, y, w, l)
-            if grid.submesh_free(s):
-                return s
+            if free[y : y + l, x : x + w].all():
+                return SubMesh.from_base(x, y, w, l)
     return None
 
 

@@ -3,7 +3,7 @@
 
 from repro.alloc.anca import ANCAAllocator
 from repro.mesh.geometry import Coord, SubMesh
-from repro.mesh.grid import submeshes_disjoint
+from tests.conftest import submeshes_disjoint
 
 
 class TestContiguousFirst:

@@ -4,7 +4,7 @@ import pytest
 
 from repro.alloc.gabl import GABLAllocator
 from repro.mesh.geometry import Coord, SubMesh
-from repro.mesh.grid import submeshes_disjoint
+from tests.conftest import owned_by, submeshes_disjoint
 
 
 class TestContiguousPath:
@@ -144,8 +144,8 @@ class TestRelease:
         first = a.allocate(1, 3, 3)
         second = a.allocate(2, 2, 4)
         a.release(first)
-        assert a.grid.owned_by(1) == []
-        assert len(a.grid.owned_by(2)) == second.size == 8
+        assert owned_by(a.grid, 1) == []
+        assert len(owned_by(a.grid, 2)) == second.size == 8
         assert a.free_count == 64 - 8
         a.grid.validate()
 
@@ -165,9 +165,9 @@ class TestRelease:
             a.grid.allocate_submesh(SubMesh.from_base(x, 0, 1, 8), 999)
         alloc = a.allocate(5, 4, 4)
         assert alloc is not None and not alloc.contiguous
-        owned = {c.y * a.width + c.x for c in a.grid.owned_by(5)}
+        owned = {c.y * a.width + c.x for c in owned_by(a.grid, 5)}
         assert owned == set(alloc.nodes)
         assert len(alloc.nodes) == 16
         a.release(alloc)
-        assert a.grid.owned_by(5) == []
+        assert owned_by(a.grid, 5) == []
         assert a.free_count == 32

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.alloc.mbs import MBSAllocator, base4_digits, cover_with_squares
-from repro.mesh.grid import submeshes_disjoint
+from tests.conftest import submeshes_disjoint
 
 
 class TestBase4:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.alloc.paging import PagingAllocator
-from repro.mesh.grid import submeshes_disjoint
+from tests.conftest import submeshes_disjoint
 
 
 class TestConstruction:

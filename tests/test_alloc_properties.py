@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 from repro.alloc import make_allocator
 from repro.alloc.base import Allocator
 from repro.mesh.geometry import Coord
-from repro.mesh.grid import submeshes_disjoint
+from tests.conftest import owner_at, submeshes_disjoint
 
 COMPLETE_SPECS = ["Paging(0)", "MBS", "GABL", "Random", "ANCA"]
 ALL_SPECS = COMPLETE_SPECS + ["FF", "BF"]
@@ -56,7 +56,7 @@ def _drive(alloc: Allocator, reqs, holds) -> None:
         ]
         for n in allocation.nodes:
             y, x = divmod(n, 8)
-            assert alloc.grid.owner_at(Coord(x, y)) == j
+            assert owner_at(alloc.grid, Coord(x, y)) == j
         if hold:
             held[j] = allocation
         else:

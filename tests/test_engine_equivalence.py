@@ -248,15 +248,26 @@ class TestCampaignIntegration:
         assert run("reference") == run("soa")
 
 
+#: meshes past the small generated shapes: the paper's 16 x 22, rows
+#: one bit short of and exactly one 64-bit word wide (multi-step ``runs``
+#: shifts and the full-word mask), and more rows than a word has bits
+WIDE_MESHES = ((16, 22), (63, 5), (64, 3), (5, 70))
+
+
 @st.composite
 def lane_points(draw):
     """A point of any lane allocator (GABL, Paging(0), MBS) on a
     generated mesh: shapes 1..6 x 1..6 (1 x N and N x 1 included), where
-    uniform and exponential request sides hit the mesh bounds often, at
-    loads 2**-9 .. 2**-1 -- for these meshes the queue starts to grow
-    (the saturation knee) near 2**-6."""
+    uniform and exponential request sides hit the mesh bounds often, or
+    one of :data:`WIDE_MESHES`, at loads 2**-9 .. 2**-1 -- for the small
+    meshes the queue starts to grow (the saturation knee) near 2**-6,
+    and GABL decomposes on the wide ones at every such load."""
+    width, length = draw(st.one_of(
+        st.tuples(st.integers(1, 6), st.integers(1, 6)),
+        st.sampled_from(WIDE_MESHES),
+    ))
     config = SimConfig(
-        width=draw(st.integers(1, 6)), length=draw(st.integers(1, 6)),
+        width=width, length=length,
         topology=draw(st.sampled_from(("mesh", "torus"))),
         jobs=30, seed=1,
     )
@@ -282,3 +293,51 @@ def test_generated_lane_points_equal_reference(spec, seeds):
         assert soa.native_supported(build_simulator(spec, seeds[0]))
     ref = [result_bits(r) for r in _reference(spec, seeds)]
     assert ref == [result_bits(r) for r in _batch(spec, seeds)]
+
+
+@pytest.mark.parametrize("width,length", WIDE_MESHES)
+@pytest.mark.parametrize("sched", SCHEDS)
+def test_wide_mesh_gabl_decomposes_and_equals_reference(width, length,
+                                                        sched):
+    """The generated wide meshes do reach GABL's decomposition on the
+    lane (contiguity below 1), bit for bit with the reference."""
+    spec = _spec("GABL", sched, load=2.0 ** -5, jobs=30,
+                 config=SimConfig(width=width, length=length, seed=1),
+                 scale=Scale("gen", jobs=30, min_replications=1,
+                             max_replications=1, trace_max_jobs=200))
+    if native.load_kernel() is not None:
+        assert soa.native_supported(build_simulator(spec, 1))
+    ref = _reference(spec, [1, 2])
+    assert all(r.contiguity_rate < 1.0 for r in ref)
+    assert [result_bits(r) for r in ref] == [
+        result_bits(r) for r in _batch(spec, [1, 2])
+    ]
+
+
+@pytest.mark.parametrize("alloc", ALLOCS)
+def test_mesh_wider_than_a_word(alloc):
+    """GABL's lane keeps one 64-bit word per mesh row, so a 65-wide GABL
+    point runs through per-seed reference runs; Paging(0) and MBS never
+    read the rows and stay on the lane.  Both give the reference's
+    results."""
+    spec = _spec(alloc, "FCFS", load=2.0 ** -5,
+                 config=SimConfig(width=65, length=3, jobs=30, seed=1))
+    if native.load_kernel() is not None:
+        assert soa.native_supported(build_simulator(spec, 1)) == (
+            alloc != "GABL")
+    assert_equal_results(_reference(spec, [1, 2]), _batch(spec, [1, 2]))
+
+
+def test_kernel_refuses_a_wide_gabl_lane():
+    """Driven directly, the compiled driver rejects a GABL lane wider
+    than 64 before touching its bit rows."""
+    kernel = native.load_kernel()
+    if kernel is None:
+        pytest.skip("no compiled lane driver")
+    spec = _spec("GABL", "FCFS",
+                 config=SimConfig(width=65, length=3, jobs=30, seed=1))
+    probe = build_simulator(spec, 1)
+    lane = soa.LaneState(probe.config, probe.workload, 1,
+                         soa.ALLOC_KINDS["GABL"], soa.SCHED_KINDS["FCFS"])
+    lane.feed()
+    assert kernel.soa_advance(lane.ptable, lane.ci_ptr, lane.cf_ptr) == -97

@@ -57,12 +57,6 @@ class TestSubMesh:
         assert not s.contains(Coord(0, 1))
         assert not s.contains(Coord(4, 3))
 
-    def test_contains_submesh(self):
-        outer = SubMesh(0, 0, 5, 5)
-        assert outer.contains_submesh(SubMesh(1, 1, 4, 4))
-        assert outer.contains_submesh(outer)
-        assert not outer.contains_submesh(SubMesh(1, 1, 6, 4))
-
     def test_overlaps(self):
         a = SubMesh(0, 0, 2, 2)
         assert a.overlaps(SubMesh(2, 2, 4, 4))  # share corner (2,2)
@@ -90,21 +84,6 @@ class TestSubMesh:
         assert cells == [
             (cy, cx) for cy in range(y, y + l) for cx in range(x, x + w)
         ]
-
-    def test_suits_definition4(self):
-        """Definition 4: suitable iff w >= a and l >= b."""
-        s = SubMesh.from_base(0, 0, 4, 3)
-        assert s.suits(4, 3)
-        assert s.suits(3, 2)
-        assert not s.suits(5, 3)
-        assert not s.suits(4, 4)
-        assert not s.suits(3, 4)  # no implicit rotation
-
-    def test_fits_in(self):
-        s = SubMesh.from_base(0, 0, 2, 5)
-        assert s.fits_in(2, 5)
-        assert s.fits_in(3, 6)
-        assert not s.fits_in(5, 2)  # no implicit rotation
 
     def test_immutability(self):
         s = SubMesh(0, 0, 1, 1)

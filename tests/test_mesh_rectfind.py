@@ -8,7 +8,6 @@ from repro.mesh.grid import MeshGrid
 from repro.mesh.rectfind import (
     all_suitable_bases,
     find_suitable_submesh,
-    free_submesh_exists,
     largest_free_rect,
     largest_free_rect_bounded,
 )
@@ -16,6 +15,7 @@ from tests.conftest import (
     brute_force_largest_bounded,
     brute_force_suitable,
     random_occupancy,
+    submesh_free,
 )
 
 
@@ -87,7 +87,7 @@ class TestAllSuitableBases:
     def test_every_base_is_free(self, grid8):
         random_occupancy(grid8, 0.4, 3)
         for b in all_suitable_bases(grid8, 2, 3):
-            assert grid8.submesh_free(SubMesh.from_base(b.x, b.y, 2, 3))
+            assert submesh_free(grid8, SubMesh.from_base(b.x, b.y, 2, 3))
 
 
 class TestLargestFreeRect:
@@ -110,7 +110,7 @@ class TestLargestFreeRect:
         random_occupancy(grid8, 0.3, 11)
         r = largest_free_rect(grid8)
         assert r is not None
-        assert grid8.submesh_free(r)
+        assert submesh_free(grid8, r)
 
     @settings(max_examples=60, deadline=None)
     @given(density=st.floats(0.0, 0.95), seed=st.integers(0, 1000))
@@ -148,7 +148,7 @@ class TestLargestBounded:
         random_occupancy(grid8, 0.5, 5)
         r = largest_free_rect_bounded(grid8, max_w=4, max_l=4, max_area=9)
         if r is not None:
-            assert grid8.submesh_free(r)
+            assert submesh_free(grid8, r)
             assert r.width <= 4 and r.length <= 4 and r.area <= 9
 
     @settings(max_examples=80, deadline=None)
@@ -169,14 +169,14 @@ class TestLargestBounded:
         else:
             assert r is not None
             assert r.area == expected
-            assert g.submesh_free(r)
+            assert submesh_free(g, r)
             assert r.width <= mw and r.length <= ml and r.area <= ma
 
 
 class TestExists:
     def test_exists_on_empty(self, grid8):
-        assert free_submesh_exists(grid8, 8, 8)
+        assert find_suitable_submesh(grid8, 8, 8) == SubMesh(0, 0, 7, 7)
 
     def test_not_exists_when_blocked(self, grid8):
         grid8.allocate_nodes([Coord(4, 4)], 1)
-        assert not free_submesh_exists(grid8, 8, 8)
+        assert find_suitable_submesh(grid8, 8, 8) is None

@@ -22,6 +22,7 @@ from repro.mesh.rectfind import (
     find_suitable_submesh,
     largest_free_rect_bounded,
 )
+from tests.conftest import submesh_free
 
 
 def reference_sweep(grid, max_w=None, max_l=None, max_area=None):
@@ -170,7 +171,7 @@ def churned_grids(draw):
                 draw(st.integers(1, width - x)),
                 draw(st.integers(1, length - y)),
             )
-            if grid.submesh_free(s):
+            if submesh_free(grid, s):
                 grid.allocate_submesh(s, job)
                 live[job] = s
         grid.validate()
@@ -196,4 +197,4 @@ def test_bit_row_queries_match_oracles(grid, data):
         got = largest_free_rect_bounded(grid, max_w, max_l, max_area)
         assert got == reference_sweep(grid, max_w, max_l, max_area)
         if got is not None:
-            assert grid.submesh_free(got)
+            assert submesh_free(grid, got)

@@ -26,6 +26,7 @@ C_DTYPES = {
     "double": np.dtype(ctypes.c_double),
     "int64_t": np.dtype(ctypes.c_int64),
     "uint8_t": np.dtype(ctypes.c_uint8),
+    "uint64_t": np.dtype(ctypes.c_uint64),
 }
 
 #: non-square, non-power-of-two: several MBS cover roots
@@ -55,7 +56,7 @@ def expected_lengths(config: SimConfig, alloc: str, cap: int) -> dict:
         "channels": 6 * cells,
         "xy": 2 * cells,
         "heap": cells + 8,
-        "sat": (W + 1) * (L + 1),
+        "length": L,
         "messages": config.max_messages,
         "window": config.scheduler_window,
         "nodes": 2 * cells + 64 if roots else 0,

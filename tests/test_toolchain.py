@@ -363,11 +363,14 @@ int main(void)
 #: drives the lane driver's ``alloc_gabl`` (contiguous search, then the
 #: greedy decomposition) on edge grids, over a ``SoaCtx`` whose buffers
 #: are heap-allocated at their exact sizes; every grant is checked to
-#: cover exactly ``w * l`` distinct cells that were free before
+#: cover exactly ``w * l`` distinct cells that were free before, and
+#: after a decomposition the bit rows must still mirror the owner grid
 GABL_SANITIZER_MAIN = r"""
 #include <stdlib.h>
 
-enum { EMPTY, FULL, CHECKER, STRIPES };
+/* BANDS: odd rows are busy at every fourth column, so a wide request
+ * decomposes into whole free rows (the full-word mask at W = 64) */
+enum { EMPTY, FULL, CHECKER, STRIPES, BANDS };
 
 static int gabl(int64_t W, int64_t L, int pattern, int64_t w, int64_t l)
 {
@@ -379,14 +382,13 @@ static int gabl(int64_t W, int64_t L, int pattern, int64_t w, int64_t l)
     c->I = calloc(I_NCNT + 1, sizeof *c->I);
     c->owner = malloc(cells * sizeof *c->owner);
     c->ids = malloc(cells * sizeof *c->ids);
-    c->hts = malloc(cells * sizeof *c->hts);
-    c->ero = malloc(cells * sizeof *c->ero);
-    c->sat = malloc((W + 1) * (L + 1) * sizeof *c->sat);
+    c->rows = malloc(L * sizeof *c->rows);
     int64_t free_cells = 0;
     for (int64_t i = 0; i < cells; i++) {
         const int64_t x = i % W, y = i / W;
         const int busy = pattern == FULL || (pattern == CHECKER && (x + y) % 2)
-            || (pattern == STRIPES && x % 3 == 2);
+            || (pattern == STRIPES && x % 3 == 2)
+            || (pattern == BANDS && y % 2 && x % 4 == 3);
         c->owner[i] = busy ? 1 : -1;
         free_cells += !busy;
     }
@@ -405,12 +407,15 @@ static int gabl(int64_t W, int64_t L, int pattern, int64_t w, int64_t l)
         for (int64_t k = 0; k < c->ids_len; k++)
             bad |= c->ids[k] < 0 || c->ids[k] >= cells
                 || c->owner[c->ids[k]] != job;
+        if (c->cur_nsub > 1)
+            for (int64_t i = 0; i < cells; i++)
+                bad |= (int)(c->rows[i / W] >> (i % W) & 1)
+                    != (c->owner[i] < 0);
     } else {
         /* GABL fails only when too few processors are free */
         bad = r != 0 || w * l <= free_cells;
     }
-    free(c->I); free(c->owner); free(c->ids); free(c->hts); free(c->ero);
-    free(c->sat);
+    free(c->I); free(c->owner); free(c->ids); free(c->rows);
     return bad;
 }
 
@@ -429,12 +434,17 @@ static int bounds(int64_t W, int64_t L, int pattern)
 int main(void)
 {
     int rc = 0;
-    for (int pattern = EMPTY; pattern <= STRIPES; pattern++) {
+    for (int pattern = EMPTY; pattern <= BANDS; pattern++) {
         rc |= bounds(1, 9, pattern);    /* 1 x N */
         rc |= bounds(9, 1, pattern);    /* N x 1 */
         rc |= bounds(1, 1, pattern);
         rc |= bounds(16, 22, pattern);  /* the paper's mesh */
         rc |= bounds(22, 16, pattern);
+        rc |= bounds(64, 4, pattern);   /* full-word rows */
+        rc |= bounds(64, 1, pattern);
+        rc |= bounds(3, 70, pattern);   /* more rows than bits */
+        rc |= bounds(7, 65, pattern);
+        rc |= bounds(64, 65, pattern);
     }
     return rc;
 }
@@ -477,6 +487,8 @@ def test_reservation_kernel_is_sanitizer_clean(tmp_path):
 
 def test_gabl_search_is_sanitizer_clean(tmp_path):
     """ASan/UBSan build of the lane driver's GABL search: 1 x N, N x 1,
-    1 x 1 and 16 x 22 (both ways round) grids, empty, full,
-    checkerboard and striped, with requests at the mesh bounds."""
+    1 x 1, 16 x 22 (both ways round), full-word 64 x 4 and 64 x 1, and
+    3 x 70, 7 x 65 and 64 x 65 (more rows than a word has bits) grids,
+    empty, full, checkerboard, striped and banded, with requests at the
+    mesh bounds."""
     _run_sanitized(tmp_path, _soa_native._SOURCE + GABL_SANITIZER_MAIN)
