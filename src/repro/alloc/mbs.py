@@ -258,12 +258,3 @@ class MBSAllocator(Allocator):
         for b in self._roots:
             b.children = None
             self._push_free(b)
-
-    # ------------------------------------------------------------- queries
-    def free_blocks_at(self, k: int) -> int:
-        """Number of valid free blocks at level ``k`` (for tests/benches)."""
-        return sum(
-            1
-            for y, x, epoch, b in self._free[k]
-            if b.state == _FREE and b.epoch == epoch
-        )

@@ -122,8 +122,3 @@ class PagingAllocator(Allocator):
         if first >= 0:
             out.append(SubMesh(first * ps, row * ps, (last + 1) * ps - 1, (row + 1) * ps - 1))
         return out
-
-    @property
-    def free_pages(self) -> int:
-        """Number of currently free pages."""
-        return self._free_pages

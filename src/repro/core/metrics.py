@@ -114,13 +114,6 @@ class Metrics(SimObserver):
                 f"busy processor count {self.busy_procs} out of range"
             )
 
-    def utilization_at(self, now: float) -> float:
-        """Time-weighted mean utilization from time 0 to ``now``."""
-        return utilization(
-            self.processors, now, self.busy_integral, self.busy_procs,
-            self.last_change,
-        )
-
     # ----------------------------------------------------------- lifecycle
     def on_arrival(self, now: float, job: Job, queue_length: int) -> None:
         self.on_queue_length(queue_length)

@@ -38,7 +38,7 @@ The **thread** executor is the fast path when points run on the
 compiled SoA lane driver: ctypes calls release the GIL for the whole
 lane-driver event loop (see :mod:`repro.core._soa_native`), so lanes of
 different points genuinely run in parallel while sharing one in-process
-:class:`~repro.workload.columnar.BlockCache`, parse-once trace columns
+:class:`~repro.workload.columnar.BlockCache`, one replay record per trace
 and the result store -- no worker startup, no pickling, no per-worker
 re-parsing.  Batch futures hand back the engine's ``RunResult`` values
 directly (for native lanes, built straight from ``LaneState.result()``
@@ -660,29 +660,27 @@ def _resolve_executor_kind(
 def _prime_fork_state(
     specs: Iterable[PointSpec], trace: Sequence[TraceJob] | None
 ) -> None:
-    """Parse traces and derive replay columns once in the parent
+    """Parse traces and build their replay records once in the parent
     before a fork-started pool spins up.
 
-    The memo caches involved (:func:`sdsc_trace`'s trace memo,
-    :class:`~repro.workload.trace.TraceWorkload`'s raw and column memos and
-    the columnar block cache) are module globals, so fork children
-    inherit the parsed state instead of every worker re-parsing the
-    trace from scratch on its first task.
+    Building a real spec's workload fills both memos involved
+    (:func:`sdsc_trace`'s trace memo and the replay record of
+    :class:`~repro.workload.trace.TraceWorkload`).  They are module
+    globals, so fork children inherit them instead of every worker
+    re-parsing the trace on its first task.  A record does not depend
+    on the load, so one build per workload, scale and config suffices.
     """
     seen: set[tuple] = set()
     for spec in specs:
         if "real" not in spec.workload:
             continue
-        key = (spec.workload, spec.load, spec.scale, spec.config)
+        key = (spec.workload, spec.scale, spec.config)
         if key in seen:
             continue
         seen.add(key)
-        workload = make_workload(
+        make_workload(
             spec.workload, spec.config, spec.load, spec.scale, trace=trace,
         )
-        # pulling the first block forces trace parse + column
-        # derivation into the parent's (inherited) memo caches
-        next(workload.blocks(spec.config.seed, 8), None)
 
 
 def make_executor(
@@ -703,9 +701,9 @@ def make_executor(
 
     A process pool ships an external ``trace`` once per worker through
     its initializer (:func:`_register_trace`), so tasks never carry it.
-    Under a ``fork`` start the parent first primes the trace and column
-    memos for ``specs`` (:func:`_prime_fork_state`), which the workers
-    then inherit.
+    Under a ``fork`` start the parent first primes the trace memo and
+    replay records for ``specs`` (:func:`_prime_fork_state`), which the
+    workers then inherit.
     """
     specs = tuple(specs)
     kind = _resolve_executor_kind(jobs, kind, specs)

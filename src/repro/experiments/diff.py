@@ -191,10 +191,6 @@ class LoadedReport:
                 seen.setdefault(m)
         return tuple(seen)
 
-    def has_trajectories(self) -> bool:
-        """Whether any point embeds a non-empty trajectory."""
-        return any(p.trajectory.get("times") for p in self.points)
-
 
 def parse_report(data, source: str = "<dict>") -> LoadedReport:
     """Validate a report document; raises :class:`DiffError` on any

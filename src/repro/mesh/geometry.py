@@ -73,19 +73,6 @@ class SubMesh:
         """Number of processors in the sub-mesh (``w * l``)."""
         return self.width * self.length
 
-    def contains(self, c: Coord) -> bool:
-        """Whether node ``c`` lies inside this sub-mesh."""
-        return self.x1 <= c.x <= self.x2 and self.y1 <= c.y <= self.y2
-
-    def overlaps(self, other: "SubMesh") -> bool:
-        """Whether the two rectangles share at least one processor."""
-        return (
-            self.x1 <= other.x2
-            and other.x1 <= self.x2
-            and self.y1 <= other.y2
-            and other.y1 <= self.y2
-        )
-
     def node_ids(self, width: int) -> list[int]:
         """Row-major node ids ``y * width + x`` of the members, y outer."""
         out: list[int] = []

@@ -67,7 +67,11 @@ class MeshTopology:
         return node_id * _CHANNELS_PER_NODE + direction
 
     def channel_owner(self, channel: int) -> tuple[int, Direction]:
-        """Inverse of :meth:`channel`."""
+        """Inverse of :meth:`channel`.
+
+        No simulator path calls it; the routing tests use it with
+        :meth:`neighbour` as the oracle that walks a route hop by hop.
+        """
         return channel // _CHANNELS_PER_NODE, Direction(channel % _CHANNELS_PER_NODE)
 
     def link_exists(self, node_id: int, direction: Direction) -> bool:
@@ -86,7 +90,11 @@ class MeshTopology:
         return True  # INJ/EJ always exist
 
     def neighbour(self, node_id: int, direction: Direction) -> int:
-        """Node on the other end of a directional link."""
+        """Node on the other end of a directional link.
+
+        No simulator path calls it; the routing tests use it with
+        :meth:`channel_owner` as the oracle that walks a route hop by hop.
+        """
         if not self.link_exists(node_id, direction):
             raise ValueError(f"no {direction.name} link at node {node_id}")
         W, L = self.width, self.length

@@ -236,7 +236,7 @@ def fill_uniform_draws(
     """Fill the four per-job draw columns natively; ``False`` = no kernel.
 
     Advances ``rng``'s bit generator exactly as the scalar loop would;
-    the caller falls back to that loop (same results) on ``False``.
+    on ``False`` the caller batches that loop instead (same results).
     The output arrays must be C-contiguous with ``gaps``/``k_raw``
     float64 and ``w``/``l`` int64, all of length >= ``n``.
     """

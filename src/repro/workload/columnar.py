@@ -167,10 +167,6 @@ class JobBlock:
                 messages=msg, service_demand=dem, trace_runtime=rt,
             )
 
-    def job(self, i: int) -> Job:
-        """Materialise row ``i`` as a single ``Job``."""
-        return next(self.view(i, i + 1).iter_jobs())
-
     @classmethod
     def from_jobs(cls, jobs: Sequence[Job]) -> "JobBlock":
         """Build a block from materialised jobs (the fallback path)."""

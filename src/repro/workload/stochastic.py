@@ -94,17 +94,20 @@ class StochasticWorkload(Workload):
         column-wise; that branch runs the per-job loop in C instead
         (:mod:`repro.workload._native`, calling numpy's own
         ``libnpyrandom`` draw routines on the live bit generator, so
-        order and values are identical by construction), degrading to
-        the same loop in Python when the helper is unavailable.  Arrival
+        order and values are identical by construction); without the
+        helper they batch :meth:`jobs` through the base class.  Arrival
         accumulation and grid-snapping are shared: a ``cumsum`` seeded
         with the running time reproduces the scalar left-to-right
         float additions, and ``floor(t * G) / G`` is
         :func:`~repro.workload.base.quantize_time` elementwise.
         """
+        uniform = self.sides == "uniform"
+        if uniform and _native.load_kernel() is None:
+            yield from super().blocks(seed, count)
+            return
         rng = np.random.default_rng(seed)
         cfg = self.config
         mean_interarrival = 1.0 / self.load
-        uniform = self.sides == "uniform"
         w_scale, l_scale = cfg.width / 2.0, cfg.length / 2.0
         t = 0.0
         next_id = 1
@@ -114,17 +117,10 @@ class StochasticWorkload(Workload):
                 w = np.empty(count, dtype=np.int64)
                 l = np.empty(count, dtype=np.int64)
                 k_raw = np.empty(count, dtype=np.float64)
-                w_hi, l_hi = cfg.width + 1, cfg.length + 1
-                if not _native.fill_uniform_draws(
-                    rng, count, mean_interarrival, w_hi, l_hi,
-                    cfg.num_mes, gaps, w, l, k_raw,
-                ):
-                    draw_exp, draw_int = rng.exponential, rng.integers
-                    for i in range(count):
-                        gaps[i] = draw_exp(mean_interarrival)
-                        w[i] = draw_int(1, w_hi)
-                        l[i] = draw_int(1, l_hi)
-                        k_raw[i] = draw_exp(cfg.num_mes)
+                _native.fill_uniform_draws(
+                    rng, count, mean_interarrival, cfg.width + 1,
+                    cfg.length + 1, cfg.num_mes, gaps, w, l, k_raw,
+                )
             else:
                 raw = rng.standard_exponential(4 * count).reshape(count, 4)
                 gaps = raw[:, 0] * mean_interarrival

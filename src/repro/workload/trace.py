@@ -40,32 +40,6 @@ from repro.mesh.geometry import shape_for_size
 from repro.workload.base import Workload, quantize_time
 from repro.workload.columnar import DEFAULT_BLOCK, JobBlock
 
-#: parse-once-per-process memo of derived trace columns, keyed by the
-#: workload's block fingerprint (trace digest + every shaping parameter)
-_COLUMN_MEMO: dict[tuple, JobBlock] = {}
-
-#: serialises column derivation so concurrent first use from a thread
-#: pool derives each fingerprint once (columns are immutable afterwards)
-_COLUMN_LOCK = threading.Lock()
-
-#: load-independent derivations -- ``(TraceStats, demands)`` -- keyed by
-#: the trace content digest plus the demand parameters; only the arrival
-#: factor differs between the loads of one campaign
-_DERIVED_MEMO: dict[tuple, tuple[TraceStats, tuple[int, ...]]] = {}
-
-#: serialises derivation under concurrent first use, like _COLUMN_LOCK
-_DERIVED_LOCK = threading.Lock()
-
-#: the raw replay columns of one trace object -- ``(trace, replayed
-#: prefix, arrivals, sizes, runtimes, digest)`` -- keyed by
-#: ``(id(trace), len(trace), max_jobs)`` and used only when the stored
-#: trace ``is`` the caller's, so a different trace can never hit (the
-#: entry keeps the trace alive, so its id is never reused).  The campaign
-#: replays one memoised list per trace at every load and for every probe
-#: simulator; a trace must not be edited in place once replayed.
-_RAW_MEMO: dict[tuple, tuple] = {}
-
-
 @dataclass(frozen=True, slots=True)
 class TraceJob:
     """One record of a real workload trace (times in trace seconds)."""
@@ -116,13 +90,78 @@ def trace_stats(jobs: Sequence[TraceJob]) -> TraceStats:
     )
 
 
-def _raw_columns(trace: Sequence[TraceJob], max_jobs: int | None) -> tuple:
-    """The replayed prefix, its arrival/size/runtime columns (read-only)
-    and their content digest, built once per trace object."""
-    key = (id(trace), len(trace), max_jobs)
-    hit = _RAW_MEMO.get(key)
-    if hit is not None and hit[0] is trace:
-        return hit[1:]
+@dataclass(frozen=True, slots=True)
+class _ReplayRecord:
+    """Everything a replay derives that does not depend on the load.
+
+    The columns are read-only and shared by every workload built over
+    the same trace object, prefix, mesh shape and demand parameters;
+    only the scaled arrival column is derived per load.
+    """
+
+    #: the caller's trace object, pinned so its ``id`` is never reused
+    trace: Sequence[TraceJob]
+    #: the replayed prefix (a copy, so the caller's list is not aliased)
+    prefix: list[TraceJob]
+    digest: str
+    stats: TraceStats
+    arrivals: np.ndarray
+    runtimes: np.ndarray
+    job_id: np.ndarray
+    width: np.ndarray
+    length: np.ndarray
+    messages: np.ndarray
+
+
+#: one replay record per ``(trace object, prefix, mesh shape, demand
+#: parameters)``, keyed by the trace's ``id`` and hit only when the
+#: stored trace ``is`` the caller's.  The campaign replays one memoised
+#: list per trace at every load and for every probe simulator; a trace
+#: must not be edited in place once replayed.
+_REPLAYS: dict[tuple, _ReplayRecord] = {}
+
+#: serialises record builds, so a thread pool racing through first use
+#: builds each record once
+_REPLAY_LOCK = threading.Lock()
+
+
+def _quantile_matched_demands(
+    runtimes: np.ndarray, mean_messages: float, max_messages: int
+) -> list[int]:
+    """Per-job message counts: exponential marginal with mean
+    ``mean_messages``, rank-correlated with the recorded runtimes."""
+    # average ranks for ties, scaled into (0, 1)
+    order = np.argsort(runtimes, kind="stable")
+    ranks = np.empty(len(runtimes), dtype=np.float64)
+    ranks[order] = np.arange(1, len(runtimes) + 1)
+    quantiles = ranks / (len(runtimes) + 1)
+    demands = -mean_messages * np.log1p(-quantiles)
+    # round() already returns an int; no cast needed
+    return [min(max(1, round(k)), max_messages) for k in demands]
+
+
+def _shapes(sizes: np.ndarray, width: int, length: int) -> tuple:
+    """Mache--Lo--Windisch ``(w, l)`` columns for ``sizes``, running
+    :func:`shape_for_size` once per distinct size."""
+    # sorted distinct sizes, as np.unique gives them, without its
+    # first-use import of numpy.ma
+    ordered = np.sort(sizes)
+    distinct = np.empty(ordered.size, dtype=bool)
+    distinct[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=distinct[1:])
+    uniq = ordered[distinct]
+    shapes = [shape_for_size(int(s), width, length) for s in uniq]
+    idx = np.searchsorted(uniq, sizes)
+    return (
+        np.array([s[0] for s in shapes], dtype=np.int64)[idx],
+        np.array([s[1] for s in shapes], dtype=np.int64)[idx],
+    )
+
+
+def _build_record(
+    trace: Sequence[TraceJob], max_jobs: int | None, config: SimConfig,
+    mean_messages: float,
+) -> _ReplayRecord:
     prefix = list(trace[:max_jobs]) if max_jobs else list(trace)
     if len(prefix) < 2:
         raise ValueError("trace replay needs at least two jobs")
@@ -132,10 +171,41 @@ def _raw_columns(trace: Sequence[TraceJob], max_jobs: int | None) -> tuple:
     h = hashlib.sha256()
     for col in (arrivals, sizes, runtimes):
         h.update(col.tobytes())
+    width, length = _shapes(
+        np.minimum(sizes, config.processors), config.width, config.length,
+    )
+    messages = np.array(
+        _quantile_matched_demands(runtimes, mean_messages, config.max_messages),
+        dtype=np.int64,
+    )
+    job_id = np.arange(1, len(prefix) + 1, dtype=np.int64)
+    for col in (arrivals, runtimes, job_id, width, length, messages):
         col.flags.writeable = False
-    raw = (prefix, arrivals, sizes, runtimes, h.hexdigest()[:24])
-    _RAW_MEMO[key] = (trace, *raw)
-    return raw
+    return _ReplayRecord(
+        trace=trace, prefix=prefix, digest=h.hexdigest()[:24],
+        stats=trace_stats(prefix), arrivals=arrivals, runtimes=runtimes,
+        job_id=job_id, width=width, length=length, messages=messages,
+    )
+
+
+def _replay_record(
+    trace: Sequence[TraceJob], max_jobs: int | None, config: SimConfig,
+    mean_messages: float,
+) -> _ReplayRecord:
+    """The replay record of ``trace``, built once per process (thread-safe)."""
+    key = (
+        id(trace), len(trace), max_jobs, config.width, config.length,
+        mean_messages, config.max_messages,
+    )
+    record = _REPLAYS.get(key)
+    if record is not None and record.trace is trace:
+        return record
+    with _REPLAY_LOCK:
+        record = _REPLAYS.get(key)
+        if record is None or record.trace is not trace:
+            record = _build_record(trace, max_jobs, config, mean_messages)
+            _REPLAYS[key] = record
+        return record
 
 
 class TraceWorkload(Workload):
@@ -153,12 +223,12 @@ class TraceWorkload(Workload):
             raise ValueError(f"load must be positive, got {load}")
         if not trace:
             raise ValueError("empty trace")
-        (self.trace, self._arrivals, self._sizes, self._runtimes,
-         self._digest) = _raw_columns(trace, max_jobs)
         self.load = load
         #: mean per-processor message count (DESIGN.md section 2.3)
         self.mean_messages = config.num_mes * config.trace_demand_multiplier
-        self.stats, self._messages = self._derived()
+        self._record = _replay_record(trace, max_jobs, config, self.mean_messages)
+        self.trace = self._record.prefix
+        self.stats = self._record.stats
         #: the paper's arrival-time multiplier f.  A burst trace (all
         #: arrivals simultaneous) has no inter-arrival scale to stretch,
         #: so it replays unscaled.
@@ -168,51 +238,18 @@ class TraceWorkload(Workload):
             self.factor = 1.0
         self.name = "real-trace"
 
-    def _derived(self) -> tuple[TraceStats, tuple[int, ...]]:
-        """Trace statistics and demands, derived once per process for a
-        given trace content and demand parameters (thread-safe)."""
-        cfg = self.config
-        key = (
-            self._digest, len(self.trace),
-            cfg.num_mes, cfg.trace_demand_multiplier, cfg.max_messages,
-        )
-        hit = _DERIVED_MEMO.get(key)
-        if hit is not None:
-            return hit
-        with _DERIVED_LOCK:
-            hit = _DERIVED_MEMO.get(key)
-            if hit is None:
-                hit = (
-                    trace_stats(self.trace),
-                    tuple(self._quantile_matched_demands()),
-                )
-                _DERIVED_MEMO[key] = hit
-            return hit
-
-    def _quantile_matched_demands(self) -> list[int]:
-        """Per-job message counts: exponential marginal with the paper's
-        mean, rank-correlated with the recorded runtimes."""
-        cfg = self.config
-        runtimes = self._runtimes
-        # average ranks for ties, scaled into (0, 1)
-        order = np.argsort(runtimes, kind="stable")
-        ranks = np.empty(len(runtimes), dtype=np.float64)
-        ranks[order] = np.arange(1, len(runtimes) + 1)
-        quantiles = ranks / (len(runtimes) + 1)
-        demands = -self.mean_messages * np.log1p(-quantiles)
-        # round() already returns an int; no cast needed
-        return [
-            min(max(1, round(k)), cfg.max_messages) for k in demands
-        ]
-
     def jobs(self, seed: int) -> Iterator[Job]:
-        """The deterministic replay stream (``seed`` is ignored)."""
-        # replay is fully deterministic; the seed is accepted for
-        # interface uniformity but unused
+        """The deterministic replay stream (``seed`` is ignored).
+
+        The scalar reference: it shapes every job with
+        :func:`~repro.mesh.geometry.shape_for_size` itself rather than
+        reading the replay record's shape columns.
+        """
         cfg = self.config
         t0 = self.trace[0].arrival
         prev = 0.0
-        for i, (tj, k) in enumerate(zip(self.trace, self._messages), start=1):
+        messages = self._record.messages.tolist()
+        for i, (tj, k) in enumerate(zip(self.trace, messages), start=1):
             arrival = quantize_time((tj.arrival - t0) * self.factor)
             prev = self._check_monotone(prev, arrival)
             size = min(tj.size, cfg.processors)
@@ -231,35 +268,21 @@ class TraceWorkload(Workload):
         """Stream identity: trace content digest + every shaping knob."""
         cfg = self.config
         return (
-            "trace", self._digest, len(self.trace), self.factor,
+            "trace", self._record.digest, len(self.trace), self.factor,
             cfg.width, cfg.length, cfg.processors,
             self.mean_messages, cfg.max_messages,
         )
 
-    def _columns(self) -> JobBlock:
-        """The whole replay as one memoised column block.
+    def blocks(self, seed: int, count: int = DEFAULT_BLOCK) -> Iterator[JobBlock]:
+        """Views over this load's arrival column and the replay record's
+        shared columns (``seed`` is ignored).
 
-        Derivation (quantised scaled arrivals, Mache--Lo--Windisch
-        shaping via per-unique-size lookup, quantile-matched demands)
-        runs once per process for a given fingerprint; later workload
-        instances over the same trace and parameters reuse the arrays.
-        Thread-safe: derivation serialises on a module lock, so a
-        thread pool racing through first use computes each fingerprint
-        once (the memoised columns are frozen read-only).
+        Only the arrivals depend on the load: scaled by :attr:`factor`
+        and snapped down onto the dyadic grid elementwise, exactly as
+        :meth:`jobs` does job by job.
         """
-        key = self.block_fingerprint()
-        block = _COLUMN_MEMO.get(key)
-        if block is not None:
-            return block
-        with _COLUMN_LOCK:
-            block = _COLUMN_MEMO.get(key)
-            if block is not None:
-                return block
-            return self._derive_columns(key)
-
-    def _derive_columns(self, key: tuple) -> JobBlock:
-        cfg = self.config
-        scaled = (self._arrivals - self._arrivals[0]) * self.factor
+        r = self._record
+        scaled = (r.arrivals - r.arrivals[0]) * self.factor
         arrival = np.floor(scaled * TIME_GRID) / TIME_GRID
         bad = np.nonzero(np.diff(arrival) < 0)[0]
         if bad.size:
@@ -268,35 +291,10 @@ class TraceWorkload(Workload):
                 f"workload produced decreasing arrival times "
                 f"({arrival[i + 1]} < {arrival[i]})"
             )
-        sizes = np.minimum(self._sizes, cfg.processors)
-        # sorted distinct sizes, as np.unique gives them, without its
-        # first-use import of numpy.ma
-        ordered = np.sort(sizes)
-        distinct = np.empty(ordered.size, dtype=bool)
-        distinct[:1] = True
-        np.not_equal(ordered[1:], ordered[:-1], out=distinct[1:])
-        uniq = ordered[distinct]
-        shapes = [shape_for_size(int(s), cfg.width, cfg.length) for s in uniq]
-        idx = np.searchsorted(uniq, sizes)
-        width = np.array([s[0] for s in shapes], dtype=np.int64)[idx]
-        length = np.array([s[1] for s in shapes], dtype=np.int64)[idx]
+        arrival.flags.writeable = False
         block = JobBlock(
-            job_id=np.arange(1, len(self.trace) + 1, dtype=np.int64),
-            arrival=arrival,
-            width=width,
-            length=length,
-            messages=np.array(self._messages, dtype=np.int64),
-            demand=self._runtimes.copy(),
-            runtime=self._runtimes.copy(),
+            job_id=r.job_id, arrival=arrival, width=r.width, length=r.length,
+            messages=r.messages, demand=r.runtimes, runtime=r.runtimes,
         )
-        for col in (block.job_id, block.arrival, block.width, block.length,
-                    block.messages, block.demand, block.runtime):
-            col.flags.writeable = False
-        _COLUMN_MEMO[key] = block
-        return block
-
-    def blocks(self, seed: int, count: int = DEFAULT_BLOCK) -> Iterator[JobBlock]:
-        """Zero-copy views over the memoised columns (seed ignored)."""
-        block = self._columns()
         for start in range(0, len(block), count):
             yield block.view(start, start + count)

@@ -7,6 +7,8 @@ from typing import Sequence
 import numpy as np
 import pytest
 
+from repro.alloc.mbs import _FREE, MBSAllocator
+from repro.alloc.paging import PagingAllocator
 from repro.core.config import SimConfig
 from repro.mesh.geometry import Coord, SubMesh
 from repro.mesh.grid import MeshGrid
@@ -92,6 +94,24 @@ def submesh_free(grid: MeshGrid, s: SubMesh) -> bool:
     owner-derived free mask, not the bit rows the searches use."""
     assert grid.in_bounds(s), s
     return bool(grid.free_mask()[s.y1 : s.y2 + 1, s.x1 : s.x2 + 1].all())
+
+
+def free_blocks_at(alloc: MBSAllocator, k: int) -> int:
+    """Valid free blocks at MBS level ``k``, off the lazily pruned free
+    lists (an entry is stale once its block's state or epoch moved)."""
+    return sum(
+        1
+        for _y, _x, epoch, b in alloc._free[k]
+        if b.state == _FREE and b.epoch == epoch
+    )
+
+
+def free_pages(alloc: PagingAllocator) -> int:
+    """Free pages counted off the per-page flags, which must agree with
+    the allocator's running count."""
+    count = sum(alloc._page_free)
+    assert count == alloc._free_pages, (count, alloc._free_pages)
+    return count
 
 
 def submeshes_disjoint(submeshes: Sequence[SubMesh]) -> bool:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.alloc.mbs import MBSAllocator, base4_digits, cover_with_squares
-from tests.conftest import submeshes_disjoint
+from tests.conftest import free_blocks_at, submeshes_disjoint
 
 
 class TestBase4:
@@ -91,8 +91,8 @@ class TestAllocate:
         alloc = a.allocate(1, 2, 2)  # needs a 2x2: split 8->4->2
         assert alloc is not None
         # after splitting, free blocks: 3 of 4x4 + 3 of 2x2
-        assert a.free_blocks_at(2) == 3
-        assert a.free_blocks_at(1) == 3
+        assert free_blocks_at(a, 2) == 3
+        assert free_blocks_at(a, 1) == 3
         assert a.free_count == 60
 
     def test_merge_restores_root(self):
@@ -101,10 +101,10 @@ class TestAllocate:
         a.release(alloc)
         assert a.free_count == 64
         # buddy merges must rebuild the single 8x8 root
-        assert a.free_blocks_at(3) == 1
-        assert a.free_blocks_at(2) == 0
-        assert a.free_blocks_at(1) == 0
-        assert a.free_blocks_at(0) == 0
+        assert free_blocks_at(a, 3) == 1
+        assert free_blocks_at(a, 2) == 0
+        assert free_blocks_at(a, 1) == 0
+        assert free_blocks_at(a, 0) == 0
 
     def test_interleaved_alloc_release(self):
         a = MBSAllocator(16, 22)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.alloc.paging import PagingAllocator
-from tests.conftest import submeshes_disjoint
+from tests.conftest import free_pages, submeshes_disjoint
 
 
 class TestConstruction:
@@ -11,19 +11,19 @@ class TestConstruction:
         a = PagingAllocator(16, 22, size_index=0)
         assert a.name == "Paging(0)"
         assert a.page_side == 1
-        assert a.free_pages == 352
+        assert free_pages(a) == 352
         assert a.complete
 
     def test_paging2_pages_are_4x4(self):
         """Paper: 'Paging(2) means that the pages are 4x4 sub-mesh'."""
         a = PagingAllocator(16, 16, size_index=2)
         assert a.page_side == 4
-        assert a.free_pages == 16
+        assert free_pages(a) == 16
         assert not a.complete  # internal fragmentation possible
 
     def test_divisible_mesh_accepted(self):
         a = PagingAllocator(16, 22, size_index=1)  # 2x2 pages fit 16x22
-        assert a.free_pages == 8 * 11
+        assert free_pages(a) == 8 * 11
 
     def test_indivisible_mesh_rejected(self):
         with pytest.raises(ValueError, match="not divisible"):
@@ -83,7 +83,7 @@ class TestAllocate:
         alloc = a.allocate(1, 5, 5)
         a.release(alloc)
         assert a.free_count == 64
-        assert a.free_pages == 64
+        assert free_pages(a) == 64
         a.grid.validate()
 
     def test_internal_fragmentation_paging1(self):
@@ -124,7 +124,7 @@ class TestReset:
         a.allocate(1, 5, 5)
         a.reset()
         assert a.free_count == 64
-        assert a.free_pages == 64
+        assert free_pages(a) == 64
         assert a.allocate(2, 8, 8) is not None
 
 

@@ -117,12 +117,12 @@ class TestMetrics:
         m = Metrics(processors=100)
         m.on_busy_change(0.0, 50)  # 50 busy from t=0
         m.on_busy_change(10.0, -50)  # idle from t=10
-        assert m.utilization_at(20.0) == pytest.approx(0.25)
+        assert m.result(now=20.0).utilization == pytest.approx(0.25)
 
     def test_utilization_with_open_interval(self):
         m = Metrics(processors=100)
         m.on_busy_change(0.0, 100)
-        assert m.utilization_at(10.0) == pytest.approx(1.0)
+        assert m.result(now=10.0).utilization == pytest.approx(1.0)
 
     def test_busy_count_bounds(self):
         m = Metrics(processors=4)

@@ -49,20 +49,6 @@ class TestSubMesh:
         with pytest.raises(ValueError):
             SubMesh.from_base(0, 0, 0, 3)
 
-    def test_contains(self):
-        s = SubMesh(1, 1, 3, 3)
-        assert s.contains(Coord(2, 2))
-        assert s.contains(Coord(1, 1))
-        assert s.contains(Coord(3, 3))
-        assert not s.contains(Coord(0, 1))
-        assert not s.contains(Coord(4, 3))
-
-    def test_overlaps(self):
-        a = SubMesh(0, 0, 2, 2)
-        assert a.overlaps(SubMesh(2, 2, 4, 4))  # share corner (2,2)
-        assert not a.overlaps(SubMesh(3, 0, 4, 2))  # adjacent, disjoint
-        assert a.overlaps(a)
-
     def test_nodes_row_major(self):
         s = SubMesh(1, 1, 2, 2)
         # (1, 1), (2, 1), (1, 2), (2, 2) on a 4-wide mesh

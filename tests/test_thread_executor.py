@@ -26,7 +26,6 @@ from repro.experiments.campaign import (
     Campaign,
     PointSpec,
     Scale,
-    sdsc_trace,
 )
 from repro.experiments.store import ResultCache
 from repro.network import _native as network_native
@@ -176,27 +175,6 @@ class TestSharedStateThreadSafety:
             got = [f.result() for f in [pool.submit(worker) for _ in range(8)]]
         assert all(g == got[0] for g in got)
         assert len(cache._streams) == 1
-
-    def test_trace_memo_concurrent_first_use(self):
-        # the sdsc trace memo and the replay column memo must come up
-        # once under concurrent first use and agree across threads
-        from repro.workload import trace as trace_mod
-
-        trace_mod._COLUMN_MEMO.clear()
-        jobs = sdsc_trace(120)
-        barrier = threading.Barrier(6)
-
-        def worker():
-            barrier.wait()
-            wl = trace_mod.TraceWorkload(TINY, jobs, load=0.05, max_jobs=120)
-            return wl._columns()
-
-        with futures.ThreadPoolExecutor(6) as pool:
-            blocks = [
-                f.result() for f in [pool.submit(worker) for _ in range(6)]
-            ]
-        assert all(b is blocks[0] for b in blocks)
-        assert len(trace_mod._COLUMN_MEMO) == 1
 
     @pytest.mark.parametrize("module", (
         network_native, _soa_native, workload_native,

@@ -202,7 +202,7 @@ class TestMalformedTrajectories:
 class TestGoldenReportRoundTrip:
     def test_golden_scenario_parses_with_trajectories(self):
         report = load_report(GOLDEN / "scenario_smoke.json")
-        assert report.has_trajectories()
+        assert any(p.trajectory.get("times") for p in report.points)
         point = report.points[0]
         assert point.load == 0.02
         assert point.alloc == "GABL"

@@ -165,7 +165,6 @@ class TestJobBlock:
         jobs = list(islice(make_source("real").jobs(1), 40))
         block = JobBlock.from_jobs(jobs)
         assert list(block.iter_jobs()) == jobs
-        assert block.job(3) == jobs[3]
         assert len(block.view(5, 10)) == 5
 
     def test_blocks_from_jobs_partitions(self):

@@ -91,22 +91,22 @@ class TestTraceWorkload:
         wl = TraceWorkload(CFG, small_trace(), load=0.01, max_jobs=2)
         assert len(list(wl.jobs(seed=1))) == 2
 
-    def test_raw_columns_built_once_per_trace_object(self):
+    def test_replay_record_built_once_per_trace_object(self):
         """A second replay of the same trace object (another load, a
-        probe simulator) reuses its columns; another trace object of the
+        probe simulator) reuses its record; another trace object of the
         same length, or another prefix, never does."""
         trace = small_trace()
         a = TraceWorkload(CFG, trace, load=0.01)
         b = TraceWorkload(CFG, trace, load=0.5)
-        assert b._arrivals is a._arrivals and b._digest == a._digest
-        assert not a._arrivals.flags.writeable
+        assert b._record is a._record
+        assert not a._record.arrivals.flags.writeable
         other = small_trace()
         other[1] = TraceJob(arrival=100.0, size=33, runtime=50.0)
         c = TraceWorkload(CFG, other, load=0.01)
-        assert c._digest != a._digest
-        assert c._sizes.tolist() == [10, 33, 1, 352]
+        assert c._record.digest != a._record.digest
+        assert [tj.size for tj in c.trace] == [10, 33, 1, 352]
         d = TraceWorkload(CFG, trace, load=0.01, max_jobs=3)
-        assert len(d.trace) == 3 and d._digest != a._digest
+        assert len(d.trace) == 3 and d._record.digest != a._record.digest
 
     def test_empty_trace_rejected(self):
         with pytest.raises(ValueError):
